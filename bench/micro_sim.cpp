@@ -6,14 +6,14 @@
 // sweeps, the baseline reclaimer's CLOCK scan, and the tier balancer's
 // aging scan. Secondary metrics cover the monitor primitives (MkOld/IsYoung
 // pairs), VMA lookup, a full monitor sampling pass, and how fast the System
-// advances simulated time when nothing but a monitor is scheduled (the
-// event-driven stepping path).
+// advances simulated time when nothing but a monitor is scheduled (dense
+// per-quantum stepping with no workload).
 //
 // Results append a machine-readable entry to BENCH_sim.json in the working
 // directory (same trajectory-array schema as BENCH_runner.json). The first
 // entry was recorded on the pre-overhaul core (16-byte Page structs, dense
-// quantum stepping); later entries track the packed-bitmap/event-driven
-// core.
+// quantum stepping); later entries track the packed-bitmap core (entries
+// recorded while idle quanta could be skipped also carry that jump).
 //
 // Build & run:  ./build/bench/micro_sim [--quick]
 #include <chrono>
@@ -203,9 +203,9 @@ void BenchMonitor(bool quick, Metrics* m) {
 }
 
 // --- idle System stepping: simulated-time throughput -----------------------
-// A System whose only schedulable work is a monitor daemon sampling every
-// 5 ms. The pre-overhaul core executes every 1 ms quantum; the event-driven
-// core jumps the clock between sample deadlines.
+// A dense idle-stepping probe: a System whose only schedulable work is a
+// monitor daemon sampling every 5 ms. Run() executes every 1 ms quantum, so
+// this measures the fixed per-quantum cost of Step() with no workload.
 void BenchIdleSystem(bool quick, Metrics* m) {
   sim::System system(sim::MachineSpec::I3Metal().GuestOf(),
                      sim::SwapConfig::Zram());
@@ -216,11 +216,9 @@ void BenchIdleSystem(bool quick, Metrics* m) {
   damon::MonitoringAttrs attrs;
   damon::DamonContext ctx(attrs);
   ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(&space));
-  system.RegisterDaemon(
-      [&ctx](SimTimeUs now, SimTimeUs quantum) {
-        return ctx.Step(now, quantum);
-      },
-      [&ctx](SimTimeUs now) { return ctx.NextEventAt(now); });
+  system.RegisterDaemon([&ctx](SimTimeUs now, SimTimeUs quantum) {
+    return ctx.Step(now, quantum);
+  });
   const SimTimeUs horizon = (quick ? 60 : 600) * kUsPerSec;
   const auto t0 = Clock::now();
   system.Run(horizon);

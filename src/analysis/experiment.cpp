@@ -135,11 +135,9 @@ ExperimentResult RunWorkload(const workload::WorkloadProfile& profile,
     }
     if (recorder != nullptr) recorder->Attach(*ctx);
 
-    system.RegisterDaemon(
-        [&ctx](SimTimeUs now, SimTimeUs quantum) {
-          return ctx->Step(now, quantum);
-        },
-        [&ctx](SimTimeUs now) { return ctx->NextEventAt(now); });
+    system.RegisterDaemon([&ctx](SimTimeUs now, SimTimeUs quantum) {
+      return ctx->Step(now, quantum);
+    });
   }
 
   const sim::SystemMetrics metrics = system.Run(options.max_time);

@@ -9,83 +9,26 @@
 
 namespace daos::chaos {
 
-namespace {
-
-bool ParseU64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (kMaxU64 - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseProbability(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  const std::string buf(text);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;
-  *out = v;
-  return true;
-}
-
-void FormatSpecInto(std::ostringstream& out, const fault::FaultSpec& spec) {
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) out << ' ';
-    first = false;
-  };
-  if (spec.probability > 0.0) {
-    sep();
-    out << "p=" << spec.probability;
-  }
-  if (spec.every_nth > 0) {
-    sep();
-    out << "every=" << spec.every_nth;
-  }
-  if (spec.once_at > 0) {
-    sep();
-    out << "once=" << spec.once_at;
-  }
-}
-
-}  // namespace
-
 bool ParseCampaign(std::string_view text, Campaign* out, std::string* error) {
   Campaign parsed = *out;  // keep caller defaults for seed/scenario
   parsed.entries.clear();
 
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t brk = text.find_first_of("\n;", pos);
-    const std::string_view raw =
-        text.substr(pos, brk == std::string_view::npos ? brk : brk - pos);
-    pos = brk == std::string_view::npos ? text.size() + 1 : brk + 1;
-    ++line_no;
-
+  LineCursor lines(text, "\n;");
+  std::string_view raw;
+  while (lines.Next(&raw)) {
     const std::string_view line = TrimWhitespace(StripComment(raw));
     if (line.empty()) continue;
     const auto fail = [&](const std::string& msg) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": " + msg;
-      }
+      if (error != nullptr) *error = LineError(lines.line_no(), msg);
       return false;
     };
 
     const std::vector<std::string_view> tokens = SplitWhitespace(line);
     if (tokens[0] == "seed") {
-      std::uint64_t seed = 0;
-      if (tokens.size() != 2 || !ParseU64(tokens[1], &seed)) {
-        return fail("expected 'seed <u64>'");
-      }
-      parsed.seed = seed;
+      const auto seed =
+          tokens.size() == 2 ? ParseU64(tokens[1]) : std::nullopt;
+      if (!seed) return fail("expected 'seed <u64>'");
+      parsed.seed = *seed;
       continue;
     }
     if (tokens[0] == "scenario") {
@@ -109,24 +52,7 @@ bool ParseCampaign(std::string_view text, Campaign* out, std::string* error) {
       }
       const std::string_view key = tok.substr(0, eq);
       const std::string_view value = tok.substr(eq + 1);
-      if (key == "p") {
-        if (!ParseProbability(value, &entry.spec.probability)) {
-          return fail("bad probability '" + std::string(value) +
-                      "' (want a float in [0, 1])");
-        }
-      } else if (key == "every") {
-        if (!ParseU64(value, &entry.spec.every_nth) ||
-            entry.spec.every_nth == 0) {
-          return fail("bad ordinal '" + std::string(value) +
-                      "' (want an integer >= 1)");
-        }
-      } else if (key == "once") {
-        if (!ParseU64(value, &entry.spec.once_at) ||
-            entry.spec.once_at == 0) {
-          return fail("bad one-shot ordinal '" + std::string(value) +
-                      "' (want an integer >= 1)");
-        }
-      } else if (key == "from") {
+      if (key == "from") {
         const auto dur = ParseDuration(value);
         if (!dur.has_value()) {
           return fail("bad window start '" + std::string(value) +
@@ -141,7 +67,11 @@ bool ParseCampaign(std::string_view text, Campaign* out, std::string* error) {
         }
         entry.until = *dur;
       } else {
-        return fail("unknown trigger '" + std::string(key) + "'");
+        // p=/every=/once= (and the unknown-key message) are the fault
+        // plane's own trigger grammar.
+        std::string msg;
+        if (!fault::ParseTrigger(key, value, &entry.spec, &msg))
+          return fail(msg);
       }
     }
     if (!entry.spec.armed()) {
@@ -162,7 +92,7 @@ bool ParseCampaign(std::string_view text, Campaign* out, std::string* error) {
 std::string FormatEntry(const CampaignEntry& entry) {
   std::ostringstream out;
   out << entry.point << ' ';
-  FormatSpecInto(out, entry.spec);
+  fault::FormatSpec(out, entry.spec);
   if (entry.from != 0) out << " from=" << FormatDuration(entry.from);
   if (entry.until != 0) out << " until=" << FormatDuration(entry.until);
   return out.str();

@@ -433,16 +433,4 @@ double DamonContext::Step(SimTimeUs now, SimTimeUs quantum) {
   return interference;
 }
 
-SimTimeUs DamonContext::NextEventAt(SimTimeUs now) const {
-  if (!primed_) return now;
-  for (const DamonTarget& target : targets_) {
-    // Lazy region init runs at the top of every Step() until the target's
-    // layout exists — those calls must stay dense.
-    if (target.regions.empty()) return now;
-  }
-  // Aggregation and regions updates are serviced from sample deadlines
-  // (the vnow loop above), so next_sample_ bounds them all.
-  return next_sample_;
-}
-
 }  // namespace daos::damon

@@ -90,14 +90,6 @@ class DamonContext {
   /// Daemon signature). Safe to call with arbitrary strides.
   double Step(SimTimeUs now, SimTimeUs quantum);
 
-  /// Earliest simulated time at which Step() has due work — the System's
-  /// next-event hint (RegisterDaemon's second argument). Returns `now`
-  /// while unprimed or while any target still waits for regions (lazy
-  /// initialization retries every quantum, exactly like dense stepping);
-  /// after that, the next sample deadline, which also bounds aggregation
-  /// and regions updates (both are serviced from sample deadlines).
-  SimTimeUs NextEventAt(SimTimeUs now) const;
-
   const MonitorCounters& counters() const noexcept { return counters_; }
   std::uint32_t TotalRegions() const;
 

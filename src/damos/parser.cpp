@@ -31,11 +31,9 @@ std::optional<FreqBound> ParseFreqToken(std::string_view tok) {
     return std::nullopt;
   }
   // Bare number: raw sample count per aggregation interval (Listing 3).
-  char* end = nullptr;
-  const std::string s(tok);
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || v < 0) return std::nullopt;
-  return FreqBound::Samples(v);
+  const auto v = ParseFiniteDouble(tok);
+  if (!v || *v < 0) return std::nullopt;
+  return FreqBound::Samples(*v);
 }
 
 std::optional<SimTimeUs> ParseAgeToken(std::string_view tok, bool is_min) {
@@ -162,9 +160,10 @@ ParseResult ParseSchemeLine(std::string_view line) {
 
 ParseResult ParseSchemes(std::string_view text) {
   ParseResult result;
-  int line_no = 0;
-  for (std::string_view raw : SplitChar(text, '\n')) {
-    ++line_no;
+  LineCursor lines(text);
+  std::string_view raw;
+  while (lines.Next(&raw)) {
+    const int line_no = lines.line_no();
     if (raw.size() > kMaxLineLength) {
       result.errors.push_back(
           {line_no, "line too long (" + std::to_string(raw.size()) + " > " +

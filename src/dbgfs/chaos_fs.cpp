@@ -15,13 +15,10 @@ ChaosFs::ChaosFs(PseudoFs* fs, chaos::ChaosEngine* engine, std::string root)
       [engine](std::string_view content, std::string* error) {
         const std::vector<std::string_view> tokens =
             SplitWhitespace(TrimWhitespace(content));
-        std::uint64_t count = 0;
         if (tokens.size() == 2 && tokens[0] == "run") {
-          bool ok = !tokens[1].empty();
-          for (const char c : tokens[1]) ok = ok && c >= '0' && c <= '9';
-          if (ok) count = std::stoull(std::string(tokens[1]));
-          if (ok && count >= 1 && count <= 1024) {
-            engine->RunNext(static_cast<std::size_t>(count));
+          const auto count = ParseU64(tokens[1]);
+          if (count && *count >= 1 && *count <= 1024) {
+            engine->RunNext(static_cast<std::size_t>(*count));
             return true;
           }
         }

@@ -1,7 +1,6 @@
 #include "dbgfs/damon_dbgfs.hpp"
 
 #include <cstdio>
-#include <limits>
 
 #include "damos/parser.hpp"
 #include "sim/system.hpp"
@@ -39,17 +38,9 @@ DamonDbgfs::DamonDbgfs(sim::System* system, PseudoFs* fs, std::string root)
         return WriteMonitorOn(c, e);
       });
 
-  system_->RegisterDaemon(
-      [this](SimTimeUs now, SimTimeUs quantum) {
-        return on_ ? ctx_->Step(now, quantum) : 0.0;
-      },
-      // Switched off, the kdamond has no next event at all; monitor_on
-      // writes land between Run() loop iterations, which re-consult this
-      // hint every pass.
-      [this](SimTimeUs now) {
-        return on_ ? ctx_->NextEventAt(now)
-                   : std::numeric_limits<SimTimeUs>::max();
-      });
+  system_->RegisterDaemon([this](SimTimeUs now, SimTimeUs quantum) {
+    return on_ ? ctx_->Step(now, quantum) : 0.0;
+  });
 }
 
 DamonDbgfs::~DamonDbgfs() {
@@ -80,15 +71,17 @@ bool DamonDbgfs::WriteAttrs(std::string_view content, std::string* error) {
       *error = "attrs expects: sample_us aggr_us update_us min_nr max_nr";
     return false;
   }
-  unsigned long long vals[5];
+  // min_nr/max_nr are 32-bit fields: range-check them here, not after a
+  // cast that would wrap 4294967296 to 0.
+  std::uint64_t vals[5];
   for (int i = 0; i < 5; ++i) {
-    char* end = nullptr;
-    const std::string t(tokens[i]);
-    vals[i] = std::strtoull(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0') {
-      if (error != nullptr) *error = "bad number '" + t + "'";
+    const auto v = ParseU64(tokens[i]);
+    if (!v || (i >= 3 && *v > UINT32_MAX)) {
+      if (error != nullptr)
+        *error = "bad number '" + std::string(tokens[i]) + "'";
       return false;
     }
+    vals[i] = *v;
   }
   if (vals[0] == 0 || vals[1] < vals[0] || vals[3] == 0 || vals[4] < vals[3]) {
     if (error != nullptr) *error = "inconsistent attrs";

@@ -54,9 +54,7 @@ std::uint64_t ProcFs::ReadRssBytes(int pid) const {
     if (!StartsWith(line, "VmRSS:")) continue;
     const auto tokens = SplitWhitespace(line.substr(6));
     if (tokens.empty()) return 0;
-    char* end = nullptr;
-    const std::string t(tokens[0]);
-    return std::strtoull(t.c_str(), &end, 10) * 1024;
+    return ParseU64(tokens[0]).value_or(0) * 1024;
   }
   return 0;
 }

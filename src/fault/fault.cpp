@@ -23,32 +23,42 @@ std::uint64_t HashName(std::string_view name) {
   return h;
 }
 
-bool ParseU64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (kMaxU64 - digit) / 10) return false;
-    v = v * 10 + digit;
+}  // namespace
+
+bool ParseTrigger(std::string_view key, std::string_view value,
+                  FaultSpec* spec, std::string* error) {
+  const auto fail = [&](std::string msg) {
+    if (error != nullptr) *error = std::move(msg);
+    return false;
+  };
+  if (key == "p") {
+    const auto p = ParseProbability(value);
+    if (!p) {
+      return fail("bad probability '" + std::string(value) +
+                  "' (want a float in [0, 1])");
+    }
+    spec->probability = *p;
+  } else if (key == "every") {
+    const auto n = ParseU64(value);
+    if (!n || *n == 0) {
+      return fail("bad ordinal '" + std::string(value) +
+                  "' (want an integer >= 1)");
+    }
+    spec->every_nth = *n;
+  } else if (key == "once") {
+    const auto n = ParseU64(value);
+    if (!n || *n == 0) {
+      return fail("bad one-shot ordinal '" + std::string(value) +
+                  "' (want an integer >= 1)");
+    }
+    spec->once_at = *n;
+  } else {
+    return fail("unknown trigger '" + std::string(key) + "'");
   }
-  *out = v;
   return true;
 }
 
-bool ParseProbability(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  // strtod on a bounded copy: string_views are not NUL-terminated.
-  const std::string buf(text);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;
-  *out = v;
-  return true;
-}
-
-void FormatSpec(std::ostringstream& out, const FaultSpec& spec) {
+void FormatSpec(std::ostream& out, const FaultSpec& spec) {
   if (!spec.armed()) {
     out << "off";
     return;
@@ -71,8 +81,6 @@ void FormatSpec(std::ostringstream& out, const FaultSpec& spec) {
     out << "once=" << spec.once_at;
   }
 }
-
-}  // namespace
 
 const std::vector<std::string_view>& WellKnownPoints() {
   static const std::vector<std::string_view> kPoints = {
@@ -182,21 +190,13 @@ bool FaultPlane::Configure(std::string_view text, std::string* error) {
   // Parse everything before touching any state: a write with an error on
   // line 3 must not half-apply lines 1-2 (same atomicity contract as
   // dbgfs WriteSchemes).
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t brk = text.find_first_of("\n;", pos);
-    const std::string_view raw =
-        text.substr(pos, brk == std::string_view::npos ? brk : brk - pos);
-    pos = brk == std::string_view::npos ? text.size() + 1 : brk + 1;
-    ++line_no;
-
+  LineCursor lines(text, "\n;");
+  std::string_view raw;
+  while (lines.Next(&raw)) {
     const std::string_view line = TrimWhitespace(StripComment(raw));
     if (line.empty()) continue;
     const auto fail = [&](const std::string& msg) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": " + msg;
-      }
+      if (error != nullptr) *error = LineError(lines.line_no(), msg);
       return false;
     };
 
@@ -207,11 +207,10 @@ bool FaultPlane::Configure(std::string_view text, std::string* error) {
       continue;
     }
     if (tokens[0] == "seed") {
-      std::uint64_t seed = 0;
-      if (tokens.size() != 2 || !ParseU64(tokens[1], &seed)) {
-        return fail("expected 'seed <u64>'");
-      }
-      directives.push_back({Directive::Kind::kSeed, {}, {}, seed});
+      const auto seed =
+          tokens.size() == 2 ? ParseU64(tokens[1]) : std::nullopt;
+      if (!seed) return fail("expected 'seed <u64>'");
+      directives.push_back({Directive::Kind::kSeed, {}, {}, *seed});
       continue;
     }
     if (tokens.size() < 2) {
@@ -230,26 +229,9 @@ bool FaultPlane::Configure(std::string_view text, std::string* error) {
         return fail("bad trigger '" + std::string(tok) +
                     "' (want p=<prob>, every=<N>, or once=<N>)");
       }
-      const std::string_view key = tok.substr(0, eq);
-      const std::string_view value = tok.substr(eq + 1);
-      if (key == "p") {
-        if (!ParseProbability(value, &spec.probability)) {
-          return fail("bad probability '" + std::string(value) +
-                      "' (want a float in [0, 1])");
-        }
-      } else if (key == "every") {
-        if (!ParseU64(value, &spec.every_nth) || spec.every_nth == 0) {
-          return fail("bad ordinal '" + std::string(value) +
-                      "' (want an integer >= 1)");
-        }
-      } else if (key == "once") {
-        if (!ParseU64(value, &spec.once_at) || spec.once_at == 0) {
-          return fail("bad one-shot ordinal '" + std::string(value) +
-                      "' (want an integer >= 1)");
-        }
-      } else {
-        return fail("unknown trigger '" + std::string(key) + "'");
-      }
+      std::string msg;
+      if (!ParseTrigger(tok.substr(0, eq), tok.substr(eq + 1), &spec, &msg))
+        return fail(msg);
     }
     directives.push_back(
         {Directive::Kind::kArm, std::string(tokens[0]), spec, 0});
@@ -317,7 +299,10 @@ std::unique_ptr<FaultPlane> FaultPlane::FromEnv() {
   if (spec == nullptr || *spec == '\0') return nullptr;
   std::uint64_t seed = 0xfa'017'fa'017ULL;
   if (const char* seed_env = std::getenv("DAOS_FAULT_SEED")) {
-    if (*seed_env != '\0' && !ParseU64(seed_env, &seed)) {
+    const auto parsed = ParseU64(seed_env);
+    if (parsed) {
+      seed = *parsed;
+    } else if (*seed_env != '\0') {
       // A wrong seed is a *different* fault schedule, not a degraded one:
       // silently defaulting would run chaos repros against the wrong
       // schedule and "reproduce" nothing. Reject the whole plane instead.

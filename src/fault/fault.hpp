@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +73,18 @@ struct FaultSpec {
     return probability > 0.0 || every_nth > 0 || once_at > 0;
   }
 };
+
+/// Applies one trigger clause, already split at its '=' into `key` and
+/// `value` (p=<prob>, every=<N> or once=<N>), to `spec`. On a bad value or
+/// an unknown key returns false and sets `error` (when non-null) to the
+/// message without a line prefix. FaultPlane::Configure and the chaos
+/// campaign grammar (src/chaos) both parse triggers through this.
+bool ParseTrigger(std::string_view key, std::string_view value,
+                  FaultSpec* spec, std::string* error);
+
+/// Writes `spec` as its trigger clauses ("p=0.2 every=100"), or "off" when
+/// no trigger is armed.
+void FormatSpec(std::ostream& out, const FaultSpec& spec);
 
 /// One named fault point. Handles are stable for the plane's lifetime, so
 /// hot paths resolve a point once and call Check() per operation — a single

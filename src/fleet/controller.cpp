@@ -9,6 +9,7 @@
 
 #include "damon/primitives.hpp"
 #include "util/stats.hpp"
+#include "util/strings.hpp"
 
 namespace daos::fleet {
 
@@ -248,21 +249,17 @@ bool FleetController::ParseRolloutSpec(std::string_view text,
                                        RolloutSpec* spec, std::string* error) {
   RolloutSpec out;
   std::string bundle;
-  int lineno = 0;
+  LineCursor lines(text);
   auto fail = [&](const std::string& message) {
-    if (error != nullptr)
-      *error = "line " + std::to_string(lineno) + ": " + message;
+    if (error != nullptr) *error = LineError(lines.line_no(), message);
     return false;
   };
-  std::istringstream in{std::string(text)};
-  std::string line;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (const auto hash = line.find('#'); hash != std::string::npos)
-      line.erase(hash);
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key)) continue;
+  std::string_view raw;
+  while (lines.Next(&raw)) {
+    const std::string_view line = StripComment(raw);
+    const std::vector<std::string_view> tokens = SplitWhitespace(line);
+    if (tokens.empty()) continue;
+    const std::string key(tokens[0]);
     if (key == "attrs" || key == "scheme") {
       // Commit-bundle lines pass through verbatim; the supervisor grammar
       // validates them at StartRollout.
@@ -272,35 +269,42 @@ bool FleetController::ParseRolloutSpec(std::string_view text,
     }
     if (key == "ramp") {
       std::vector<double> ramp;
-      double f = 0.0;
-      while (ls >> f) ramp.push_back(f);
+      for (std::size_t i = 1; i < tokens.size(); ++i) {
+        const auto f = ParseFiniteDouble(tokens[i]);
+        if (!f && ramp.empty()) break;  // no fraction at all
+        if (!f)
+          return fail("bad ramp fraction '" + std::string(tokens[i]) + "'");
+        ramp.push_back(*f);
+      }
       if (ramp.empty()) return fail("ramp needs at least one fraction");
       out.ramp = std::move(ramp);
       continue;
     }
+    const std::string_view value =
+        tokens.size() > 1 ? tokens[1] : std::string_view{};
     bool ok = false;
     if (key == "canary") {
-      ok = static_cast<bool>(ls >> out.canary_frac);
+      ok = StoreParsed(ParseFiniteDouble(value), out.canary_frac);
     } else if (key == "gate_epochs") {
-      ok = static_cast<bool>(ls >> out.gate_epochs);
+      ok = StoreParsed(ParseU32(value), out.gate_epochs);
     } else if (key == "timeout_epochs") {
-      ok = static_cast<bool>(ls >> out.timeout_epochs);
+      ok = StoreParsed(ParseU32(value), out.timeout_epochs);
     } else if (key == "max_saving_regression") {
-      ok = static_cast<bool>(ls >> out.max_saving_regression);
+      ok = StoreParsed(ParseFiniteDouble(value), out.max_saving_regression);
     } else if (key == "max_cpu_overhead") {
-      ok = static_cast<bool>(ls >> out.max_cpu_overhead);
+      ok = StoreParsed(ParseFiniteDouble(value), out.max_cpu_overhead);
     } else if (key == "max_scheme_errors") {
-      ok = static_cast<bool>(ls >> out.max_scheme_errors);
+      ok = StoreParsed(ParseU64(value), out.max_scheme_errors);
     } else {
       return fail("unknown directive '" + key + "'");
     }
     if (!ok) return fail(key + " needs a value");
-    std::string extra;
-    if (ls >> extra) return fail("trailing tokens after " + key);
+    if (tokens.size() > 2) return fail("trailing tokens after " + key);
   }
   if (bundle.empty()) {
-    lineno = 1;
-    return fail("no attrs/scheme lines (nothing to roll out)");
+    if (error != nullptr)
+      *error = LineError(1, "no attrs/scheme lines (nothing to roll out)");
+    return false;
   }
   out.bundle_text = std::move(bundle);
   *spec = std::move(out);
@@ -769,37 +773,31 @@ bool FleetController::WriteQuarantine(std::string_view text,
     std::size_t index;
   };
   std::vector<Op> ops;
-  int lineno = 0;
+  LineCursor lines(text);
   auto fail = [&](const std::string& message) {
-    if (error != nullptr)
-      *error = "line " + std::to_string(lineno) + ": " + message;
+    if (error != nullptr) *error = LineError(lines.line_no(), message);
     return false;
   };
-  std::istringstream in{std::string(text)};
-  std::string line;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (const auto hash = line.find('#'); hash != std::string::npos)
-      line.erase(hash);
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key)) continue;
+  std::string_view raw;
+  while (lines.Next(&raw)) {
+    const std::vector<std::string_view> tokens =
+        SplitWhitespace(StripComment(raw));
+    if (tokens.empty()) continue;
+    const std::string key(tokens[0]);
     if (key == "clear") {
-      std::string extra;
-      if (ls >> extra) return fail("trailing tokens after clear");
+      if (tokens.size() > 1) return fail("trailing tokens after clear");
       ops.push_back({OpKind::kClear, 0});
       continue;
     }
     if (key != "add" && key != "release")
       return fail("unknown directive '" + key + "' (want add|release|clear)");
-    std::size_t index = 0;
-    if (!(ls >> index)) return fail(key + " needs a shard index");
-    if (index >= shards_.size())
-      return fail("shard index " + std::to_string(index) + " out of range (" +
+    const auto index = tokens.size() > 1 ? ParseU64(tokens[1]) : std::nullopt;
+    if (!index) return fail(key + " needs a shard index");
+    if (*index >= shards_.size())
+      return fail("shard index " + std::to_string(*index) + " out of range (" +
                   std::to_string(shards_.size()) + " shards)");
-    std::string extra;
-    if (ls >> extra) return fail("trailing tokens after " + key);
-    ops.push_back({key == "add" ? OpKind::kAdd : OpKind::kRelease, index});
+    if (tokens.size() > 2) return fail("trailing tokens after " + key);
+    ops.push_back({key == "add" ? OpKind::kAdd : OpKind::kRelease, *index});
   }
   // All-or-nothing: apply only after the whole text parsed. An operator
   // release of a still-degraded shard sticks for this epoch only — the

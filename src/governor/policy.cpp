@@ -18,21 +18,10 @@ bool Fail(std::string* error, std::string message) {
   return false;
 }
 
-std::optional<std::uint64_t> ParseUnsigned(std::string_view tok) {
-  if (tok.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (char c : tok) {
-    if (c < '0' || c > '9') return std::nullopt;
-    if (v > (kMaxU64 - (c - '0')) / 10) return std::nullopt;  // overflow
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
 /// Milliseconds clause value ("10", never negative, never unit-suffixed —
 /// the unit is in the key name).
 std::optional<SimTimeUs> ParseMs(std::string_view tok) {
-  const auto ms = ParseUnsigned(tok);
+  const auto ms = ParseU64(tok);
   if (!ms || *ms > kMaxU64 / kUsPerMs) return std::nullopt;
   return *ms * kUsPerMs;
 }
@@ -139,7 +128,7 @@ bool ParsePolicyClause(std::string_view clause, GovernorPolicy* policy,
                              "' (want <size>,<freq>,<age>)");
     std::uint32_t w[3];
     for (int i = 0; i < 3; ++i) {
-      const auto v = ParseUnsigned(parts[i]);
+      const auto v = ParseU64(parts[i]);
       if (!v || *v > kMaxWeight)
         return Fail(error, "bad prio_weights component '" +
                                std::string(parts[i]) + "' (want 0.." +
@@ -162,7 +151,7 @@ bool ParsePolicyClause(std::string_view clause, GovernorPolicy* policy,
                   "unknown watermark metric '" + std::string(parts[0]) + "'");
     std::uint32_t t[3];
     for (int i = 0; i < 3; ++i) {
-      const auto v = ParseUnsigned(parts[i + 1]);
+      const auto v = ParseU64(parts[i + 1]);
       if (!v || *v > kMaxPermille)
         return Fail(error, "bad watermark threshold '" +
                                std::string(parts[i + 1]) +

@@ -1,11 +1,7 @@
 #include "lifecycle/checkpoint.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "damos/parser.hpp"
@@ -18,15 +14,6 @@ using damon::DamosAction;
 using damos::FreqBound;
 
 // ---------------------------------------------------------------- writing
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  out += buf;
-}
 
 // Doubles are written as hex-floats: "%a" round-trips every finite value
 // exactly through strtod, which "%f"/"%g" do not — and quota charges or
@@ -42,30 +29,22 @@ const char* FreqUnitName(FreqBound::Unit unit) {
   return unit == FreqBound::Unit::kPercent ? "percent" : "samples";
 }
 
-std::optional<std::uint64_t> ParseU64(std::string_view token) {
-  std::uint64_t value = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return value;
-}
-
 // ---------------------------------------------------------------- parsing
 
 /// Line-by-line cursor over the checkpoint text. Every accessor records a
 /// line-accurate error and flips `failed` — callers bail out once at the
 /// end of each record instead of checking every field read.
 struct Reader {
-  std::string_view text;
-  std::size_t pos = 0;
-  int line_number = 0;  // of the line currently being consumed
+  explicit Reader(std::string_view text) : lines(text) {}
+
+  LineCursor lines;  // errors on missing records point past the last line
   CheckpointError error;
   bool failed = false;
 
   bool Fail(std::string message) {
     if (!failed) {
       failed = true;
-      error.line_number = line_number;
+      error.line_number = lines.line_no();
       error.message = std::move(message);
     }
     return false;
@@ -73,16 +52,11 @@ struct Reader {
 
   /// Next line split into whitespace tokens; empty vector = end of input.
   std::vector<std::string_view> NextLine() {
-    while (pos < text.size()) {
-      std::size_t eol = text.find('\n', pos);
-      if (eol == std::string_view::npos) eol = text.size();
-      std::string_view line = text.substr(pos, eol - pos);
-      pos = eol + 1;
-      ++line_number;
+    std::string_view line;
+    while (lines.Next(&line)) {
       std::vector<std::string_view> tokens = SplitWhitespace(line);
       if (!tokens.empty()) return tokens;
     }
-    ++line_number;  // errors on missing records point past the last line
     return {};
   }
 
@@ -137,14 +111,12 @@ struct Reader {
 
   double Double(std::string_view token) {
     if (failed) return 0.0;
-    const std::string buf(token);  // strtod needs NUL termination
-    char* end = nullptr;
-    const double v = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size()) {
-      Fail("bad floating-point value '" + buf + "'");
+    const auto v = ParseFiniteDouble(token);
+    if (!v) {
+      Fail("bad floating-point value '" + std::string(token) + "'");
       return 0.0;
     }
-    return v;
+    return *v;
   }
 };
 
@@ -292,8 +264,7 @@ std::string SerializeCheckpoint(const Checkpoint& cp) {
 
 std::optional<Checkpoint> ParseCheckpoint(std::string_view text,
                                           CheckpointError* error) {
-  Reader in;
-  in.text = text;
+  Reader in(text);
   Checkpoint cp;
 
   auto fail = [&]() -> std::optional<Checkpoint> {

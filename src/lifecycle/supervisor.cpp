@@ -1,7 +1,6 @@
 #include "lifecycle/supervisor.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 
@@ -131,19 +130,13 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
   CommitBundle out;
   std::vector<damos::Scheme> schemes;
   bool have_schemes = false;
-  int line_number = 0;
-  std::size_t pos = 0;
+  LineCursor lines(text);
   auto fail = [&](const std::string& message) {
-    if (error != nullptr)
-      *error = "line " + std::to_string(line_number) + ": " + message;
+    if (error != nullptr) *error = LineError(lines.line_no(), message);
     return false;
   };
-  while (pos <= text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_number;
+  std::string_view line;
+  while (lines.Next(&line)) {
     line = TrimWhitespace(StripComment(line));
     if (line.empty()) continue;
     const std::size_t space = line.find_first_of(" \t");
@@ -160,11 +153,9 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
             "attrs expects: sample_us aggr_us update_us min_nr max_nr");
       std::uint64_t vals[5];
       for (int i = 0; i < 5; ++i) {
-        const char* end = tokens[i].data() + tokens[i].size();
-        const auto [ptr, ec] =
-            std::from_chars(tokens[i].data(), end, vals[i]);
-        if (ec != std::errc{} || ptr != end)
-          return fail("bad number '" + std::string(tokens[i]) + "'");
+        const auto v = ParseU64(tokens[i]);
+        if (!v) return fail("bad number '" + std::string(tokens[i]) + "'");
+        vals[i] = *v;
       }
       // Wire format carries the five classic attrs; adaptive mode and the
       // age-reset threshold keep their running values.
@@ -187,8 +178,10 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
   }
   if (have_schemes) out.schemes = std::move(schemes);
   if (out.empty()) {
-    line_number = 1;
-    return fail("empty commit bundle (no attrs or scheme directives)");
+    if (error != nullptr)
+      *error = LineError(
+          1, "empty commit bundle (no attrs or scheme directives)");
+    return false;
   }
   *bundle = std::move(out);
   return true;

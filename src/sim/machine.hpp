@@ -226,11 +226,6 @@ class Machine {
     oom_pending_ = false;
     return p;
   }
-  /// Non-consuming peek at the OOM latch (System's idle-jump gate).
-  bool OomPending() const noexcept { return oom_pending_; }
-  /// khugepaged's next scheduled scan time (only meaningful under THP
-  /// `always`) — a next-event deadline for the System's idle-jump gate.
-  SimTimeUs next_khugepaged() const noexcept { return next_khugepaged_; }
 
   MachineCounters& counters() noexcept { return counters_; }
   const MachineCounters& counters() const noexcept { return counters_; }

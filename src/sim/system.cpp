@@ -208,8 +208,8 @@ void System::Step() {
   for (auto& proc : processes_) proc->RunQuantum(now, quantum_);
 
   double interference_us = 0.0;
-  for (DaemonSlot& daemon : daemons_) {
-    interference_us += daemon.fn(now, quantum_);
+  for (Daemon& daemon : daemons_) {
+    interference_us += daemon(now, quantum_);
     if (fault::Fires(daemon_overrun_)) {
       // Daemon overshot its slice: a whole quantum of extra interference
       // lands on the workload (a kdamond stuck in a long rmap walk).
@@ -251,28 +251,6 @@ void System::Step() {
   clock_.Advance(quantum_);
 }
 
-SimTimeUs System::NextQuietTarget(SimTimeUs deadline) const {
-  const SimTimeUs now = clock_.Now();
-  // Per-quantum actors pin dense stepping. The tiered balancer, reclaim
-  // under pressure and the OOM path all run inside Step() with no deadline
-  // of their own, so any of them being live means "this quantum matters".
-  if (machine_.tiered() || machine_.UnderPressure() || machine_.OomPending())
-    return now;
-  if (daemon_overrun_ != nullptr && daemon_overrun_->armed()) return now;
-  for (const auto& proc : processes_)
-    if (!proc->finished()) return now;
-  SimTimeUs target = deadline;
-  for (const DaemonSlot& daemon : daemons_) {
-    if (!daemon.hint) return now;  // unhinted daemon: every quantum counts
-    target = std::min(target, std::max(daemon.hint(now), now));
-  }
-  target = std::min(target, next_log_gc_);
-  if (machine_.thp_mode() == ThpMode::kAlways)
-    target = std::min(target, machine_.next_khugepaged());
-  if (registry_ != nullptr) target = std::min(target, next_telemetry_);
-  return std::max(target, now);
-}
-
 SystemMetrics System::Run(SimTimeUs max_time) {
   const SimTimeUs deadline = clock_.Now() + max_time;
   // Stop early only when every *finite* process finished; a system of pure
@@ -286,21 +264,7 @@ SystemMetrics System::Run(SimTimeUs max_time) {
     }
     return any_finite;
   };
-  while (clock_.Now() < deadline && !finite_all_done()) {
-    // Event-driven stepping: while nothing can act before `target`, jump
-    // the clock across the idle quanta in whole-quantum multiples. The
-    // landing point is the last boundary at or before the next event, so
-    // the following Step() services it at the same simulated time dense
-    // stepping would have — skipped quanta are exactly the ones in which
-    // dense stepping would have observed nothing and changed nothing.
-    const SimTimeUs target = NextQuietTarget(deadline);
-    if (target > clock_.Now() + quantum_) {
-      const SimTimeUs skip = (target - clock_.Now()) / quantum_;
-      clock_.Advance(skip * quantum_);
-      continue;
-    }
-    Step();
-  }
+  while (clock_.Now() < deadline && !finite_all_done()) Step();
 
   SystemMetrics m;
   m.elapsed_s = static_cast<double>(clock_.Now()) / kUsPerSec;

@@ -24,17 +24,6 @@ namespace daos::sim {
 /// clearing); the System distributes it to the processes.
 using Daemon = std::function<double(SimTimeUs now, SimTimeUs quantum)>;
 
-/// Optional scheduling hint for a registered daemon: the earliest simulated
-/// time at which its next Step() call would do observable work. `now` means
-/// "run me this quantum"; any later value lets Run() jump the clock across
-/// the idle quanta in between (the daemon is still invoked at the first
-/// quantum start >= the hinted deadline, exactly when dense stepping would
-/// first service it). Hints must be conservative: returning a time earlier
-/// than the real event is merely slower, returning a later one changes
-/// behaviour. Daemons registered without a hint pin the system to dense
-/// per-quantum stepping.
-using NextEventHint = std::function<SimTimeUs(SimTimeUs now)>;
-
 struct SystemMetrics {
   double elapsed_s = 0.0;
   std::vector<ProcessMetrics> processes;
@@ -64,14 +53,7 @@ class System {
     return processes_;
   }
 
-  void RegisterDaemon(Daemon daemon) {
-    daemons_.push_back({std::move(daemon), nullptr});
-  }
-  /// Registers a daemon together with its next-event hint (see
-  /// NextEventHint); hinted daemons allow Run() to skip idle quanta.
-  void RegisterDaemon(Daemon daemon, NextEventHint hint) {
-    daemons_.push_back({std::move(daemon), std::move(hint)});
-  }
+  void RegisterDaemon(Daemon daemon) { daemons_.push_back(std::move(daemon)); }
 
   /// Points the machine (and the System's own daemon.overrun check) at
   /// `plane`; nullptr disarms everything. The plane must outlive the
@@ -116,27 +98,12 @@ class System {
  private:
   void PublishTelemetry(SimTimeUs now);
   void OomKill(SimTimeUs now);
-  /// Earliest simulated time at which a Step() would do observable work,
-  /// clamped to `deadline`. Returns Now() — "stay dense" — whenever any
-  /// per-quantum actor could act: an unfinished process, an unhinted
-  /// daemon, an armed daemon.overrun point, or a machine with per-quantum
-  /// background work (tiered balancing, reclaim pressure, a pending OOM).
-  /// Otherwise the minimum of the daemon hints, khugepaged's schedule, the
-  /// touch-log GC tick and the telemetry snapshot tick. Run() jumps the
-  /// clock in whole quanta to just below this, so every serviced event
-  /// still lands on the exact quantum boundary dense stepping would have
-  /// used (the stamping contract trace replay and checkpoints rely on).
-  SimTimeUs NextQuietTarget(SimTimeUs deadline) const;
 
   SimClock clock_;
   Machine machine_;
   SimTimeUs quantum_;
   std::vector<std::unique_ptr<Process>> processes_;
-  struct DaemonSlot {
-    Daemon fn;
-    NextEventHint hint;  // null => always run (pins dense stepping)
-  };
-  std::vector<DaemonSlot> daemons_;
+  std::vector<Daemon> daemons_;
   int next_pid_ = 1;
   SimTimeUs next_log_gc_ = 0;
   std::unique_ptr<fault::FaultPlane> owned_faults_;  // env-armed (DAOS_FAULTS)

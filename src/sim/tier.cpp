@@ -1,8 +1,8 @@
 #include "sim/tier.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace daos::sim {
@@ -13,8 +13,8 @@ namespace {
 // Page's 16-bit field.
 constexpr std::size_t kMaxLineLength = 512;
 
-std::string LineError(std::size_t line_no, const std::string& what) {
-  return "tier line " + std::to_string(line_no) + ": " + what;
+std::string LineError(int line_no, const std::string& what) {
+  return "tier " + daos::LineError(line_no, what);
 }
 
 std::vector<std::string_view> SplitTokens(std::string_view line) {
@@ -28,15 +28,6 @@ std::vector<std::string_view> SplitTokens(std::string_view line) {
     i = j;
   }
   return out;
-}
-
-bool ParseLatencyUs(std::string_view text, double* out) {
-  const std::string num(text);
-  char* end = nullptr;
-  const double v = std::strtod(num.c_str(), &end);
-  if (end == num.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -97,14 +88,10 @@ std::string TierGeometry::ToText() const {
 bool ParseTierGeometry(std::string_view text, TierGeometry* out,
                        std::string* error) {
   TierGeometry geo;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, eol == std::string_view::npos ? text.size() - pos : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
+  LineCursor lines(text);
+  std::string_view line;
+  while (lines.Next(&line)) {
+    const int line_no = lines.line_no();
     if (line.size() > kMaxLineLength) {
       if (error != nullptr) *error = LineError(line_no, "line too long");
       return false;
@@ -142,8 +129,8 @@ bool ParseTierGeometry(std::string_view text, TierGeometry* out,
     for (std::size_t i = 2; i < tokens.size(); ++i) {
       const std::string_view tok = tokens[i];
       if (tok.substr(0, 4) == "lat=") {
-        double lat = 0.0;
-        if (!ParseLatencyUs(tok.substr(4), &lat) || lat < 0.0) {
+        const auto lat = ParseFiniteDouble(tok.substr(4));
+        if (!lat || *lat < 0.0) {
           if (error != nullptr) {
             *error = LineError(
                 line_no, "bad latency '" + std::string(tok.substr(4)) +
@@ -151,7 +138,7 @@ bool ParseTierGeometry(std::string_view text, TierGeometry* out,
           }
           return false;
         }
-        spec.access_extra_us = lat;
+        spec.access_extra_us = *lat;
       } else if (tok.substr(0, 3) == "bw=") {
         const std::string_view val = tok.substr(3);
         // ParseSize rejects negatives wholesale; name the failure mode so

@@ -30,16 +30,9 @@ void Histogram::Observe(double v) noexcept {
   // First bucket whose upper bound admits v (le semantics); past-the-end ==
   // the +Inf overflow bucket.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  buckets_[static_cast<std::size_t>(it - bounds_.begin())].Add(1);
-  count_.Add(1);
-  sum_.Add(v);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(buckets_.size());
-  for (const auto& b : buckets_) out.push_back(b.Load());
-  return out;
+  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
+  ++count_;
+  sum_ += v;
 }
 
 MetricsSnapshot::MetricsSnapshot(std::vector<MetricSample> samples)

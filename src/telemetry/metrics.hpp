@@ -13,9 +13,8 @@
 // resolved, is a stable pointer and updating it is a plain `uint64_t`
 // (or `double`) arithmetic operation — no locks, no allocation, no string
 // formatting, no map lookup. The single-threaded simulation path pays one
-// add per event; defining DAOS_TELEMETRY_ATOMIC switches the cells to
-// relaxed atomics for future parallel kdamonds without changing any call
-// site.
+// add per event. Instruments are single-writer: every thread that updates
+// them owns its registry (see MetricsRegistry's threading note).
 #pragma once
 
 #include <cstdint>
@@ -26,57 +25,27 @@
 #include <string_view>
 #include <vector>
 
-#ifdef DAOS_TELEMETRY_ATOMIC
-#include <atomic>
-#endif
-
 namespace daos::telemetry {
-
-#ifdef DAOS_TELEMETRY_ATOMIC
-/// Relaxed-atomic storage cell (parallel-kdamond builds).
-template <typename T>
-class Cell {
- public:
-  void Add(T delta) noexcept { v_.fetch_add(delta, std::memory_order_relaxed); }
-  void Set(T value) noexcept { v_.store(value, std::memory_order_relaxed); }
-  T Load() const noexcept { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<T> v_{};
-};
-#else
-/// Plain storage cell (default single-threaded simulation path).
-template <typename T>
-class Cell {
- public:
-  void Add(T delta) noexcept { v_ += delta; }
-  void Set(T value) noexcept { v_ = value; }
-  T Load() const noexcept { return v_; }
-
- private:
-  T v_{};
-};
-#endif
 
 /// Monotonically increasing event count.
 class Counter {
  public:
-  void Add(std::uint64_t n = 1) noexcept { cell_.Add(n); }
-  std::uint64_t value() const noexcept { return cell_.Load(); }
+  void Add(std::uint64_t n = 1) noexcept { value_ += n; }
+  std::uint64_t value() const noexcept { return value_; }
 
  private:
-  Cell<std::uint64_t> cell_;
+  std::uint64_t value_ = 0;
 };
 
 /// Point-in-time value (may go up and down).
 class Gauge {
  public:
-  void Set(double v) noexcept { cell_.Set(v); }
-  void Add(double delta) noexcept { cell_.Add(delta); }
-  double value() const noexcept { return cell_.Load(); }
+  void Set(double v) noexcept { value_ = v; }
+  void Add(double delta) noexcept { value_ += delta; }
+  double value() const noexcept { return value_; }
 
  private:
-  Cell<double> cell_;
+  double value_ = 0.0;
 };
 
 /// Fixed-bucket histogram. Bucket upper bounds are set at registration and
@@ -90,18 +59,20 @@ class Histogram {
 
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// Per-bucket counts; size() == bounds().size() + 1 (last is +Inf).
-  std::vector<std::uint64_t> bucket_counts() const;
-  std::uint64_t count() const noexcept { return count_.Load(); }
-  double sum() const noexcept { return sum_.Load(); }
+  const std::vector<std::uint64_t>& bucket_counts() const noexcept {
+    return buckets_;
+  }
+  std::uint64_t count() const noexcept { return count_; }
+  double sum() const noexcept { return sum_; }
 
  private:
   friend class MetricsRegistry;
   explicit Histogram(std::vector<double> bounds);
 
-  std::vector<double> bounds_;                    // sorted, strictly increasing
-  std::vector<Cell<std::uint64_t>> buckets_;      // bounds_.size() + 1
-  Cell<std::uint64_t> count_;
-  Cell<double> sum_;
+  std::vector<double> bounds_;          // sorted, strictly increasing
+  std::vector<std::uint64_t> buckets_;  // bounds_.size() + 1
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 enum class InstrumentKind : std::uint8_t { kCounter, kGauge, kHistogram };
@@ -151,10 +122,9 @@ class MetricsSnapshot {
 /// Threading: creation, lookup, and snapshotting are serialized by an
 /// internal mutex, so concurrent experiment runs may register instruments
 /// against a shared registry without racing the map. Instrument *updates*
-/// through handed-out references stay lock-free; for cross-thread updates
-/// of the same instrument, build with DAOS_TELEMETRY_ATOMIC. Each
-/// ParallelRunner run carries its own registry, so the default
-/// single-writer cells stay correct there.
+/// through handed-out references stay lock-free and are single-writer:
+/// one instrument must not be updated from two threads. Each
+/// ParallelRunner run carries its own registry, so that holds there.
 class MetricsRegistry {
  public:
   MetricsRegistry();

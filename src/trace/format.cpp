@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include "util/strings.hpp"
 
 namespace daos::trace {
 namespace {
@@ -22,15 +19,6 @@ namespace {
 constexpr std::uint64_t kMaxPagesPerEvent = 1ULL << 33;
 constexpr std::uint64_t kMaxNameLen = 255;
 constexpr std::uint64_t kMaxChunkPayload = 1ULL << 26;  // 64 MiB
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
 
 void AppendU32Le(std::string& out, std::uint32_t v) {
   char b[4] = {static_cast<char>(v & 0xff), static_cast<char>((v >> 8) & 0xff),
@@ -56,23 +44,6 @@ bool Fail(TraceError* error, std::size_t offset, int line, std::string msg) {
     error->message = std::move(msg);
   }
   return false;
-}
-
-bool ParseU64(std::string_view token, std::uint64_t& out) {
-  if (token.empty()) return false;
-  const std::string buf(token);
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(buf.c_str(), &end, 10);
-  return errno == 0 && end == buf.c_str() + buf.size();
-}
-
-bool ParseDouble(std::string_view token, double& out) {
-  if (token.empty()) return false;
-  const std::string buf(token);  // strtod needs NUL termination
-  char* end = nullptr;
-  out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size();
 }
 
 }  // namespace
@@ -246,32 +217,34 @@ std::optional<Trace> ParseTrace(std::string_view text, TraceError* error) {
       trace.meta.name = std::string(val);
       have[0] = true;
     } else if (key == "page_shift") {
-      ok = ParseU64(val, trace.meta.page_shift) && trace.meta.page_shift >= 10 &&
-           trace.meta.page_shift <= 20;
+      ok = StoreParsed(ParseU64(val), trace.meta.page_shift) &&
+           trace.meta.page_shift >= 10 && trace.meta.page_shift <= 20;
       have[1] = true;
     } else if (key == "quantum_us") {
       std::uint64_t q = 0;
-      ok = ParseU64(val, q) && q > 0;
+      ok = StoreParsed(ParseU64(val), q) && q > 0;
       trace.meta.quantum_us = static_cast<SimTimeUs>(q);
       have[2] = true;
     } else if (key == "data_bytes") {
-      ok = ParseU64(val, trace.meta.data_bytes);
+      ok = StoreParsed(ParseU64(val), trace.meta.data_bytes);
       have[3] = true;
     } else if (key == "runtime_s") {
-      ok = ParseDouble(val, trace.meta.runtime_s) && trace.meta.runtime_s >= 0;
+      ok = StoreParsed(ParseFiniteDouble(val), trace.meta.runtime_s) &&
+           trace.meta.runtime_s >= 0;
       have[4] = true;
     } else if (key == "mem_boundness") {
-      ok = ParseDouble(val, trace.meta.mem_boundness);
+      ok = StoreParsed(ParseFiniteDouble(val), trace.meta.mem_boundness);
       have[5] = true;
     } else if (key == "thp_gain") {
-      ok = ParseDouble(val, trace.meta.thp_gain);
+      ok = StoreParsed(ParseFiniteDouble(val), trace.meta.thp_gain);
     } else if (key == "zram_ratio") {
-      ok = ParseDouble(val, trace.meta.zram_ratio) && trace.meta.zram_ratio > 0;
+      ok = StoreParsed(ParseFiniteDouble(val), trace.meta.zram_ratio) &&
+           trace.meta.zram_ratio > 0;
     } else if (key == "events") {
-      ok = ParseU64(val, declared_events);
+      ok = StoreParsed(ParseU64(val), declared_events);
       have[6] = true;
     } else if (key == "chunks") {
-      ok = ParseU64(val, declared_chunks);
+      ok = StoreParsed(ParseU64(val), declared_chunks);
       have[7] = true;
     } else {
       Fail(error, line_start, line_no,

@@ -216,12 +216,12 @@ std::optional<Trace> IngestCsv(std::string_view text, std::string_view name,
       Fail(error, line_no, "expected 4 fields: time_us,op,addr,size");
       return std::nullopt;
     }
-    std::uint64_t at = 0;
-    if (!ParseU64Radix(fields[0], 10, at)) {
+    const auto at = ParseU64(TrimWhitespace(fields[0]));
+    if (!at) {
       Fail(error, line_no, "bad time_us");
       return std::nullopt;
     }
-    if (static_cast<SimTimeUs>(at) < last_at) {
+    if (static_cast<SimTimeUs>(*at) < last_at) {
       Fail(error, line_no, "time_us went backwards");
       return std::nullopt;
     }
@@ -237,7 +237,7 @@ std::optional<Trace> IngestCsv(std::string_view text, std::string_view name,
       return std::nullopt;
     }
     TraceEvent ev;
-    ev.at = static_cast<SimTimeUs>(at);
+    ev.at = static_cast<SimTimeUs>(*at);
     ev.page = PageOf(addr);
     if (op == "r" || op == "w") {
       if (size == 0 || size > kMaxAccessBytes) {

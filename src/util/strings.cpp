@@ -1,6 +1,10 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdarg>
+#include <cstdio>
+#include <cstdlib>
 
 namespace daos {
 
@@ -57,6 +61,79 @@ std::string ToLower(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+std::optional<std::uint64_t> ParseU64(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) return std::nullopt;
+    v = v * 10 + digit;
+  }
+  return v;
+}
+
+std::optional<std::uint32_t> ParseU32(std::string_view text) {
+  const auto v = ParseU64(text);
+  if (!v || *v > UINT32_MAX) return std::nullopt;
+  return static_cast<std::uint32_t>(*v);
+}
+
+std::optional<double> ParseFiniteDouble(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  const std::string buf(text);  // strtod needs NUL termination
+  char* end = nullptr;
+  const double v = std::strtod(buf.c_str(), &end);
+  if (end != buf.c_str() + buf.size() || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
+std::optional<double> ParseProbability(std::string_view text) {
+  const auto v = ParseFiniteDouble(text);
+  if (!v || *v < 0.0 || *v > 1.0) return std::nullopt;
+  return v;
+}
+
+void AppendF(std::string& out, const char* fmt, ...) {
+  char buf[256];
+  va_list args;
+  va_start(args, fmt);
+  va_list retry;
+  va_copy(retry, args);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  if (n > 0 && static_cast<std::size_t>(n) < sizeof buf) {
+    out.append(buf, static_cast<std::size_t>(n));
+  } else if (n > 0) {
+    const std::size_t old = out.size();
+    out.resize(old + static_cast<std::size_t>(n) + 1);  // room for the NUL
+    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt,
+                   retry);
+    out.resize(old + static_cast<std::size_t>(n));
+  }
+  va_end(retry);
+}
+
+bool LineCursor::Next(std::string_view* line) {
+  if (done_) return false;
+  ++line_no_;
+  if (pos_ >= text_.size()) {
+    done_ = true;
+    return false;
+  }
+  std::size_t end = text_.find_first_of(separators_, pos_);
+  if (end == std::string_view::npos) end = text_.size();
+  *line = text_.substr(pos_, end - pos_);
+  pos_ = end + 1;
+  return true;
+}
+
+std::string LineError(int line_no, std::string_view message) {
+  std::string out = "line " + std::to_string(line_no) + ": ";
+  out += message;
+  return out;
 }
 
 }  // namespace daos

@@ -27,6 +27,12 @@ std::optional<NumberSuffix> SplitNumber(std::string_view text) {
   return NumberSuffix{v, text.substr(i)};
 }
 
+// The double -> u64 cast is undefined past 2^64; reject instead.
+std::optional<std::uint64_t> ToU64(double v) {
+  if (!(v < 18446744073709551616.0)) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
+}
+
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -62,7 +68,7 @@ std::optional<std::uint64_t> ParseSize(std::string_view text) {
   } else {
     return std::nullopt;
   }
-  return static_cast<std::uint64_t>(parts->value * mult);
+  return ToU64(parts->value * mult);
 }
 
 std::optional<SimTimeUs> ParseDuration(std::string_view text) {
@@ -83,7 +89,7 @@ std::optional<SimTimeUs> ParseDuration(std::string_view text) {
   } else {
     return std::nullopt;
   }
-  return static_cast<SimTimeUs>(parts->value * mult);
+  return ToU64(parts->value * mult);
 }
 
 std::optional<double> ParsePercent(std::string_view text) {

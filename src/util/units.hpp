@@ -17,9 +17,11 @@
 namespace daos {
 
 /// Parses "4K", "2M"/"2MB"/"2MiB", "1G", "123" (bytes). Case-insensitive.
+/// Rejects values that do not fit in 64 bits.
 std::optional<std::uint64_t> ParseSize(std::string_view text);
 
 /// Parses "5ms", "2s", "3m"/"3min", "1h", "250us", bare number = seconds.
+/// Rejects values that do not fit in 64 bits.
 std::optional<SimTimeUs> ParseDuration(std::string_view text);
 
 /// Parses "80%" or "0.8" into a fraction in [0, 1].

@@ -10,10 +10,13 @@
 #include <vector>
 
 #include "chaos/campaign.hpp"
+#include "chaos/engine.hpp"
 #include "damos/parser.hpp"
+#include "dbgfs/chaos_fs.hpp"
 #include "dbgfs/damon_dbgfs.hpp"
 #include "fault/fault.hpp"
 #include "dbgfs/tier_fs.hpp"
+#include "fleet/controller.hpp"
 #include "lifecycle/checkpoint.hpp"
 #include "lifecycle/supervisor.hpp"
 #include "sim/system.hpp"
@@ -977,6 +980,123 @@ TEST(MalformedCampaignTest, EntryWithoutTriggerRejected) {
       chaos::ParseCampaign("swap.write_error from=1s until=2s", &campaign,
                            &error));
   EXPECT_NE(error.find("no trigger"), std::string::npos) << error;
+}
+
+// --- hostile numbers --------------------------------------------------------
+//
+// Each input below used to be accepted — wrapped, half-read, or taken as
+// NaN/infinity — by a grammar's own number parsing. On the shared strict
+// parsers (util/strings) each is rejected with a line-accurate error.
+
+TEST(MalformedParserTest, NonFiniteFrequencyRejected) {
+  const ParseResult nan = ParseSchemes(
+      "min max min min 2s max stat\nmin max nan max 2s max pageout\n");
+  ASSERT_FALSE(nan.ok());
+  EXPECT_EQ(nan.errors[0].line_number, 2);
+  EXPECT_NE(nan.errors[0].message.find("bad min_freq 'nan'"),
+            std::string::npos);
+  const ParseResult inf = ParseSchemes("min max inf inf 2s max pageout\n");
+  ASSERT_EQ(inf.errors.size(), 2u);
+  EXPECT_EQ(inf.errors[0].line_number, 1);
+  EXPECT_NE(inf.errors[0].message.find("bad min_freq 'inf'"),
+            std::string::npos);
+  EXPECT_NE(inf.errors[1].message.find("bad max_freq 'inf'"),
+            std::string::npos);
+}
+
+TEST(MalformedTierTest, NanLatencyRejected) {
+  std::string error;
+  ParseGeoExpectError("dram 64M\ncxl 1G lat=nan\n", &error);
+  EXPECT_NE(error.find("tier line 2: bad latency 'nan'"), std::string::npos)
+      << error;
+}
+
+TEST(MalformedRolloutSpecTest, HostileNumbersRejected) {
+  const auto reject = [](const std::string& directive,
+                         std::string_view fragment) {
+    fleet::RolloutSpec spec;
+    std::string error;
+    EXPECT_FALSE(fleet::FleetController::ParseRolloutSpec(
+        "scheme min max min min 1s max stat\n" + directive + "\n", &spec,
+        &error))
+        << directive;
+    EXPECT_NE(error.find(fragment), std::string::npos)
+        << directive << " -> " << error;
+  };
+  reject("gate_epochs -1", "line 2: gate_epochs needs a value");
+  reject("gate_epochs 4294967296", "line 2: gate_epochs needs a value");
+  reject("max_scheme_errors -1", "line 2: max_scheme_errors needs a value");
+  reject("ramp 0.25 0.5x 1", "line 2: bad ramp fraction '0.5x'");
+}
+
+TEST(MalformedQuarantineTest, NegativeShardIndexRejected) {
+  fleet::FleetConfig config;
+  config.nr_shards = 2;
+  config.workload.nr_processes = 1;
+  config.workload.rss_per_process = 4 * MiB;
+  config.use_env_faults = false;
+  fleet::FleetController fleet(config);
+  std::string error;
+  EXPECT_FALSE(fleet.WriteQuarantine("add 1\nadd -1\n", &error));
+  EXPECT_NE(error.find("line 2: add needs a shard index"), std::string::npos)
+      << error;
+  EXPECT_EQ(fleet.QuarantineText(), "") << "reject must not half-apply";
+}
+
+TEST(MalformedTraceTest, HostileHeaderNumbersRejected) {
+  const auto reject = [](const std::string& key, std::string_view value,
+                         int line) {
+    std::string text = SerializeTrace(TinyTrace());
+    const std::size_t at = text.find(key + " ");
+    ASSERT_NE(at, std::string::npos) << key;
+    text.replace(at, text.find('\n', at) - at, key + " " + std::string(value));
+    trace::TraceError error;
+    EXPECT_FALSE(trace::ParseTrace(text, &error).has_value()) << key;
+    EXPECT_EQ(error.line_number, line) << key;
+    EXPECT_NE(error.message.find("bad value for \"" + key + "\""),
+              std::string::npos)
+        << error.message;
+  };
+  reject("data_bytes", "-1", 5);  // magic, name, page_shift, quantum_us
+  reject("mem_boundness", "nan", 7);
+}
+
+TEST(MalformedIngestTest, CsvNegativeTimeRejected) {
+  trace::IngestError error;
+  EXPECT_FALSE(trace::IngestText("time_us,op,addr,size\n"
+                                 "0,r,0x1000,4\n"
+                                 "-1,r,0x1000,4\n",
+                                 "x", trace::IngestOptions{}, &error)
+                   .has_value());
+  EXPECT_EQ(error.line_number, 3);
+  EXPECT_NE(error.message.find("bad time_us"), std::string::npos);
+}
+
+TEST_F(MalformedDbgfsTest, HostileAttrsNumbersRejectedAndUnchanged) {
+  const std::string before = fs_.Read("/damon/attrs").value();
+  std::string error;
+  EXPECT_FALSE(
+      fs_.Write("/damon/attrs", "5000 100000 -1 10 1000", &error));
+  EXPECT_NE(error.find("bad number '-1'"), std::string::npos) << error;
+  // max_nr_regions is a 32-bit field: 2^32 must not wrap to 0.
+  EXPECT_FALSE(fs_.Write("/damon/attrs", "5000 100000 1000000 10 4294967296",
+                         &error));
+  EXPECT_NE(error.find("bad number '4294967296'"), std::string::npos)
+      << error;
+  EXPECT_EQ(fs_.Read("/damon/attrs").value(), before);
+}
+
+TEST(MalformedChaosFsTest, OverflowingRunCountRejected) {
+  dbgfs::PseudoFs fs;
+  chaos::ChaosEngine engine(chaos::ChaosConfig{});
+  dbgfs::ChaosFs chaos_fs(&fs, &engine);
+  std::string error;
+  EXPECT_FALSE(
+      fs.Write("/chaos/status", "run 99999999999999999999999", &error));
+  EXPECT_NE(error.find("expected 'run <1..1024>'"), std::string::npos)
+      << error;
+  EXPECT_NE(fs.Read("/chaos/status").value().find("campaigns 0"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -103,83 +103,5 @@ TEST(SystemTest, PidsAreSequential) {
   EXPECT_EQ(b.pid(), 2);
 }
 
-// --- event-driven stepping ---------------------------------------------------
-
-TEST(SystemTest, HintedDaemonSkipsIdleQuantaInRun) {
-  // No processes, one hinted daemon due every 10 ms on a 1 ms quantum:
-  // Run() must jump the clock between deadlines instead of stepping every
-  // quantum, and still invoke the daemon at exactly the times dense
-  // stepping would have.
-  System system(MachineSpec{"t", 4, 3.0, GiB}, SwapConfig::Zram());
-  std::vector<SimTimeUs> invoked_at;
-  SimTimeUs next_due = 0;
-  system.RegisterDaemon(
-      [&](SimTimeUs now, SimTimeUs) {
-        if (now >= next_due) {
-          invoked_at.push_back(now);
-          next_due = now + 10 * kUsPerMs;
-        }
-        return 0.0;
-      },
-      [&](SimTimeUs) { return next_due; });
-  system.Run(100 * kUsPerMs);
-  EXPECT_EQ(system.Now(), 100 * kUsPerMs);
-  // Due times land on exact 10 ms boundaries: 0, 10ms, ..., 90ms.
-  ASSERT_EQ(invoked_at.size(), 10u);
-  for (std::size_t i = 0; i < invoked_at.size(); ++i)
-    EXPECT_EQ(invoked_at[i], i * 10 * kUsPerMs);
-}
-
-TEST(SystemTest, UnhintedDaemonPinsDenseStepping) {
-  System system(MachineSpec{"t", 4, 3.0, GiB}, SwapConfig::Zram());
-  int hinted_calls = 0;
-  int unhinted_calls = 0;
-  system.RegisterDaemon(
-      [&](SimTimeUs, SimTimeUs) {
-        ++hinted_calls;
-        return 0.0;
-      },
-      [&](SimTimeUs now) { return now + kUsPerSec; });
-  system.RegisterDaemon([&](SimTimeUs, SimTimeUs) {
-    ++unhinted_calls;
-    return 0.0;
-  });
-  system.Run(50 * kUsPerMs);
-  // The unhinted daemon forces every quantum to execute — and every
-  // executed quantum steps all daemons, hinted or not.
-  EXPECT_EQ(unhinted_calls, 50);
-  EXPECT_EQ(hinted_calls, 50);
-}
-
-TEST(SystemTest, UnfinishedProcessPinsDenseStepping) {
-  System system(MachineSpec{"t", 4, 3.0, GiB}, SwapConfig::Zram());
-  ProcessParams forever = Work(0.001);
-  forever.run_forever = true;
-  system.AddProcess(std::move(forever), std::make_unique<NullSource>());
-  int calls = 0;
-  system.RegisterDaemon(
-      [&](SimTimeUs, SimTimeUs) {
-        ++calls;
-        return 0.0;
-      },
-      [&](SimTimeUs now) { return now + kUsPerSec; });
-  system.Run(50 * kUsPerMs);
-  EXPECT_EQ(calls, 50);
-}
-
-TEST(SystemTest, JumpedRunMatchesDenseClockAtDeadline) {
-  // Whatever mix of jumps and steps Run() chooses, the consumed slice must
-  // be exactly the dense one — chaos fault windows arm at slice boundaries.
-  System dense(MachineSpec{"t", 4, 3.0, GiB}, SwapConfig::Zram());
-  System jumpy(MachineSpec{"t", 4, 3.0, GiB}, SwapConfig::Zram());
-  jumpy.RegisterDaemon([](SimTimeUs, SimTimeUs) { return 0.0; },
-                       [](SimTimeUs now) { return now + 7 * kUsPerMs; });
-  for (int slice = 0; slice < 5; ++slice) {
-    dense.Run(13 * kUsPerMs);
-    jumpy.Run(13 * kUsPerMs);
-    EXPECT_EQ(jumpy.Now(), dense.Now());
-  }
-}
-
 }  // namespace
 }  // namespace daos::sim

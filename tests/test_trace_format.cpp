@@ -151,6 +151,20 @@ TEST(TraceFormatTest, EmptyTraceRoundTrips) {
   EXPECT_EQ(parsed->Duration(), 0u);
 }
 
+TEST(TraceFormatTest, LongNameRoundTripsExactly) {
+  // The "name" header line outgrows any small fixed formatting buffer; it
+  // must be written whole, never truncated or read past its end.
+  TraceMeta meta;
+  meta.name = std::string(300, 'n');
+  const std::string header = SerializeHeader(meta, 0, 0);
+  EXPECT_NE(header.find("name " + meta.name + "\n"), std::string::npos);
+  TraceError error;
+  const std::optional<Trace> parsed = ParseTrace(header, &error);
+  ASSERT_TRUE(parsed.has_value()) << error.Format();
+  EXPECT_EQ(parsed->meta.name, meta.name);
+  EXPECT_TRUE(parsed->events.empty());
+}
+
 TEST(TraceFormatTest, FileRoundTrip) {
   const Trace t = SampleTrace();
   const std::string path = ::testing::TempDir() + "/roundtrip.dtr";

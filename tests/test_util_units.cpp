@@ -34,6 +34,12 @@ TEST(ParseSizeTest, Invalid) {
   EXPECT_FALSE(ParseSize("-4K").has_value());
 }
 
+TEST(ParseSizeTest, RejectsValuesBeyond64Bits) {
+  EXPECT_EQ(ParseSize("16777215T"), 16777215ULL << 40);
+  EXPECT_FALSE(ParseSize("16777216T").has_value());  // exactly 2^64
+  EXPECT_FALSE(ParseSize("99999999T").has_value());
+}
+
 TEST(ParseDurationTest, BareNumberIsSeconds) {
   EXPECT_EQ(ParseDuration("5"), 5 * kUsPerSec);
 }
@@ -58,6 +64,11 @@ TEST(ParseDurationTest, PaperListingValues) {
 TEST(ParseDurationTest, Invalid) {
   EXPECT_FALSE(ParseDuration("fast").has_value());
   EXPECT_FALSE(ParseDuration("5parsecs").has_value());
+}
+
+TEST(ParseDurationTest, RejectsValuesBeyond64Bits) {
+  EXPECT_FALSE(ParseDuration("99999999999999h").has_value());
+  EXPECT_FALSE(ParseDuration("18446744073709551616us").has_value());
 }
 
 TEST(ParsePercentTest, PercentSuffix) {
