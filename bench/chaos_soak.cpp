@@ -19,7 +19,6 @@
 // working directory (one entry per run).
 //
 // Build & run:  ./build/bench/chaos_soak
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -49,15 +48,15 @@ SoakResult SoakScenario(const std::string& scenario, std::size_t campaigns,
   config.master_seed = master_seed;
   chaos::ChaosEngine engine(config);
 
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = bench::Clock::now();
   const std::vector<chaos::CampaignRun> runs = engine.RunNext(campaigns);
-  const auto t1 = std::chrono::steady_clock::now();
+  const auto t1 = bench::Clock::now();
 
   SoakResult r;
   r.campaigns = engine.campaigns();
   r.violations = engine.violations();
   r.faults_fired = engine.faults_fired();
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  r.wall_s = bench::Seconds(t0, t1);
   for (const auto& [name, tally] : engine.oracle_tallies()) {
     r.oracle_checks += tally.pass + tally.fail;
     r.oracle_passes += tally.pass;
@@ -82,59 +81,14 @@ double TimeShrinkDemo(std::string* repro) {
     return 0.0;
   }
   chaos::ChaosEngine engine(chaos::ChaosConfig{});
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = bench::Clock::now();
   const chaos::CampaignRun run = engine.RunCampaign(bad);
-  const auto t1 = std::chrono::steady_clock::now();
+  const auto t1 = bench::Clock::now();
   *repro = run.repro;
   if (run.minimal.entries.size() != 1) {
     std::fprintf(stderr, "shrink demo did not minimize to 1 entry\n");
   }
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-void AppendJson(std::uint64_t campaigns, std::uint64_t violations,
-                std::uint64_t faults, double pass_rate, double campaigns_s,
-                double shrink_s) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
-  const char* path = "BENCH_chaos.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "  {\"bench\": \"chaos_soak\", \"campaigns\": %llu, "
-                "\"violations\": %llu, \"faults_fired\": %llu, "
-                "\"oracle_pass_rate\": %.6f, \"campaigns_per_s\": %.2f, "
-                "\"shrink_demo_s\": %.3f}\n]\n",
-                static_cast<unsigned long long>(campaigns),
-                static_cast<unsigned long long>(violations),
-                static_cast<unsigned long long>(faults), pass_rate,
-                campaigns_s, shrink_s);
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("\ntrajectory entry appended to %s\n", path);
-  }
+  return bench::Seconds(t0, t1);
 }
 
 }  // namespace
@@ -201,9 +155,18 @@ int main(int argc, char** argv) {
   const double pass_rate =
       checks == 0 ? 1.0
                   : static_cast<double>(passes) / static_cast<double>(checks);
-  AppendJson(campaigns, violations, faults, pass_rate,
-             wall_s > 0.0 ? static_cast<double>(campaigns) / wall_s : 0.0,
-             shrink_s);
+  std::string row;
+  AppendF(row,
+          "{\"bench\": \"chaos_soak\", \"campaigns\": %llu, "
+          "\"violations\": %llu, \"faults_fired\": %llu, "
+          "\"oracle_pass_rate\": %.6f, \"campaigns_per_s\": %.2f, "
+          "\"shrink_demo_s\": %.3f}",
+          static_cast<unsigned long long>(campaigns),
+          static_cast<unsigned long long>(violations),
+          static_cast<unsigned long long>(faults), pass_rate,
+          wall_s > 0.0 ? static_cast<double>(campaigns) / wall_s : 0.0,
+          shrink_s);
+  if (!bench::AppendTrajectory("BENCH_chaos.json", row)) return 1;
 
   if (!repros.empty()) {
     std::printf("\nORACLE VIOLATIONS (%zu) — minimized repros:\n",

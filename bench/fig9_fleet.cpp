@@ -10,17 +10,16 @@
 //             budget) whose health gate must trip on the canary wave and
 //             roll every wave shard back from its pre-wave checkpoint
 //
-// Default scale is 16 shards x 640 servers = 10240 simulated processes;
-// `--quick` drops to 16 x 64 for sanitizer CI legs. Results append an entry
-// to BENCH_fleet.json: processes-simulated-per-second and the epoch counts
-// both rollouts took to converge.
+// The default (quick) scale is 16 shards x 64 servers = 1024 simulated
+// processes; DAOS_BENCH_FULL=1 runs the full 16 x 640 = 10240. Results
+// append an entry to BENCH_fleet.json: processes-simulated-per-second and
+// the epoch counts both rollouts took to converge.
 //
-// Build & run:  ./build/bench/fig9_fleet [--quick]
-#include <chrono>
+// Build & run:  ./build/bench/fig9_fleet
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "bench/common.hpp"
 #include "fleet/controller.hpp"
 #include "util/units.hpp"
 
@@ -29,7 +28,6 @@ namespace {
 using namespace daos;
 
 struct Result {
-  bool quick = false;
   std::size_t shards = 0;
   std::size_t processes = 0;
   double sim_seconds = 0.0;
@@ -41,10 +39,10 @@ struct Result {
   bool rolled_back = false;
 };
 
-fleet::FleetConfig MakeConfig(bool quick) {
+fleet::FleetConfig MakeConfig() {
   fleet::FleetConfig config;
   config.nr_shards = 16;
-  config.workload.nr_processes = quick ? 64 : 640;
+  config.workload.nr_processes = bench::FullMode() ? 640 : 64;
   config.workload.rss_per_process = MiB;
   config.workload.cold_touch_period_s = 0;  // deterministic at any scale
   config.machine = {"fleet-shard", 8, 3.0, 2 * GiB};
@@ -59,15 +57,15 @@ fleet::FleetConfig MakeConfig(bool quick) {
   return config;
 }
 
-Result Run(bool quick) {
+Result Run() {
   Result r;
-  r.quick = quick;
-  fleet::FleetController fleet(MakeConfig(quick));
+  const fleet::FleetConfig config = MakeConfig();
+  fleet::FleetController fleet(config);
   r.shards = fleet.nr_shards();
-  r.processes = static_cast<std::size_t>(MakeConfig(quick).workload.nr_processes) *
-                fleet.nr_shards();
+  r.processes =
+      static_cast<std::size_t>(config.workload.nr_processes) * r.shards;
 
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = bench::Clock::now();
   // Warm up: monitors prime, the population faults its bloat in.
   for (int epoch = 0; epoch < 4; ++epoch) fleet.RunEpoch();
 
@@ -104,16 +102,17 @@ Result Run(bool quick) {
   }
   r.rolled_back = fleet.RunRollout() == fleet::RolloutState::kRolledBack;
   r.rollback_epochs = fleet.counters().epochs - epochs_before;
-  const auto t1 = std::chrono::steady_clock::now();
+  const auto t1 = bench::Clock::now();
 
   r.sim_seconds = static_cast<double>(fleet.Now()) / kUsPerSec;
-  r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.wall_seconds = bench::Seconds(t0, t1);
   if (r.wall_seconds > 0.0)
     r.proc_sim_per_s = static_cast<double>(r.processes) * r.sim_seconds /
                        r.wall_seconds;
 
   std::printf("fig9_fleet%s: %zu shards x %zu procs\n",
-              quick ? " (quick)" : "", r.shards, r.processes / r.shards);
+              bench::FullMode() ? "" : " (quick)", r.shards,
+              r.processes / r.shards);
   std::printf("  phase A: %s after %llu epochs\n",
               r.promoted ? "promoted" : "NOT promoted",
               static_cast<unsigned long long>(r.rollout_epochs));
@@ -125,55 +124,21 @@ Result Run(bool quick) {
   return r;
 }
 
-void AppendJson(const Result& r) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
-  const char* path = "BENCH_fleet.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "  {\"bench\": \"fig9_fleet\", \"mode\": \"%s\", \"shards\": %zu, "
-      "\"processes\": %zu, \"sim_seconds\": %.1f, \"wall_seconds\": %.2f, "
-      "\"proc_sim_per_s\": %.0f, \"rollout_epochs\": %llu, "
-      "\"rollback_epochs\": %llu, \"promoted\": %s, \"rolled_back\": %s}\n]\n",
-      r.quick ? "quick" : "default", r.shards, r.processes, r.sim_seconds,
-      r.wall_seconds, r.proc_sim_per_s,
-      static_cast<unsigned long long>(r.rollout_epochs),
-      static_cast<unsigned long long>(r.rollback_epochs),
-      r.promoted ? "true" : "false", r.rolled_back ? "true" : "false");
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  const Result r = Run(quick);
-  AppendJson(r);
-  return r.promoted && r.rolled_back ? 0 : 1;
+int main() {
+  const Result r = Run();
+  std::string row;
+  AppendF(row,
+          "{\"bench\": \"fig9_fleet\", \"shards\": %zu, "
+          "\"processes\": %zu, \"sim_seconds\": %.1f, "
+          "\"wall_seconds\": %.2f, \"proc_sim_per_s\": %.0f, "
+          "\"rollout_epochs\": %llu, \"rollback_epochs\": %llu, "
+          "\"promoted\": %s, \"rolled_back\": %s}",
+          r.shards, r.processes, r.sim_seconds, r.wall_seconds,
+          r.proc_sim_per_s, static_cast<unsigned long long>(r.rollout_epochs),
+          static_cast<unsigned long long>(r.rollback_epochs),
+          r.promoted ? "true" : "false", r.rolled_back ? "true" : "false");
+  const bool written = bench::AppendTrajectory("BENCH_fleet.json", row);
+  return written && r.promoted && r.rolled_back ? 0 : 1;
 }

@@ -145,57 +145,6 @@ Cell RunCell(const workload::WorkloadProfile& profile,
   return cell;
 }
 
-void AppendJson(const std::vector<Cell>& cells, int wins, int total) {
-  // Same trajectory convention as the other benches: a JSON array,
-  // appended by rewriting the closing bracket.
-  const char* path = "BENCH_tiering.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  out += "  {\"bench\": \"fig_tiering\", \"damos_wins\": " +
-         std::to_string(wins) + ", \"cells_total\": " +
-         std::to_string(total) + ", \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"workload\": \"%s\", \"geometry\": \"%s\", \"policy\": "
-        "\"%s\", \"runtime_s\": %.3f, \"mismatch_permille\": %.0f, "
-        "\"slow_touches\": %.0f, \"promoted_pages\": %.0f, "
-        "\"demoted_pages\": %.0f, \"major_faults\": %llu}",
-        c.workload.c_str(), c.geometry.c_str(), c.policy.c_str(),
-        c.runtime_s, c.mismatch_permille, c.slow_touches, c.promoted,
-        c.demoted, static_cast<unsigned long long>(c.major_faults));
-    out += buf;
-    out += (i + 1 < cells.size()) ? ",\n" : "\n";
-  }
-  out += "  ]}\n]\n";
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("\ntrajectory entry appended to %s\n", path);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -240,6 +189,24 @@ int main() {
   }
   std::printf("\ndamos wins %d / %d cells\n", wins, total);
 
-  AppendJson(cells, wins, total);
-  return wins == total ? 0 : 1;
+  std::string row;
+  AppendF(row,
+          "{\"bench\": \"fig_tiering\", \"damos_wins\": %d, "
+          "\"cells_total\": %d, \"cells\": [\n",
+          wins, total);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    AppendF(row,
+            "    {\"workload\": \"%s\", \"geometry\": \"%s\", \"policy\": "
+            "\"%s\", \"runtime_s\": %.3f, \"mismatch_permille\": %.0f, "
+            "\"slow_touches\": %.0f, \"promoted_pages\": %.0f, "
+            "\"demoted_pages\": %.0f, \"major_faults\": %llu}%s\n",
+            c.workload.c_str(), c.geometry.c_str(), c.policy.c_str(),
+            c.runtime_s, c.mismatch_permille, c.slow_touches, c.promoted,
+            c.demoted, static_cast<unsigned long long>(c.major_faults),
+            i + 1 < cells.size() ? "," : "");
+  }
+  row += "  ]}";
+  const bool written = bench::AppendTrajectory("BENCH_tiering.json", row);
+  return written && wins == total ? 0 : 1;
 }

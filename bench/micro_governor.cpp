@@ -12,7 +12,6 @@
 // working directory (the governor bench trajectory; one entry per run).
 //
 // Build & run:  ./build/bench/micro_governor
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -80,7 +79,7 @@ LevelResult RunLevel(const QuotaLevel& level) {
   SimTimeUs next_window = kUsPerSec;
   std::uint64_t window_base = 0;
   std::size_t passes = 0;
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = bench::Clock::now();
   for (SimTimeUs now = 0; now < horizon; now += attrs.sampling_interval) {
     ctx.Step(now, attrs.sampling_interval);
     ++passes;
@@ -91,69 +90,11 @@ LevelResult RunLevel(const QuotaLevel& level) {
       next_window += kUsPerSec;
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.wall_us_per_pass =
-      std::chrono::duration<double, std::micro>(t1 - t0).count() /
-      static_cast<double>(passes);
+  r.wall_us_per_pass = bench::Seconds(t0, bench::Clock::now()) * 1e6 /
+                       static_cast<double>(passes);
   r.total_applied = engine.schemes()[0].stats().sz_applied;
   r.qt_exceeds = engine.schemes()[0].stats().qt_exceeds;
   return r;
-}
-
-void AppendJson(const std::vector<LevelResult>& results) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
-  const char* path = "BENCH_governor.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  // Strip trailing whitespace and the closing ']'.
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  out += "  {\"bench\": \"micro_governor\", \"heap_bytes\": " +
-         std::to_string(kHeap) + ", \"levels\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const LevelResult& r = results[i];
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"quota\": \"%s\", \"quota_sz_bytes\": %llu, "
-                  "\"wall_us_per_pass\": %.2f, \"total_applied_bytes\": "
-                  "%llu, \"qt_exceeds\": %llu, \"window_applied_bytes\": [",
-                  r.name.c_str(),
-                  static_cast<unsigned long long>(r.quota_sz),
-                  r.wall_us_per_pass,
-                  static_cast<unsigned long long>(r.total_applied),
-                  static_cast<unsigned long long>(r.qt_exceeds));
-    out += buf;
-    for (std::size_t w = 0; w < r.window_applied.size(); ++w) {
-      if (w > 0) out += ", ";
-      out += std::to_string(r.window_applied[w]);
-    }
-    out += "]}";
-    out += (i + 1 < results.size()) ? ",\n" : "\n";
-  }
-  out += "  ]}\n]\n";
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("\ntrajectory entry appended to %s\n", path);
-  }
 }
 
 }  // namespace
@@ -183,6 +124,27 @@ int main() {
     std::printf("\n");
   }
 
-  AppendJson(results);
-  return 0;
+  std::string row;
+  AppendF(row,
+          "{\"bench\": \"micro_governor\", \"heap_bytes\": %llu, "
+          "\"levels\": [\n",
+          static_cast<unsigned long long>(kHeap));
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const LevelResult& r = results[i];
+    AppendF(row,
+            "    {\"quota\": \"%s\", \"quota_sz_bytes\": %llu, "
+            "\"wall_us_per_pass\": %.2f, \"total_applied_bytes\": %llu, "
+            "\"qt_exceeds\": %llu, \"window_applied_bytes\": [",
+            r.name.c_str(), static_cast<unsigned long long>(r.quota_sz),
+            r.wall_us_per_pass,
+            static_cast<unsigned long long>(r.total_applied),
+            static_cast<unsigned long long>(r.qt_exceeds));
+    for (std::size_t w = 0; w < r.window_applied.size(); ++w) {
+      AppendF(row, "%s%llu", w > 0 ? ", " : "",
+              static_cast<unsigned long long>(r.window_applied[w]));
+    }
+    row += i + 1 < results.size() ? "]},\n" : "]}\n";
+  }
+  row += "  ]}";
+  return bench::AppendTrajectory("BENCH_governor.json", row) ? 0 : 1;
 }

@@ -15,7 +15,6 @@
 // working directory (one entry per run).
 //
 // Build & run:  ./build/bench/micro_lifecycle
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -46,11 +45,9 @@ struct Result {
 
 template <typename Fn>
 double TimeAvgUs(int iterations, Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = bench::Clock::now();
   for (int i = 0; i < iterations; ++i) fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(t1 - t0).count() /
-         iterations;
+  return bench::Seconds(t0, bench::Clock::now()) * 1e6 / iterations;
 }
 
 Result Run() {
@@ -100,49 +97,6 @@ Result Run() {
   return r;
 }
 
-void AppendJson(const Result& r) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
-  const char* path = "BENCH_lifecycle.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "  {\"bench\": \"micro_lifecycle\", \"heap_bytes\": %llu, "
-      "\"checkpoint_bytes\": %zu, \"regions\": %zu, \"snapshots\": %zu, "
-      "\"capture_wall_us\": %.2f, \"parse_wall_us\": %.2f, "
-      "\"restore_wall_us\": %.2f, \"stage_wall_us\": %.2f}\n]\n",
-      static_cast<unsigned long long>(kHeap), r.checkpoint_bytes, r.regions,
-      r.snapshots, r.capture_wall_us, r.parse_wall_us, r.restore_wall_us,
-      r.stage_wall_us);
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("\ntrajectory entry appended to %s\n", path);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -155,6 +109,14 @@ int main() {
   std::printf("parse           %10.2f µs\n", r.parse_wall_us);
   std::printf("restore         %10.2f µs\n", r.restore_wall_us);
   std::printf("stage commit    %10.2f µs\n", r.stage_wall_us);
-  AppendJson(r);
-  return 0;
+  std::string row;
+  AppendF(row,
+          "{\"bench\": \"micro_lifecycle\", \"heap_bytes\": %llu, "
+          "\"checkpoint_bytes\": %zu, \"regions\": %zu, \"snapshots\": %zu, "
+          "\"capture_wall_us\": %.2f, \"parse_wall_us\": %.2f, "
+          "\"restore_wall_us\": %.2f, \"stage_wall_us\": %.2f}",
+          static_cast<unsigned long long>(kHeap), r.checkpoint_bytes,
+          r.regions, r.snapshots, r.capture_wall_us, r.parse_wall_us,
+          r.restore_wall_us, r.stage_wall_us);
+  return bench::AppendTrajectory("BENCH_lifecycle.json", row) ? 0 : 1;
 }

@@ -15,7 +15,6 @@
 //
 // Build & run:  ./build/bench/micro_runner
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -155,51 +154,6 @@ struct Level {
   bool identical = true;
 };
 
-void AppendJson(std::size_t grid_runs, const std::vector<Level>& levels) {
-  // The trajectory file is a JSON array; append by rewriting the closing
-  // bracket. A missing/empty file starts a fresh array.
-  const char* path = "BENCH_runner.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  out += "  {\"bench\": \"micro_runner\", \"grid_runs\": " +
-         std::to_string(grid_runs) + ", \"levels\": [\n";
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"jobs\": %u, \"wall_s\": %.3f, \"speedup\": %.2f, "
-                  "\"identical\": %s}",
-                  levels[i].jobs, levels[i].wall_s, levels[i].speedup,
-                  levels[i].identical ? "true" : "false");
-    out += buf;
-    out += (i + 1 < levels.size()) ? ",\n" : "\n";
-  }
-  out += "  ]}\n]\n";
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("\ntrajectory entry appended to %s\n", path);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -222,13 +176,13 @@ int main() {
               "identical");
   for (const unsigned jobs : counts) {
     analysis::ParallelRunner runner(jobs);
-    const auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = bench::Clock::now();
     auto results = runner.Run(specs);
-    const auto t1 = std::chrono::steady_clock::now();
+    const auto t1 = bench::Clock::now();
 
     Level level;
     level.jobs = jobs;
-    level.wall_s = std::chrono::duration<double>(t1 - t0).count();
+    level.wall_s = bench::Seconds(t0, t1);
     if (reference.empty()) {
       reference = std::move(results);
       level.speedup = 1.0;
@@ -248,6 +202,18 @@ int main() {
   std::printf("\nresults across thread counts: %s\n",
               all_identical ? "bit-identical" : "MISMATCH (bug!)");
 
-  AppendJson(specs.size(), levels);
-  return all_identical ? 0 : 1;
+  std::string row;
+  AppendF(row, "{\"bench\": \"micro_runner\", \"grid_runs\": %zu, "
+          "\"levels\": [\n", specs.size());
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    AppendF(row,
+            "    {\"jobs\": %u, \"wall_s\": %.3f, \"speedup\": %.2f, "
+            "\"identical\": %s}%s\n",
+            levels[i].jobs, levels[i].wall_s, levels[i].speedup,
+            levels[i].identical ? "true" : "false",
+            i + 1 < levels.size() ? "," : "");
+  }
+  row += "  ]}";
+  const bool written = bench::AppendTrajectory("BENCH_runner.json", row);
+  return written && all_identical ? 0 : 1;
 }

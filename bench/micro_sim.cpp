@@ -4,10 +4,12 @@
 // The headline metric (pages_sampled_per_s) aggregates the three per-page
 // sweep paths everything above the sim scales with: DAMOS COLD deactivation
 // sweeps, the baseline reclaimer's CLOCK scan, and the tier balancer's
-// aging scan. Secondary metrics cover the monitor primitives (MkOld/IsYoung
-// pairs), VMA lookup, a full monitor sampling pass, and how fast the System
-// advances simulated time when nothing but a monitor is scheduled (dense
-// per-quantum stepping with no workload).
+// aging scan. Secondary metrics cover the touch paths a workload drives
+// (random TouchPage, a resident TouchRange), the monitor primitives
+// (MkOld/IsYoung pairs), VMA lookup, full monitor sampling passes at 1000
+// and 100 regions, scheme matching and text parsing, a DAMOS engine pass,
+// and how fast the System advances simulated time when nothing but a
+// monitor is scheduled (dense per-quantum stepping with no workload).
 //
 // Results append a machine-readable entry to BENCH_sim.json in the working
 // directory (same trajectory-array schema as BENCH_runner.json). The first
@@ -15,14 +17,15 @@
 // quantum stepping); later entries track the packed-bitmap core (entries
 // recorded while idle quanta could be skipped also carry that jump).
 //
-// Build & run:  ./build/bench/micro_sim [--quick]
-#include <chrono>
+// Build & run:  ./build/bench/micro_sim   (DAOS_BENCH_FULL=1: 10x loops)
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "bench/common.hpp"
 #include "damon/monitor.hpp"
 #include "damon/primitives.hpp"
+#include "damos/engine.hpp"
+#include "damos/parser.hpp"
 #include "sim/address_space.hpp"
 #include "sim/machine.hpp"
 #include "sim/system.hpp"
@@ -32,126 +35,144 @@
 namespace {
 
 using namespace daos;
+using bench::Clock;
+using bench::Seconds;
 
-using Clock = std::chrono::steady_clock;
+constexpr char kBench[] = "micro_sim";
+constexpr Addr kHeap = 0x10000000;
+constexpr std::uint64_t kHeapBytes = 512 * MiB;
 
-double Seconds(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double>(t1 - t0).count();
+// Loop count: the quick default, ten times that under DAOS_BENCH_FULL=1.
+std::uint64_t Iters(std::uint64_t quick) {
+  return bench::FullMode() ? 10 * quick : quick;
 }
 
-struct Metrics {
-  double deactivate_pages_per_s = 0.0;
-  double reclaim_scan_pages_per_s = 0.0;
-  double tier_scan_pages_per_s = 0.0;
-  double pages_sampled_per_s = 0.0;  // aggregate of the three sweeps above
-  double mkold_pairs_per_s = 0.0;
-  double find_vma_lookups_per_s = 0.0;
-  double monitor_steps_per_s = 0.0;
-  double idle_sim_us_per_wall_s = 0.0;
+// Pages one sweep examined and the wall time it took.
+struct Sweep {
+  std::uint64_t pages = 0;
+  double wall_s = 0.0;
+  double PerSecond() const { return static_cast<double>(pages) / wall_s; }
 };
 
-void Die(const char* what) {
-  std::fprintf(stderr, "micro_sim: sanity check failed: %s\n", what);
-  std::exit(1);
-}
+// An I3Metal guest with zram and a fully resident 512 MiB heap: the
+// fixture of every probe that works on resident pages.
+struct ResidentHeap {
+  ResidentHeap()
+      : machine(sim::MachineSpec::I3Metal().GuestOf(),
+                sim::SwapConfig::Zram()),
+        space(1, &machine, 3.0) {
+    space.Map(kHeap, kHeapBytes, "heap");
+    space.TouchRange(kHeap, kHeap + kHeapBytes, false, 0);
+  }
+  sim::Machine machine;
+  sim::AddressSpace space;
+};
 
 // --- sweep 1: DAMOS COLD deactivation over a fully resident space ----------
-void BenchDeactivate(bool quick, Metrics* m, std::uint64_t* pages,
-                     double* wall) {
-  sim::Machine machine(sim::MachineSpec::I3Metal().GuestOf(),
-                       sim::SwapConfig::Zram());
-  sim::AddressSpace space(1, &machine, 3.0);
-  const std::uint64_t bytes = 512 * MiB;
-  space.Map(0x10000000, bytes, "heap");
-  space.TouchRange(0x10000000, 0x10000000 + bytes, false, 0);
-  const std::uint64_t span_pages = bytes / kPageSize;
-  const int iters = quick ? 20 : 200;
+Sweep DeactivateSweep() {
+  ResidentHeap f;
+  const std::uint64_t iters = Iters(20);
   const auto t0 = Clock::now();
-  for (int i = 0; i < iters; ++i) {
-    if (space.DeactivateRange(0x10000000, 0x10000000 + bytes) != bytes)
-      Die("DeactivateRange covered fewer bytes than mapped");
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    if (f.space.DeactivateRange(kHeap, kHeap + kHeapBytes) != kHeapBytes)
+      bench::Die(kBench, "DeactivateRange covered fewer bytes than mapped");
   }
-  const auto t1 = Clock::now();
-  *wall = Seconds(t0, t1);
-  *pages = span_pages * static_cast<std::uint64_t>(iters);
-  m->deactivate_pages_per_s = static_cast<double>(*pages) / *wall;
+  return {kHeapBytes / kPageSize * iters, Seconds(t0, Clock::now())};
 }
 
 // --- sweep 2: reclaimer CLOCK scan over a cold (never-touched) space -------
-void BenchReclaimScan(bool quick, Metrics* m, std::uint64_t* pages,
-                      double* wall) {
+Sweep ReclaimScanSweep() {
   sim::Machine machine(sim::MachineSpec::I3Metal().GuestOf(),
                        sim::SwapConfig::Zram());
   sim::AddressSpace space(1, &machine, 3.0);
-  space.Map(0x10000000, 1 * GiB, "cold");
+  space.Map(kHeap, 1 * GiB, "cold");
   // target*8 caps the scan budget at 2^18 pages per call; nothing is
   // resident, so every call examines the full budget and evicts nothing.
   const std::uint64_t budget = std::uint64_t{1} << 18;
-  const int iters = quick ? 10 : 100;
+  const std::uint64_t iters = Iters(10);
   const auto t0 = Clock::now();
-  for (int i = 0; i < iters; ++i) {
+  for (std::uint64_t i = 0; i < iters; ++i) {
     if (machine.DirectReclaim(budget / 8, 0) != 0)
-      Die("DirectReclaim evicted from an empty space");
+      bench::Die(kBench, "DirectReclaim evicted from an empty space");
   }
-  const auto t1 = Clock::now();
-  *wall = Seconds(t0, t1);
-  *pages = budget * static_cast<std::uint64_t>(iters);
-  m->reclaim_scan_pages_per_s = static_cast<double>(*pages) / *wall;
+  return {budget * iters, Seconds(t0, Clock::now())};
 }
 
 // --- sweep 3: tier balancer aging scan over a cold space -------------------
-void BenchTierScan(bool quick, Metrics* m, std::uint64_t* pages,
-                   double* wall) {
+Sweep TierScanSweep() {
   sim::Machine machine(sim::MachineSpec::I3Metal().GuestOf(),
                        sim::SwapConfig::Zram());
   sim::TierGeometry tiers;
   std::string error;
   if (!sim::ParseTierGeometry("dram 64M\ncxl 2G lat=0.6", &tiers, &error))
-    Die("tier geometry rejected");
-  if (!machine.SetTierGeometry(tiers, &error)) Die(error.c_str());
+    bench::Die(kBench, "tier geometry rejected");
+  if (!machine.SetTierGeometry(tiers, &error))
+    bench::Die(kBench, error.c_str());
   sim::AddressSpace space(1, &machine, 3.0);
-  space.Map(0x10000000, 512 * MiB, "cold");
+  space.Map(kHeap, 512 * MiB, "cold");
   const std::uint64_t budget_per_call = 512 * MiB / kPageSize;
-  const int iters = quick ? 10 : 100;
+  const std::uint64_t iters = Iters(10);
   std::uint64_t examined = 0;
   const auto t0 = Clock::now();
-  for (int i = 0; i < iters; ++i) {
+  for (std::uint64_t i = 0; i < iters; ++i) {
     std::uint64_t budget = budget_per_call;
     if (space.TierDemoteScan(0, &budget, 1u << 20, kUsPerSec) != 0)
-      Die("TierDemoteScan demoted from an empty space");
+      bench::Die(kBench, "TierDemoteScan demoted from an empty space");
     examined += budget_per_call - budget;
   }
+  return {examined, Seconds(t0, Clock::now())};
+}
+
+// --- touch paths: random resident TouchPage, whole-heap TouchRange --------
+double TouchPagesPerS() {
+  ResidentHeap f;
+  const std::uint64_t touches = Iters(2'000'000);
+  Rng rng(1);
+  std::uint64_t touched = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < touches; ++i) {
+    const Addr a = kHeap + rng.NextBounded(kHeapBytes / kPageSize) * kPageSize;
+    touched += f.space.TouchPage(a, false, static_cast<SimTimeUs>(i)).pages;
+  }
   const auto t1 = Clock::now();
-  *wall = Seconds(t0, t1);
-  *pages = examined;
-  m->tier_scan_pages_per_s = static_cast<double>(*pages) / *wall;
+  if (touched != touches) bench::Die(kBench, "TouchPage missed a page");
+  return static_cast<double>(touches) / Seconds(t0, t1);
+}
+
+Sweep TouchRangeSweep() {
+  ResidentHeap f;
+  const std::uint64_t ranges = Iters(10'000);
+  std::uint64_t touched = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < ranges; ++i) {
+    const SimTimeUs now = static_cast<SimTimeUs>(i) * 5000;
+    touched += f.space.TouchRange(kHeap, kHeap + kHeapBytes, false, now).pages;
+  }
+  const auto t1 = Clock::now();
+  if (touched != ranges * (kHeapBytes / kPageSize))
+    bench::Die(kBench, "TouchRange missed resident pages");
+  return {touched, Seconds(t0, t1)};
 }
 
 // --- monitor primitives: MkOld + IsYoung pairs -----------------------------
-void BenchMkOld(bool quick, Metrics* m) {
-  sim::Machine machine(sim::MachineSpec::I3Metal().GuestOf(),
-                       sim::SwapConfig::Zram());
-  sim::AddressSpace space(1, &machine, 3.0);
-  const std::uint64_t bytes = 512 * MiB;
-  space.Map(0x10000000, bytes, "heap");
-  space.TouchRange(0x10000000, 0x10000000 + bytes, false, 0);
-  const std::uint64_t npages = bytes / kPageSize;
-  const std::uint64_t pairs = quick ? 200'000 : 2'000'000;
+double MkOldPairsPerS() {
+  ResidentHeap f;
+  const std::uint64_t pairs = Iters(200'000);
   Rng rng(7);
   std::uint64_t young = 0;
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < pairs; ++i) {
-    const Addr a = 0x10000000 + rng.NextBounded(npages) * kPageSize;
-    young += space.IsYoung(a) ? 1 : 0;
-    space.MkOld(a, static_cast<SimTimeUs>(i));
+    const Addr a = kHeap + rng.NextBounded(kHeapBytes / kPageSize) * kPageSize;
+    young += f.space.IsYoung(a) ? 1 : 0;
+    f.space.MkOld(a, static_cast<SimTimeUs>(i));
   }
   const auto t1 = Clock::now();
-  if (young == 0) Die("IsYoung never saw an accessed page");
-  m->mkold_pairs_per_s = static_cast<double>(pairs) / Seconds(t0, t1);
+  if (young == 0) bench::Die(kBench, "IsYoung never saw an accessed page");
+  return static_cast<double>(pairs) / Seconds(t0, t1);
 }
 
 // --- VMA lookup over a fragmented layout -----------------------------------
-void BenchFindVma(bool quick, Metrics* m) {
+double FindVmaLookupsPerS() {
   sim::Machine machine(sim::MachineSpec::I3Metal().GuestOf(),
                        sim::SwapConfig::Zram());
   sim::AddressSpace space(1, &machine, 3.0);
@@ -159,159 +180,175 @@ void BenchFindVma(bool quick, Metrics* m) {
   const std::uint64_t vma_bytes = 256 * KiB;
   for (std::size_t i = 0; i < nvmas; ++i) {
     // Leave a hole between neighbours so misses stay possible.
-    space.Map(0x10000000 + i * 2 * vma_bytes, vma_bytes, "frag");
+    space.Map(kHeap + i * 2 * vma_bytes, vma_bytes, "frag");
   }
-  const std::uint64_t lookups = quick ? 400'000 : 4'000'000;
+  const std::uint64_t lookups = Iters(400'000);
   Rng rng(11);
   std::uint64_t hits = 0;
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < lookups; ++i) {
-    const Addr a = 0x10000000 + rng.NextBounded(nvmas * 2 * vma_bytes);
+    const Addr a = kHeap + rng.NextBounded(nvmas * 2 * vma_bytes);
     hits += space.FindVma(a) != nullptr ? 1 : 0;
   }
   const auto t1 = Clock::now();
-  if (hits == 0 || hits == lookups) Die("FindVma hit rate degenerate");
-  m->find_vma_lookups_per_s = static_cast<double>(lookups) / Seconds(t0, t1);
+  if (hits == 0 || hits == lookups)
+    bench::Die(kBench, "FindVma hit rate degenerate");
+  return static_cast<double>(lookups) / Seconds(t0, t1);
 }
 
 // --- full monitor sampling passes ------------------------------------------
-void BenchMonitor(bool quick, Metrics* m) {
-  sim::Machine machine(sim::MachineSpec::I3Metal().GuestOf(),
-                       sim::SwapConfig::Zram());
-  sim::AddressSpace space(1, &machine, 3.0);
-  const std::uint64_t bytes = 512 * MiB;
-  space.Map(0x10000000, bytes, "heap");
-  space.TouchRange(0x10000000, 0x10000000 + bytes, false, 0);
+double MonitorStepsPerS(std::uint32_t max_nr_regions, std::uint64_t steps) {
+  ResidentHeap f;
   damon::MonitoringAttrs attrs;
-  attrs.max_nr_regions = 1000;
+  attrs.max_nr_regions = max_nr_regions;
   damon::DamonContext ctx(attrs);
-  ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(&space));
+  ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(&f.space));
   SimTimeUs now = 0;
   for (int i = 0; i < 200; ++i) {  // let regions converge
     ctx.Step(now, attrs.sampling_interval);
     now += attrs.sampling_interval;
   }
-  const int steps = quick ? 2'000 : 20'000;
   const auto t0 = Clock::now();
-  for (int i = 0; i < steps; ++i) {
+  for (std::uint64_t i = 0; i < steps; ++i) {
     ctx.Step(now, attrs.sampling_interval);
     now += attrs.sampling_interval;
   }
   const auto t1 = Clock::now();
-  if (ctx.TotalRegions() == 0) Die("monitor lost its regions");
-  m->monitor_steps_per_s = static_cast<double>(steps) / Seconds(t0, t1);
+  if (ctx.TotalRegions() == 0) bench::Die(kBench, "monitor lost its regions");
+  return static_cast<double>(steps) / Seconds(t0, t1);
+}
+
+// --- DAMOS: scheme matching, scheme text parsing, engine passes ------------
+double SchemeMatchesPerS() {
+  const damos::Scheme scheme = damos::Scheme::Prcl(5 * kUsPerSec);
+  const damon::MonitoringAttrs attrs;
+  const damon::Region region{0x1000, 0x1000 + 8 * MiB, 0, 0, 120, 0};
+  const std::uint64_t matches = Iters(5'000'000);
+  std::uint64_t matched = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < matches; ++i)
+    matched += scheme.Matches(region, attrs) ? 1 : 0;
+  const auto t1 = Clock::now();
+  if (matched != matches) bench::Die(kBench, "prcl missed an aged region");
+  return static_cast<double>(matches) / Seconds(t0, t1);
+}
+
+double ParseSchemesPerS() {
+  const std::string text =
+      "min max min min 2m max pageout\n"
+      "2MB max 80% max 1m max hugepage\n"
+      "min max min 5% 1m max nohugepage\n";
+  const std::uint64_t parses = Iters(20'000);
+  std::uint64_t parsed = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < parses; ++i)
+    parsed += damos::ParseSchemes(text).schemes.size();
+  const auto t1 = Clock::now();
+  if (parsed != 3 * parses) bench::Die(kBench, "scheme text rejected");
+  return static_cast<double>(parses) / Seconds(t0, t1);
+}
+
+// Freshly initialized regions carry no samples yet, so no region matches:
+// this prices the pass itself (plan, region walk, match tests).
+double EnginePassesPerS() {
+  ResidentHeap f;
+  damon::DamonContext ctx(damon::MonitoringAttrs::PaperDefaults());
+  ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(&f.space));
+  ctx.InitRegionsFor(ctx.targets()[0]);
+  damos::SchemesEngine engine({damos::Scheme::WssStat()});
+  const std::uint64_t passes = Iters(200'000);
+  SimTimeUs now = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < passes; ++i) {
+    engine.Apply(ctx, now);
+    now += 100 * kUsPerMs;
+  }
+  const auto t1 = Clock::now();
+  if (ctx.TotalRegions() == 0) bench::Die(kBench, "engine had no regions");
+  return static_cast<double>(passes) / Seconds(t0, t1);
 }
 
 // --- idle System stepping: simulated-time throughput -----------------------
 // A dense idle-stepping probe: a System whose only schedulable work is a
 // monitor daemon sampling every 5 ms. Run() executes every 1 ms quantum, so
 // this measures the fixed per-quantum cost of Step() with no workload.
-void BenchIdleSystem(bool quick, Metrics* m) {
+double IdleSimUsPerWallS() {
   sim::System system(sim::MachineSpec::I3Metal().GuestOf(),
                      sim::SwapConfig::Zram());
   sim::AddressSpace space(1, &system.machine(), 3.0);
   const std::uint64_t bytes = 256 * MiB;
-  space.Map(0x10000000, bytes, "heap");
-  space.TouchRange(0x10000000, 0x10000000 + bytes, false, 0);
+  space.Map(kHeap, bytes, "heap");
+  space.TouchRange(kHeap, kHeap + bytes, false, 0);
   damon::MonitoringAttrs attrs;
   damon::DamonContext ctx(attrs);
   ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(&space));
   system.RegisterDaemon([&ctx](SimTimeUs now, SimTimeUs quantum) {
     return ctx.Step(now, quantum);
   });
-  const SimTimeUs horizon = (quick ? 60 : 600) * kUsPerSec;
+  const SimTimeUs horizon = Iters(60) * kUsPerSec;
   const auto t0 = Clock::now();
   system.Run(horizon);
   const auto t1 = Clock::now();
-  if (system.Now() < horizon) Die("idle system stopped early");
-  if (ctx.TotalRegions() == 0) Die("idle system never sampled");
-  m->idle_sim_us_per_wall_s =
-      static_cast<double>(system.Now()) / Seconds(t0, t1);
+  if (system.Now() < horizon) bench::Die(kBench, "idle system stopped early");
+  if (ctx.TotalRegions() == 0)
+    bench::Die(kBench, "idle system never sampled");
+  return static_cast<double>(system.Now()) / Seconds(t0, t1);
 }
 
-void AppendJson(const Metrics& m, bool quick) {
-  const char* path = "BENCH_sim.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[640];
-  std::snprintf(
-      buf, sizeof buf,
-      "  {\"bench\": \"micro_sim\", \"mode\": \"%s\", "
-      "\"pages_sampled_per_s\": %.3e, \"deactivate_pages_per_s\": %.3e, "
-      "\"reclaim_scan_pages_per_s\": %.3e, \"tier_scan_pages_per_s\": %.3e, "
-      "\"mkold_pairs_per_s\": %.3e, \"find_vma_lookups_per_s\": %.3e, "
-      "\"monitor_steps_per_s\": %.3e, \"idle_sim_us_per_wall_s\": %.3e}\n]\n",
-      quick ? "quick" : "full", m.pages_sampled_per_s,
-      m.deactivate_pages_per_s, m.reclaim_scan_pages_per_s,
-      m.tier_scan_pages_per_s, m.mkold_pairs_per_s, m.find_vma_lookups_per_s,
-      m.monitor_steps_per_s, m.idle_sim_us_per_wall_s);
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("\ntrajectory entry appended to %s\n", path);
-  }
-}
+struct Metric {
+  const char* key;    // trajectory key
+  const char* label;  // console label
+  const char* unit;
+  double value;
+};
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool quick =
-      argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  std::printf("==============================================================\n");
-  std::printf("micro_sim — sim-core page-sweep & stepping throughput\n");
-  std::printf("mode: %s\n", quick ? "quick" : "full");
-  std::printf("==============================================================\n");
+int main() {
+  bench::PrintHeader(kBench, "sim-core page-sweep & stepping throughput");
 
-  Metrics m;
-  std::uint64_t pages[3] = {0, 0, 0};
-  double wall[3] = {0.0, 0.0, 0.0};
-  BenchDeactivate(quick, &m, &pages[0], &wall[0]);
-  BenchReclaimScan(quick, &m, &pages[1], &wall[1]);
-  BenchTierScan(quick, &m, &pages[2], &wall[2]);
-  m.pages_sampled_per_s =
-      static_cast<double>(pages[0] + pages[1] + pages[2]) /
-      (wall[0] + wall[1] + wall[2]);
-  BenchMkOld(quick, &m);
-  BenchFindVma(quick, &m);
-  BenchMonitor(quick, &m);
-  BenchIdleSystem(quick, &m);
+  const Sweep sweeps[] = {DeactivateSweep(), ReclaimScanSweep(),
+                          TierScanSweep()};
+  Sweep sampled;  // the headline: the three sweeps aggregated
+  for (const Sweep& sweep : sweeps) {
+    sampled.pages += sweep.pages;
+    sampled.wall_s += sweep.wall_s;
+  }
+  const Metric metrics[] = {
+      {"pages_sampled_per_s", "pages sampled (aggregate)",
+       "pages/s  <- headline", sampled.PerSecond()},
+      {"deactivate_pages_per_s", "deactivate sweep", "pages/s",
+       sweeps[0].PerSecond()},
+      {"reclaim_scan_pages_per_s", "reclaim CLOCK scan", "pages/s",
+       sweeps[1].PerSecond()},
+      {"tier_scan_pages_per_s", "tier aging scan", "pages/s",
+       sweeps[2].PerSecond()},
+      {"mkold_pairs_per_s", "MkOld+IsYoung", "pairs/s", MkOldPairsPerS()},
+      {"find_vma_lookups_per_s", "FindVma (512 VMAs)", "lookups/s",
+       FindVmaLookupsPerS()},
+      {"monitor_steps_per_s", "monitor pass (1000 regions)", "steps/s",
+       MonitorStepsPerS(1000, Iters(2'000))},
+      {"idle_sim_us_per_wall_s", "idle System stepping", "sim-us/s",
+       IdleSimUsPerWallS()},
+      {"touch_pages_per_s", "TouchPage (random, resident)", "pages/s",
+       TouchPagesPerS()},
+      {"touch_range_pages_per_s", "TouchRange (512M, resident)", "pages/s",
+       TouchRangeSweep().PerSecond()},
+      {"monitor_100_steps_per_s", "monitor pass (100 regions)", "steps/s",
+       MonitorStepsPerS(100, Iters(20'000))},
+      {"scheme_matches_per_s", "scheme match (prcl)", "matches/s",
+       SchemeMatchesPerS()},
+      {"parse_schemes_per_s", "ParseSchemes (3 lines)", "texts/s",
+       ParseSchemesPerS()},
+      {"engine_passes_per_s", "engine pass (wss stat)", "passes/s",
+       EnginePassesPerS()},
+  };
 
-  std::printf("%-28s %14.3e pages/s\n", "deactivate sweep",
-              m.deactivate_pages_per_s);
-  std::printf("%-28s %14.3e pages/s\n", "reclaim CLOCK scan",
-              m.reclaim_scan_pages_per_s);
-  std::printf("%-28s %14.3e pages/s\n", "tier aging scan",
-              m.tier_scan_pages_per_s);
-  std::printf("%-28s %14.3e pages/s  <- headline\n", "pages sampled (aggregate)",
-              m.pages_sampled_per_s);
-  std::printf("%-28s %14.3e pairs/s\n", "MkOld+IsYoung", m.mkold_pairs_per_s);
-  std::printf("%-28s %14.3e lookups/s\n", "FindVma (512 VMAs)",
-              m.find_vma_lookups_per_s);
-  std::printf("%-28s %14.3e steps/s\n", "monitor sampling pass",
-              m.monitor_steps_per_s);
-  std::printf("%-28s %14.3e sim-us/s\n", "idle System stepping",
-              m.idle_sim_us_per_wall_s);
-
-  AppendJson(m, quick);
-  return 0;
+  std::string row = "{\"bench\": \"micro_sim\"";
+  for (const Metric& m : metrics) {
+    std::printf("%-28s %14.3e %s\n", m.label, m.value, m.unit);
+    AppendF(row, ", \"%s\": %.3e", m.key, m.value);
+  }
+  row += "}";
+  return bench::AppendTrajectory("BENCH_sim.json", row) ? 0 : 1;
 }

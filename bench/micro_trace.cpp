@@ -15,7 +15,6 @@
 // working directory (same trajectory-array schema as BENCH_runner.json).
 //
 // Build & run:  ./build/bench/micro_trace
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -29,11 +28,8 @@
 namespace {
 
 using namespace daos;
-
-double Seconds(std::chrono::steady_clock::time_point t0,
-               std::chrono::steady_clock::time_point t1) {
-  return std::chrono::duration<double>(t1 - t0).count();
-}
+using bench::Clock;
+using bench::Seconds;
 
 workload::WorkloadProfile BenchProfile() {
   workload::WorkloadProfile p = *workload::FindProfile("scenario/kvstore");
@@ -53,49 +49,6 @@ bool Identical(const analysis::ExperimentResult& a,
          a.major_faults == b.major_faults;
 }
 
-void AppendJson(std::uint64_t events, std::size_t bytes, double compression,
-                double overhead_pct, double serialize_meps, double parse_meps,
-                double replay_meps, bool identical) {
-  const char* path = "BENCH_trace.json";
-  std::string existing;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      existing.append(buf, n);
-    std::fclose(f);
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::string out;
-  if (existing.size() > 1 && existing.back() == ']') {
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out = existing + ",\n";
-  } else {
-    out = "[\n";
-  }
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "  {\"bench\": \"micro_trace\", \"events\": %llu, \"bytes\": %zu, "
-      "\"compression_x\": %.2f, \"record_overhead_pct\": %.1f, "
-      "\"serialize_meps\": %.1f, \"parse_meps\": %.1f, "
-      "\"replay_meps\": %.1f, \"bit_identical\": %s}\n]\n",
-      static_cast<unsigned long long>(events), bytes, compression,
-      overhead_pct, serialize_meps, parse_meps, replay_meps,
-      identical ? "true" : "false");
-  out += buf;
-  if (std::FILE* f = std::fopen(path, "wb")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("\ntrajectory entry appended to %s\n", path);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -113,10 +66,10 @@ int main() {
               static_cast<unsigned long long>(options.seed));
 
   // 1. Unarmed run: the baseline the tap overhead is measured against.
-  auto t0 = std::chrono::steady_clock::now();
+  auto t0 = Clock::now();
   const analysis::ExperimentResult bare =
       analysis::RunWorkload(profile, analysis::Config::kBaseline, options);
-  auto t1 = std::chrono::steady_clock::now();
+  auto t1 = Clock::now();
   const double bare_wall = Seconds(t0, t1);
 
   // 2. Armed run: same seed, tap recording the full stream.
@@ -130,10 +83,10 @@ int main() {
   trace::TraceWriter writer(meta);
   analysis::ExperimentOptions rec_options = options;
   rec_options.record_tap = &writer;
-  t0 = std::chrono::steady_clock::now();
+  t0 = Clock::now();
   const analysis::ExperimentResult recorded =
       analysis::RunWorkload(profile, analysis::Config::kBaseline, rec_options);
-  t1 = std::chrono::steady_clock::now();
+  t1 = Clock::now();
   const double record_wall = Seconds(t0, t1);
   const double overhead_pct =
       bare_wall > 0 ? (record_wall / bare_wall - 1.0) * 100.0 : 0.0;
@@ -150,18 +103,18 @@ int main() {
               FormatSize(blob.size()).c_str(), compression, overhead_pct);
 
   // 3. Parse and serialize throughput over the captured stream.
-  t0 = std::chrono::steady_clock::now();
+  t0 = Clock::now();
   const std::optional<trace::Trace> parsed = trace::ParseTrace(blob);
-  t1 = std::chrono::steady_clock::now();
+  t1 = Clock::now();
   if (!parsed.has_value()) {
     std::fprintf(stderr, "FATAL: captured trace does not parse\n");
     return 1;
   }
   const double parse_meps =
       static_cast<double>(events) / Seconds(t0, t1) / 1e6;
-  t0 = std::chrono::steady_clock::now();
+  t0 = Clock::now();
   const std::string reblob = trace::SerializeTrace(*parsed);
-  t1 = std::chrono::steady_clock::now();
+  t1 = Clock::now();
   const double serialize_meps =
       static_cast<double>(events) / Seconds(t0, t1) / 1e6;
   std::printf("codec:     serialize %.1f M events/s, parse %.1f M events/s, "
@@ -182,10 +135,10 @@ int main() {
     std::fprintf(stderr, "FATAL: %s\n", error.c_str());
     return 1;
   }
-  t0 = std::chrono::steady_clock::now();
+  t0 = Clock::now();
   const analysis::ExperimentResult replayed = analysis::RunWorkload(
       *replay_profile, analysis::Config::kBaseline, options);
-  t1 = std::chrono::steady_clock::now();
+  t1 = Clock::now();
   const double replay_wall = Seconds(t0, t1);
   const double replay_meps =
       static_cast<double>(events) / replay_wall / 1e6;
@@ -203,7 +156,15 @@ int main() {
               static_cast<unsigned long long>(recorded.major_faults),
               static_cast<unsigned long long>(replayed.major_faults));
 
-  AppendJson(events, blob.size(), compression, overhead_pct, serialize_meps,
-             parse_meps, replay_meps, identical);
-  return (identical && reblob == blob) ? 0 : 1;
+  std::string row;
+  AppendF(row,
+          "{\"bench\": \"micro_trace\", \"events\": %llu, \"bytes\": %zu, "
+          "\"compression_x\": %.2f, \"record_overhead_pct\": %.1f, "
+          "\"serialize_meps\": %.1f, \"parse_meps\": %.1f, "
+          "\"replay_meps\": %.1f, \"bit_identical\": %s}",
+          static_cast<unsigned long long>(events), blob.size(), compression,
+          overhead_pct, serialize_meps, parse_meps, replay_meps,
+          identical ? "true" : "false");
+  const bool written = bench::AppendTrajectory("BENCH_trace.json", row);
+  return written && identical && reblob == blob ? 0 : 1;
 }

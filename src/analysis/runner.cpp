@@ -8,6 +8,8 @@
 #include <mutex>
 #include <thread>
 
+#include "util/strings.hpp"
+
 namespace daos::analysis {
 
 namespace {
@@ -48,11 +50,8 @@ ParallelRunner::ParallelRunner(unsigned jobs)
 
 unsigned ParallelRunner::JobsFromEnv() {
   if (const char* env = std::getenv("DAOS_JOBS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 && v < 1024) {
-      return static_cast<unsigned>(v);
-    }
+    const auto v = ParseU32(env);
+    if (v && *v > 0 && *v < 1024) return *v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

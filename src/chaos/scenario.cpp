@@ -11,6 +11,7 @@
 #include "sim/address_space.hpp"
 #include "sim/system.hpp"
 #include "sim/tier.hpp"
+#include "util/hash.hpp"
 #include "util/units.hpp"
 
 namespace daos::chaos {
@@ -22,28 +23,6 @@ constexpr std::uint64_t kHeap = 48 * MiB;
 constexpr std::uint64_t kHot = 8 * MiB;
 constexpr SimTimeUs kSlice = 250 * kUsPerMs;
 constexpr SimTimeUs kQuietTail = 1500 * kUsPerMs;
-
-// FNV-1a over the final cross-layer state. Stable across platforms (no
-// std::hash), so repro signatures can be quoted in tests.
-class Digest {
- public:
-  void Mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (i * 8)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void Mix(std::string_view s) {
-    for (const char c : s) {
-      h_ ^= static_cast<unsigned char>(c);
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 /// Collects oracle outcomes; one entry per oracle name, first failure
 /// wins (later slices cannot un-fail an oracle).
@@ -373,7 +352,7 @@ ScenarioResult RunSystemScenario(const Campaign& campaign, bool tiered,
   oracles.Check("chaos.synthetic", !synthetic_fired,
                 "synthetic probe point fired");
 
-  Digest digest;
+  Fnv1a digest;  // stable across platforms: tests quote repro signatures
   const sim::MachineCounters& mc = system.machine().counters();
   digest.Mix(mc.reclaimed_pages);
   digest.Mix(mc.reclaim_scans);
@@ -552,7 +531,7 @@ ScenarioResult RunFleetScenario(const Campaign& campaign) {
   oracles.Check("chaos.synthetic", !synthetic_fired,
                 "synthetic probe point fired");
 
-  Digest digest;
+  Fnv1a digest;  // stable across platforms: tests quote repro signatures
   digest.Mix(fleet.StatusText());
   digest.Mix(fleet.QuarantineText());
   digest.Mix(fc.epochs);

@@ -5,25 +5,10 @@
 #include <mutex>
 #include <sstream>
 
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 
 namespace daos::fault {
-
-namespace {
-
-// FNV-1a, folded into the plane seed to derive one independent RNG stream
-// per point name. Stability across platforms matters (replay files quote
-// seeds), so no std::hash.
-std::uint64_t HashName(std::string_view name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 bool ParseTrigger(std::string_view key, std::string_view value,
                   FaultSpec* spec, std::string* error) {
@@ -98,7 +83,11 @@ FaultPoint::FaultPoint(std::string name, std::uint64_t plane_seed)
 
 std::uint64_t FaultPoint::StreamSeed(std::string_view name,
                                      std::uint64_t plane_seed) {
-  return plane_seed ^ HashName(name);
+  // FNV-1a of the point name: replay files quote plane seeds, so each
+  // point's stream must be the same on every platform.
+  Fnv1a hash;
+  hash.Mix(name);
+  return plane_seed ^ hash.value();
 }
 
 void FaultPoint::Arm(const FaultSpec& spec) {

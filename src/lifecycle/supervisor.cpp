@@ -151,20 +151,24 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
       if (tokens.size() != 5)
         return fail(
             "attrs expects: sample_us aggr_us update_us min_nr max_nr");
-      std::uint64_t vals[5];
+      // The region counts are 32-bit: a wider value is rejected, not
+      // wrapped.
+      std::uint64_t intervals[3];
+      std::uint32_t nr_regions[2];
       for (int i = 0; i < 5; ++i) {
-        const auto v = ParseU64(tokens[i]);
-        if (!v) return fail("bad number '" + std::string(tokens[i]) + "'");
-        vals[i] = *v;
+        const bool ok =
+            i < 3 ? StoreParsed(ParseU64(tokens[i]), intervals[i])
+                  : StoreParsed(ParseU32(tokens[i]), nr_regions[i - 3]);
+        if (!ok) return fail("bad number '" + std::string(tokens[i]) + "'");
       }
       // Wire format carries the five classic attrs; adaptive mode and the
       // age-reset threshold keep their running values.
       damon::MonitoringAttrs attrs = current_attrs_;
-      attrs.sampling_interval = vals[0];
-      attrs.aggregation_interval = vals[1];
-      attrs.regions_update_interval = vals[2];
-      attrs.min_nr_regions = static_cast<std::uint32_t>(vals[3]);
-      attrs.max_nr_regions = static_cast<std::uint32_t>(vals[4]);
+      attrs.sampling_interval = intervals[0];
+      attrs.aggregation_interval = intervals[1];
+      attrs.regions_update_interval = intervals[2];
+      attrs.min_nr_regions = nr_regions[0];
+      attrs.max_nr_regions = nr_regions[1];
       out.attrs = attrs;
     } else if (directive == "scheme") {
       const damos::ParseResult parsed = damos::ParseSchemeLine(rest);

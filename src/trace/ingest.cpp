@@ -1,8 +1,7 @@
 #include "trace/ingest.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
+#include <cstdint>
 #include <vector>
 
 #include "util/strings.hpp"
@@ -32,14 +31,38 @@ bool SkippableLine(std::string_view line) {
   return t.empty() || t[0] == '#' || StartsWith(t, "==") || StartsWith(t, "--");
 }
 
+/// Strict unsigned parse of one field, surrounding whitespace ignored.
+/// Base 10 takes decimal digits; base 16 takes hex digits with an optional
+/// 0x prefix (Lackey addresses); base 0 takes 0x-prefixed hex or plain
+/// decimal (CSV addresses). No sign, no inner whitespace, no overflow.
 bool ParseU64Radix(std::string_view token, int base, std::uint64_t& out) {
   token = TrimWhitespace(token);
+  if (base != 10 && token.size() > 2 && token[0] == '0' &&
+      (token[1] == 'x' || token[1] == 'X')) {
+    token.remove_prefix(2);
+    base = 16;
+  } else if (base == 0) {
+    base = 10;
+  }
   if (token.empty()) return false;
-  const std::string buf(token);
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(buf.c_str(), &end, base);
-  return errno == 0 && end == buf.c_str() + buf.size();
+  std::uint64_t v = 0;
+  for (const char c : token) {
+    unsigned digit;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<unsigned>(c - '0');
+    } else if (base == 16 && c >= 'a' && c <= 'f') {
+      digit = static_cast<unsigned>(c - 'a' + 10);
+    } else if (base == 16 && c >= 'A' && c <= 'F') {
+      digit = static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      return false;
+    }
+    const auto radix = static_cast<std::uint64_t>(base);
+    if (v > (UINT64_MAX - digit) / radix) return false;
+    v = v * radix + digit;
+  }
+  out = v;
+  return true;
 }
 
 /// Touched-page intervals -> kMap events at t=0, huge-page aligned, with

@@ -619,6 +619,17 @@ TEST(MalformedCommitBundleTest, AttrsFieldCountEnforced) {
   EXPECT_NE(error.find("attrs expects"), std::string::npos) << error;
 }
 
+TEST(MalformedCommitBundleTest, RegionCountsBeyond32BitsRejected) {
+  // Truncated to 32 bits these would read as min_nr=10, max_nr=20.
+  lifecycle::KdamondSupervisor supervisor;
+  lifecycle::CommitBundle bundle;
+  std::string error;
+  EXPECT_FALSE(supervisor.ParseCommitBundle(
+      "attrs 5000 100000 1000000 4294967306 4294967316\n", &bundle, &error));
+  EXPECT_NE(error.find("line 1: bad number '4294967306'"), std::string::npos)
+      << error;
+}
+
 // --- daos-trace binary format (src/trace) ----------------------------------
 //
 // Hostile traces must be rejected all-or-nothing with errors that name the
@@ -871,6 +882,43 @@ TEST(MalformedIngestTest, CsvGiantMapRejected) {
                                  trace::IngestOptions{}, &error)
                    .has_value());
   EXPECT_NE(error.message.find("bad map size"), std::string::npos);
+}
+
+TEST(MalformedIngestTest, CsvNegatedAddressRejected) {
+  // Negated modulo 2^64 this would read as address 0x10000000.
+  trace::IngestError error;
+  EXPECT_FALSE(trace::IngestText("0,r,-0xfffffffff0000000,4096\n", "x",
+                                 trace::IngestOptions{}, &error)
+                   .has_value());
+  EXPECT_EQ(error.line_number, 1);
+  EXPECT_NE(error.message.find("bad address"), std::string::npos);
+}
+
+TEST(MalformedIngestTest, CsvNegatedSizeRejected) {
+  // Negated modulo 2^64 this would read as size 1.
+  trace::IngestError error;
+  EXPECT_FALSE(trace::IngestText("0,r,0x1000,-18446744073709551615\n", "x",
+                                 trace::IngestOptions{}, &error)
+                   .has_value());
+  EXPECT_EQ(error.line_number, 1);
+  EXPECT_NE(error.message.find("bad size"), std::string::npos);
+}
+
+TEST(MalformedIngestTest, SignsAndInnerWhitespaceRejected) {
+  const char* const rows[] = {"0,r,+0x1000,4\n", "0,r,0x10 00,4\n",
+                              "0,r,0x1000,+4\n", "0,r,0x1000,4 0\n",
+                              "0,r,0x,4\n"};
+  for (const char* row : rows) {
+    trace::IngestError error;
+    EXPECT_FALSE(
+        trace::IngestCsv(row, "x", trace::IngestOptions{}, &error).has_value())
+        << row;
+  }
+  trace::IngestError error;
+  EXPECT_FALSE(trace::IngestLackey(" L -1000,4\n", "x",
+                                   trace::IngestOptions{}, &error)
+                   .has_value());
+  EXPECT_NE(error.message.find("bad hex address"), std::string::npos);
 }
 
 TEST(MalformedIngestTest, EmptyInputRejected) {
