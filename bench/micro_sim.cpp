@@ -5,7 +5,8 @@
 // sweep paths everything above the sim scales with: DAMOS COLD deactivation
 // sweeps, the baseline reclaimer's CLOCK scan, and the tier balancer's
 // aging scan. Secondary metrics cover the touch paths a workload drives
-// (random TouchPage, a resident TouchRange), the monitor primitives
+// (random TouchPage, a resident TouchRange, a barnes-shaped TouchRange per
+// partly used 2 MiB block), the monitor primitives
 // (MkOld/IsYoung pairs), VMA lookup, full monitor sampling passes at 1000
 // and 100 regions, scheme matching and text parsing, a DAMOS engine pass,
 // and how fast the System advances simulated time when nothing but a
@@ -151,6 +152,36 @@ Sweep TouchRangeSweep() {
   const auto t1 = Clock::now();
   if (touched != ranges * (kHeapBytes / kPageSize))
     bench::Die(kBench, "TouchRange missed resident pages");
+  return {touched, Seconds(t0, t1)};
+}
+
+// Barnes-shaped heap: the workload uses the first 90 % of every 2 MiB block,
+// so no block is ever fully resident and each range touch takes the
+// partly-resident path, one TouchRange per block as the generator issues.
+Sweep TouchRangeSparseSweep() {
+  sim::Machine machine(sim::MachineSpec::I3Metal().GuestOf(),
+                       sim::SwapConfig::Zram());
+  sim::AddressSpace space(1, &machine, 3.0);
+  space.Map(kHeap, kHeapBytes, "heap");
+  const std::uint64_t blocks = kHeapBytes / kHugePageSize;
+  const std::uint64_t used_bytes = kPagesPerHuge * 9 / 10 * kPageSize;
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    const Addr start = kHeap + b * kHugePageSize;
+    space.TouchRange(start, start + used_bytes, true, 0);
+  }
+  const std::uint64_t rounds = Iters(40);
+  std::uint64_t touched = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 1; i <= rounds; ++i) {
+    const SimTimeUs now = static_cast<SimTimeUs>(i) * 5000;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      const Addr start = kHeap + b * kHugePageSize;
+      touched += space.TouchRange(start, start + used_bytes, false, now).pages;
+    }
+  }
+  const auto t1 = Clock::now();
+  if (touched != rounds * blocks * (used_bytes / kPageSize))
+    bench::Die(kBench, "sparse TouchRange missed used pages");
   return {touched, Seconds(t0, t1)};
 }
 
@@ -334,6 +365,8 @@ int main() {
        TouchPagesPerS()},
       {"touch_range_pages_per_s", "TouchRange (512M, resident)", "pages/s",
        TouchRangeSweep().PerSecond()},
+      {"touch_range_sparse_pages_per_s", "TouchRange (90% of each 2M)",
+       "pages/s", TouchRangeSparseSweep().PerSecond()},
       {"monitor_100_steps_per_s", "monitor pass (100 regions)", "steps/s",
        MonitorStepsPerS(100, Iters(20'000))},
       {"scheme_matches_per_s", "scheme match (prcl)", "matches/s",

@@ -26,6 +26,10 @@ std::uint64_t BitRangeMask(std::size_t lo, std::size_t hi) {
   return (all >> (64 - (hi - lo))) << lo;
 }
 
+std::uint64_t Popcount(std::uint64_t word) {
+  return static_cast<std::uint64_t>(std::popcount(word));
+}
+
 /// Calls fn(word_index, mask, first_page_of_word) for every bitmap word
 /// overlapping page indices [plo, phi); the mask selects exactly the pages
 /// of that word inside the range.
@@ -339,29 +343,25 @@ TouchStats AddressSpace::FaultIn(Vma& vma, std::size_t page_idx, bool write,
   return st;
 }
 
-TouchStats AddressSpace::TouchPage(Addr addr, bool write, SimTimeUs now) {
-  TouchStats st;
-  if (tap_ != nullptr) tap_->OnTouchPage(addr, write, now);
-  Vma* vma = FindVma(addr);
-  if (vma == nullptr) return st;
-  const std::size_t idx = vma->PageIndex(addr);
-  if (!vma->TestBit(PageBit::kPresent, idx)) st += FaultIn(*vma, idx, write, now);
-  vma->SetBit(PageBit::kAccessed, idx);
-  vma->SetBit(PageBit::kEverTouched, idx);
-  vma->ClearBit(PageBit::kDeactivated, idx);
-  if (write) vma->SetBit(PageBit::kDirty, idx);
-  if (vma->TestBit(PageBit::kHugeBloat, idx)) {
-    vma->ClearBit(PageBit::kHugeBloat, idx);
+void AddressSpace::TouchPageAt(Vma& vma, std::size_t idx, bool write,
+                               SimTimeUs now, TouchStats& st) {
+  if (!vma.TestBit(PageBit::kPresent, idx)) st += FaultIn(vma, idx, write, now);
+  vma.SetBit(PageBit::kAccessed, idx);
+  vma.SetBit(PageBit::kEverTouched, idx);
+  vma.ClearBit(PageBit::kDeactivated, idx);
+  if (write) vma.SetBit(PageBit::kDirty, idx);
+  if (vma.TestBit(PageBit::kHugeBloat, idx)) {
+    vma.ClearBit(PageBit::kHugeBloat, idx);
     --bloat_pages_;
   }
   ++st.pages;
-  if (vma->TestBit(PageBit::kHuge, idx)) ++st.huge_pages;
+  if (vma.TestBit(PageBit::kHuge, idx)) ++st.huge_pages;
   if (machine_->tiered()) {
     // last_touch_ms feeds only the tier balancer's idle test; untiered
     // machines skip the side-array write entirely.
-    vma->Meta(idx).last_touch_ms = ToMs(now);
+    vma.Meta(idx).last_touch_ms = ToMs(now);
     ++machine_->counters().tier_touches;
-    const std::uint16_t tier = vma->Meta(idx).tier;
+    const std::uint16_t tier = vma.Meta(idx).tier;
     if (tier != 0) {
       // Slow-tier access: the workload absorbs the tier's extra latency,
       // and the touch counts into the hot-cold mismatch metric.
@@ -369,69 +369,95 @@ TouchStats AddressSpace::TouchPage(Addr addr, bool write, SimTimeUs now) {
       st.stall_us += machine_->TierExtraUs(tier);
     }
   }
+}
+
+TouchStats AddressSpace::TouchPage(Addr addr, bool write, SimTimeUs now) {
+  TouchStats st;
+  if (tap_ != nullptr) tap_->OnTouchPage(addr, write, now);
+  Vma* vma = FindVma(addr);
+  if (vma != nullptr) TouchPageAt(*vma, vma->PageIndex(addr), write, now, st);
   return st;
 }
 
 TouchStats AddressSpace::TouchRange(Addr start, Addr end, bool write,
                                     SimTimeUs now) {
   TouchStats st;
+  if (end <= start) return st;
+  start = AlignDown(start, kPageSize);
+  end = AlignUp(end, kPageSize);
   if (tap_ != nullptr) tap_->OnTouchRange(start, end, write, now);
-  for (Vma& vma : vmas_) {
-    if (vma.end() <= start || vma.start() >= end) continue;
+  const bool tiered = machine_->tiered();
+  // The interval index gives the first VMA ending above `start`; the
+  // overlapping ones follow it in address order.
+  for (std::size_t v = static_cast<std::size_t>(
+           std::upper_bound(vma_ends_.begin(), vma_ends_.end(), start) -
+           vma_ends_.begin());
+       v < vmas_.size() && vma_starts_[v] < end; ++v) {
+    Vma& vma = vmas_[v];
     const Addr lo = std::max(start, vma.start());
     const Addr hi = std::min(end, vma.end());
     vma.LogRangeTouch(lo, hi, now);
-    const std::size_t first_block = vma.BlockOfAddr(lo);
-    const std::size_t last_block = vma.BlockOfAddr(hi - 1);
-    for (std::size_t b = first_block; b <= last_block; ++b) {
-      auto [plo, phi] = vma.BlockPageSpan(b);
+    const std::size_t range_lo = vma.PageIndex(lo);
+    const std::size_t range_hi = vma.PageIndex(hi);
+    std::uint64_t* present = vma.plane(PageBit::kPresent);
+    std::uint64_t* accessed = vma.plane(PageBit::kAccessed);
+    std::uint64_t* ever = vma.plane(PageBit::kEverTouched);
+    std::uint64_t* deactivated = vma.plane(PageBit::kDeactivated);
+    std::uint64_t* dirty = vma.plane(PageBit::kDirty);
+    std::uint64_t* bloat = vma.plane(PageBit::kHugeBloat);
+    const std::uint64_t* huge = vma.plane(PageBit::kHuge);
+    for (std::size_t b = vma.BlockOfAddr(lo); b <= vma.BlockOfAddr(hi - 1);
+         ++b) {
+      const auto [blo, bhi] = vma.BlockPageSpan(b);
       // Clamp the block's page span to the touched range.
-      plo = std::max(plo, vma.PageIndex(lo));
-      phi = std::min(phi, vma.PageIndex(hi - 1) + 1);
+      const std::size_t plo = std::max(blo, range_lo);
+      const std::size_t phi = std::min(bhi, range_hi);
       const std::size_t span = phi - plo;
       Vma::Block& blk = vma.block(b);
-      const bool fully_resident =
-          blk.resident == vma.BlockPageSpan(b).second - vma.BlockPageSpan(b).first;
-      if (fully_resident && !BlockHasBloat(vma, b) && blk.slow == 0) {
+      if (blk.resident == bhi - blo && !SpanHasBloat(vma, blo, bhi) &&
+          blk.slow == 0) {
         // Fast path: residency and accessed-state are already correct; the
         // touch log carries the accessed information for IsYoung(). Blocks
         // with slow-tier pages take the per-page path so each page pays its
         // tier's latency (blk.slow is always 0 untiered).
         st.pages += span;
         if (blk.huge) st.huge_pages += span;
-        if (machine_->tiered()) machine_->counters().tier_touches += span;
+        if (tiered) machine_->counters().tier_touches += span;
         continue;
       }
-      for (std::size_t i = plo; i < phi; ++i) {
-        if (!vma.TestBit(PageBit::kPresent, i)) st += FaultIn(vma, i, write, now);
-        vma.SetBit(PageBit::kAccessed, i);
-        vma.SetBit(PageBit::kEverTouched, i);
-        vma.ClearBit(PageBit::kDeactivated, i);
-        if (vma.TestBit(PageBit::kHugeBloat, i)) {
-          vma.ClearBit(PageBit::kHugeBloat, i);
-          --bloat_pages_;
+      // Word at a time, in address order. Each word reads its present bits
+      // only when its turn comes: a fault earlier in the range may have
+      // promoted this block or reclaimed pages in it. A word with every page
+      // present takes no fault, so on an untiered machine the per-page
+      // steps reduce to mask operations; any other word (a missing page,
+      // or per-page tier latency to charge in order) goes page by page.
+      ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t m,
+                                std::size_t base) {
+        if (!tiered && (present[w] & m) == m) {
+          accessed[w] |= m;
+          ever[w] |= m;
+          deactivated[w] &= ~m;
+          if (write) dirty[w] |= m;
+          bloat_pages_ -= Popcount(bloat[w] & m);
+          bloat[w] &= ~m;
+          st.pages += Popcount(m);
+          st.huge_pages += Popcount(huge[w] & m);
+          return;
         }
-        if (write) vma.SetBit(PageBit::kDirty, i);
-        ++st.pages;
-        if (vma.TestBit(PageBit::kHuge, i)) ++st.huge_pages;
-        if (machine_->tiered()) {
-          vma.Meta(i).last_touch_ms = ToMs(now);
-          ++machine_->counters().tier_touches;
-          const std::uint16_t tier = vma.Meta(i).tier;
-          if (tier != 0) {
-            ++machine_->counters().tier_slow_touches;
-            st.stall_us += machine_->TierExtraUs(tier);
-          }
+        for (std::uint64_t bits = m; bits != 0; bits &= bits - 1) {
+          const std::size_t i =
+              base + static_cast<std::size_t>(std::countr_zero(bits));
+          TouchPageAt(vma, i, write, now, st);
         }
-      }
+      });
     }
   }
   return st;
 }
 
-bool AddressSpace::BlockHasBloat(const Vma& vma, std::size_t block) const {
+bool AddressSpace::SpanHasBloat(const Vma& vma, std::size_t plo,
+                                std::size_t phi) const {
   if (bloat_pages_ == 0) return false;
-  const auto [plo, phi] = vma.BlockPageSpan(block);
   const std::uint64_t* bloat = vma.plane(PageBit::kHugeBloat);
   bool found = false;
   ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t mask, std::size_t) {

@@ -205,8 +205,13 @@ class AddressSpace {
 
   // --- workload side ----------------------------------------------------------
   TouchStats TouchPage(Addr addr, bool write, SimTimeUs now);
-  /// Touch every page in [start, end). Fully-resident blocks are handled
-  /// via the touch log in O(1); faults are charged per missing page.
+  /// Touches every page of [start, end) widened to page bounds; the tap and
+  /// the touch log see those bounds, and an empty range is a no-op that
+  /// reaches neither. Fully-resident blocks (no bloat, no slow-tier pages)
+  /// cost O(1) via the touch log. Other blocks go one 64-page bitmap word at
+  /// a time in address order: mask operations when every page of the word
+  /// is present on an untiered machine, page by page (faults charged per
+  /// missing page) otherwise.
   TouchStats TouchRange(Addr start, Addr end, bool write, SimTimeUs now);
 
   // --- monitor primitives ----------------------------------------------------
@@ -309,7 +314,11 @@ class AddressSpace {
   TouchStats FaultIn(Vma& vma, std::size_t page_idx, bool write, SimTimeUs now);
   void MakeResident(Vma& vma, std::size_t page_idx, bool via_thp);
   void MakeNonResident(Vma& vma, std::size_t page_idx);
-  bool BlockHasBloat(const Vma& vma, std::size_t block) const;
+  /// One page's share of a touch: faults it in if needed, then sets its
+  /// accessed/ever-touched/dirty state and accumulates into `st`.
+  void TouchPageAt(Vma& vma, std::size_t idx, bool write, SimTimeUs now,
+                   TouchStats& st);
+  bool SpanHasBloat(const Vma& vma, std::size_t plo, std::size_t phi) const;
   /// Moves one resident page to `to_tier`, keeping tier/block accounting.
   /// Returns false when the injected migration fault fires (page untouched).
   bool MigratePage(Vma& vma, std::size_t page_idx, std::uint16_t to_tier,

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 
 #include "sim/machine.hpp"
+#include "trace/format.hpp"
+#include "trace/replay.hpp"
+#include "trace/writer.hpp"
 #include "util/rng.hpp"
 
 namespace daos::sim {
@@ -242,6 +247,55 @@ TEST_F(AddressSpaceTest, MaintainLogsReportsDroppedEntries) {
   EXPECT_GE(space_.MaintainLogs(20 * kUsPerSec), 1u);
   EXPECT_EQ(vma->log_size(), 0u);
   EXPECT_EQ(space_.MaintainLogs(21 * kUsPerSec), 0u);
+}
+
+TEST_F(AddressSpaceTest, EmptyRangeTouchLeavesLogUnchanged) {
+  const Addr base = 0x10000;
+  space_.Map(base, 1024 * kPageSize, "a");
+  space_.TouchRange(base, base + 1024 * kPageSize, false, 0);
+  const Vma* vma = space_.FindVma(base);
+  const std::size_t before = vma->log_size();
+  const Addr mid = base + 5 * kPageSize;
+  EXPECT_EQ(space_.TouchRange(mid, mid, false, 1000).pages, 0u);
+  EXPECT_EQ(space_.TouchRange(mid + 10, mid + 10, true, 2000).pages, 0u);
+  EXPECT_EQ(space_.TouchRange(mid + kPageSize, mid, false, 3000).pages, 0u);
+  EXPECT_EQ(vma->log_size(), before);
+}
+
+TEST_F(AddressSpaceTest, UnalignedRangeTouchReplaysIdentically) {
+  // The tap and the touch log must both see the page-widened bounds: a
+  // recording of an unaligned sweep over a fully resident block (the
+  // log-only fast path) replays to the same accessed state.
+  const Addr base = 4 * kHugePageSize;
+  const std::uint64_t len = kHugePageSize;
+  trace::TraceWriter writer(trace::TraceMeta{});
+  space_.SetAccessTap(&writer);
+  space_.Map(base, len, "heap");
+  space_.TouchRange(base, base + len, false, 0);
+  space_.SetAccessTap(nullptr);
+  for (Addr a = base; a < base + len; a += kPageSize) space_.MkOld(a, 1000);
+  space_.SetAccessTap(&writer);
+  space_.TouchRange(base + 5 * kPageSize + 100, base + 9 * kPageSize + 50,
+                    false, 2000);
+  space_.SetAccessTap(nullptr);
+
+  const std::optional<trace::Trace> parsed = trace::ParseTrace(writer.Finish());
+  ASSERT_TRUE(parsed.has_value());
+  Machine machine(SmallSpec(), SwapConfig::Zram(64 * MiB));
+  AddressSpace replayed(2, &machine, 3.0);
+  trace::TraceReplaySource source(
+      std::make_shared<const trace::Trace>(*parsed));
+  source.EmitQuantum(replayed, 0, 1000);
+  for (Addr a = base; a < base + len; a += kPageSize) replayed.MkOld(a, 1000);
+  source.EmitQuantum(replayed, 2000, 1000);
+  ASSERT_TRUE(source.exhausted());
+
+  std::size_t young = 0;
+  for (Addr a = base; a < base + len; a += kPageSize) {
+    EXPECT_EQ(space_.IsYoung(a), replayed.IsYoung(a)) << "page " << a;
+    young += space_.IsYoung(a) ? 1 : 0;
+  }
+  EXPECT_EQ(young, 5u);  // pages 5..9: the partial first and last included
 }
 
 // FindVma resolves through the interval index (sorted start/end arrays

@@ -1,0 +1,308 @@
+// Differential test for AddressSpace::TouchRange.
+//
+// TouchRange takes partly-resident blocks one 64-page bitmap word at a
+// time, with mask operations for words whose pages are all present. The
+// reference here is a twin AddressSpace that walks the same VMAs and blocks
+// itself: it applies the fully-resident fast-path test to its own state as
+// it reaches each block, and otherwise calls TouchPage page by page in
+// address order. On an untiered machine TouchPage runs the per-page touch
+// step unchanged, so the two must agree bit for bit: every bit plane, every
+// PageMeta, the block counters, the space and machine counters, the touch
+// log (through IsYoung, every 16th step: it stabs the whole log per page)
+// and the returned TouchStats, stall_us included.
+// Tiered machines take every partly-resident word page by page; their seeds
+// hold the same state to bit identity, but the reference sums a faulting
+// slow-tier page's fault and tier latency before adding them to the range
+// total, so stall_us is compared to a relative 1e-12 there.
+//
+// Seeded random layouts put VMA starts off 2 MiB alignment and range edges
+// mid-word and mid-page, over partly-resident, huge, bloat, deactivated and
+// swapped pages. Half the seeds run THP `always` (a fault promotes its block
+// mid-range), half arm alloc.frame_fail (a fault runs DirectReclaim
+// mid-range), and a third are tiered with a fast tier smaller than the
+// layout.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <string>
+
+#include "fault/fault.hpp"
+#include "sim/address_space.hpp"
+#include "sim/machine.hpp"
+#include "sim/tier.hpp"
+#include "util/rng.hpp"
+
+namespace daos::sim {
+namespace {
+
+constexpr Addr kBase = 64 * kHugePageSize;
+
+// The page-by-page reference walk of [start, end).
+TouchStats ReferenceTouchRange(Machine& machine, AddressSpace& space,
+                               Addr start, Addr end, bool write,
+                               SimTimeUs now) {
+  TouchStats st;
+  if (end <= start) return st;
+  start = AlignDown(start, kPageSize);
+  end = AlignUp(end, kPageSize);
+  for (Vma& vma : space.vmas()) {
+    if (vma.end() <= start || vma.start() >= end) continue;
+    const Addr lo = std::max(start, vma.start());
+    const Addr hi = std::min(end, vma.end());
+    vma.LogRangeTouch(lo, hi, now);
+    for (std::size_t b = vma.BlockOfAddr(lo); b <= vma.BlockOfAddr(hi - 1);
+         ++b) {
+      const auto [blo, bhi] = vma.BlockPageSpan(b);
+      const std::size_t plo = std::max(blo, vma.PageIndex(lo));
+      const std::size_t phi = std::min(bhi, vma.PageIndex(hi));
+      bool bloat = false;
+      for (std::size_t i = blo; i < bhi; ++i)
+        bloat = bloat || vma.TestBit(PageBit::kHugeBloat, i);
+      const Vma::Block& blk = vma.block(b);
+      if (blk.resident == bhi - blo && !bloat && blk.slow == 0) {
+        st.pages += phi - plo;
+        if (blk.huge) st.huge_pages += phi - plo;
+        if (machine.tiered()) machine.counters().tier_touches += phi - plo;
+        continue;
+      }
+      for (std::size_t i = plo; i < phi; ++i)
+        st += space.TouchPage(vma.AddrOfIndex(i), write, now);
+    }
+  }
+  return st;
+}
+
+struct Config {
+  std::uint64_t seed = 1;
+  bool thp_always = false;
+  bool alloc_fail = false;
+  bool tiered = false;
+};
+
+// One machine with one address space, wired to its own fault plane so the
+// twins draw identical fault schedules.
+struct Twin {
+  explicit Twin(const Config& cfg)
+      : plane(cfg.seed),
+        machine(MachineSpec{"test", 4, 3.0, 1 * GiB},
+                SwapConfig::Zram(64 * MiB)),
+        space(1, &machine, 3.0) {
+    if (cfg.thp_always) machine.set_thp_mode(ThpMode::kAlways);
+    if (cfg.alloc_fail)
+      plane.Arm(fault::kAllocFrameFail, fault::FaultSpec{0.05, 0, 0});
+    machine.SetFaultPlane(&plane);
+    if (cfg.tiered) {
+      TierGeometry tiers;
+      std::string error;
+      if (!ParseTierGeometry("dram 4M\ncxl 1G lat=0.6", &tiers, &error) ||
+          !machine.SetTierGeometry(tiers, &error))
+        ADD_FAILURE() << error;
+    }
+  }
+  fault::FaultPlane plane;
+  Machine machine;
+  AddressSpace space;
+};
+
+std::string DiffStats(const TouchStats& a, const TouchStats& b, bool tiered) {
+  if (a.pages != b.pages) return "TouchStats.pages";
+  if (a.minor_faults != b.minor_faults) return "TouchStats.minor_faults";
+  if (a.major_faults != b.major_faults) return "TouchStats.major_faults";
+  if (a.huge_pages != b.huge_pages) return "TouchStats.huge_pages";
+  if (tiered ? std::abs(a.stall_us - b.stall_us) >
+                   1e-12 * std::max(1.0, std::abs(a.stall_us))
+             : a.stall_us != b.stall_us)
+    return "TouchStats.stall_us";
+  return "";
+}
+
+std::string DiffVma(const Vma& a, const Vma& b, const AddressSpace& sa,
+                    const AddressSpace& sb, bool young) {
+  if (a.start() != b.start() || a.end() != b.end()) return "vma bounds";
+  for (std::size_t p = 0; p < kPageBitPlanes; ++p) {
+    const auto bit = static_cast<PageBit>(p);
+    if (!std::equal(a.plane(bit), a.plane(bit) + a.word_count(), b.plane(bit)))
+      return "bit plane " + std::to_string(p);
+  }
+  for (std::size_t i = 0; i < a.page_count(); ++i) {
+    const PageMeta& ma = a.Meta(i);
+    const PageMeta& mb = b.Meta(i);
+    if (ma.tier != mb.tier || ma.reclaim_gen != mb.reclaim_gen ||
+        ma.last_touch_ms != mb.last_touch_ms ||
+        ma.acc_cleared_ms != mb.acc_cleared_ms)
+      return "PageMeta of page " + std::to_string(i);
+    if (young && sa.IsYoung(a.AddrOfIndex(i)) != sb.IsYoung(b.AddrOfIndex(i)))
+      return "IsYoung of page " + std::to_string(i);
+  }
+  for (std::size_t k = 0; k < a.block_count(); ++k) {
+    const Vma::Block& ba = a.block(k);
+    const Vma::Block& bb = b.block(k);
+    if (ba.resident != bb.resident || ba.slow != bb.slow || ba.huge != bb.huge)
+      return "block " + std::to_string(k);
+  }
+  if (a.log_size() != b.log_size()) return "log size";
+  return "";
+}
+
+// First difference between the twins' observable state, or "".
+std::string Diff(Twin& a, Twin& b, bool young) {
+  const AddressSpace& sa = a.space;
+  const AddressSpace& sb = b.space;
+  if (sa.vmas().size() != sb.vmas().size()) return "vma count";
+  for (std::size_t v = 0; v < sa.vmas().size(); ++v) {
+    const std::string d = DiffVma(sa.vmas()[v], sb.vmas()[v], sa, sb, young);
+    if (!d.empty()) return "vma " + std::to_string(v) + ": " + d;
+  }
+  if (sa.resident_pages() != sb.resident_pages()) return "resident_pages";
+  if (sa.swapped_pages() != sb.swapped_pages()) return "swapped_pages";
+  if (sa.mapped_bytes() != sb.mapped_bytes()) return "mapped_bytes";
+  if (sa.major_faults() != sb.major_faults()) return "major_faults";
+  if (sa.minor_faults() != sb.minor_faults()) return "minor_faults";
+  if (sa.bloat_pages() != sb.bloat_pages()) return "bloat_pages";
+  if (sa.huge_blocks() != sb.huge_blocks()) return "huge_blocks";
+  if (sa.dirty_evictions() != sb.dirty_evictions()) return "dirty_evictions";
+  if (sa.clean_evictions() != sb.clean_evictions()) return "clean_evictions";
+
+  const MachineCounters& ca = a.machine.counters();
+  const MachineCounters& cb = b.machine.counters();
+  const std::uint64_t MachineCounters::*fields[] = {
+      &MachineCounters::reclaimed_pages,
+      &MachineCounters::reclaim_scans,
+      &MachineCounters::failed_evictions,
+      &MachineCounters::khugepaged_collapses,
+      &MachineCounters::overcommit_events,
+      &MachineCounters::swap_write_errors,
+      &MachineCounters::alloc_stalls,
+      &MachineCounters::thp_collapse_errors,
+      &MachineCounters::khugepaged_backoffs,
+      &MachineCounters::tier_promoted_pages,
+      &MachineCounters::tier_demoted_pages,
+      &MachineCounters::tier_migrate_fails,
+      &MachineCounters::tier_promote_blocked,
+      &MachineCounters::tier_touches,
+      &MachineCounters::tier_slow_touches,
+  };
+  for (std::size_t f = 0; f < std::size(fields); ++f) {
+    if (ca.*fields[f] != cb.*fields[f])
+      return "machine counter " + std::to_string(f);
+  }
+  if (a.machine.used_frames() != b.machine.used_frames()) return "used_frames";
+  if (a.machine.swap().used_slots() != b.machine.swap().used_slots())
+    return "swap used_slots";
+  if (a.machine.swap().stored_bytes() != b.machine.swap().stored_bytes())
+    return "swap stored_bytes";
+  if (a.machine.swap().total_ins() != b.machine.swap().total_ins())
+    return "swap total_ins";
+  if (a.machine.swap().total_outs() != b.machine.swap().total_outs())
+    return "swap total_outs";
+  if (a.machine.TakeOomPending() != b.machine.TakeOomPending())
+    return "oom pending";
+  return "";
+}
+
+class TouchRangeDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
+  Config cfg;
+  cfg.seed = static_cast<std::uint64_t>(GetParam());
+  cfg.thp_always = GetParam() % 2 == 0;
+  cfg.alloc_fail = GetParam() % 4 >= 2;
+  cfg.tiered = GetParam() > 16;
+  Twin real(cfg);
+  Twin ref(cfg);
+  Rng rng(cfg.seed);
+
+  // 2-4 VMAs, each starting a random number of pages past a 2 MiB boundary
+  // and 2-8 MiB long, so first and last blocks are usually partial.
+  Addr at = kBase;
+  const std::size_t nvmas = 2 + rng.NextBounded(3);
+  for (std::size_t v = 0; v < nvmas; ++v) {
+    const Addr start = at + rng.NextBounded(kPagesPerHuge) * kPageSize;
+    const std::uint64_t len =
+        (1 + rng.NextBounded(3)) * kHugePageSize +
+        rng.NextBounded(kPagesPerHuge) * kPageSize + kPageSize;
+    ASSERT_NE(real.space.Map(start, len, "v"), nullptr);
+    ASSERT_NE(ref.space.Map(start, len, "v"), nullptr);
+    at = AlignUp(start + len, kHugePageSize) +
+         rng.NextBounded(2) * kHugePageSize;
+  }
+  const std::uint64_t span = at - kBase;
+
+  // A random byte range over the layout, gaps and all; 1 in 4 is at most
+  // 64 pages long, so both edges often land inside one block.
+  auto pick = [&](Addr* lo, Addr* hi) {
+    const Addr a = kBase + rng.NextBounded(span);
+    const std::uint64_t len = rng.NextBounded(4) == 0
+                                  ? rng.NextBounded(64 * kPageSize)
+                                  : rng.NextBounded(span / 2);
+    *lo = a;
+    *hi = std::min<Addr>(a + len + 1, kBase + span);
+  };
+
+  std::uint64_t range_touches = 0;
+  constexpr int kSteps = 400;
+  for (int step = 0; step < kSteps; ++step) {
+    const SimTimeUs now = static_cast<SimTimeUs>(step) * 5 * kUsPerMs;
+    Addr lo = 0;
+    Addr hi = 0;
+    pick(&lo, &hi);
+    const bool write = rng.NextBool(0.3);
+    const std::uint64_t op = rng.NextBounded(12);
+    if (op < 5) {
+      const TouchStats got = real.space.TouchRange(lo, hi, write, now);
+      const TouchStats want =
+          ReferenceTouchRange(ref.machine, ref.space, lo, hi, write, now);
+      ASSERT_EQ(DiffStats(got, want, cfg.tiered), "") << "step " << step;
+      ++range_touches;
+    } else {
+      // Shape the state both twins will be touched over next.
+      const Addr page = AlignDown(lo, kPageSize);
+      for (AddressSpace* s : {&real.space, &ref.space}) {
+        switch (op) {
+          case 5:
+          case 6:
+            s->TouchPage(page, write, now);
+            break;
+          case 7:
+            s->PageOutRange(lo, hi, now);
+            break;
+          case 8:
+            s->PromoteRange(lo, hi, now);
+            break;
+          case 9:
+            s->DemoteRange(lo, hi);
+            break;
+          case 10:
+            s->DeactivateRange(lo, hi);
+            break;
+          default:
+            for (Addr a = page; a < hi; a += 7 * kPageSize) s->MkOld(a, now);
+            break;
+        }
+      }
+    }
+    const bool young = step % 16 == 15 || step == kSteps - 1;
+    ASSERT_EQ(Diff(real, ref, young), "") << "step " << step << " op " << op;
+  }
+
+  // The walk must have reached the paths it exists to compare.
+  EXPECT_GT(range_touches, 100u);
+  EXPECT_GT(real.space.minor_faults(), 0u);
+  EXPECT_GT(real.space.major_faults(), 0u);
+  EXPECT_GT(real.machine.swap().total_outs(), 0u);
+  if (cfg.alloc_fail) {
+    EXPECT_GT(real.machine.counters().alloc_stalls, 0u);
+    EXPECT_GT(real.machine.counters().reclaimed_pages, 0u);
+  }
+  if (cfg.tiered) {
+    EXPECT_GT(real.machine.counters().tier_slow_touches, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TouchRangeDifferentialTest,
+                         ::testing::Range(1, 25));
+
+}  // namespace
+}  // namespace daos::sim
