@@ -7,7 +7,8 @@
 // aging scan. Secondary metrics cover the touch paths a workload drives
 // (random TouchPage, a resident TouchRange, a barnes-shaped TouchRange per
 // partly used 2 MiB block), the monitor primitives
-// (MkOld/IsYoung pairs), VMA lookup, full monitor sampling passes at 1000
+// (MkOld/IsYoung pairs, on a fresh touch log and on a full one), VMA
+// lookup, full monitor sampling passes at 1000
 // and 100 regions, scheme matching and text parsing, a DAMOS engine pass,
 // and how fast the System advances simulated time when nothing but a
 // monitor is scheduled (dense per-quantum stepping with no workload).
@@ -202,6 +203,38 @@ double MkOldPairsPerS() {
   return static_cast<double>(pairs) / Seconds(t0, t1);
 }
 
+// The same pairs against a touch log holding kLogCap (4096) sliding-window
+// sweeps over the heap's first half: every check falls through the accessed
+// bit to the log, whose answer is "young" in the first half and "not
+// young" in the second.
+double IsYoungFullLogPerS() {
+  ResidentHeap f;
+  constexpr std::uint64_t kWindow = 64 * MiB;
+  constexpr std::uint64_t kSlide = 2 * MiB;
+  constexpr std::uint64_t kSweeps = 4096;
+  for (std::uint64_t i = 0; i < kSweeps; ++i) {
+    const Addr start = kHeap + (i % ((kHeapBytes / 2 - kWindow) / kSlide)) *
+                                   kSlide;
+    f.space.TouchRange(start, start + kWindow, false,
+                       static_cast<SimTimeUs>(i + 2) * kUsPerMs);
+  }
+  if (f.space.FindVma(kHeap)->log_size() != kSweeps)
+    bench::Die(kBench, "touch log is not full");
+  const std::uint64_t pairs = Iters(200'000);
+  Rng rng(13);
+  std::uint64_t young = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < pairs; ++i) {
+    const Addr a = kHeap + rng.NextBounded(kHeapBytes / kPageSize) * kPageSize;
+    f.space.MkOld(a, kUsPerMs);
+    young += f.space.IsYoung(a) ? 1 : 0;
+  }
+  const auto t1 = Clock::now();
+  if (young == 0 || young == pairs)
+    bench::Die(kBench, "full-log IsYoung answers degenerate");
+  return static_cast<double>(pairs) / Seconds(t0, t1);
+}
+
 // --- VMA lookup over a fragmented layout -----------------------------------
 double FindVmaLookupsPerS() {
   sim::Machine machine(sim::MachineSpec::I3Metal().GuestOf(),
@@ -355,6 +388,8 @@ int main() {
       {"tier_scan_pages_per_s", "tier aging scan", "pages/s",
        sweeps[2].PerSecond()},
       {"mkold_pairs_per_s", "MkOld+IsYoung", "pairs/s", MkOldPairsPerS()},
+      {"isyoung_full_log_per_s", "MkOld+IsYoung (full log)", "pairs/s",
+       IsYoungFullLogPerS()},
       {"find_vma_lookups_per_s", "FindVma (512 VMAs)", "lookups/s",
        FindVmaLookupsPerS()},
       {"monitor_steps_per_s", "monitor pass (1000 regions)", "steps/s",

@@ -119,10 +119,8 @@ std::uint64_t VaddrPrimitives::ApplyAction(DamosAction action, Addr start,
 
 void PaddrPrimitives::RebuildIfStale() const {
   // A change in any space's layout (or the set of spaces) invalidates the
-  // synthetic physical mapping. Fold the layout generations into one value.
-  std::uint64_t gen = machine_->spaces().size() * 0x9e3779b97f4a7c15ULL;
-  for (const sim::AddressSpace* space : machine_->spaces())
-    gen = gen * 31 + space->layout_generation() + 1;
+  // synthetic physical mapping.
+  const std::uint64_t gen = LayoutGeneration();
   if (gen == built_generation_) return;
 
   extents_.clear();
@@ -154,6 +152,7 @@ std::vector<AddrRange> PaddrPrimitives::TargetRanges() {
 }
 
 std::uint64_t PaddrPrimitives::LayoutGeneration() const {
+  // Fold the per-space layout generations into one value.
   std::uint64_t gen = machine_->spaces().size() * 0x9e3779b97f4a7c15ULL;
   for (const sim::AddressSpace* space : machine_->spaces())
     gen = gen * 31 + space->layout_generation() + 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 #include "fault/fault.hpp"
 #include "sim/machine.hpp"
@@ -61,6 +62,8 @@ Vma::Vma(Addr start, Addr end, std::string name)
   const std::size_t nblocks = static_cast<std::size_t>(
       (AlignUp(end, kHugePageSize) - aligned_base_) >> kHugePageShift);
   blocks_.resize(nblocks);
+  full_.resize(words_);
+  part_.resize(words_);
 }
 
 PageView Vma::PageAt(Addr a) const {
@@ -88,11 +91,16 @@ bool Vma::BlockIsFull(std::size_t block) const {
 }
 
 void Vma::LogRangeTouch(Addr s, Addr e, SimTimeUs now) {
+  assert(s % kPageSize == 0 && e % kPageSize == 0 && start_ <= s && s < e &&
+         e <= end_);
   if (!log_.empty()) {
     RangeTouch& back = log_.back();
     // Coalesce repeats of the same sweep window (a stable hot set touched
     // every quantum) and contiguous/overlapping same-instant touches (a
-    // sweep emitted block by block).
+    // sweep emitted block by block). A refresh covers no new page, so the
+    // stamps already name the back entry; an extension widens the back
+    // entry to the hull of two overlapping ranges, so painting [s, e)
+    // covers every page it gained.
     if (back.start == s && back.end == e) {
       back.at = now;
       return;
@@ -100,21 +108,66 @@ void Vma::LogRangeTouch(Addr s, Addr e, SimTimeUs now) {
     if (back.at == now && s <= back.end && e >= back.start) {
       back.start = std::min(back.start, s);
       back.end = std::max(back.end, e);
+      PaintStamps(PageIndex(s), PageIndex(e), BackSeq());
       return;
     }
   }
   log_.push_back(RangeTouch{s, e, now});
-  if (log_.size() > kLogCap) log_.pop_front();
+  PaintStamps(PageIndex(s), PageIndex(e), BackSeq());
+  if (log_.size() > kLogCap) {
+    log_.pop_front();
+    ++head_seq_;
+  }
+}
+
+void Vma::PaintStamps(std::size_t lo, std::size_t hi, std::uint64_t seq) {
+  // `seq` is the newest sequence number given out, so it outranks every
+  // stamp it overwrites. Only the two edge words can be partly covered:
+  // every word between them is whole and not the VMA's tail word.
+  const std::size_t first = lo >> 6;
+  const std::size_t last = (hi - 1) >> 6;
+  const std::size_t first_hi = first == last ? ((hi - 1) & 63) + 1 : 64;
+  PaintWord(first, BitRangeMask(lo & 63, first_hi), seq);
+  if (last == first) return;
+  std::fill(full_.begin() + static_cast<std::ptrdiff_t>(first + 1),
+            full_.begin() + static_cast<std::ptrdiff_t>(last), seq);
+  PaintWord(last, BitRangeMask(0, ((hi - 1) & 63) + 1), seq);
+}
+
+void Vma::PaintWord(std::size_t w, std::uint64_t m, std::uint64_t seq) {
+  const std::uint64_t in_vma = w + 1 < words_
+                                   ? ~std::uint64_t{0}
+                                   : BitRangeMask(0, page_count_ - (w << 6));
+  PartStamp& p = part_[w];
+  if (m == in_vma) {
+    full_[w] = seq;
+  } else if (p.seq == seq) {
+    p.mask |= m;
+  } else {
+    // The displaced partial entry stays the newest for its pages outside
+    // `m` if it outranks the full stamp; no stamp can name it any more.
+    if (p.seq > full_[w] && (p.mask & ~m) != 0) p.ambiguous_full = full_[w];
+    p.seq = seq;
+    p.mask = m;
+  }
 }
 
 bool Vma::LogCoversSince(Addr a, SimTimeUs since) const {
-  // `at` is non-decreasing, so binary-search the cutoff instead of walking
-  // the (up to kLogCap-entry) tail; only entries at or after `since` need a
-  // range check.
-  const auto first = std::lower_bound(
-      log_.begin(), log_.end(), since,
-      [](const RangeTouch& t, SimTimeUs s) { return t.at < s; });
-  for (auto it = first; it != log_.end(); ++it) {
+  const std::size_t i = PageIndex(a);
+  const PartStamp& p = part_[i >> 6];
+  std::uint64_t seq = full_[i >> 6];
+  if (((p.mask >> (i & 63)) & 1u) != 0 && p.seq > seq) {
+    seq = p.seq;
+  } else if (p.ambiguous_full == seq) {
+    return ScanLog(a, since);
+  }
+  return seq >= head_seq_ && log_[seq - head_seq_].at >= since;
+}
+
+bool Vma::ScanLog(Addr a, SimTimeUs since) const {
+  // Newest first: the first covering entry is the page's newest, and once
+  // `at` drops below `since` no older entry can qualify.
+  for (auto it = log_.rbegin(); it != log_.rend() && it->at >= since; ++it) {
     if (a >= it->start && a < it->end) return true;
   }
   return false;
@@ -123,12 +176,14 @@ bool Vma::LogCoversSince(Addr a, SimTimeUs since) const {
 std::size_t Vma::GcLog(SimTimeUs now, SimTimeUs horizon) {
   const SimTimeUs cutoff = now > horizon ? now - horizon : 0;
   // The stale prefix ends at the first entry >= cutoff; one binary search
-  // bounds it and the erase drops it wholesale.
+  // bounds it and the erase drops it wholesale. Stamps naming the dropped
+  // entries fall below head_seq_ and read as uncovered.
   const auto keep = std::lower_bound(
       log_.begin(), log_.end(), cutoff,
       [](const RangeTouch& t, SimTimeUs c) { return t.at < c; });
   const std::size_t dropped = static_cast<std::size_t>(keep - log_.begin());
   log_.erase(log_.begin(), keep);
+  head_seq_ += dropped;
   return dropped;
 }
 

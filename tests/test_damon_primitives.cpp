@@ -147,6 +147,28 @@ TEST_F(PaddrPrimitivesTest, LayoutGenerationChangesOnAnySpace) {
   EXPECT_NE(prim.LayoutGeneration(), g0);
 }
 
+TEST_F(PaddrPrimitivesTest, TranslationFollowsEveryLayoutChange) {
+  sim::AddressSpace a(1, &machine_, 3.0);
+  a.Map(0x10000000, MiB, "heap");
+  PaddrPrimitives prim(&machine_);
+  EXPECT_EQ(prim.TargetRanges()[0].end, MiB);
+  a.Map(0x30000000, MiB, "more");  // Map in a space the table already has
+  EXPECT_EQ(prim.TargetRanges()[0].end, 2 * MiB);
+  {
+    // A new space's mapping sits after a's, and its touch is seen there.
+    sim::AddressSpace b(2, &machine_, 3.0);
+    b.Map(0x20000000, MiB, "heap");
+    b.TouchPage(0x20000000, false, 0);
+    EXPECT_EQ(prim.TargetRanges()[0].end, 3 * MiB);
+    EXPECT_TRUE(prim.IsYoung(2 * MiB));
+  }
+  // Unregistering b drops its extent; unmapping shrinks a's.
+  EXPECT_FALSE(prim.IsYoung(2 * MiB));
+  EXPECT_EQ(prim.TargetRanges()[0].end, 2 * MiB);
+  a.UnmapVma(0x30000000);
+  EXPECT_EQ(prim.TargetRanges()[0].end, MiB);
+}
+
 TEST_F(PaddrPrimitivesTest, ActionSpansSpaces) {
   sim::AddressSpace a(1, &machine_, 3.0);
   sim::AddressSpace b(2, &machine_, 3.0);

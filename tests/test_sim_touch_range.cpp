@@ -8,8 +8,9 @@
 // address order. On an untiered machine TouchPage runs the per-page touch
 // step unchanged, so the two must agree bit for bit: every bit plane, every
 // PageMeta, the block counters, the space and machine counters, the touch
-// log (through IsYoung, every 16th step: it stabs the whole log per page)
-// and the returned TouchStats, stall_us included.
+// log (through IsYoung on every page after every step; each query is O(1)
+// on the log's coverage stamps) and the returned TouchStats, stall_us
+// included.
 // Tiered machines take every partly-resident word page by page; their seeds
 // hold the same state to bit identity, but the reference sums a faulting
 // slow-tier page's fault and tier latency before adding them to the range
@@ -119,7 +120,7 @@ std::string DiffStats(const TouchStats& a, const TouchStats& b, bool tiered) {
 }
 
 std::string DiffVma(const Vma& a, const Vma& b, const AddressSpace& sa,
-                    const AddressSpace& sb, bool young) {
+                    const AddressSpace& sb) {
   if (a.start() != b.start() || a.end() != b.end()) return "vma bounds";
   for (std::size_t p = 0; p < kPageBitPlanes; ++p) {
     const auto bit = static_cast<PageBit>(p);
@@ -133,7 +134,7 @@ std::string DiffVma(const Vma& a, const Vma& b, const AddressSpace& sa,
         ma.last_touch_ms != mb.last_touch_ms ||
         ma.acc_cleared_ms != mb.acc_cleared_ms)
       return "PageMeta of page " + std::to_string(i);
-    if (young && sa.IsYoung(a.AddrOfIndex(i)) != sb.IsYoung(b.AddrOfIndex(i)))
+    if (sa.IsYoung(a.AddrOfIndex(i)) != sb.IsYoung(b.AddrOfIndex(i)))
       return "IsYoung of page " + std::to_string(i);
   }
   for (std::size_t k = 0; k < a.block_count(); ++k) {
@@ -147,12 +148,12 @@ std::string DiffVma(const Vma& a, const Vma& b, const AddressSpace& sa,
 }
 
 // First difference between the twins' observable state, or "".
-std::string Diff(Twin& a, Twin& b, bool young) {
+std::string Diff(Twin& a, Twin& b) {
   const AddressSpace& sa = a.space;
   const AddressSpace& sb = b.space;
   if (sa.vmas().size() != sb.vmas().size()) return "vma count";
   for (std::size_t v = 0; v < sa.vmas().size(); ++v) {
-    const std::string d = DiffVma(sa.vmas()[v], sb.vmas()[v], sa, sb, young);
+    const std::string d = DiffVma(sa.vmas()[v], sb.vmas()[v], sa, sb);
     if (!d.empty()) return "vma " + std::to_string(v) + ": " + d;
   }
   if (sa.resident_pages() != sb.resident_pages()) return "resident_pages";
@@ -283,8 +284,7 @@ TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
         }
       }
     }
-    const bool young = step % 16 == 15 || step == kSteps - 1;
-    ASSERT_EQ(Diff(real, ref, young), "") << "step " << step << " op " << op;
+    ASSERT_EQ(Diff(real, ref), "") << "step " << step << " op " << op;
   }
 
   // The walk must have reached the paths it exists to compare.
