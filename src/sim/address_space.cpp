@@ -13,6 +13,8 @@ namespace {
 
 constexpr SimTimeUs kLogHorizonUs = 10 * kUsPerSec;
 constexpr std::size_t kLogCap = 4096;
+static_assert((kLogCap & (kLogCap - 1)) == 0, "the log ring sizes by doubling");
+constexpr std::size_t kLogMinSlots = 8;
 // Direct-reclaim stall charged to a task whose frame allocation had to
 // reclaim synchronously (order-of-magnitude of a kernel direct reclaim).
 constexpr double kAllocStallUs = 250.0;
@@ -93,8 +95,8 @@ bool Vma::BlockIsFull(std::size_t block) const {
 void Vma::LogRangeTouch(Addr s, Addr e, SimTimeUs now) {
   assert(s % kPageSize == 0 && e % kPageSize == 0 && start_ <= s && s < e &&
          e <= end_);
-  if (!log_.empty()) {
-    RangeTouch& back = log_.back();
+  if (log_len_ != 0) {
+    RangeTouch& back = LogAt(log_len_ - 1);
     // Coalesce repeats of the same sweep window (a stable hot set touched
     // every quantum) and contiguous/overlapping same-instant touches (a
     // sweep emitted block by block). A refresh covers no new page, so the
@@ -112,12 +114,25 @@ void Vma::LogRangeTouch(Addr s, Addr e, SimTimeUs now) {
       return;
     }
   }
-  log_.push_back(RangeTouch{s, e, now});
-  PaintStamps(PageIndex(s), PageIndex(e), BackSeq());
-  if (log_.size() > kLogCap) {
-    log_.pop_front();
-    ++head_seq_;
+  // Evicting the oldest entry before the push rather than after it gives
+  // the new entry the same sequence number, and painting reads no entry.
+  if (log_len_ == kLogCap) DropOldest(1);
+  if (log_len_ == ring_.size()) {
+    // Full: unroll the ring so the oldest entry sits in slot 0, then double.
+    std::rotate(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(log_first_),
+                ring_.end());
+    ring_.resize(std::max(kLogMinSlots, 2 * ring_.size()));
+    log_first_ = 0;
   }
+  LogAt(log_len_++) = RangeTouch{s, e, now};
+  PaintStamps(PageIndex(s), PageIndex(e), BackSeq());
+}
+
+void Vma::DropOldest(std::size_t n) noexcept {
+  log_first_ = (log_first_ + n) & (ring_.size() - 1);
+  log_len_ -= n;
+  head_seq_ += n;
 }
 
 void Vma::PaintStamps(std::size_t lo, std::size_t hi, std::uint64_t seq) {
@@ -161,14 +176,16 @@ bool Vma::LogCoversSince(Addr a, SimTimeUs since) const {
   } else if (p.ambiguous_full == seq) {
     return ScanLog(a, since);
   }
-  return seq >= head_seq_ && log_[seq - head_seq_].at >= since;
+  return seq >= head_seq_ && LogAt(seq - head_seq_).at >= since;
 }
 
 bool Vma::ScanLog(Addr a, SimTimeUs since) const {
   // Newest first: the first covering entry is the page's newest, and once
   // `at` drops below `since` no older entry can qualify.
-  for (auto it = log_.rbegin(); it != log_.rend() && it->at >= since; ++it) {
-    if (a >= it->start && a < it->end) return true;
+  for (std::size_t k = log_len_; k-- > 0;) {
+    const RangeTouch& t = LogAt(k);
+    if (t.at < since) return false;
+    if (a >= t.start && a < t.end) return true;
   }
   return false;
 }
@@ -176,15 +193,20 @@ bool Vma::ScanLog(Addr a, SimTimeUs since) const {
 std::size_t Vma::GcLog(SimTimeUs now, SimTimeUs horizon) {
   const SimTimeUs cutoff = now > horizon ? now - horizon : 0;
   // The stale prefix ends at the first entry >= cutoff; one binary search
-  // bounds it and the erase drops it wholesale. Stamps naming the dropped
+  // bounds it and the ring drops it wholesale. Stamps naming the dropped
   // entries fall below head_seq_ and read as uncovered.
-  const auto keep = std::lower_bound(
-      log_.begin(), log_.end(), cutoff,
-      [](const RangeTouch& t, SimTimeUs c) { return t.at < c; });
-  const std::size_t dropped = static_cast<std::size_t>(keep - log_.begin());
-  log_.erase(log_.begin(), keep);
-  head_seq_ += dropped;
-  return dropped;
+  std::size_t lo = 0;
+  std::size_t hi = log_len_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (LogAt(mid).at < cutoff) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  DropOldest(lo);
+  return lo;
 }
 
 // ---------------------------------------------------------------------------
@@ -428,10 +450,29 @@ void AddressSpace::TouchPageAt(Vma& vma, std::size_t idx, bool write,
 
 TouchStats AddressSpace::TouchPage(Addr addr, bool write, SimTimeUs now) {
   TouchStats st;
-  if (tap_ != nullptr) tap_->OnTouchPage(addr, write, now);
-  Vma* vma = FindVma(addr);
-  if (vma != nullptr) TouchPageAt(*vma, vma->PageIndex(addr), write, now, st);
+  const PageTouch page{addr, write};
+  TouchPages({&page, 1}, now, st);
   return st;
+}
+
+void AddressSpace::TouchPages(std::span<const PageTouch> pages, SimTimeUs now,
+                              TouchStats& st) {
+  // No touch changes the layout (faults and direct reclaim only move
+  // frames), so the last VMA found stays valid for the whole batch.
+  Vma* vma = nullptr;
+  for (const PageTouch& p : pages) {
+    if (tap_ != nullptr) tap_->OnTouchPage(p.addr, p.write, now);
+    if (vma == nullptr || !vma->Contains(p.addr)) {
+      vma = FindVma(p.addr);
+      if (vma == nullptr) continue;
+    }
+    // Each page's stats go into `st` on their own, as a caller adding up
+    // TouchPage results would; summing the batch first rounds stall_us
+    // differently.
+    TouchStats one;
+    TouchPageAt(*vma, vma->PageIndex(p.addr), p.write, now, one);
+    st += one;
+  }
 }
 
 TouchStats AddressSpace::TouchRange(Addr start, Addr end, bool write,

@@ -23,9 +23,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/page.hpp"
@@ -41,6 +42,12 @@ struct RangeTouch {
   Addr start = 0;
   Addr end = 0;
   SimTimeUs at = 0;
+};
+
+/// One page of an ordered multi-page touch (AddressSpace::TouchPages).
+struct PageTouch {
+  Addr addr = 0;
+  bool write = false;
 };
 
 /// Outcome of a touch operation, aggregated over all pages it covered.
@@ -150,7 +157,7 @@ class Vma {
   // non-decreasing clock, and coalescing only ever refreshes or widens the
   // newest entry), so GcLog binary-searches the time axis.
   //
-  // Entries carry a u64 sequence number (log_.front() is head_seq_). Since
+  // Entries carry a u64 sequence number (the oldest is head_seq_). Since
   // `at` never decreases as the sequence grows, a page is covered since
   // `since` exactly when the newest entry ever painted over it is still in
   // the log and has `at >= since`. Each 64-page word keeps stamps naming
@@ -176,7 +183,7 @@ class Vma {
   bool LogCoversSince(Addr a, SimTimeUs since) const;
   /// Drops entries older than `now - horizon`; returns how many.
   std::size_t GcLog(SimTimeUs now, SimTimeUs horizon);
-  std::size_t log_size() const noexcept { return log_.size(); }
+  std::size_t log_size() const noexcept { return log_len_; }
 
  private:
   friend class AddressSpace;
@@ -212,13 +219,31 @@ class Vma {
   /// in word `w`.
   void PaintWord(std::size_t w, std::uint64_t m, std::uint64_t seq);
   bool ScanLog(Addr a, SimTimeUs since) const;
-  std::uint64_t BackSeq() const noexcept { return head_seq_ + log_.size() - 1; }
+  std::uint64_t BackSeq() const noexcept { return head_seq_ + log_len_ - 1; }
+  /// The k-th oldest entry of the log, k < log_len_.
+  RangeTouch& LogAt(std::size_t k) noexcept {
+    return ring_[(log_first_ + k) & (ring_.size() - 1)];
+  }
+  const RangeTouch& LogAt(std::size_t k) const noexcept {
+    return ring_[(log_first_ + k) & (ring_.size() - 1)];
+  }
+  /// Drops the `n` oldest entries.
+  void DropOldest(std::size_t n) noexcept;
 
-  std::deque<RangeTouch> log_;
+  // The log is a ring over a power-of-two vector: entry k (sequence number
+  // head_seq_ + k) sits in slot (log_first_ + k) mod ring_.size(). The ring
+  // doubles when full and, since cap eviction frees a slot before the push,
+  // never outgrows the cap. Unlike a std::deque it moves without throwing,
+  // so std::vector<Vma> growth moves VMAs instead of copying their planes.
+  std::vector<RangeTouch> ring_;
+  std::size_t log_first_ = 0;
+  std::size_t log_len_ = 0;
   std::vector<std::uint64_t> full_;  // one per bitmap word
   std::vector<PartStamp> part_;      // one per bitmap word
-  std::uint64_t head_seq_ = 1;       // sequence number of log_.front()
+  std::uint64_t head_seq_ = 1;       // sequence number of the oldest entry
 };
+
+static_assert(std::is_nothrow_move_constructible_v<Vma>);
 
 /// A process's virtual address space.
 class AddressSpace {
@@ -258,7 +283,16 @@ class AddressSpace {
   AccessTap* access_tap() const noexcept { return tap_; }
 
   // --- workload side ----------------------------------------------------------
+  /// Touches one page: TouchPages over a batch of one.
   TouchStats TouchPage(Addr addr, bool write, SimTimeUs now);
+  /// Touches `pages` in the given order, exactly as that many TouchPage
+  /// calls would: the tap sees one OnTouchPage per page in order, pages
+  /// outside every VMA are skipped after the tap saw them, and each page's
+  /// stats are added into `st` on their own (`st += page`), so stall_us sums
+  /// in the same order. The VMA is looked up again only when a page falls
+  /// outside the last one.
+  void TouchPages(std::span<const PageTouch> pages, SimTimeUs now,
+                  TouchStats& st);
   /// Touches every page of [start, end) widened to page bounds; the tap and
   /// the touch log see those bounds, and an empty range is a no-op that
   /// reaches neither. Fully-resident blocks (no bloat, no slow-tier pages)

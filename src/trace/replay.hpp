@@ -31,7 +31,7 @@ class TraceReplaySource final : public sim::AccessSource {
 
   /// Layout comes from the trace's own kMap events, not from here (they
   /// were recorded in-stream, in their original order).
-  void BuildLayout(sim::AddressSpace& space) override {}
+  void BuildLayout(sim::AddressSpace& /*space*/) override {}
   sim::TouchStats EmitQuantum(sim::AddressSpace& space, SimTimeUs now,
                               SimTimeUs quantum) override;
 

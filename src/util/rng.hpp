@@ -76,11 +76,6 @@ class Rng {
   /// Bernoulli draw with probability p of returning true.
   bool NextBool(double p) noexcept { return NextDouble() < p; }
 
-  /// Approximately Zipf-distributed rank in [0, n) with exponent s.
-  /// Implemented by inverse-CDF on the continuous approximation, which is
-  /// accurate enough for workload shaping and O(1) per draw.
-  std::uint64_t NextZipf(std::uint64_t n, double s) noexcept;
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) noexcept {
@@ -109,6 +104,27 @@ class Rng {
   }
 
   std::array<std::uint64_t, 4> state_{};
+};
+
+/// Approximately Zipf-distributed ranks in [0, n) with exponent s, by
+/// inverse CDF on the continuous approximation: accurate enough for
+/// workload shaping and O(1) per draw. Everything that depends only on
+/// (n, s) is computed once at construction, so a draw costs one NextDouble
+/// and one pow (exp when s == 1); the doubles are the ones a per-draw
+/// evaluation of the same formula produces.
+class ZipfSampler {
+ public:
+  ZipfSampler(std::uint64_t n, double s) noexcept;
+
+  /// One rank. n <= 1 returns 0 without consuming a draw.
+  std::uint64_t Draw(Rng& rng) const noexcept;
+
+ private:
+  std::uint64_t n_;
+  bool log_cdf_;          // s == 1: CDF(x) ~ ln(1+x) / ln(1+n)
+  double log1p_n_ = 0.0;  // ln(1+n), s == 1 only
+  double top_ = 0.0;      // (n+1)^(1-s) - 1, s != 1 only
+  double inv_oms_ = 0.0;  // 1 / (1-s), s != 1 only
 };
 
 }  // namespace daos

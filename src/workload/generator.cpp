@@ -122,21 +122,27 @@ sim::TouchStats SyntheticSource::TouchHot(sim::AddressSpace& space,
       win_at = hot_window_at_;
       break;
     }
+    default:
+      break;  // scenario patterns are served by ScenarioSource
   }
   st += TouchUsedSpan(space, hot, win_at, win_pages,
                       rng_.NextBool(hot.spec.write_frac), now);
 
   // Zipf-distributed single-page touches over the hot window: fine-grained
-  // jitter inside the hot set.
+  // jitter inside the hot set. Each draw takes its rank, then its write
+  // flag; the pages go to the address space as one ordered batch.
   const double n = profile_.zipf_touches_per_s *
                    (static_cast<double>(quantum) / kUsPerSec);
   const auto draws = static_cast<std::uint64_t>(n);
+  const ZipfSampler zipf(win_pages, profile_.zipf_exponent);
+  touches_.clear();
   for (std::uint64_t i = 0; i < draws; ++i) {
-    const std::uint64_t rank = rng_.NextZipf(win_pages, profile_.zipf_exponent);
+    const std::uint64_t rank = zipf.Draw(rng_);
     const Addr a = UsedIndexToAddr(
         hot, win_at + std::min(rank, win_pages - 1));
-    st += space.TouchPage(a, rng_.NextBool(hot.spec.write_frac), now);
+    touches_.push_back({a, rng_.NextBool(hot.spec.write_frac)});
   }
+  space.TouchPages(touches_, now, st);
   // Stack top is always hot.
   st += space.TouchRange(kStackBase + kStackBytes - 128 * KiB,
                          kStackBase + kStackBytes, true, now);

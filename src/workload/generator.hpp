@@ -59,6 +59,7 @@ class SyntheticSource final : public sim::AccessSource {
   Rng rng_;
   std::vector<GroupState> groups_;
   bool populated_ = false;
+  std::vector<sim::PageTouch> touches_;  // one quantum's Zipf draws
   // kPhased hot-window state.
   double hot_window_frac_ = 1.0;
   std::uint64_t hot_window_at_ = 0;  // used-page offset of the window

@@ -116,11 +116,14 @@ sim::TouchStats ScenarioSource::EmitKvStore(sim::AddressSpace& space,
   const double per_s = profile_.zipf_touches_per_s;
   const auto draws = static_cast<std::uint64_t>(
       per_s * (static_cast<double>(quantum) / kUsPerSec));
+  const ZipfSampler zipf(b_.pages, profile_.zipf_exponent);
+  touches_.clear();
   for (std::uint64_t i = 0; i < draws; ++i) {
-    const std::uint64_t rank = rng_.NextZipf(b_.pages, profile_.zipf_exponent);
+    const std::uint64_t rank = zipf.Draw(rng_);
     const Addr addr = b_.start + std::min(rank, b_.pages - 1) * kPageSize;
-    st += space.TouchPage(addr, rng_.NextBool(0.3), now);
+    touches_.push_back({addr, rng_.NextBool(0.3)});
   }
+  space.TouchPages(touches_, now, st);
   // Periodic range scan: one contiguous 1/32 slice of the log per period,
   // at a random position — the long sequential reads that pollute an
   // LRU but which DAMON sees as a brief warm band.

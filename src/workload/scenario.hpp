@@ -70,6 +70,7 @@ class ScenarioSource final : public sim::AccessSource {
   std::uint64_t traversal_ = 0;          // graph: epoch counter
   std::uint64_t sweep_cursor_ = 0;       // mltrain: dataset page cursor
   double sweep_carry_ = 0.0;
+  std::vector<sim::PageTouch> touches_;  // kvstore: one quantum's Zipf draws
 };
 
 /// True if `pattern` is one of the scenario kinds served by this source.

@@ -329,9 +329,11 @@ TEST(FleetCrashStorm, QuarantinesWithoutDeadlockAndStateRoundTrips) {
   EXPECT_TRUE(fleet.WriteQuarantine(fleet.QuarantineText(), &error)) << error;
 
   // Quarantined shards are monitoring-only: schemes disarmed.
-  for (std::size_t i = 0; i < fleet.nr_shards(); ++i)
-    if (fleet.quarantined(i))
+  for (std::size_t i = 0; i < fleet.nr_shards(); ++i) {
+    if (fleet.quarantined(i)) {
       EXPECT_TRUE(fleet.supervisor(i).engine().disarmed()) << "shard " << i;
+    }
+  }
 }
 
 TEST(FleetCrashStorm, DisarmedRerunIsBitIdenticalToNeverFaulted) {

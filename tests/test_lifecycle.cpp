@@ -73,8 +73,8 @@ struct Rig {
   }
 };
 
-int MaxRegionAge(const lifecycle::Checkpoint& cp) {
-  int max_age = 0;
+std::uint32_t MaxRegionAge(const lifecycle::Checkpoint& cp) {
+  std::uint32_t max_age = 0;
   for (const lifecycle::CheckpointTarget& t : cp.targets)
     for (const damon::Region& r : t.regions)
       if (r.age > max_age) max_age = r.age;
@@ -115,7 +115,7 @@ TEST(LifecycleCommitTest, AppliesAtWindowBoundaryAndCarriesState) {
   // learned ages (a cold re-install would have reset both to zero).
   EXPECT_GE(rig.supervisor.engine().schemes()[0].stats().nr_tried,
             tried_before);
-  EXPECT_GE(MaxRegionAge(rig.Snapshot()), 5);
+  EXPECT_GE(MaxRegionAge(rig.Snapshot()), 5u);
   // The monitor itself was never rebuilt: its window count kept going.
   EXPECT_GE(rig.supervisor.context().counters().aggregations, 20u);
 }

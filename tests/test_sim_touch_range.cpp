@@ -1,4 +1,4 @@
-// Differential test for AddressSpace::TouchRange.
+// Differential tests for AddressSpace::TouchRange and TouchPages.
 //
 // TouchRange takes partly-resident blocks one 64-page bitmap word at a
 // time, with mask operations for words whose pages are all present. The
@@ -22,12 +22,21 @@
 // mid-range), half arm alloc.frame_fail (a fault runs DirectReclaim
 // mid-range), and a third are tiered with a fast tier smaller than the
 // layout.
+//
+// TouchPages' twin takes the same pages one TouchPage call at a time, on
+// the same seeds. The batch must match it bit for bit, stall_us with `==`
+// on tiered seeds too (the batch adds each page into the caller's total on
+// its own), and the access tap must see the same event stream. Batches
+// cluster in a 1 MiB window that often straddles VMA ends and gaps, and
+// one page in eight lands anywhere, past the last VMA included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "sim/address_space.hpp"
@@ -107,14 +116,15 @@ struct Twin {
   AddressSpace space;
 };
 
-std::string DiffStats(const TouchStats& a, const TouchStats& b, bool tiered) {
+std::string DiffStats(const TouchStats& a, const TouchStats& b,
+                      bool exact_stall) {
   if (a.pages != b.pages) return "TouchStats.pages";
   if (a.minor_faults != b.minor_faults) return "TouchStats.minor_faults";
   if (a.major_faults != b.major_faults) return "TouchStats.major_faults";
   if (a.huge_pages != b.huge_pages) return "TouchStats.huge_pages";
-  if (tiered ? std::abs(a.stall_us - b.stall_us) >
-                   1e-12 * std::max(1.0, std::abs(a.stall_us))
-             : a.stall_us != b.stall_us)
+  if (exact_stall ? a.stall_us != b.stall_us
+                  : std::abs(a.stall_us - b.stall_us) >
+                        1e-12 * std::max(1.0, std::abs(a.stall_us)))
     return "TouchStats.stall_us";
   return "";
 }
@@ -203,20 +213,20 @@ std::string Diff(Twin& a, Twin& b) {
   return "";
 }
 
-class TouchRangeDifferentialTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
+Config ConfigFor(int seed) {
   Config cfg;
-  cfg.seed = static_cast<std::uint64_t>(GetParam());
-  cfg.thp_always = GetParam() % 2 == 0;
-  cfg.alloc_fail = GetParam() % 4 >= 2;
-  cfg.tiered = GetParam() > 16;
-  Twin real(cfg);
-  Twin ref(cfg);
-  Rng rng(cfg.seed);
+  cfg.seed = static_cast<std::uint64_t>(seed);
+  cfg.thp_always = seed % 2 == 0;
+  cfg.alloc_fail = seed % 4 >= 2;
+  cfg.tiered = seed > 16;
+  return cfg;
+}
 
-  // 2-4 VMAs, each starting a random number of pages past a 2 MiB boundary
-  // and 2-8 MiB long, so first and last blocks are usually partial.
+// Maps the same 2-4 VMAs into both twins, each starting a random number of
+// pages past a 2 MiB boundary and 2-8 MiB long, so first and last blocks
+// are usually partial. Returns the layout's length from kBase, gaps and
+// all.
+std::uint64_t MapLayout(Rng& rng, Twin& a, Twin& b) {
   Addr at = kBase;
   const std::size_t nvmas = 2 + rng.NextBounded(3);
   for (std::size_t v = 0; v < nvmas; ++v) {
@@ -224,12 +234,22 @@ TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
     const std::uint64_t len =
         (1 + rng.NextBounded(3)) * kHugePageSize +
         rng.NextBounded(kPagesPerHuge) * kPageSize + kPageSize;
-    ASSERT_NE(real.space.Map(start, len, "v"), nullptr);
-    ASSERT_NE(ref.space.Map(start, len, "v"), nullptr);
+    EXPECT_NE(a.space.Map(start, len, "v"), nullptr);
+    EXPECT_NE(b.space.Map(start, len, "v"), nullptr);
     at = AlignUp(start + len, kHugePageSize) +
          rng.NextBounded(2) * kHugePageSize;
   }
-  const std::uint64_t span = at - kBase;
+  return at - kBase;
+}
+
+class TouchRangeDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
+  const Config cfg = ConfigFor(GetParam());
+  Twin real(cfg);
+  Twin ref(cfg);
+  Rng rng(cfg.seed);
+  const std::uint64_t span = MapLayout(rng, real, ref);
 
   // A random byte range over the layout, gaps and all; 1 in 4 is at most
   // 64 pages long, so both edges often land inside one block.
@@ -255,7 +275,7 @@ TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
       const TouchStats got = real.space.TouchRange(lo, hi, write, now);
       const TouchStats want =
           ReferenceTouchRange(ref.machine, ref.space, lo, hi, write, now);
-      ASSERT_EQ(DiffStats(got, want, cfg.tiered), "") << "step " << step;
+      ASSERT_EQ(DiffStats(got, want, !cfg.tiered), "") << "step " << step;
       ++range_touches;
     } else {
       // Shape the state both twins will be touched over next.
@@ -303,6 +323,137 @@ TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TouchRangeDifferentialTest,
                          ::testing::Range(1, 25));
+
+// The access tap's event stream, one entry per notification.
+class EventLog final : public AccessTap {
+ public:
+  struct Event {
+    char kind = 0;  // 'm'ap, 'u'nmap, 'p'age, 'r'ange
+    Addr a = 0;
+    Addr b = 0;
+    bool write = false;
+    SimTimeUs now = 0;
+    std::string name;
+    bool operator==(const Event&) const = default;
+  };
+  void OnMap(Addr start, std::uint64_t len, std::string_view name) override {
+    Add('m', start, len, false, 0, name);
+  }
+  void OnUnmap(Addr start) override { Add('u', start, 0, false, 0); }
+  void OnTouchPage(Addr addr, bool write, SimTimeUs now) override {
+    Add('p', addr, 0, write, now);
+  }
+  void OnTouchRange(Addr start, Addr end, bool write, SimTimeUs now) override {
+    Add('r', start, end, write, now);
+  }
+  std::vector<Event> events;
+
+ private:
+  void Add(char kind, Addr a, Addr b, bool write, SimTimeUs now,
+           std::string_view name = {}) {
+    events.push_back(Event{kind, a, b, write, now, std::string(name)});
+  }
+};
+
+class TouchPagesTwinTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TouchPagesTwinTest, MatchesOneTouchPageAtATime) {
+  const Config cfg = ConfigFor(GetParam());
+  Twin batch(cfg);
+  Twin single(cfg);
+  EventLog batch_log;
+  EventLog single_log;
+  batch.space.SetAccessTap(&batch_log);
+  single.space.SetAccessTap(&single_log);
+  Rng rng(cfg.seed);
+  const std::uint64_t span = MapLayout(rng, batch, single);
+  const std::uint64_t span_pages = span / kPageSize;
+
+  // Running totals: each batch adds into what the earlier steps left.
+  TouchStats batch_total;
+  TouchStats single_total;
+  std::vector<PageTouch> pages;
+  std::uint64_t batches = 0;
+  std::uint64_t crossing_batches = 0;
+  std::uint64_t outside_pages = 0;
+  constexpr int kSteps = 400;
+  for (int step = 0; step < kSteps; ++step) {
+    const SimTimeUs now = static_cast<SimTimeUs>(step) * 5 * kUsPerMs;
+    const std::uint64_t op = rng.NextBounded(12);
+    const Addr lo = kBase + rng.NextBounded(span_pages) * kPageSize;
+    const Addr hi =
+        std::min<Addr>(lo + rng.NextBounded(span / 2) + 1, kBase + span);
+    const bool write = rng.NextBool(0.3);
+    if (op < 5) {
+      pages.clear();
+      const std::size_t n = 1 + rng.NextBounded(96);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Addr a = rng.NextBounded(8) == 0
+                           ? kBase + rng.NextBounded(span_pages + 1024) *
+                                         kPageSize
+                           : lo + rng.NextBounded(256) * kPageSize;
+        pages.push_back({a, rng.NextBool(0.3)});
+      }
+      const Vma* first = batch.space.FindVma(pages.front().addr);
+      bool crossing = false;
+      for (const PageTouch& p : pages) {
+        const Vma* v = batch.space.FindVma(p.addr);
+        if (v == nullptr) ++outside_pages;
+        crossing = crossing || (v != nullptr && first != nullptr && v != first);
+      }
+      if (crossing) ++crossing_batches;
+      ++batches;
+      batch.space.TouchPages(pages, now, batch_total);
+      for (const PageTouch& p : pages)
+        single_total += single.space.TouchPage(p.addr, p.write, now);
+      ASSERT_EQ(DiffStats(batch_total, single_total, /*exact_stall=*/true), "")
+          << "step " << step;
+    } else {
+      // Shape the state the next batches land on: logged range touches,
+      // evictions, THP promotion and splits, deactivation, cleared bits.
+      for (AddressSpace* s : {&batch.space, &single.space}) {
+        switch (op) {
+          case 5:
+          case 6:
+            s->TouchRange(lo, hi, write, now);
+            break;
+          case 7:
+            s->PageOutRange(lo, hi, now);
+            break;
+          case 8:
+            s->PromoteRange(lo, hi, now);
+            break;
+          case 9:
+            s->DemoteRange(lo, hi);
+            break;
+          case 10:
+            s->DeactivateRange(lo, hi);
+            break;
+          default:
+            for (Addr a = lo; a < hi; a += 7 * kPageSize) s->MkOld(a, now);
+            break;
+        }
+      }
+    }
+    ASSERT_EQ(Diff(batch, single), "") << "step " << step << " op " << op;
+    ASSERT_TRUE(batch_log.events == single_log.events) << "step " << step;
+  }
+
+  // The walk must have reached the cases the batch has to get right.
+  EXPECT_GT(batches, 100u);
+  EXPECT_GT(crossing_batches, 10u);
+  EXPECT_GT(outside_pages, 0u);
+  EXPECT_GT(batch.space.minor_faults(), 0u);
+  EXPECT_GT(batch.space.major_faults(), 0u);
+  if (cfg.alloc_fail) {
+    EXPECT_GT(batch.machine.counters().alloc_stalls, 0u);
+  }
+  if (cfg.tiered) {
+    EXPECT_GT(batch.machine.counters().tier_slow_touches, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TouchPagesTwinTest, ::testing::Range(1, 25));
 
 }  // namespace
 }  // namespace daos::sim

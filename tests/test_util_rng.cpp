@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -98,35 +99,77 @@ TEST(Rng, BoolFrequencyTracksProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(Rng, ZipfInRange) {
+TEST(ZipfSampler, InRange) {
   Rng rng(13);
+  const ZipfSampler zipf(100, 0.9);
   for (int i = 0; i < 10000; ++i) {
-    EXPECT_LT(rng.NextZipf(100, 0.9), 100u);
+    EXPECT_LT(zipf.Draw(rng), 100u);
   }
 }
 
-TEST(Rng, ZipfSmallNDegenerate) {
+TEST(ZipfSampler, SmallNDegenerate) {
   Rng rng(13);
-  EXPECT_EQ(rng.NextZipf(0, 0.9), 0u);
-  EXPECT_EQ(rng.NextZipf(1, 0.9), 0u);
+  EXPECT_EQ(ZipfSampler(0, 0.9).Draw(rng), 0u);
+  EXPECT_EQ(ZipfSampler(1, 0.9).Draw(rng), 0u);
 }
 
-TEST(Rng, ZipfSkewsTowardLowRanks) {
+TEST(ZipfSampler, SkewsTowardLowRanks) {
   Rng rng(13);
+  const ZipfSampler zipf(1000, 1.0);
   const int n = 50000;
   int low = 0;
   for (int i = 0; i < n; ++i) {
-    if (rng.NextZipf(1000, 1.0) < 100) ++low;
+    if (zipf.Draw(rng) < 100) ++low;
   }
   // With s=1 roughly ln(101)/ln(1001) ~ 67 % of mass in the first 10 %.
   EXPECT_GT(low, n / 2);
 }
 
-TEST(Rng, ZipfExponentOneCovered) {
+TEST(ZipfSampler, ExponentOneCovered) {
   Rng rng(17);
+  const ZipfSampler zipf(10, 1.0);
   std::set<std::uint64_t> seen;
-  for (int i = 0; i < 2000; ++i) seen.insert(rng.NextZipf(10, 1.0));
+  for (int i = 0; i < 2000; ++i) seen.insert(zipf.Draw(rng));
   EXPECT_GE(seen.size(), 8u);  // nearly all ranks appear
+}
+
+// The sampler's reference: the inverse-CDF draw evaluated in full on
+// every call, (n, s)-only terms included.
+std::uint64_t ReferenceZipf(Rng& rng, std::uint64_t n, double s) {
+  if (n <= 1) return 0;
+  const double u = rng.NextDouble();
+  if (s == 1.0) {
+    const double x = std::exp(u * std::log1p(static_cast<double>(n))) - 1.0;
+    const auto r = static_cast<std::uint64_t>(x);
+    return r >= n ? n - 1 : r;
+  }
+  const double oms = 1.0 - s;
+  const double top = std::pow(static_cast<double>(n) + 1.0, oms) - 1.0;
+  const double x = std::pow(u * top + 1.0, 1.0 / oms) - 1.0;
+  if (x <= 0.0) return 0;
+  const auto r = static_cast<std::uint64_t>(x);
+  return r >= n ? n - 1 : r;
+}
+
+TEST(ZipfSampler, MatchesPerDrawFormulaExactly) {
+  const std::uint64_t ns[] = {0, 1, 2, 10, 1000, std::uint64_t{1} << 20,
+                              std::uint64_t{1} << 33};
+  const double ss[] = {0.5, 0.9, 0.99, 1.0, 1.2};
+  for (const std::uint64_t n : ns) {
+    for (const double s : ss) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng got(seed);
+        Rng want(seed);
+        const ZipfSampler zipf(n, s);
+        for (int i = 0; i < 2000; ++i) {
+          ASSERT_EQ(zipf.Draw(got), ReferenceZipf(want, n, s))
+              << "n " << n << " s " << s << " seed " << seed << " draw " << i;
+        }
+        ASSERT_EQ(got.State(), want.State())
+            << "n " << n << " s " << s << " seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(Rng, ShufflePreservesElements) {
