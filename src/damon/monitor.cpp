@@ -143,40 +143,37 @@ void DamonContext::InitRegionsFor(DamonTarget& target) {
 void DamonContext::PrepareAccessChecks(SimTimeUs now) {
   std::uint64_t sampled = 0;
   for (DamonTarget& target : targets_) {
+    const double half_cost = target.primitives->CheckCostUs() * 0.5;
     for (Region& r : target.regions) {
       // Regions can be mutated through the dbgfs interface; a degenerate
       // one is skipped (it contributes no samples) instead of underflowing
       // the page count below.
       if (!DAOS_CHECK(r.end > r.start)) continue;
-      // Pick a fresh random sample page and clear its accessed state; the
-      // result is read back on the next sampling pass.
+      // Pick a fresh random sample page; the batch call below clears its
+      // accessed state and the next sampling pass reads it back.
       const std::uint64_t pages = std::max<std::uint64_t>(1, r.size() / kPageSize);
       r.sampling_addr =
           r.start + AlignDown(rng_.NextBounded(pages) * kPageSize, kPageSize);
-      target.primitives->MkOld(r.sampling_addr, now);
-      ++counters_.samples;
       ++sampled;
-      counters_.cpu_us += target.primitives->CheckCostUs() * 0.5;
+      counters_.cpu_us += half_cost;
     }
+    target.primitives->PrepareAccessChecks(target.regions, now);
   }
+  counters_.samples += sampled;
   if (tel_.samples != nullptr) tel_.samples->Add(sampled);
 }
 
 void DamonContext::CheckAccesses() {
   const std::uint32_t max_checks = attrs_.MaxChecksPerAggregation();
   for (DamonTarget& target : targets_) {
-    for (Region& r : target.regions) {
-      if (target.primitives->IsYoung(r.sampling_addr) &&
-          r.nr_accesses < max_checks) {
-        ++r.nr_accesses;
-      }
-      counters_.cpu_us += target.primitives->CheckCostUs() * 0.5;
-    }
+    target.primitives->CheckAccesses(target.regions, max_checks);
+    const double half_cost = target.primitives->CheckCostUs() * 0.5;
+    for (std::size_t i = 0; i < target.regions.size(); ++i)
+      counters_.cpu_us += half_cost;
   }
 }
 
-void DamonContext::UpdateAges(DamonTarget& target, std::uint32_t threshold) {
-  (void)threshold;
+void DamonContext::UpdateAges(DamonTarget& target) {
   // See MonitoringAttrs::age_reset_threshold for why the default differs
   // from the kernel's merge threshold.
   const std::uint32_t reset_thres = attrs_.age_reset_threshold;
@@ -236,8 +233,11 @@ void DamonContext::MergeRegions(DamonTarget& target, std::uint32_t threshold,
 }
 
 void DamonContext::SplitRegions(DamonTarget& target) {
+  SplitRegions(target, TotalRegions());
+}
+
+void DamonContext::SplitRegions(DamonTarget& target, std::uint32_t total) {
   auto& regions = target.regions;
-  const std::uint32_t total = TotalRegions();
   if (total == 0) return;
   // As in the kernel: split into 2 pieces normally, 3 when region budget is
   // ample; skip splitting entirely when it would exceed the budget.
@@ -348,17 +348,17 @@ void DamonContext::Aggregate(SimTimeUs now) {
   for (AggregationHook& hook : hooks_) hook(*this, now);
 
   // 2. Adaptive regions adjustment + aging.
-  const std::uint32_t threshold = std::max<std::uint32_t>(
-      1, attrs_.MaxChecksPerAggregation() * kMergeThresholdPercent / 100);
   if (!attrs_.adaptive) {
     // Space-sampling baseline: ages still advance, but regions are frozen.
-    for (DamonTarget& target : targets_) UpdateAges(target, threshold);
+    for (DamonTarget& target : targets_) UpdateAges(target);
     ResetAggregated();
     counters_.cpu_us += 0.02 * TotalRegions();
     return;
   }
+  const std::uint32_t threshold = std::max<std::uint32_t>(
+      1, attrs_.MaxChecksPerAggregation() * kMergeThresholdPercent / 100);
   for (DamonTarget& target : targets_) {
-    UpdateAges(target, threshold);
+    UpdateAges(target);
     // Regions larger than total/min_nr never merge further, preserving the
     // accuracy floor.
     std::uint64_t total = 0;
@@ -369,11 +369,17 @@ void DamonContext::Aggregate(SimTimeUs now) {
                                             attrs_.min_nr_regions, 1));
     MergeRegions(target, threshold, sz_limit);
   }
-  // 3. Reset counts, then split for the next window.
+  // 3. Reset counts, then split for the next window. Each target's split
+  // budget counts the regions earlier targets' splits just added.
   ResetAggregated();
-  for (DamonTarget& target : targets_) SplitRegions(target);
+  std::uint32_t total = TotalRegions();
+  for (DamonTarget& target : targets_) {
+    const std::size_t before = target.regions.size();
+    SplitRegions(target, total);
+    total += static_cast<std::uint32_t>(target.regions.size() - before);
+  }
   // Adjustment work is proportional to the region count; charge it.
-  counters_.cpu_us += 0.02 * TotalRegions();
+  counters_.cpu_us += 0.02 * total;
 }
 
 double DamonContext::Step(SimTimeUs now, SimTimeUs quantum) {

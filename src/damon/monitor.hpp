@@ -135,7 +135,9 @@ class DamonContext {
  private:
   void Aggregate(SimTimeUs now);
   /// Aging (paper §3.1): stable regions age, changed regions reset.
-  void UpdateAges(DamonTarget& target, std::uint32_t threshold);
+  void UpdateAges(DamonTarget& target);
+  /// SplitRegions against a region budget already holding `total` regions.
+  void SplitRegions(DamonTarget& target, std::uint32_t total);
   std::uint64_t MinRegionSize(const DamonTarget& target) const;
 
   MonitoringAttrs attrs_;

@@ -55,6 +55,27 @@ std::uint64_t ApplyToSpace(sim::AddressSpace& space, DamosAction action,
   return 0;
 }
 
+/// Calls `fn(region, interval)` for each region, in order, whose sampling
+/// address lies in one of `intervals` (sorted, disjoint, with start() and
+/// end()). A forward cursor finds the interval while the addresses ascend;
+/// an address behind the cursor re-seeks by binary search.
+template <typename Intervals, typename R, typename Fn>
+void ForEachSampled(Intervals& intervals, std::span<R> regions, Fn fn) {
+  std::size_t next = 0;  // first interval ending above the last address
+  for (R& r : regions) {
+    const Addr a = r.sampling_addr;
+    if (next > 0 && a < intervals[next - 1].end()) {
+      next = static_cast<std::size_t>(
+          std::upper_bound(intervals.begin(), intervals.begin() + next, a,
+                           [](Addr x, const auto& e) { return x < e.end(); }) -
+          intervals.begin());
+    }
+    while (next < intervals.size() && intervals[next].end() <= a) ++next;
+    if (next < intervals.size() && intervals[next].start() <= a)
+      fn(r, intervals[next]);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -103,9 +124,20 @@ std::uint64_t VaddrPrimitives::LayoutGeneration() const {
   return space_->layout_generation();
 }
 
-void VaddrPrimitives::MkOld(Addr a, SimTimeUs now) { space_->MkOld(a, now); }
+void VaddrPrimitives::PrepareAccessChecks(std::span<const Region> regions,
+                                          SimTimeUs now) {
+  ForEachSampled(space_->vmas(), regions, [now](const Region& r, sim::Vma& v) {
+    if (r.end > r.start) v.MkOldAt(v.PageIndex(r.sampling_addr), now);
+  });
+}
 
-bool VaddrPrimitives::IsYoung(Addr a) const { return space_->IsYoung(a); }
+void VaddrPrimitives::CheckAccesses(std::span<Region> regions,
+                                    std::uint32_t max_checks) const {
+  ForEachSampled(space_->vmas(), regions, [max_checks](Region& r, sim::Vma& v) {
+    if (r.nr_accesses < max_checks && v.IsYoungAt(v.PageIndex(r.sampling_addr)))
+      ++r.nr_accesses;
+  });
+}
 
 std::uint64_t VaddrPrimitives::ApplyAction(DamosAction action, Addr start,
                                            Addr end, SimTimeUs now,
@@ -126,23 +158,14 @@ void PaddrPrimitives::RebuildIfStale() const {
   extents_.clear();
   Addr cursor = 0;
   for (sim::AddressSpace* space : machine_->spaces()) {
-    for (const sim::Vma& vma : space->vmas()) {
-      extents_.push_back(
-          Extent{cursor, cursor + vma.size(), space, vma.start()});
-      cursor += vma.size();
+    for (std::size_t i = 0; i < space->vmas().size(); ++i) {
+      const std::uint64_t size = space->vmas()[i].size();
+      extents_.push_back(Extent{cursor, cursor + size, space, i});
+      cursor += size;
     }
   }
   phys_size_ = cursor;
   built_generation_ = gen;
-}
-
-const PaddrPrimitives::Extent* PaddrPrimitives::Translate(Addr phys) const {
-  RebuildIfStale();
-  auto it = std::upper_bound(
-      extents_.begin(), extents_.end(), phys,
-      [](Addr a, const Extent& e) { return a < e.phys_end; });
-  if (it == extents_.end() || phys < it->phys_start) return nullptr;
-  return &*it;
 }
 
 std::vector<AddrRange> PaddrPrimitives::TargetRanges() {
@@ -159,17 +182,23 @@ std::uint64_t PaddrPrimitives::LayoutGeneration() const {
   return gen;
 }
 
-void PaddrPrimitives::MkOld(Addr a, SimTimeUs now) {
-  if (const Extent* e = Translate(a)) {
-    e->space->MkOld(e->virt_start + (a - e->phys_start), now);
-  }
+void PaddrPrimitives::PrepareAccessChecks(std::span<const Region> regions,
+                                          SimTimeUs now) {
+  RebuildIfStale();
+  ForEachSampled(extents_, regions, [now](const Region& r, const Extent& e) {
+    if (r.end > r.start)
+      e.space->vmas()[e.vma].MkOldAt(e.PageIndex(r.sampling_addr), now);
+  });
 }
 
-bool PaddrPrimitives::IsYoung(Addr a) const {
-  if (const Extent* e = Translate(a)) {
-    return e->space->IsYoung(e->virt_start + (a - e->phys_start));
-  }
-  return false;
+void PaddrPrimitives::CheckAccesses(std::span<Region> regions,
+                                    std::uint32_t max_checks) const {
+  RebuildIfStale();
+  ForEachSampled(extents_, regions, [max_checks](Region& r, const Extent& e) {
+    if (r.nr_accesses < max_checks &&
+        e.space->vmas()[e.vma].IsYoungAt(e.PageIndex(r.sampling_addr)))
+      ++r.nr_accesses;
+  });
 }
 
 std::uint64_t PaddrPrimitives::ApplyAction(DamosAction action, Addr start,
@@ -181,8 +210,9 @@ std::uint64_t PaddrPrimitives::ApplyAction(DamosAction action, Addr start,
     if (e.phys_end <= start || e.phys_start >= end) continue;
     const Addr lo = std::max(start, e.phys_start);
     const Addr hi = std::min(end, e.phys_end);
-    applied += ApplyToSpace(*e.space, action, e.virt_start + (lo - e.phys_start),
-                            e.virt_start + (hi - e.phys_start), now, errors);
+    const Addr virt = e.space->vmas()[e.vma].start();
+    applied += ApplyToSpace(*e.space, action, virt + (lo - e.phys_start),
+                            virt + (hi - e.phys_start), now, errors);
   }
   return applied;
 }

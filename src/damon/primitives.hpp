@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,10 +49,17 @@ class Primitives {
   /// Changes whenever the target layout changed (drives regions update).
   virtual std::uint64_t LayoutGeneration() const = 0;
 
-  /// Clears the accessed state of the page containing `a` (prepare check).
-  virtual void MkOld(Addr a, SimTimeUs now) = 0;
-  /// True if the page containing `a` was accessed since its last MkOld.
-  virtual bool IsYoung(Addr a) const = 0;
+  // Access checks run as one batch over a target's regions, which are
+  // normally in address order (any order works). Pages outside the target
+  // never read young.
+  /// Clears the accessed state of each region's `sampling_addr` page,
+  /// skipping degenerate regions (end <= start).
+  virtual void PrepareAccessChecks(std::span<const Region> regions,
+                                   SimTimeUs now) = 0;
+  /// Adds one to `nr_accesses`, capped at `max_checks`, for every region
+  /// (degenerate ones too) whose sampled page was accessed since then.
+  virtual void CheckAccesses(std::span<Region> regions,
+                             std::uint32_t max_checks) const = 0;
 
   /// CPU cost of a single prepare+check pair, for overhead accounting.
   virtual double CheckCostUs() const = 0;
@@ -75,8 +83,10 @@ class VaddrPrimitives final : public Primitives {
 
   std::vector<AddrRange> TargetRanges() override;
   std::uint64_t LayoutGeneration() const override;
-  void MkOld(Addr a, SimTimeUs now) override;
-  bool IsYoung(Addr a) const override;
+  void PrepareAccessChecks(std::span<const Region> regions,
+                           SimTimeUs now) override;
+  void CheckAccesses(std::span<Region> regions,
+                     std::uint32_t max_checks) const override;
   double CheckCostUs() const override { return check_cost_us_; }
   std::uint64_t ApplyAction(DamosAction action, Addr start, Addr end,
                             SimTimeUs now,
@@ -101,24 +111,31 @@ class PaddrPrimitives final : public Primitives {
 
   std::vector<AddrRange> TargetRanges() override;
   std::uint64_t LayoutGeneration() const override;
-  void MkOld(Addr a, SimTimeUs now) override;
-  bool IsYoung(Addr a) const override;
+  void PrepareAccessChecks(std::span<const Region> regions,
+                           SimTimeUs now) override;
+  void CheckAccesses(std::span<Region> regions,
+                     std::uint32_t max_checks) const override;
   double CheckCostUs() const override { return check_cost_us_; }
   std::uint64_t ApplyAction(DamosAction action, Addr start, Addr end,
                             SimTimeUs now,
                             std::uint64_t* errors = nullptr) override;
 
  private:
+  /// rmap: one VMA's pages at [phys_start, phys_end) of the physical space.
   struct Extent {
     Addr phys_start = 0;
     Addr phys_end = 0;
     sim::AddressSpace* space = nullptr;
-    Addr virt_start = 0;
+    std::size_t vma = 0;  // index into space->vmas()
+
+    Addr start() const noexcept { return phys_start; }
+    Addr end() const noexcept { return phys_end; }
+    std::size_t PageIndex(Addr phys) const noexcept {
+      return static_cast<std::size_t>((phys - phys_start) >> kPageShift);
+    }
   };
 
   void RebuildIfStale() const;
-  /// rmap: physical address -> (space, virtual address).
-  const Extent* Translate(Addr phys) const;
 
   sim::Machine* machine_;
   double check_cost_us_;

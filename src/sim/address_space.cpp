@@ -167,18 +167,6 @@ void Vma::PaintWord(std::size_t w, std::uint64_t m, std::uint64_t seq) {
   }
 }
 
-bool Vma::LogCoversSince(Addr a, SimTimeUs since) const {
-  const std::size_t i = PageIndex(a);
-  const PartStamp& p = part_[i >> 6];
-  std::uint64_t seq = full_[i >> 6];
-  if (((p.mask >> (i & 63)) & 1u) != 0 && p.seq > seq) {
-    seq = p.seq;
-  } else if (p.ambiguous_full == seq) {
-    return ScanLog(a, since);
-  }
-  return seq >= head_seq_ && LogAt(seq - head_seq_).at >= since;
-}
-
 bool Vma::ScanLog(Addr a, SimTimeUs since) const {
   // Newest first: the first covering entry is the page's newest, and once
   // `at` drops below `since` no older entry can qualify.
@@ -563,21 +551,12 @@ bool AddressSpace::SpanHasBloat(const Vma& vma, std::size_t plo,
 }
 
 void AddressSpace::MkOld(Addr addr, SimTimeUs now) {
-  Vma* vma = FindVma(addr);
-  if (vma == nullptr) return;
-  const std::size_t idx = vma->PageIndex(addr);
-  vma->ClearBit(PageBit::kAccessed, idx);
-  vma->Meta(idx).acc_cleared_ms = ToMs(now);
+  if (Vma* vma = FindVma(addr)) vma->MkOldAt(vma->PageIndex(addr), now);
 }
 
 bool AddressSpace::IsYoung(Addr addr) const {
   const Vma* vma = FindVma(addr);
-  if (vma == nullptr) return false;
-  const std::size_t idx = vma->PageIndex(addr);
-  if (vma->TestBit(PageBit::kAccessed, idx)) return true;
-  const SimTimeUs since =
-      static_cast<SimTimeUs>(vma->Meta(idx).acc_cleared_ms) * 1000;
-  return vma->LogCoversSince(addr, since);
+  return vma != nullptr && vma->IsYoungAt(vma->PageIndex(addr));
 }
 
 bool AddressSpace::IsResident(Addr addr) const {
@@ -861,8 +840,7 @@ std::uint64_t AddressSpace::TierDemoteScan(std::uint16_t from_tier,
     // cursor comes back. A direct touch or a logged sweep inside the idle
     // horizon protects it the same way.
     if (vma.TestBit(PageBit::kAccessed, idx)) {
-      vma.ClearBit(PageBit::kAccessed, idx);
-      vma.Meta(idx).acc_cleared_ms = ToMs(now);
+      vma.MkOldAt(idx, now);
       continue;
     }
     if (static_cast<SimTimeUs>(vma.Meta(idx).last_touch_ms) * 1000 >=

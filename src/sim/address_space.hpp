@@ -131,6 +131,22 @@ class Vma {
   PageMeta& Meta(std::size_t i) noexcept { return meta_[i]; }
   const PageMeta& Meta(std::size_t i) const noexcept { return meta_[i]; }
 
+  // --- monitor primitives on page index `idx` (inline: the batched access
+  // checks run them once per region per sampling interval) -----------------
+  /// PTE mkold: clears the accessed bit and records the clear time.
+  void MkOldAt(std::size_t idx, SimTimeUs now) noexcept {
+    ClearBit(PageBit::kAccessed, idx);
+    meta_[idx].acc_cleared_ms = static_cast<std::uint32_t>(now / 1000);
+  }
+  /// True if the page was accessed since its last MkOldAt: its accessed bit,
+  /// or a logged range touch at or after the clear time.
+  bool IsYoungAt(std::size_t idx) const {
+    if (TestBit(PageBit::kAccessed, idx)) return true;
+    return LogCoversSince(
+        AddrOfIndex(idx),
+        static_cast<SimTimeUs>(meta_[idx].acc_cleared_ms) * 1000);
+  }
+
   // --- 2 MiB block bookkeeping (THP) -------------------------------------
   // Blocks are indexed over [start, end) in 2 MiB strides relative to the
   // absolutely aligned base, so block boundaries match real huge-page
@@ -180,7 +196,17 @@ class Vma {
   void LogRangeTouch(Addr s, Addr e, SimTimeUs now);
   /// True if the log records a sweep covering `a` (inside the VMA) at or
   /// after `since`.
-  bool LogCoversSince(Addr a, SimTimeUs since) const;
+  bool LogCoversSince(Addr a, SimTimeUs since) const {
+    const std::size_t i = PageIndex(a);
+    const PartStamp& p = part_[i >> 6];
+    std::uint64_t seq = full_[i >> 6];
+    if (((p.mask >> (i & 63)) & 1u) != 0 && p.seq > seq) {
+      seq = p.seq;
+    } else if (p.ambiguous_full == seq) {
+      return ScanLog(a, since);
+    }
+    return seq >= head_seq_ && LogAt(seq - head_seq_).at >= since;
+  }
   /// Drops entries older than `now - horizon`; returns how many.
   std::size_t GcLog(SimTimeUs now, SimTimeUs horizon);
   std::size_t log_size() const noexcept { return log_len_; }

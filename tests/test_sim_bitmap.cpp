@@ -7,8 +7,9 @@
 // 512 bits that may straddle words at odd offsets (unaligned VMA bases),
 // and the monitor primitives at word boundaries.
 //
-// The digest test pins the whole stack: monitor snapshots on all 24
-// evaluation profiles must stay bit-identical across sim-core rewrites.
+// The digest tests pin the whole stack: monitor snapshots on all 24
+// evaluation profiles (vaddr), and on six of them through the paddr
+// primitives, must stay bit-identical across sim-core rewrites.
 // Goldens were recorded on the pre-overhaul core (16-byte Page structs,
 // linear FindVma, dense quantum stepping); regenerate only for an
 // intentional behaviour change, with DAOS_UPDATE_GOLDEN=1.
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "analysis/experiment.hpp"
 #include "damon/recorder.hpp"
@@ -248,7 +250,11 @@ std::uint64_t DigestSnapshots(const std::vector<damon::Snapshot>& snaps) {
   return h.value();
 }
 
-TEST(SimCoreGoldenTest, MonitorSnapshotsAll24Profiles) {
+/// Runs each profile under `config` and compares the monitor digests, peak
+/// RSS and major faults with tests/golden/<golden_file>.
+void ExpectGoldenDigests(analysis::Config config,
+                         const std::vector<workload::WorkloadProfile>& profiles,
+                         const std::string& golden_file) {
   if (std::getenv("DAOS_FAULTS") != nullptr)
     GTEST_SKIP() << "golden digests assume a fault-free run";
 
@@ -258,10 +264,10 @@ TEST(SimCoreGoldenTest, MonitorSnapshotsAll24Profiles) {
   opt.seed = 1;
 
   std::map<std::string, std::string> actual;
-  for (const workload::WorkloadProfile& profile : workload::AllProfiles()) {
+  for (const workload::WorkloadProfile& profile : profiles) {
     damon::Recorder recorder;
-    const analysis::ExperimentResult r = analysis::RunWorkload(
-        profile, analysis::Config::kRec, opt, nullptr, &recorder);
+    const analysis::ExperimentResult r =
+        analysis::RunWorkload(profile, config, opt, nullptr, &recorder);
     ASSERT_FALSE(recorder.snapshots().empty()) << profile.name;
     char line[128];
     std::snprintf(line, sizeof line, "%016llx,%llu,%llu",
@@ -273,7 +279,7 @@ TEST(SimCoreGoldenTest, MonitorSnapshotsAll24Profiles) {
   }
 
   const std::string golden_path =
-      std::string(DAOS_GOLDEN_DIR) + "/monitor_digests.csv";
+      std::string(DAOS_GOLDEN_DIR) + "/" + golden_file;
   if (std::getenv("DAOS_UPDATE_GOLDEN") != nullptr) {
     std::FILE* f = std::fopen(golden_path.c_str(), "wb");
     ASSERT_NE(f, nullptr) << "cannot write " << golden_path;
@@ -304,8 +310,29 @@ TEST(SimCoreGoldenTest, MonitorSnapshotsAll24Profiles) {
   for (const auto& [name, line] : actual) {
     ASSERT_TRUE(golden.count(name)) << name;
     EXPECT_EQ(golden[name], line)
-        << name << ": monitor snapshots diverged from the pre-overhaul core";
+        << name << ": monitor snapshots diverged from " << golden_file;
   }
+}
+
+TEST(SimCoreGoldenTest, MonitorSnapshotsAll24Profiles) {
+  ExpectGoldenDigests(analysis::Config::kRec, workload::AllProfiles(),
+                      "monitor_digests.csv");
+}
+
+// The physical-address primitives (rmap through the synthetic extent
+// table) on six profiles from both suites. Pinned before the batched
+// access checks replaced the per-address ones.
+TEST(SimCoreGoldenTest, PaddrMonitorSnapshotsSixProfiles) {
+  std::vector<workload::WorkloadProfile> profiles;
+  for (const char* name :
+       {"parsec3/canneal", "parsec3/dedup", "parsec3/freqmine",
+        "splash2x/barnes", "splash2x/ocean_ncp", "splash2x/radix"}) {
+    const workload::WorkloadProfile* p = workload::FindProfile(name);
+    ASSERT_NE(p, nullptr) << name;
+    profiles.push_back(*p);
+  }
+  ExpectGoldenDigests(analysis::Config::kPrec, profiles,
+                      "monitor_digests_prec.csv");
 }
 
 }  // namespace
