@@ -530,17 +530,20 @@ int RunDemo() {
 
   // Save the monitoring record and render its heatmap, Figure-6 style.
   const std::string rec_path = "/tmp/daos_ctl.rec";
-  if (damon::WriteTraceFile(rec_path, recorder.snapshots())) {
-    std::printf("\nmonitoring record written to %s (%zu snapshots)\n",
-                rec_path.c_str(), recorder.snapshots().size());
+  if (!damon::WriteTraceFile(rec_path, recorder.snapshots())) {
+    std::fprintf(stderr, "cannot write record file '%s'\n", rec_path.c_str());
+    return 1;
   }
+  std::printf("\nmonitoring record written to %s (%zu snapshots)\n",
+              rec_path.c_str(), recorder.snapshots().size());
   const auto reloaded = damon::ReadTraceFile(rec_path);
-  if (reloaded) {
-    const analysis::Heatmap map =
-        analysis::BuildHeatmap(*reloaded, 0, 10, 64);
-    std::printf("access heatmap (from the reloaded record):\n%s",
-                analysis::RenderAscii(map).c_str());
+  if (!reloaded) {
+    std::fprintf(stderr, "cannot reload record file '%s'\n", rec_path.c_str());
+    return 1;
   }
+  const analysis::Heatmap map = analysis::BuildHeatmap(*reloaded, 0, 10, 64);
+  std::printf("access heatmap (from the reloaded record):\n%s",
+              analysis::RenderAscii(map).c_str());
   return ok ? 0 : 1;
 }
 

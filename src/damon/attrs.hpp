@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "util/types.hpp"
 
@@ -43,5 +45,18 @@ struct MonitoringAttrs {
   /// The paper's evaluation settings (§4): 5 ms / 100 ms / 1 s, 10..1000.
   static MonitoringAttrs PaperDefaults() { return MonitoringAttrs{}; }
 };
+
+/// Parses the five-field wire form "sample_us aggr_us update_us min_nr
+/// max_nr" (the dbgfs `attrs` file, the commit bundle's `attrs` directive)
+/// into `*attrs`, keeping its other fields. False, `*attrs` untouched and
+/// `*error` set on a wrong field count or a bad number; the region counts
+/// must fit in 32 bits. Consistency is ValidateAttrs' job.
+bool ParseAttrsLine(std::string_view line, MonitoringAttrs* attrs,
+                    std::string* error);
+
+/// False and an "attrs: ..." reason in `*error` unless the sampling
+/// interval is positive, aggregation is no faster than sampling, and
+/// 0 < min_nr_regions <= max_nr_regions.
+bool ValidateAttrs(const MonitoringAttrs& attrs, std::string* error);
 
 }  // namespace daos::damon

@@ -1,6 +1,7 @@
 #include "damon/trace.hpp"
 
-#include <cstdio>
+#include <cinttypes>
+#include <climits>
 #include <fstream>
 #include <sstream>
 
@@ -10,53 +11,43 @@ namespace daos::damon {
 
 std::string SerializeTrace(const std::vector<Snapshot>& snapshots) {
   std::string out;
-  char buf[128];
   for (const Snapshot& snap : snapshots) {
-    std::snprintf(buf, sizeof buf, "T %llu %d %zu\n",
-                  static_cast<unsigned long long>(snap.at),
-                  snap.target_index, snap.regions.size());
-    out += buf;
-    for (const SnapshotRegion& r : snap.regions) {
-      std::snprintf(buf, sizeof buf, "R %llu %llu %u %u\n",
-                    static_cast<unsigned long long>(r.start),
-                    static_cast<unsigned long long>(r.end), r.nr_accesses,
-                    r.age);
-      out += buf;
-    }
+    AppendF(out, "T %" PRIu64 " %d %zu\n", snap.at, snap.target_index,
+            snap.regions.size());
+    for (const SnapshotRegion& r : snap.regions)
+      AppendF(out, "R %" PRIu64 " %" PRIu64 " %u %u\n", r.start, r.end,
+              r.nr_accesses, r.age);
   }
   return out;
 }
 
 std::optional<std::vector<Snapshot>> ParseTrace(std::string_view text) {
   std::vector<Snapshot> snapshots;
-  std::size_t expected_regions = 0;
-  for (std::string_view raw : SplitChar(text, '\n')) {
-    const std::string_view line = TrimWhitespace(raw);
-    if (line.empty()) continue;
-    const std::string owned(line);
-    if (line[0] == 'T') {
-      unsigned long long at = 0;
-      int target = 0;
-      unsigned long long nr = 0;
-      if (std::sscanf(owned.c_str(), "T %llu %d %llu", &at, &target, &nr) != 3)
-        return std::nullopt;
+  std::uint64_t expected_regions = 0;
+  LineCursor lines(text);
+  std::string_view line;
+  while (lines.Next(&line)) {
+    const std::vector<std::string_view> t = SplitWhitespace(line);
+    if (t.empty()) continue;
+    if (t[0] == "T" && t.size() == 4) {
       if (expected_regions != 0) return std::nullopt;  // short block
-      Snapshot snap;
-      snap.at = at;
-      snap.target_index = target;
-      snap.regions.reserve(nr);
-      snapshots.push_back(std::move(snap));
-      expected_regions = nr;
-    } else if (line[0] == 'R') {
-      if (snapshots.empty() || expected_regions == 0) return std::nullopt;
-      unsigned long long start = 0, end = 0;
-      unsigned nr_accesses = 0, age = 0;
-      if (std::sscanf(owned.c_str(), "R %llu %llu %u %u", &start, &end,
-                      &nr_accesses, &age) != 4)
+      Snapshot& snap = snapshots.emplace_back();
+      std::uint32_t target = 0;
+      // The index is an int: one above INT_MAX would not write back.
+      if (!StoreParsed(ParseU64(t[1]), snap.at) ||
+          !StoreParsed(ParseU32(t[2]), target) || target > INT_MAX ||
+          !StoreParsed(ParseU64(t[3]), expected_regions))
         return std::nullopt;
-      if (end <= start) return std::nullopt;
-      snapshots.back().regions.push_back(
-          SnapshotRegion{start, end, nr_accesses, age});
+      snap.target_index = static_cast<int>(target);
+    } else if (t[0] == "R" && t.size() == 5) {
+      if (expected_regions == 0) return std::nullopt;  // R outside a block
+      SnapshotRegion r;
+      if (!StoreParsed(ParseU64(t[1]), r.start) ||
+          !StoreParsed(ParseU64(t[2]), r.end) ||
+          !StoreParsed(ParseU32(t[3]), r.nr_accesses) ||
+          !StoreParsed(ParseU32(t[4]), r.age) || r.end <= r.start)
+        return std::nullopt;
+      snapshots.back().regions.push_back(r);
       --expected_regions;
     } else {
       return std::nullopt;

@@ -65,34 +65,11 @@ std::string DamonDbgfs::ReadAttrs() const {
 }
 
 bool DamonDbgfs::WriteAttrs(std::string_view content, std::string* error) {
-  const auto tokens = SplitWhitespace(content);
-  if (tokens.size() != 5) {
-    if (error != nullptr)
-      *error = "attrs expects: sample_us aggr_us update_us min_nr max_nr";
+  damon::MonitoringAttrs attrs = ctx_->attrs();
+  if (!damon::ParseAttrsLine(content, &attrs, error) ||
+      !damon::ValidateAttrs(attrs, error))
     return false;
-  }
-  // min_nr/max_nr are 32-bit fields: range-check them here, not after a
-  // cast that would wrap 4294967296 to 0.
-  std::uint64_t vals[5];
-  for (int i = 0; i < 5; ++i) {
-    const auto v = ParseU64(tokens[i]);
-    if (!v || (i >= 3 && *v > UINT32_MAX)) {
-      if (error != nullptr)
-        *error = "bad number '" + std::string(tokens[i]) + "'";
-      return false;
-    }
-    vals[i] = *v;
-  }
-  if (vals[0] == 0 || vals[1] < vals[0] || vals[3] == 0 || vals[4] < vals[3]) {
-    if (error != nullptr) *error = "inconsistent attrs";
-    return false;
-  }
-  damon::MonitoringAttrs& a = ctx_->attrs();
-  a.sampling_interval = vals[0];
-  a.aggregation_interval = vals[1];
-  a.regions_update_interval = vals[2];
-  a.min_nr_regions = static_cast<std::uint32_t>(vals[3]);
-  a.max_nr_regions = static_cast<std::uint32_t>(vals[4]);
+  ctx_->attrs() = attrs;
   return true;
 }
 

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <concepts>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "damos/parser.hpp"
 #include "util/strings.hpp"
@@ -12,527 +16,271 @@ namespace {
 
 using damon::DamosAction;
 using damos::FreqBound;
+using governor::WatermarkMetric;
 
-// ---------------------------------------------------------------- writing
+/// The element count that closes a record ("targets 2", "target <gen> 5").
+/// The writer prints the vector's size; the reader checks the count against
+/// `cap` before it resizes the vector, so the walk then fills the elements.
+template <typename Vec>
+struct Count {
+  Vec& items;
+  std::uint64_t cap;
+  const char* what;
+};
 
-// Doubles are written as hex-floats: "%a" round-trips every finite value
-// exactly through strtod, which "%f"/"%g" do not — and quota charges or
-// frequency bounds that drift by one ulp across a restore would break the
-// bit-identical-continuation guarantee.
-void AppendDouble(std::string& out, double v) { AppendF(out, " %a", v); }
+/// The checkpoint format: every record once, in file order, for both the
+/// Writer and the Reader. `io.Check` is the reader's validation of the
+/// record just read (the writer ignores it), so its error names that line.
+/// The header, the "end" record and the trailing-data check stay outside.
+template <typename Io, typename Cp>
+void Walk(Io& io, Cp& cp) {
+  auto& a = cp.attrs;
+  auto& s = cp.sched;
+  auto& c = s.counters;
+  std::string why;
+  io("at", cp.at);
+  io("attrs", a.sampling_interval, a.aggregation_interval,
+     a.regions_update_interval, a.min_nr_regions, a.max_nr_regions,
+     a.adaptive, a.age_reset_threshold);
+  const bool attrs_ok = damon::ValidateAttrs(a, &why);
+  io.Check(attrs_ok, why);
+  io("sched", s.primed, s.next_sample, s.next_aggregate, s.next_update);
+  io("rng", s.rng_state[0], s.rng_state[1], s.rng_state[2], s.rng_state[3]);
+  io.Check(s.rng_state != decltype(s.rng_state){},
+           "rng: the all-zero state is invalid for xoshiro256**");
+  io("counters", c.samples, c.aggregations, c.region_splits, c.region_merges,
+     c.regions_updates, c.cpu_us);
+  io("engine", cp.engine_disarmed);
 
-void AppendU64(std::string& out, std::uint64_t v) {
-  AppendF(out, " %" PRIu64, v);
+  io("targets", Count{cp.targets, 4096, "target"});
+  auto& gens = s.target_layout_gens;
+  for (std::size_t ti = 0; ti < cp.targets.size(); ++ti) {
+    std::uint64_t gen = ti < gens.size() ? gens[ti] : ~0ull;
+    io("target", gen, Count{cp.targets[ti].regions, 1u << 20, "region"});
+    if constexpr (!std::is_const_v<Cp>) gens.push_back(gen);
+    for (auto& r : cp.targets[ti].regions) {
+      io("region", r.start, r.end, r.nr_accesses, r.last_nr_accesses, r.age,
+         r.sampling_addr);
+      io.Check(r.end > r.start, "region end must be above start");
+    }
+  }
+
+  io("schemes", Count{cp.schemes, 4096, "scheme"});
+  for (auto& cs : cp.schemes) {
+    // Scheme::ToText() is human-facing and lossy (FormatSize rounds); a
+    // checkpoint carries every raw field.
+    auto& b = cs.scheme.bounds();
+    io("scheme", b.min_size, b.max_size, b.min_freq.unit, b.min_freq.value,
+       b.max_freq.unit, b.max_freq.value, b.min_age, b.max_age, b.action);
+    auto& p = cs.scheme.policy();
+    io("policy", p.quota.sz_bytes, p.quota.time_us, p.quota.reset_interval,
+       p.prio.sz, p.prio.freq, p.prio.age, p.wmarks.metric, p.wmarks.interval,
+       p.wmarks.high, p.wmarks.mid, p.wmarks.low);
+    const bool policy_ok = governor::ValidatePolicy(p, &why);
+    io.Check(policy_ok, "invalid governor policy: " + why);
+    auto& st = cs.scheme.stats();
+    io("stats", st.nr_tried, st.sz_tried, st.nr_applied, st.sz_applied,
+       st.nr_errors, st.nr_backoffs, st.nr_skipped, st.qt_exceeds,
+       st.sz_quota_exceeded, st.nr_wmark_deactivations, st.wmark_active);
+    io("backoff", cs.backoff.backoff_exp, cs.backoff.backoff_until);
+    auto& q = cs.slot.quota;
+    io("quota", q.window_start, q.charged_sz, q.charged_us, q.esz,
+       q.total_charged_sz, q.total_charged_us);
+    io("wmark", cs.slot.wmark_active, cs.slot.next_wmark_check);
+  }
+
+  io("recorder", cp.recorder_every, cp.recorder_next,
+     Count{cp.recorder_tail, 1u << 20, "snapshot"});
+  for (auto& snap : cp.recorder_tail) {
+    io("snapshot", snap.at, snap.target_index,
+       Count{snap.regions, 1u << 20, "snapshot row"});
+    for (auto& r : snap.regions)
+      io("srow", r.start, r.end, r.nr_accesses, r.age);
+  }
 }
 
-const char* FreqUnitName(FreqBound::Unit unit) {
-  return unit == FreqBound::Unit::kPercent ? "percent" : "samples";
-}
+/// Appends each record as one "key field..." line.
+struct Writer {
+  std::string out;
 
-// ---------------------------------------------------------------- parsing
+  template <typename... F>
+  void operator()(std::string_view key, const F&... fields) {
+    out += key;
+    (Put(fields), ...);
+    out += '\n';
+  }
+  void Check(bool, std::string_view) {}
 
-/// Line-by-line cursor over the checkpoint text. Every accessor records a
-/// line-accurate error and flips `failed` — callers bail out once at the
-/// end of each record instead of checking every field read.
+  template <std::integral T>
+  void Put(T v) {
+    if constexpr (std::is_same_v<T, bool>)
+      out += v ? " 1" : " 0";
+    else if constexpr (std::is_signed_v<T>)
+      AppendF(out, " %lld", static_cast<long long>(v));
+    else
+      AppendF(out, " %" PRIu64, static_cast<std::uint64_t>(v));
+  }
+  // Doubles are written as hex-floats: "%a" round-trips every finite value
+  // exactly through strtod, which "%f"/"%g" do not — and quota charges or
+  // frequency bounds that drift by one ulp across a restore would break the
+  // bit-identical-continuation guarantee.
+  void Put(double v) { AppendF(out, " %a", v); }
+  void Put(FreqBound::Unit unit) {
+    out += unit == FreqBound::Unit::kPercent ? " percent" : " samples";
+  }
+  void Put(DamosAction action) {
+    out += ' ';
+    out += damon::DamosActionName(action);
+  }
+  void Put(WatermarkMetric metric) {
+    out += ' ';
+    out += governor::WatermarkMetricName(metric);
+  }
+  template <typename Vec>
+  void Put(const Count<Vec>& count) {
+    AppendF(out, " %zu", count.items.size());
+  }
+};
+
+/// Line-by-line cursor over the checkpoint text. The first error records
+/// its line and message; every later read is a no-op, so the walk runs to
+/// its end and the caller checks `failed` once.
 struct Reader {
   explicit Reader(std::string_view text) : lines(text) {}
 
   LineCursor lines;  // errors on missing records point past the last line
+  std::vector<std::string_view> tokens;  // the current line
   CheckpointError error;
   bool failed = false;
 
-  bool Fail(std::string message) {
-    if (!failed) {
-      failed = true;
-      error.line_number = lines.line_no();
-      error.message = std::move(message);
+  void Fail(std::string message) {
+    if (failed) return;
+    failed = true;
+    error.line_number = lines.line_no();
+    error.message = std::move(message);
+  }
+
+  /// Splits the next non-blank line into `tokens`; false at end of input.
+  bool NextLine() {
+    std::string_view line;
+    while (lines.Next(&line)) {
+      tokens = SplitWhitespace(line);
+      if (!tokens.empty()) return true;
     }
     return false;
   }
 
-  /// Next line split into whitespace tokens; empty vector = end of input.
-  std::vector<std::string_view> NextLine() {
-    std::string_view line;
-    while (lines.Next(&line)) {
-      std::vector<std::string_view> tokens = SplitWhitespace(line);
-      if (!tokens.empty()) return tokens;
-    }
-    return {};
+  /// Reads the next line as `key` plus exactly one token per field.
+  template <typename... F>
+  void operator()(std::string_view key, F&&... fields) {
+    if (failed) return;
+    if (!NextLine())
+      return Fail("unexpected end of checkpoint (expected '" +
+                  std::string(key) + "' record)");
+    if (tokens[0] != key)
+      return Fail("expected '" + std::string(key) + "' record, got '" +
+                  std::string(tokens[0]) + "'");
+    if (tokens.size() != sizeof...(F) + 1)
+      return Fail("'" + std::string(key) + "' record needs " +
+                  std::to_string(sizeof...(F)) + " fields, got " +
+                  std::to_string(tokens.size() - 1));
+    std::size_t i = 0;
+    (Get(tokens[++i], fields), ...);
   }
-
-  /// Next line, required to carry `key` plus exactly `nr_fields` values.
-  std::vector<std::string_view> Record(std::string_view key,
-                                       std::size_t nr_fields) {
-    if (failed) return {};
-    std::vector<std::string_view> tokens = NextLine();
-    if (tokens.empty()) {
-      Fail("unexpected end of checkpoint (expected '" + std::string(key) +
-           "' record)");
-      return {};
-    }
-    if (tokens[0] != key) {
-      Fail("expected '" + std::string(key) + "' record, got '" +
-           std::string(tokens[0]) + "'");
-      return {};
-    }
-    if (tokens.size() != nr_fields + 1) {
-      Fail("'" + std::string(key) + "' record needs " +
-           std::to_string(nr_fields) + " fields, got " +
-           std::to_string(tokens.size() - 1));
-      return {};
-    }
-    return tokens;
+  void Check(bool ok, std::string_view message) {
+    if (!ok) Fail(std::string(message));
   }
 
   std::uint64_t U64(std::string_view token) {
-    if (failed) return 0;
     const auto v = ParseU64(token);
-    if (!v) {
-      Fail("bad unsigned value '" + std::string(token) + "'");
-      return 0;
-    }
-    return *v;
+    if (!v) Fail("bad unsigned value '" + std::string(token) + "'");
+    return v.value_or(0);
   }
 
-  std::uint32_t U32(std::string_view token) {
+  template <std::integral T>
+  void Get(std::string_view token, T& field) {
     const std::uint64_t v = U64(token);
-    if (!failed && v > 0xffffffffull)
-      Fail("value '" + std::string(token) + "' overflows 32 bits");
-    return static_cast<std::uint32_t>(v);
+    if (!failed && !std::in_range<T>(v))
+      Fail("value '" + std::string(token) + "' overflows " +
+           std::to_string(std::numeric_limits<T>::digits) + " bits");
+    field = static_cast<T>(v);
   }
-
-  bool Bool(std::string_view token) {
-    if (failed) return false;
-    if (token == "0") return false;
-    if (token == "1") return true;
-    Fail("bad boolean '" + std::string(token) + "' (want 0 or 1)");
-    return false;
+  void Get(std::string_view token, bool& field) {
+    field = token == "1";
+    if (!field && token != "0")
+      Fail("bad boolean '" + std::string(token) + "' (want 0 or 1)");
   }
-
-  double Double(std::string_view token) {
-    if (failed) return 0.0;
-    const auto v = ParseFiniteDouble(token);
-    if (!v) {
+  void Get(std::string_view token, double& field) {
+    if (!StoreParsed(ParseFiniteDouble(token), field))
       Fail("bad floating-point value '" + std::string(token) + "'");
-      return 0.0;
+  }
+  void Get(std::string_view token, FreqBound::Unit& unit) {
+    if (token == "percent") {
+      unit = FreqBound::Unit::kPercent;
+    } else if (token == "samples") {
+      unit = FreqBound::Unit::kSamples;
+    } else {
+      Fail("bad frequency unit '" + std::string(token) +
+           "' (want percent|samples)");
     }
-    return *v;
+  }
+  void Get(std::string_view token, DamosAction& action) {
+    if (!damos::ParseAction(token, &action))
+      Fail("unknown scheme action '" + std::string(token) + "'");
+  }
+  void Get(std::string_view token, WatermarkMetric& metric) {
+    if (!governor::ParseWatermarkMetric(token, &metric))
+      Fail("unknown watermark metric '" + std::string(token) + "'");
+  }
+  template <typename Vec>
+  void Get(std::string_view token, Count<Vec>& count) {
+    const std::uint64_t n = U64(token);
+    if (!failed && n > count.cap)
+      Fail("implausible " + std::string(count.what) + " count " +
+           std::to_string(n));
+    if (!failed) count.items.resize(n);
   }
 };
 
 }  // namespace
 
 std::string SerializeCheckpoint(const Checkpoint& cp) {
-  std::string out;
-  out.reserve(4096);
-  AppendF(out, "%.*s v%d\n", static_cast<int>(kCheckpointMagic.size()),
+  Writer w;
+  w.out.reserve(4096);
+  AppendF(w.out, "%.*s v%d\n", static_cast<int>(kCheckpointMagic.size()),
           kCheckpointMagic.data(), cp.version);
-  AppendF(out, "at %" PRIu64 "\n", cp.at);
-
-  const damon::MonitoringAttrs& a = cp.attrs;
-  out += "attrs";
-  AppendU64(out, a.sampling_interval);
-  AppendU64(out, a.aggregation_interval);
-  AppendU64(out, a.regions_update_interval);
-  AppendU64(out, a.min_nr_regions);
-  AppendU64(out, a.max_nr_regions);
-  AppendU64(out, a.adaptive ? 1 : 0);
-  AppendU64(out, a.age_reset_threshold);
-  out += '\n';
-
-  const damon::MonitorSchedState& s = cp.sched;
-  AppendF(out, "sched %d", s.primed ? 1 : 0);
-  AppendU64(out, s.next_sample);
-  AppendU64(out, s.next_aggregate);
-  AppendU64(out, s.next_update);
-  out += '\n';
-  out += "rng";
-  for (std::uint64_t w : s.rng_state) AppendU64(out, w);
-  out += '\n';
-  out += "counters";
-  AppendU64(out, s.counters.samples);
-  AppendU64(out, s.counters.aggregations);
-  AppendU64(out, s.counters.region_splits);
-  AppendU64(out, s.counters.region_merges);
-  AppendU64(out, s.counters.regions_updates);
-  AppendDouble(out, s.counters.cpu_us);
-  out += '\n';
-
-  AppendF(out, "engine %d\n", cp.engine_disarmed ? 1 : 0);
-
-  AppendF(out, "targets %zu\n", cp.targets.size());
-  for (std::size_t ti = 0; ti < cp.targets.size(); ++ti) {
-    const std::uint64_t gen =
-        ti < s.target_layout_gens.size() ? s.target_layout_gens[ti] : ~0ull;
-    AppendF(out, "target %" PRIu64 " %zu\n", gen,
-            cp.targets[ti].regions.size());
-    for (const damon::Region& r : cp.targets[ti].regions) {
-      out += "region";
-      AppendU64(out, r.start);
-      AppendU64(out, r.end);
-      AppendU64(out, r.nr_accesses);
-      AppendU64(out, r.last_nr_accesses);
-      AppendU64(out, r.age);
-      AppendU64(out, r.sampling_addr);
-      out += '\n';
-    }
-  }
-
-  AppendF(out, "schemes %zu\n", cp.schemes.size());
-  for (const CheckpointScheme& cs : cp.schemes) {
-    // The one-line Scheme::ToText() form is human-facing and lossy
-    // (FormatSize rounds); a checkpoint needs the raw fields back exactly,
-    // so every numeric is serialized directly.
-    const damos::SchemeBounds& b = cs.scheme.bounds();
-    out += "scheme";
-    AppendU64(out, b.min_size);
-    AppendU64(out, b.max_size);
-    AppendF(out, " %s", FreqUnitName(b.min_freq.unit));
-    AppendDouble(out, b.min_freq.value);
-    AppendF(out, " %s", FreqUnitName(b.max_freq.unit));
-    AppendDouble(out, b.max_freq.value);
-    AppendU64(out, b.min_age);
-    AppendU64(out, b.max_age);
-    AppendF(out, " %s", std::string(DamosActionName(b.action)).c_str());
-    out += '\n';
-
-    const governor::GovernorPolicy& p = cs.scheme.policy();
-    out += "policy";
-    AppendU64(out, p.quota.sz_bytes);
-    AppendU64(out, p.quota.time_us);
-    AppendU64(out, p.quota.reset_interval);
-    AppendU64(out, p.prio.sz);
-    AppendU64(out, p.prio.freq);
-    AppendU64(out, p.prio.age);
-    AppendF(out, " %s", std::string(WatermarkMetricName(p.wmarks.metric)).c_str());
-    AppendU64(out, p.wmarks.interval);
-    AppendU64(out, p.wmarks.high);
-    AppendU64(out, p.wmarks.mid);
-    AppendU64(out, p.wmarks.low);
-    out += '\n';
-
-    const damos::SchemeStats& st = cs.scheme.stats();
-    out += "stats";
-    AppendU64(out, st.nr_tried);
-    AppendU64(out, st.sz_tried);
-    AppendU64(out, st.nr_applied);
-    AppendU64(out, st.sz_applied);
-    AppendU64(out, st.nr_errors);
-    AppendU64(out, st.nr_backoffs);
-    AppendU64(out, st.nr_skipped);
-    AppendU64(out, st.qt_exceeds);
-    AppendU64(out, st.sz_quota_exceeded);
-    AppendU64(out, st.nr_wmark_deactivations);
-    AppendU64(out, st.wmark_active ? 1 : 0);
-    out += '\n';
-
-    AppendF(out, "backoff %" PRIu32 " %" PRIu64 "\n", cs.backoff.backoff_exp,
-            cs.backoff.backoff_until);
-
-    const governor::QuotaState& q = cs.slot.quota;
-    out += "quota";
-    AppendU64(out, q.window_start);
-    AppendU64(out, q.charged_sz);
-    AppendDouble(out, q.charged_us);
-    AppendU64(out, q.esz);
-    AppendU64(out, q.total_charged_sz);
-    AppendDouble(out, q.total_charged_us);
-    out += '\n';
-
-    AppendF(out, "wmark %d %" PRIu64 "\n", cs.slot.wmark_active ? 1 : 0,
-            cs.slot.next_wmark_check);
-  }
-
-  AppendF(out, "recorder %" PRIu64 " %" PRIu64 " %zu\n", cp.recorder_every,
-          cp.recorder_next, cp.recorder_tail.size());
-  for (const damon::Snapshot& snap : cp.recorder_tail) {
-    AppendF(out, "snapshot %" PRIu64 " %d %zu\n", snap.at, snap.target_index,
-            snap.regions.size());
-    for (const damon::SnapshotRegion& r : snap.regions) {
-      out += "srow";
-      AppendU64(out, r.start);
-      AppendU64(out, r.end);
-      AppendU64(out, r.nr_accesses);
-      AppendU64(out, r.age);
-      out += '\n';
-    }
-  }
-
-  out += "end\n";
-  return out;
+  Walk(w, cp);
+  w.out += "end\n";
+  return std::move(w.out);
 }
 
 std::optional<Checkpoint> ParseCheckpoint(std::string_view text,
                                           CheckpointError* error) {
   Reader in(text);
   Checkpoint cp;
-
-  auto fail = [&]() -> std::optional<Checkpoint> {
-    if (error != nullptr) *error = in.error;
-    return std::nullopt;
-  };
-
   // Header: "daos-checkpoint v<version>". Version skew is rejected here —
   // silently reinterpreting a future format would restore garbage state.
-  {
-    std::vector<std::string_view> tokens = in.NextLine();
-    if (tokens.empty()) {
-      in.Fail("empty checkpoint (expected '" + std::string(kCheckpointMagic) +
-              " v1' header)");
-      return fail();
-    }
-    if (tokens[0] != kCheckpointMagic || tokens.size() != 2 ||
-        tokens[1].size() < 2 || tokens[1][0] != 'v') {
-      in.Fail("not a checkpoint: expected '" + std::string(kCheckpointMagic) +
-              " v1' header");
-      return fail();
-    }
-    const std::uint64_t version = in.U64(tokens[1].substr(1));
-    if (in.failed) return fail();
-    if (version != static_cast<std::uint64_t>(kCheckpointVersion)) {
-      in.Fail("unsupported checkpoint version v" + std::to_string(version) +
-              " (this build reads v" + std::to_string(kCheckpointVersion) +
-              ")");
-      return fail();
-    }
-    cp.version = static_cast<int>(version);
+  const std::string want = " v" + std::to_string(kCheckpointVersion);
+  if (!in.NextLine()) {
+    in.Fail("empty checkpoint (expected '" + std::string(kCheckpointMagic) +
+            want + "' header)");
+  } else if (in.tokens[0] != kCheckpointMagic || in.tokens.size() != 2 ||
+             in.tokens[1].size() < 2 || in.tokens[1][0] != 'v') {
+    in.Fail("not a checkpoint: expected '" + std::string(kCheckpointMagic) +
+            want + "' header");
+  } else if (const std::uint64_t version = in.U64(in.tokens[1].substr(1));
+             !in.failed && version != kCheckpointVersion) {
+    in.Fail("unsupported checkpoint version v" + std::to_string(version) +
+            " (this build reads v" + std::to_string(kCheckpointVersion) +
+            ")");
   }
-
-  {
-    std::vector<std::string_view> t = in.Record("at", 1);
-    if (in.failed) return fail();
-    cp.at = in.U64(t[1]);
-  }
-  {
-    std::vector<std::string_view> t = in.Record("attrs", 7);
-    if (in.failed) return fail();
-    cp.attrs.sampling_interval = in.U64(t[1]);
-    cp.attrs.aggregation_interval = in.U64(t[2]);
-    cp.attrs.regions_update_interval = in.U64(t[3]);
-    cp.attrs.min_nr_regions = in.U32(t[4]);
-    cp.attrs.max_nr_regions = in.U32(t[5]);
-    cp.attrs.adaptive = in.Bool(t[6]);
-    cp.attrs.age_reset_threshold = in.U32(t[7]);
-    if (!in.failed && cp.attrs.sampling_interval == 0)
-      in.Fail("attrs: sampling interval must be > 0");
-    if (!in.failed &&
-        cp.attrs.aggregation_interval < cp.attrs.sampling_interval)
-      in.Fail("attrs: aggregation interval below sampling interval");
-    if (!in.failed && (cp.attrs.min_nr_regions == 0 ||
-                       cp.attrs.max_nr_regions < cp.attrs.min_nr_regions))
-      in.Fail("attrs: need 0 < min_nr_regions <= max_nr_regions");
-  }
-  {
-    std::vector<std::string_view> t = in.Record("sched", 4);
-    if (in.failed) return fail();
-    cp.sched.primed = in.Bool(t[1]);
-    cp.sched.next_sample = in.U64(t[2]);
-    cp.sched.next_aggregate = in.U64(t[3]);
-    cp.sched.next_update = in.U64(t[4]);
-  }
-  {
-    std::vector<std::string_view> t = in.Record("rng", 4);
-    if (in.failed) return fail();
-    for (int i = 0; i < 4; ++i) cp.sched.rng_state[i] = in.U64(t[i + 1]);
-    if (!in.failed && cp.sched.rng_state[0] == 0 &&
-        cp.sched.rng_state[1] == 0 && cp.sched.rng_state[2] == 0 &&
-        cp.sched.rng_state[3] == 0)
-      in.Fail("rng: the all-zero state is invalid for xoshiro256**");
-  }
-  {
-    std::vector<std::string_view> t = in.Record("counters", 6);
-    if (in.failed) return fail();
-    cp.sched.counters.samples = in.U64(t[1]);
-    cp.sched.counters.aggregations = in.U64(t[2]);
-    cp.sched.counters.region_splits = in.U64(t[3]);
-    cp.sched.counters.region_merges = in.U64(t[4]);
-    cp.sched.counters.regions_updates = in.U64(t[5]);
-    cp.sched.counters.cpu_us = in.Double(t[6]);
-  }
-  {
-    std::vector<std::string_view> t = in.Record("engine", 1);
-    if (in.failed) return fail();
-    cp.engine_disarmed = in.Bool(t[1]);
-  }
-
-  std::uint64_t nr_targets = 0;
-  {
-    std::vector<std::string_view> t = in.Record("targets", 1);
-    if (in.failed) return fail();
-    nr_targets = in.U64(t[1]);
-    if (!in.failed && nr_targets > 4096)
-      in.Fail("implausible target count " + std::to_string(nr_targets));
-  }
-  if (in.failed) return fail();
-  for (std::uint64_t ti = 0; ti < nr_targets; ++ti) {
-    std::vector<std::string_view> t = in.Record("target", 2);
-    if (in.failed) return fail();
-    cp.sched.target_layout_gens.push_back(in.U64(t[1]));
-    const std::uint64_t nr_regions = in.U64(t[2]);
-    if (!in.failed && nr_regions > 1u << 20)
-      in.Fail("implausible region count " + std::to_string(nr_regions));
-    if (in.failed) return fail();
-    CheckpointTarget target;
-    target.regions.reserve(nr_regions);
-    for (std::uint64_t ri = 0; ri < nr_regions; ++ri) {
-      std::vector<std::string_view> r = in.Record("region", 6);
-      if (in.failed) return fail();
-      damon::Region region;
-      region.start = in.U64(r[1]);
-      region.end = in.U64(r[2]);
-      region.nr_accesses = in.U32(r[3]);
-      region.last_nr_accesses = in.U32(r[4]);
-      region.age = in.U32(r[5]);
-      region.sampling_addr = in.U64(r[6]);
-      if (!in.failed && region.end <= region.start)
-        in.Fail("region end must be above start");
-      if (in.failed) return fail();
-      target.regions.push_back(region);
-    }
-    cp.targets.push_back(std::move(target));
-  }
-
-  std::uint64_t nr_schemes = 0;
-  {
-    std::vector<std::string_view> t = in.Record("schemes", 1);
-    if (in.failed) return fail();
-    nr_schemes = in.U64(t[1]);
-    if (!in.failed && nr_schemes > 4096)
-      in.Fail("implausible scheme count " + std::to_string(nr_schemes));
-  }
-  if (in.failed) return fail();
-  auto parse_freq_unit = [&](std::string_view token) {
-    if (token == "percent") return FreqBound::Unit::kPercent;
-    if (token == "samples") return FreqBound::Unit::kSamples;
-    in.Fail("bad frequency unit '" + std::string(token) +
-            "' (want percent|samples)");
-    return FreqBound::Unit::kPercent;
-  };
-  for (std::uint64_t si = 0; si < nr_schemes; ++si) {
-    CheckpointScheme cs;
-    {
-      std::vector<std::string_view> t = in.Record("scheme", 9);
-      if (in.failed) return fail();
-      damos::SchemeBounds b;
-      b.min_size = in.U64(t[1]);
-      b.max_size = in.U64(t[2]);
-      b.min_freq.unit = parse_freq_unit(t[3]);
-      b.min_freq.value = in.Double(t[4]);
-      b.max_freq.unit = parse_freq_unit(t[5]);
-      b.max_freq.value = in.Double(t[6]);
-      b.min_age = in.U64(t[7]);
-      b.max_age = in.U64(t[8]);
-      if (!in.failed && !damos::ParseAction(t[9], &b.action))
-        in.Fail("unknown scheme action '" + std::string(t[9]) + "'");
-      if (in.failed) return fail();
-      cs.scheme = damos::Scheme(b);
-    }
-    {
-      std::vector<std::string_view> t = in.Record("policy", 11);
-      if (in.failed) return fail();
-      governor::GovernorPolicy p;
-      p.quota.sz_bytes = in.U64(t[1]);
-      p.quota.time_us = in.U64(t[2]);
-      p.quota.reset_interval = in.U64(t[3]);
-      p.prio.sz = in.U32(t[4]);
-      p.prio.freq = in.U32(t[5]);
-      p.prio.age = in.U32(t[6]);
-      if (!in.failed && !governor::ParseWatermarkMetric(t[7], &p.wmarks.metric))
-        in.Fail("unknown watermark metric '" + std::string(t[7]) + "'");
-      p.wmarks.interval = in.U64(t[8]);
-      p.wmarks.high = in.U32(t[9]);
-      p.wmarks.mid = in.U32(t[10]);
-      p.wmarks.low = in.U32(t[11]);
-      std::string policy_error;
-      if (!in.failed && !governor::ValidatePolicy(p, &policy_error))
-        in.Fail("invalid governor policy: " + policy_error);
-      if (in.failed) return fail();
-      cs.scheme.policy() = p;
-    }
-    {
-      std::vector<std::string_view> t = in.Record("stats", 11);
-      if (in.failed) return fail();
-      damos::SchemeStats& st = cs.scheme.stats();
-      st.nr_tried = in.U64(t[1]);
-      st.sz_tried = in.U64(t[2]);
-      st.nr_applied = in.U64(t[3]);
-      st.sz_applied = in.U64(t[4]);
-      st.nr_errors = in.U64(t[5]);
-      st.nr_backoffs = in.U64(t[6]);
-      st.nr_skipped = in.U64(t[7]);
-      st.qt_exceeds = in.U64(t[8]);
-      st.sz_quota_exceeded = in.U64(t[9]);
-      st.nr_wmark_deactivations = in.U64(t[10]);
-      st.wmark_active = in.Bool(t[11]);
-    }
-    {
-      std::vector<std::string_view> t = in.Record("backoff", 2);
-      if (in.failed) return fail();
-      cs.backoff.backoff_exp = in.U32(t[1]);
-      cs.backoff.backoff_until = in.U64(t[2]);
-    }
-    {
-      std::vector<std::string_view> t = in.Record("quota", 6);
-      if (in.failed) return fail();
-      cs.slot.quota.window_start = in.U64(t[1]);
-      cs.slot.quota.charged_sz = in.U64(t[2]);
-      cs.slot.quota.charged_us = in.Double(t[3]);
-      cs.slot.quota.esz = in.U64(t[4]);
-      cs.slot.quota.total_charged_sz = in.U64(t[5]);
-      cs.slot.quota.total_charged_us = in.Double(t[6]);
-    }
-    {
-      std::vector<std::string_view> t = in.Record("wmark", 2);
-      if (in.failed) return fail();
-      cs.slot.wmark_active = in.Bool(t[1]);
-      cs.slot.next_wmark_check = in.U64(t[2]);
-    }
-    cp.schemes.push_back(std::move(cs));
-  }
-
-  std::uint64_t nr_snapshots = 0;
-  {
-    std::vector<std::string_view> t = in.Record("recorder", 3);
-    if (in.failed) return fail();
-    cp.recorder_every = in.U64(t[1]);
-    cp.recorder_next = in.U64(t[2]);
-    nr_snapshots = in.U64(t[3]);
-    if (!in.failed && nr_snapshots > 1u << 20)
-      in.Fail("implausible snapshot count " + std::to_string(nr_snapshots));
-  }
-  if (in.failed) return fail();
-  for (std::uint64_t si = 0; si < nr_snapshots; ++si) {
-    std::vector<std::string_view> t = in.Record("snapshot", 3);
-    if (in.failed) return fail();
-    damon::Snapshot snap;
-    snap.at = in.U64(t[1]);
-    snap.target_index = static_cast<int>(in.U32(t[2]));
-    const std::uint64_t nr_rows = in.U64(t[3]);
-    if (!in.failed && nr_rows > 1u << 20)
-      in.Fail("implausible snapshot row count " + std::to_string(nr_rows));
-    if (in.failed) return fail();
-    snap.regions.reserve(nr_rows);
-    for (std::uint64_t ri = 0; ri < nr_rows; ++ri) {
-      std::vector<std::string_view> r = in.Record("srow", 4);
-      if (in.failed) return fail();
-      damon::SnapshotRegion row;
-      row.start = in.U64(r[1]);
-      row.end = in.U64(r[2]);
-      row.nr_accesses = in.U32(r[3]);
-      row.age = in.U32(r[4]);
-      if (in.failed) return fail();
-      snap.regions.push_back(row);
-    }
-    cp.recorder_tail.push_back(std::move(snap));
-  }
-
-  in.Record("end", 0);
-  if (in.failed) return fail();
-  if (!in.NextLine().empty()) {
+  Walk(in, cp);
+  in("end");
+  if (!in.failed && in.NextLine())
     in.Fail("trailing data after 'end' record");
-    return fail();
-  }
-  return cp;
+  if (!in.failed) return cp;
+  if (error != nullptr) *error = in.error;
+  return std::nullopt;
 }
 
 Checkpoint CaptureCheckpoint(const damon::DamonContext& ctx,

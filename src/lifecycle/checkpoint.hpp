@@ -13,8 +13,9 @@
 //
 // The format is line-oriented text, "daos-checkpoint v1" first, one
 // record per line, doubles as hex-floats ("%a") for exact round-trips.
-// Parsing is all-or-nothing with line-accurate errors, like every other
-// text surface of this repo (schemes, /fault).
+// One record walk in checkpoint.cpp defines it for both the writer and the
+// parser. Parsing is all-or-nothing with line-accurate errors, like every
+// other text surface of this repo (schemes, /fault).
 #pragma once
 
 #include <optional>

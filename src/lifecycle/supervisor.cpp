@@ -147,28 +147,11 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
             : TrimWhitespace(line.substr(space + 1));
     if (directive == "attrs") {
       if (out.attrs.has_value()) return fail("duplicate attrs directive");
-      const auto tokens = SplitWhitespace(rest);
-      if (tokens.size() != 5)
-        return fail(
-            "attrs expects: sample_us aggr_us update_us min_nr max_nr");
-      // The region counts are 32-bit: a wider value is rejected, not
-      // wrapped.
-      std::uint64_t intervals[3];
-      std::uint32_t nr_regions[2];
-      for (int i = 0; i < 5; ++i) {
-        const bool ok =
-            i < 3 ? StoreParsed(ParseU64(tokens[i]), intervals[i])
-                  : StoreParsed(ParseU32(tokens[i]), nr_regions[i - 3]);
-        if (!ok) return fail("bad number '" + std::string(tokens[i]) + "'");
-      }
-      // Wire format carries the five classic attrs; adaptive mode and the
+      // The wire form carries the five classic attrs; adaptive mode and the
       // age-reset threshold keep their running values.
       damon::MonitoringAttrs attrs = current_attrs_;
-      attrs.sampling_interval = intervals[0];
-      attrs.aggregation_interval = intervals[1];
-      attrs.regions_update_interval = intervals[2];
-      attrs.min_nr_regions = nr_regions[0];
-      attrs.max_nr_regions = nr_regions[1];
+      std::string why;
+      if (!damon::ParseAttrsLine(rest, &attrs, &why)) return fail(why);
       out.attrs = attrs;
     } else if (directive == "scheme") {
       const damos::ParseResult parsed = damos::ParseSchemeLine(rest);
@@ -202,12 +185,8 @@ bool KdamondSupervisor::StageCommit(CommitBundle bundle, std::string* error) {
   if (bundle.empty()) return reject("empty commit bundle");
   if (bundle.attrs.has_value()) {
     const damon::MonitoringAttrs& a = *bundle.attrs;
-    if (a.sampling_interval == 0)
-      return reject("attrs: sampling interval must be > 0");
-    if (a.aggregation_interval < a.sampling_interval)
-      return reject("attrs: aggregation interval below sampling interval");
-    if (a.min_nr_regions == 0 || a.max_nr_regions < a.min_nr_regions)
-      return reject("attrs: need 0 < min_nr_regions <= max_nr_regions");
+    std::string why;
+    if (!damon::ValidateAttrs(a, &why)) return reject(why);
     // The restart-budget window slides in sim-clock deltas but its quiet
     // check only happens at stepping cadence; an aggregation interval
     // larger than the window would leave zero window boundaries inside it

@@ -18,13 +18,16 @@ constexpr std::uint64_t kMaxAccessBytes = 1 * GiB;
 constexpr std::uint64_t kMaxMapBytes = 64ULL * GiB;
 constexpr Addr kMaxAddr = 1ULL << 60;
 
-bool Fail(IngestError* error, int line, std::string msg) {
+std::nullopt_t Fail(IngestError* error, int line, std::string msg) {
   if (error != nullptr) {
     error->line_number = line;
     error->message = std::move(msg);
   }
-  return false;
+  return std::nullopt;
 }
+
+/// Touched [first, last) page intervals, the input of SynthesizeLayout.
+using Spans = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 bool SkippableLine(std::string_view line) {
   const std::string_view t = TrimWhitespace(line);
@@ -67,9 +70,8 @@ bool ParseU64Radix(std::string_view token, int base, std::uint64_t& out) {
 
 /// Touched-page intervals -> kMap events at t=0, huge-page aligned, with
 /// >32 MiB gaps starting a new VMA. Returns the events and total bytes.
-std::vector<TraceEvent> SynthesizeLayout(
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> spans,
-    std::uint64_t& data_bytes) {
+std::vector<TraceEvent> SynthesizeLayout(Spans spans,
+                                         std::uint64_t& data_bytes) {
   std::vector<TraceEvent> maps;
   data_bytes = 0;
   if (spans.empty()) return maps;
@@ -101,32 +103,46 @@ std::vector<TraceEvent> SynthesizeLayout(
   return maps;
 }
 
-TraceMeta MakeMeta(std::string_view name, const IngestOptions& options,
-                   std::uint64_t data_bytes, SimTimeUs duration) {
-  TraceMeta meta;
+/// Makes `ev` touch the pages of [addr, addr + size) and records them.
+void SetTouch(TraceEvent& ev, Addr addr, std::uint64_t size, Spans& spans) {
+  ev.page = PageOf(addr);
+  const std::uint64_t last_page = PageOf(addr + size - 1);
+  ev.op = last_page == ev.page ? TraceOp::kTouchPage : TraceOp::kTouchRange;
+  ev.pages = last_page - ev.page + 1;
+  spans.emplace_back(ev.page, last_page + 1);
+}
+
+/// The trace of `layout`'s map events followed by `events`.
+Trace Assemble(std::vector<TraceEvent> layout, std::vector<TraceEvent> events,
+               std::string_view name, const IngestOptions& options,
+               std::uint64_t data_bytes) {
+  Trace trace;
+  trace.events = std::move(layout);
+  trace.events.insert(trace.events.end(),
+                      std::make_move_iterator(events.begin()),
+                      std::make_move_iterator(events.end()));
+  TraceMeta& meta = trace.meta;
   meta.name = std::string(name);
   meta.quantum_us = options.quantum_us;
   meta.data_bytes = data_bytes;
   // The replay process works for the trace's duration plus one quantum —
   // an ingested trace says nothing about CPU behaviour, so the run ends
   // when the events do. THP gain is unknown: claim none.
-  meta.runtime_s = static_cast<double>(duration + options.quantum_us) /
-                   static_cast<double>(kUsPerSec);
+  meta.runtime_s =
+      static_cast<double>(trace.events.back().at + options.quantum_us) /
+      static_cast<double>(kUsPerSec);
   meta.mem_boundness = 0.5;
   meta.thp_gain = 0.0;
   meta.zram_ratio = 3.0;
-  return meta;
+  return trace;
 }
 
 }  // namespace
 
 TraceTextFormat DetectTraceTextFormat(std::string_view text) {
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
+  LineCursor lines(text);
+  std::string_view line;
+  while (lines.Next(&line)) {
     if (SkippableLine(line)) continue;
     const std::string_view t = TrimWhitespace(line);
     if (t.find(',') != std::string_view::npos &&
@@ -147,141 +163,87 @@ std::optional<Trace> IngestLackey(std::string_view text, std::string_view name,
                                   const IngestOptions& options,
                                   IngestError* error) {
   std::vector<TraceEvent> touches;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  Spans spans;
   const std::uint64_t per_quantum = std::max<std::uint64_t>(
       1, options.ops_per_quantum);
   std::uint64_t op_index = 0;
-  std::size_t pos = 0;
-  int line_no = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view raw = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
+  LineCursor lines(text);
+  std::string_view raw;
+  while (lines.Next(&raw)) {
+    const int line_no = lines.line_no();
     if (SkippableLine(raw)) continue;
     const std::string_view line = TrimWhitespace(raw);
     const char op = line[0];
-    if (op != 'I' && op != 'L' && op != 'S' && op != 'M') {
-      Fail(error, line_no, "unknown op (expected I, L, S or M)");
-      return std::nullopt;
-    }
+    if (op != 'I' && op != 'L' && op != 'S' && op != 'M')
+      return Fail(error, line_no, "unknown op (expected I, L, S or M)");
     const std::string_view rest = TrimWhitespace(line.substr(1));
     const std::size_t comma = rest.find(',');
-    if (comma == std::string_view::npos) {
-      Fail(error, line_no, "missing \",size\" after address");
-      return std::nullopt;
-    }
+    if (comma == std::string_view::npos)
+      return Fail(error, line_no, "missing \",size\" after address");
     Addr addr = 0;
     std::uint64_t size = 0;
-    if (!ParseU64Radix(rest.substr(0, comma), 16, addr) || addr > kMaxAddr) {
-      Fail(error, line_no, "bad hex address");
-      return std::nullopt;
-    }
+    if (!ParseU64Radix(rest.substr(0, comma), 16, addr) || addr > kMaxAddr)
+      return Fail(error, line_no, "bad hex address");
     if (!ParseU64Radix(rest.substr(comma + 1), 10, size) || size == 0 ||
-        size > kMaxAccessBytes) {
-      Fail(error, line_no, "bad access size");
-      return std::nullopt;
-    }
+        size > kMaxAccessBytes)
+      return Fail(error, line_no, "bad access size");
     if (op == 'I') continue;  // instruction fetch: not a data access
     TraceEvent ev;
     ev.at = static_cast<SimTimeUs>(op_index / per_quantum) * options.quantum_us;
     ev.write = op == 'S' || op == 'M';
-    ev.page = PageOf(addr);
-    const std::uint64_t last_page = PageOf(addr + size - 1);
-    if (last_page == ev.page) {
-      ev.op = TraceOp::kTouchPage;
-      ev.pages = 1;
-    } else {
-      ev.op = TraceOp::kTouchRange;
-      ev.pages = last_page - ev.page + 1;
-    }
-    spans.emplace_back(ev.page, last_page + 1);
+    SetTouch(ev, addr, size, spans);
     touches.push_back(std::move(ev));
     ++op_index;
   }
-  if (touches.empty()) {
-    Fail(error, 0, "no data accesses in input");
-    return std::nullopt;
-  }
-  Trace trace;
+  if (touches.empty()) return Fail(error, 0, "no data accesses in input");
   std::uint64_t data_bytes = 0;
-  trace.events = SynthesizeLayout(std::move(spans), data_bytes);
-  trace.events.insert(trace.events.end(),
-                      std::make_move_iterator(touches.begin()),
-                      std::make_move_iterator(touches.end()));
-  trace.meta = MakeMeta(name, options, data_bytes, trace.events.back().at);
-  return trace;
+  std::vector<TraceEvent> layout =
+      SynthesizeLayout(std::move(spans), data_bytes);
+  return Assemble(std::move(layout), std::move(touches), name, options,
+                  data_bytes);
 }
 
 std::optional<Trace> IngestCsv(std::string_view text, std::string_view name,
                                const IngestOptions& options,
                                IngestError* error) {
   std::vector<TraceEvent> events;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  Spans spans;
   bool has_explicit_map = false;
   std::uint64_t explicit_bytes = 0;
   SimTimeUs last_at = 0;
-  std::size_t pos = 0;
-  int line_no = 0;
   bool saw_data = false;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view raw = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
+  LineCursor lines(text);
+  std::string_view raw;
+  while (lines.Next(&raw)) {
+    const int line_no = lines.line_no();
     if (SkippableLine(raw)) continue;
     const std::string_view line = TrimWhitespace(raw);
     if (!saw_data && StartsWith(line, "time_us")) continue;  // header row
     const std::vector<std::string_view> fields = SplitChar(line, ',');
-    if (fields.size() != 4) {
-      Fail(error, line_no, "expected 4 fields: time_us,op,addr,size");
-      return std::nullopt;
-    }
+    if (fields.size() != 4)
+      return Fail(error, line_no, "expected 4 fields: time_us,op,addr,size");
     const auto at = ParseU64(TrimWhitespace(fields[0]));
-    if (!at) {
-      Fail(error, line_no, "bad time_us");
-      return std::nullopt;
-    }
-    if (static_cast<SimTimeUs>(*at) < last_at) {
-      Fail(error, line_no, "time_us went backwards");
-      return std::nullopt;
-    }
+    if (!at) return Fail(error, line_no, "bad time_us");
+    if (static_cast<SimTimeUs>(*at) < last_at)
+      return Fail(error, line_no, "time_us went backwards");
     const std::string op = ToLower(TrimWhitespace(fields[1]));
     Addr addr = 0;
-    if (!ParseU64Radix(fields[2], 0, addr) || addr > kMaxAddr) {
-      Fail(error, line_no, "bad address");
-      return std::nullopt;
-    }
+    if (!ParseU64Radix(fields[2], 0, addr) || addr > kMaxAddr)
+      return Fail(error, line_no, "bad address");
     std::uint64_t size = 0;
-    if (!ParseU64Radix(fields[3], 10, size)) {
-      Fail(error, line_no, "bad size");
-      return std::nullopt;
-    }
+    if (!ParseU64Radix(fields[3], 10, size))
+      return Fail(error, line_no, "bad size");
     TraceEvent ev;
     ev.at = static_cast<SimTimeUs>(*at);
     ev.page = PageOf(addr);
     if (op == "r" || op == "w") {
-      if (size == 0 || size > kMaxAccessBytes) {
-        Fail(error, line_no, "bad access size");
-        return std::nullopt;
-      }
+      if (size == 0 || size > kMaxAccessBytes)
+        return Fail(error, line_no, "bad access size");
       ev.write = op == "w";
-      const std::uint64_t last_page = PageOf(addr + size - 1);
-      if (last_page == ev.page) {
-        ev.op = TraceOp::kTouchPage;
-        ev.pages = 1;
-      } else {
-        ev.op = TraceOp::kTouchRange;
-        ev.pages = last_page - ev.page + 1;
-      }
-      spans.emplace_back(ev.page, last_page + 1);
+      SetTouch(ev, addr, size, spans);
     } else if (op == "map") {
-      if (size == 0 || size > kMaxMapBytes) {
-        Fail(error, line_no, "bad map size");
-        return std::nullopt;
-      }
+      if (size == 0 || size > kMaxMapBytes)
+        return Fail(error, line_no, "bad map size");
       ev.op = TraceOp::kMap;
       ev.pages = PageOf(addr + size - 1) - ev.page + 1;
       ev.name = "csv" + std::to_string(line_no);
@@ -291,29 +253,21 @@ std::optional<Trace> IngestCsv(std::string_view text, std::string_view name,
       ev.op = TraceOp::kUnmap;
       ev.pages = 1;
     } else {
-      Fail(error, line_no, "unknown op \"" + op + "\"");
-      return std::nullopt;
+      return Fail(error, line_no, "unknown op \"" + op + "\"");
     }
     last_at = ev.at;
     saw_data = true;
     events.push_back(std::move(ev));
   }
-  if (events.empty()) {
-    Fail(error, 0, "no events in input");
-    return std::nullopt;
-  }
-  Trace trace;
+  if (events.empty()) return Fail(error, 0, "no events in input");
   std::uint64_t data_bytes = explicit_bytes;
-  if (!has_explicit_map) {
-    // No map rows: synthesize the layout from the touched clusters, same
-    // as lackey input.
-    trace.events = SynthesizeLayout(std::move(spans), data_bytes);
-  }
-  trace.events.insert(trace.events.end(),
-                      std::make_move_iterator(events.begin()),
-                      std::make_move_iterator(events.end()));
-  trace.meta = MakeMeta(name, options, data_bytes, trace.events.back().at);
-  return trace;
+  std::vector<TraceEvent> layout;
+  // No map rows: synthesize the layout from the touched clusters, same as
+  // lackey input.
+  if (!has_explicit_map)
+    layout = SynthesizeLayout(std::move(spans), data_bytes);
+  return Assemble(std::move(layout), std::move(events), name, options,
+                  data_bytes);
 }
 
 std::optional<Trace> IngestText(std::string_view text, std::string_view name,
@@ -327,8 +281,7 @@ std::optional<Trace> IngestText(std::string_view text, std::string_view name,
     case TraceTextFormat::kUnknown:
       break;
   }
-  Fail(error, 1, "unrecognized trace format (expected lackey or CSV)");
-  return std::nullopt;
+  return Fail(error, 1, "unrecognized trace format (expected lackey or CSV)");
 }
 
 }  // namespace daos::trace

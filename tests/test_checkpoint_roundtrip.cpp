@@ -12,12 +12,14 @@
 #include <optional>
 #include <string>
 
+#include "checkpoint_golden.hpp"
 #include "damon/primitives.hpp"
 #include "fault/fault.hpp"
 #include "lifecycle/checkpoint.hpp"
 #include "lifecycle/supervisor.hpp"
 #include "sim/address_space.hpp"
 #include "sim/system.hpp"
+#include "util/hash.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -50,6 +52,83 @@ lifecycle::Checkpoint TinyCheckpoint() {
   region.sampling_addr = kBase + 4096;
   target.regions.push_back(region);
   cp.targets.push_back(target);
+  return cp;
+}
+
+/// A hand-built checkpoint that reaches every record and every field kind:
+/// two targets, a governed scheme (a `samples` frequency bound, prio
+/// weights, a watermark metric), a nonzero backoff, a quota charge of 1/3
+/// and a recorder tail of two snapshots.
+lifecycle::Checkpoint FullCheckpoint() {
+  lifecycle::Checkpoint cp = TinyCheckpoint();
+  cp.attrs.adaptive = false;
+  cp.attrs.age_reset_threshold = 2;
+  cp.sched.counters.region_splits = 7;
+  cp.sched.counters.region_merges = 6;
+  cp.sched.counters.regions_updates = 2;
+  cp.sched.target_layout_gens = {1, 4};
+  lifecycle::CheckpointTarget second;
+  for (Addr start : {2 * GiB, 2 * GiB + 4 * MiB}) {
+    damon::Region region;
+    region.start = start;
+    region.end = start + 4 * MiB;
+    region.nr_accesses = 1;
+    region.age = 9;
+    region.sampling_addr = start + 8192;
+    second.regions.push_back(region);
+  }
+  cp.targets.push_back(second);
+  cp.engine_disarmed = true;
+
+  damos::SchemeBounds bounds;
+  bounds.min_size = 4096;
+  bounds.max_size = 64 * MiB;
+  bounds.min_freq = damos::FreqBound::Samples(2);
+  bounds.max_freq = damos::FreqBound::Percent(0.5);
+  bounds.min_age = 2 * kUsPerSec;
+  bounds.action = damon::DamosAction::kPageout;
+  lifecycle::CheckpointScheme cs;
+  cs.scheme = damos::Scheme(bounds);
+  governor::GovernorPolicy& policy = cs.scheme.policy();
+  policy.quota.sz_bytes = 4 * MiB;
+  policy.quota.time_us = 5000;
+  policy.prio = {3, 7, 1};
+  policy.wmarks.metric = governor::WatermarkMetric::kFreeMemRate;
+  policy.wmarks.high = 700;
+  policy.wmarks.mid = 500;
+  policy.wmarks.low = 100;
+  damos::SchemeStats& stats = cs.scheme.stats();
+  stats.nr_tried = 40;
+  stats.sz_tried = 40 * 4096;
+  stats.nr_applied = 12;
+  stats.sz_applied = 12 * 4096;
+  stats.nr_errors = 1;
+  stats.nr_backoffs = 1;
+  stats.nr_skipped = 3;
+  stats.qt_exceeds = 5;
+  stats.sz_quota_exceeded = 5 * 4096;
+  stats.nr_wmark_deactivations = 2;
+  stats.wmark_active = false;
+  cs.backoff = {3, 5 * kUsPerSec};
+  cs.slot.quota.window_start = kUsPerSec;
+  cs.slot.quota.charged_sz = 8192;
+  cs.slot.quota.charged_us = 1.0 / 3.0;
+  cs.slot.quota.esz = 4 * MiB;
+  cs.slot.quota.total_charged_sz = 65536;
+  cs.slot.quota.total_charged_us = 2.5;
+  cs.slot.wmark_active = false;
+  cs.slot.next_wmark_check = 1100000;
+  cp.schemes.push_back(cs);
+
+  cp.recorder_every = kUsPerSec;
+  cp.recorder_next = 2 * kUsPerSec;
+  cp.recorder_tail.resize(2);
+  cp.recorder_tail[0].at = kUsPerSec;
+  cp.recorder_tail[0].regions = {{kBase, kBase + 2 * MiB, 3, 5},
+                                 {kBase + 2 * MiB, kBase + 4 * MiB, 0, 1}};
+  cp.recorder_tail[1].at = kUsPerSec;
+  cp.recorder_tail[1].target_index = 1;
+  cp.recorder_tail[1].regions = {{2 * GiB, 2 * GiB + 8 * MiB, 1, 9}};
   return cp;
 }
 
@@ -131,6 +210,40 @@ TEST(CheckpointRoundTripTest, LiveCaptureReserializesExactly) {
   EXPECT_GT(parsed->targets.at(0).regions.size(), 0u);
   ASSERT_EQ(parsed->schemes.size(), 1u);
   EXPECT_GT(parsed->schemes[0].scheme.stats().nr_tried, 0u);
+}
+
+// The two goldens below were recorded before the checkpoint format moved to
+// a single record walk. Every other test here is a round trip, which a
+// field reordered in both the writer and the parser would still pass; these
+// pin the bytes themselves.
+TEST(CheckpointFormatTest, FullCheckpointTextPinned) {
+  const std::string expected = kFullCheckpointText;
+  const std::string text = SerializeCheckpoint(FullCheckpoint());
+  EXPECT_EQ(text, expected);
+  lifecycle::CheckpointError error;
+  const std::optional<lifecycle::Checkpoint> parsed =
+      lifecycle::ParseCheckpoint(expected, &error);
+  ASSERT_TRUE(parsed.has_value())
+      << "line " << error.line_number << ": " << error.message;
+  EXPECT_EQ(SerializeCheckpoint(*parsed), expected);
+  EXPECT_EQ(parsed->sched.target_layout_gens,
+            (std::vector<std::uint64_t>{1, 4}));
+  EXPECT_EQ(parsed->targets.at(1).regions.size(), 2u);
+  EXPECT_EQ(parsed->schemes.at(0).slot.quota.charged_us, 1.0 / 3.0);
+  EXPECT_EQ(parsed->recorder_tail.at(1).target_index, 1);
+}
+
+TEST(CheckpointRoundTripTest, LiveCaptureBytesPinned) {
+  Rig rig;
+  rig.space.TouchRange(kBase, kBase + kHeap, true, 0);
+  rig.InstallOrDie(kGovernedScheme);
+  rig.system.Run(3 * kUsPerSec);
+
+  const std::string text = rig.supervisor.CaptureCheckpointText();
+  Fnv1a digest;
+  digest.Mix(text);
+  EXPECT_EQ(text.size(), 30329u);
+  EXPECT_EQ(digest.value(), 0xaf1d3387ddc60448ULL);
 }
 
 TEST(CheckpointRoundTripTest, RestoreIsIdentityOverFollowingWindows) {

@@ -70,6 +70,9 @@ TEST(CtlExitCodes, EveryVerbIsScriptable) {
   };
   const std::vector<Row> rows = {
       // Success paths. Order matters: checkpoint/ingest feed restore/replay.
+      // No arguments runs the dbgfs demo, which writes and reloads a
+      // monitoring record file.
+      {"", 0},
       {"checkpoint " + checkpoint, 0},
       {"restore " + checkpoint, 0},
       {"commit " + bundle_ok, 0},

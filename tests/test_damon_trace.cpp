@@ -59,6 +59,15 @@ TEST(TraceTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseTrace("T 1 0 2\nR 0 4096 1 0\n").has_value());  // short
   EXPECT_FALSE(ParseTrace("T 1 0 1\nR 4096 0 1 0\n").has_value());  // end<start
   EXPECT_FALSE(ParseTrace("T one 0 1\n").has_value());
+  // Well-formed apart from one field, which a lenient reader would wrap or
+  // drop.
+  EXPECT_FALSE(ParseTrace("T 1 0 1\nR 0 4096 -1 0\n").has_value());
+  EXPECT_FALSE(ParseTrace("T 1 0 1\nR 0 4096 4294967296 0\n").has_value());
+  EXPECT_FALSE(ParseTrace("T 1 -1 1\nR 0 4096 1 0\n").has_value());
+  EXPECT_FALSE(ParseTrace("T 1 2147483648 1\nR 0 4096 1 0\n").has_value());
+  EXPECT_FALSE(ParseTrace("T -5 0 1\nR 0 4096 1 0\n").has_value());
+  EXPECT_FALSE(ParseTrace("T 1 0 1 7\nR 0 4096 1 0\n").has_value());
+  EXPECT_FALSE(ParseTrace("T 1 0 1\nR 0 4096 1 0 7\n").has_value());
 }
 
 TEST(TraceTest, RejectsExtraRegions) {

@@ -11,6 +11,7 @@
 
 #include "chaos/campaign.hpp"
 #include "chaos/engine.hpp"
+#include "checkpoint_golden.hpp"
 #include "damos/parser.hpp"
 #include "dbgfs/chaos_fs.hpp"
 #include "dbgfs/damon_dbgfs.hpp"
@@ -23,6 +24,8 @@
 #include "sim/tier.hpp"
 #include "trace/format.hpp"
 #include "trace/ingest.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 #include "workload/generator.hpp"
 #include "workload/profile.hpp"
@@ -388,9 +391,11 @@ TEST_F(MalformedDbgfsTest, SchemesWriteWithNulByteRejected) {
 TEST_F(MalformedDbgfsTest, BadAttrsRejectedAndUnchanged) {
   const std::string before = fs_.Read("/damon/attrs").value();
   std::string error;
-  // min_nr > max_nr is inconsistent.
+  // min_nr > max_nr is inconsistent; the error names the violated bound.
   EXPECT_FALSE(fs_.Write("/damon/attrs", "5000 100000 1000000 500 10", &error));
-  EXPECT_NE(error.find("inconsistent"), std::string::npos);
+  EXPECT_NE(error.find("attrs: need 0 < min_nr_regions <= max_nr_regions"),
+            std::string::npos)
+      << error;
   EXPECT_FALSE(fs_.Write("/damon/attrs", "garbage in here now五 ok", &error));
   EXPECT_EQ(fs_.Read("/damon/attrs").value(), before);
 }
@@ -565,6 +570,105 @@ TEST(MalformedCheckpointTest, OverflowingNumberRejected) {
       lifecycle::ParseCheckpoint(JoinLines(lines), &error).has_value());
   EXPECT_EQ(error.line_number, 2);
   EXPECT_NE(error.message.find("bad unsigned value"), std::string::npos);
+}
+
+/// One seeded mutant of `golden`: a raw byte edit, or one to three token
+/// or line edits (a boundary value or record word from a dictionary, a
+/// token from another line, a deleted or doubled token or line).
+std::string MutateCheckpoint(const std::string& golden, Rng& rng) {
+  static constexpr const char* kWords[] = {
+      "0", "1", "2", "-1", "2147483647", "2147483648", "4294967295",
+      "4294967296", "18446744073709551615", "18446744073709551616", "4096",
+      "4097", "1048576", "1048577", "0x1p+1", "-0x1p-1", "1e308", "1e309",
+      "nan", "inf", "percent", "samples", "pageout", "free_mem_rate",
+      "none", "end", "target", "region", "x", ""};
+  if (rng.NextBounded(4) == 0) {
+    std::string text = golden;
+    const std::size_t at = rng.NextBounded(text.size());
+    const char byte = static_cast<char>(rng.NextBounded(256));
+    switch (rng.NextBounded(3)) {
+      case 0:
+        text[at] = byte;
+        break;
+      case 1:
+        text.insert(at, 1, byte);
+        break;
+      default:
+        text.erase(at, 1);
+        break;
+    }
+    return text;
+  }
+  std::vector<std::string> lines = SplitLines(golden);
+  const std::uint64_t edits =
+      rng.NextBounded(2) == 0 ? 1 : 2 + rng.NextBounded(2);
+  for (std::uint64_t e = 0; e < edits && !lines.empty(); ++e) {
+    const std::size_t li = rng.NextBounded(lines.size());
+    std::vector<std::string> tokens;
+    for (std::string_view t : SplitChar(lines[li], ' '))
+      tokens.emplace_back(t);
+    const std::size_t ti = rng.NextBounded(tokens.size());
+    switch (rng.NextBounded(6)) {
+      case 0:
+        tokens[ti] = kWords[rng.NextBounded(std::size(kWords))];
+        break;
+      case 1: {
+        const std::vector<std::string_view> other =
+            SplitChar(lines[rng.NextBounded(lines.size())], ' ');
+        tokens[ti] = std::string(other[rng.NextBounded(other.size())]);
+        break;
+      }
+      case 2:
+        tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(ti));
+        break;
+      case 3:
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(ti),
+                      tokens[ti]);
+        break;
+      case 4:
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(li));
+        continue;
+      default:
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(li),
+                     lines[li]);
+        continue;
+    }
+    std::string line;
+    for (const std::string& t : tokens) line += (line.empty() ? "" : " ") + t;
+    lines[li] = line;
+  }
+  return JoinLines(lines);
+}
+
+TEST(MalformedCheckpointTest, MutantsNeverCrashAndReachAFixpoint) {
+  // A rejected mutant names a line; an accepted one serializes to a text
+  // that parses back and serializes to itself (a checkpoint restored from
+  // dbgfs and captured again must stay restorable).
+  const std::string golden = kFullCheckpointText;
+  Rng rng(0xc4ec'4b01'47f0'0d5eULL);
+  int accepted = 0;
+  for (int m = 0; m < 20000; ++m) {
+    const std::string text = MutateCheckpoint(golden, rng);
+    lifecycle::CheckpointError error;
+    std::optional<lifecycle::Checkpoint> parsed;
+    ASSERT_NO_THROW(parsed = lifecycle::ParseCheckpoint(text, &error))
+        << "mutant " << m << ":\n" << text;
+    if (!parsed.has_value()) {
+      ASSERT_GE(error.line_number, 1) << "mutant " << m << ":\n" << text;
+      ASSERT_FALSE(error.message.empty()) << "mutant " << m;
+      continue;
+    }
+    ++accepted;
+    const std::string once = SerializeCheckpoint(*parsed);
+    const std::optional<lifecycle::Checkpoint> again =
+        lifecycle::ParseCheckpoint(once, &error);
+    ASSERT_TRUE(again.has_value())
+        << "mutant " << m << " reserializes to a rejected text (line "
+        << error.line_number << ": " << error.message << "):\n" << text;
+    ASSERT_EQ(SerializeCheckpoint(*again), once) << "mutant " << m;
+  }
+  // About 8 % of the mutants are accepted; the fixpoint check must see them.
+  EXPECT_GT(accepted, 1000);
 }
 
 // --- commit bundles (src/lifecycle) ---------------------------------------
