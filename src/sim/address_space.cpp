@@ -33,16 +33,40 @@ std::uint64_t Popcount(std::uint64_t word) {
   return static_cast<std::uint64_t>(std::popcount(word));
 }
 
+/// Mask selecting the pages of bitmap word `w` inside page indices
+/// [plo, phi).
+std::uint64_t WordMask(std::size_t plo, std::size_t phi, std::size_t w) {
+  const std::size_t lo = std::max(plo, w << 6);
+  const std::size_t hi = std::min(phi, (w + 1) << 6);
+  return BitRangeMask(lo & 63, hi - (w << 6));
+}
+
 /// Calls fn(word_index, mask, first_page_of_word) for every bitmap word
 /// overlapping page indices [plo, phi); the mask selects exactly the pages
 /// of that word inside the range.
 template <typename Fn>
 void ForEachWord(std::size_t plo, std::size_t phi, Fn&& fn) {
   for (std::size_t w = plo >> 6; w <= (phi - 1) >> 6; ++w) {
-    const std::size_t lo = std::max(plo, w << 6);
-    const std::size_t hi = std::min(phi, (w + 1) << 6);
-    fn(w, BitRangeMask(lo & 63, hi - (w << 6)), w << 6);
+    fn(w, WordMask(plo, phi, w), w << 6);
   }
+}
+
+/// Calls fn(i) for each page index i in [plo, phi) whose bit is set in
+/// `plane`, in address order, until fn returns false; returns false then.
+/// A word is read only when its turn comes: fn may change later words, while
+/// the rest of its own word keeps the snapshot taken at the word's turn.
+template <typename Fn>
+bool ForEachSetBit(const std::uint64_t* plane, std::size_t plo,
+                   std::size_t phi, Fn&& fn) {
+  for (std::size_t w = plo >> 6; w <= (phi - 1) >> 6; ++w) {
+    for (std::uint64_t word = plane[w] & WordMask(plo, phi, w); word != 0;
+         word &= word - 1) {
+      if (!fn((w << 6) + static_cast<std::size_t>(std::countr_zero(word)))) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -207,31 +231,54 @@ AddressSpace::AddressSpace(int id, Machine* machine, double zram_ratio)
 }
 
 AddressSpace::~AddressSpace() {
-  // Return all frames and swap slots to the machine. Frames uncharge by
-  // word-popcount; swap slots release per page (the device's stored-bytes
-  // accounting is floating point and must see the same per-page sequence
-  // the evictions produced).
-  for (Vma& vma : vmas_) {
-    const std::uint64_t* present = vma.plane(PageBit::kPresent);
-    const std::uint64_t* swapped = vma.plane(PageBit::kSwapped);
-    for (std::size_t w = 0; w < vma.word_count(); ++w) {
-      if (present[w] != 0) {
-        machine_->UnchargeFrames(
-            static_cast<std::uint64_t>(std::popcount(present[w])));
-        if (machine_->tiered()) {
-          for (std::uint64_t word = present[w]; word != 0; word &= word - 1) {
-            const std::size_t i =
-                (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-            machine_->UnchargeTier(vma.Meta(i).tier);
-          }
-        }
-      }
-      for (std::uint64_t word = swapped[w]; word != 0; word &= word - 1) {
-        machine_->swap().ReleasePage(zram_ratio_);
-      }
+  for (const Vma& vma : vmas_) ReleaseVma(vma);
+  machine_->UnregisterSpace(this);
+}
+
+template <typename Fn>
+void AddressSpace::ForEachVmaSpan(Addr start, Addr end, Fn&& fn) {
+  // The interval index gives the first VMA ending above `start`; the
+  // overlapping ones follow it in address order.
+  for (std::size_t v = static_cast<std::size_t>(
+           std::upper_bound(vma_ends_.begin(), vma_ends_.end(), start) -
+           vma_ends_.begin());
+       v < vmas_.size() && vma_starts_[v] < end; ++v) {
+    Vma& vma = vmas_[v];
+    if (!fn(vma, std::max(start, vma.start()), std::min(end, vma.end()))) {
+      return;
     }
   }
-  machine_->UnregisterSpace(this);
+}
+
+void AddressSpace::ReleaseVma(const Vma& vma) {
+  // Frames uncharge by word-popcount; swap slots release per page (the
+  // device's stored-bytes accounting is floating point and must see the
+  // same per-page sequence the evictions produced).
+  const std::uint64_t* present = vma.plane(PageBit::kPresent);
+  const std::uint64_t* swapped = vma.plane(PageBit::kSwapped);
+  const std::uint64_t* bloat = vma.plane(PageBit::kHugeBloat);
+  ForEachWord(0, vma.page_count(), [&](std::size_t w, std::uint64_t,
+                                       std::size_t base) {
+    const std::size_t word_end = std::min(base + 64, vma.page_count());
+    const std::uint64_t count = Popcount(present[w]);
+    machine_->UnchargeFrames(count);
+    resident_pages_ -= count;
+    if (machine_->tiered()) {
+      ForEachSetBit(present, base, word_end, [&](std::size_t i) {
+        machine_->UnchargeTier(vma.Meta(i).tier);
+        return true;
+      });
+    }
+    bloat_pages_ -= Popcount(bloat[w]);
+    ForEachSetBit(swapped, base, word_end, [&](std::size_t) {
+      machine_->swap().ReleasePage(zram_ratio_);
+      --swapped_pages_;
+      return true;
+    });
+  });
+  for (std::size_t b = 0; b < vma.block_count(); ++b) {
+    if (vma.block(b).huge) --huge_blocks_;
+  }
 }
 
 Vma* AddressSpace::Map(Addr start, std::uint64_t len, std::string name) {
@@ -261,32 +308,7 @@ void AddressSpace::UnmapVma(Addr start) {
   auto it = std::find_if(vmas_.begin(), vmas_.end(),
                          [start](const Vma& v) { return v.start() == start; });
   if (it == vmas_.end()) return;
-  const std::uint64_t* present = it->plane(PageBit::kPresent);
-  const std::uint64_t* swapped = it->plane(PageBit::kSwapped);
-  const std::uint64_t* bloat = it->plane(PageBit::kHugeBloat);
-  for (std::size_t w = 0; w < it->word_count(); ++w) {
-    if (present[w] != 0) {
-      const std::uint64_t count =
-          static_cast<std::uint64_t>(std::popcount(present[w]));
-      machine_->UnchargeFrames(count);
-      resident_pages_ -= count;
-      if (machine_->tiered()) {
-        for (std::uint64_t word = present[w]; word != 0; word &= word - 1) {
-          const std::size_t i =
-              (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-          machine_->UnchargeTier(it->Meta(i).tier);
-        }
-      }
-    }
-    bloat_pages_ -= static_cast<std::uint64_t>(std::popcount(bloat[w]));
-    for (std::uint64_t word = swapped[w]; word != 0; word &= word - 1) {
-      machine_->swap().ReleasePage(zram_ratio_);
-      --swapped_pages_;
-    }
-  }
-  for (std::size_t b = 0; b < it->block_count(); ++b) {
-    if (it->block(b).huge) --huge_blocks_;
-  }
+  ReleaseVma(*it);
   mapped_bytes_ -= it->size();
   vmas_.erase(it);
   ++layout_gen_;
@@ -471,15 +493,7 @@ TouchStats AddressSpace::TouchRange(Addr start, Addr end, bool write,
   end = AlignUp(end, kPageSize);
   if (tap_ != nullptr) tap_->OnTouchRange(start, end, write, now);
   const bool tiered = machine_->tiered();
-  // The interval index gives the first VMA ending above `start`; the
-  // overlapping ones follow it in address order.
-  for (std::size_t v = static_cast<std::size_t>(
-           std::upper_bound(vma_ends_.begin(), vma_ends_.end(), start) -
-           vma_ends_.begin());
-       v < vmas_.size() && vma_starts_[v] < end; ++v) {
-    Vma& vma = vmas_[v];
-    const Addr lo = std::max(start, vma.start());
-    const Addr hi = std::min(end, vma.end());
+  ForEachVmaSpan(start, end, [&](Vma& vma, Addr lo, Addr hi) {
     vma.LogRangeTouch(lo, hi, now);
     const std::size_t range_lo = vma.PageIndex(lo);
     const std::size_t range_hi = vma.PageIndex(hi);
@@ -528,14 +542,14 @@ TouchStats AddressSpace::TouchRange(Addr start, Addr end, bool write,
           st.huge_pages += Popcount(huge[w] & m);
           return;
         }
-        for (std::uint64_t bits = m; bits != 0; bits &= bits - 1) {
-          const std::size_t i =
-              base + static_cast<std::size_t>(std::countr_zero(bits));
+        for (std::size_t i = std::max(plo, base); i < std::min(phi, base + 64);
+             ++i) {
           TouchPageAt(vma, i, write, now, st);
         }
       });
     }
-  }
+    return true;
+  });
   return st;
 }
 
@@ -568,116 +582,82 @@ std::uint64_t AddressSpace::PageOutRange(Addr start, Addr end, SimTimeUs now,
                                          std::uint64_t* errors) {
   (void)now;
   std::uint64_t evicted = 0;
-  for (Vma& vma : vmas_) {
-    if (vma.end() <= start || vma.start() >= end) continue;
-    const Addr lo = std::max(start, vma.start());
-    const Addr hi = std::min(end, vma.end());
+  ForEachVmaSpan(start, end, [&](Vma& vma, Addr lo, Addr hi) {
     // The kernel splits THPs before paging parts of them out; demoting also
     // frees bloat sub-pages for free.
-    const std::size_t first_block = vma.BlockOfAddr(lo);
-    const std::size_t last_block = vma.BlockOfAddr(hi - 1);
-    for (std::size_t b = first_block; b <= last_block; ++b) {
+    for (std::size_t b = vma.BlockOfAddr(lo); b <= vma.BlockOfAddr(hi - 1);
+         ++b) {
       if (vma.block(b).huge) DemoteBlock(vma, b);
     }
-    const std::size_t plo = vma.PageIndex(lo);
-    const std::size_t phi = vma.PageIndex(hi - 1) + 1;
     // Word-at-a-time over the present plane: absent words cost one test.
     // Eviction only ever clears bits, so the per-word snapshot stays a
     // superset of the still-present pages and TryEvictPage re-checks each.
-    const std::uint64_t* present = vma.plane(PageBit::kPresent);
-    for (std::size_t w = plo >> 6; w <= (phi - 1) >> 6; ++w) {
-      const std::size_t wlo = std::max(plo, w << 6);
-      const std::size_t whi = std::min(phi, (w + 1) << 6);
-      std::uint64_t word =
-          present[w] & BitRangeMask(wlo & 63, whi - (w << 6));
-      for (; word != 0; word &= word - 1) {
-        const std::size_t i =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        switch (TryEvictPage(vma, i)) {
-          case EvictOutcome::kEvicted:
-          case EvictOutcome::kFreed:
+    return ForEachSetBit(
+        vma.plane(PageBit::kPresent), vma.PageIndex(lo),
+        vma.PageIndex(hi - 1) + 1, [&](std::size_t i) {
+          const EvictOutcome outcome = TryEvictPage(vma, i);
+          if (outcome == EvictOutcome::kEvicted ||
+              outcome == EvictOutcome::kFreed) {
             evicted += kPageSize;
-            break;
-          case EvictOutcome::kWriteError:
-            // Transient device I/O failure: this page stays resident, the
-            // rest of the range is still worth trying.
-            if (errors != nullptr) ++*errors;
-            break;
-          case EvictOutcome::kNoSlot:
-            // Swap device full (or absent): nothing more can leave.
-            ++machine_->counters().failed_evictions;
-            return evicted;
-          case EvictOutcome::kNotEvictable:
-            break;
-        }
-      }
-    }
-  }
+          }
+          // Transient device I/O failure: this page stays resident, the
+          // rest of the range is still worth trying.
+          if (outcome == EvictOutcome::kWriteError && errors != nullptr) {
+            ++*errors;
+          }
+          if (outcome != EvictOutcome::kNoSlot) return true;
+          // Swap device full (or absent): nothing more can leave.
+          ++machine_->counters().failed_evictions;
+          return false;
+        });
+  });
   return evicted;
 }
 
 std::uint64_t AddressSpace::SwapInRange(Addr start, Addr end, SimTimeUs now) {
   (void)now;
   std::uint64_t bytes = 0;
-  for (Vma& vma : vmas_) {
-    if (vma.end() <= start || vma.start() >= end) continue;
-    const std::size_t plo = vma.PageIndex(std::max(start, vma.start()));
-    const std::size_t phi =
-        vma.PageIndex(std::min(end, vma.end()) - 1) + 1;
-    const std::uint64_t* swapped = vma.plane(PageBit::kSwapped);
-    for (std::size_t w = plo >> 6; w <= (phi - 1) >> 6; ++w) {
-      const std::size_t wlo = std::max(plo, w << 6);
-      const std::size_t whi = std::min(phi, (w + 1) << 6);
-      std::uint64_t word =
-          swapped[w] & BitRangeMask(wlo & 63, whi - (w << 6));
-      for (; word != 0; word &= word - 1) {
-        const std::size_t i =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        machine_->swap().ReleasePage(zram_ratio_);
-        machine_->swap().CountPageIn();
-        vma.ClearBit(PageBit::kSwapped, i);
-        --swapped_pages_;
-        MakeResident(vma, i, /*via_thp=*/false);
-        bytes += kPageSize;
-      }
-    }
-  }
+  ForEachVmaSpan(start, end, [&](Vma& vma, Addr lo, Addr hi) {
+    return ForEachSetBit(vma.plane(PageBit::kSwapped), vma.PageIndex(lo),
+                         vma.PageIndex(hi - 1) + 1, [&](std::size_t i) {
+                           machine_->swap().ReleasePage(zram_ratio_);
+                           machine_->swap().CountPageIn();
+                           vma.ClearBit(PageBit::kSwapped, i);
+                           --swapped_pages_;
+                           MakeResident(vma, i, /*via_thp=*/false);
+                           bytes += kPageSize;
+                           return true;
+                         });
+  });
   return bytes;
 }
 
 std::uint64_t AddressSpace::DeactivateRange(Addr start, Addr end) {
   std::uint64_t bytes = 0;
-  for (Vma& vma : vmas_) {
-    if (vma.end() <= start || vma.start() >= end) continue;
-    const std::size_t plo = vma.PageIndex(std::max(start, vma.start()));
-    const std::size_t phi =
-        vma.PageIndex(std::min(end, vma.end()) - 1) + 1;
+  ForEachVmaSpan(start, end, [&](Vma& vma, Addr lo, Addr hi) {
     // The whole sweep is three word-ops per 64 pages: resident non-huge
     // pages gain the deactivated bit (re-marking already-deactivated pages
-    // counts toward the returned bytes, exactly like the per-page loop
-    // this replaced).
+    // counts toward the returned bytes).
     const std::uint64_t* present = vma.plane(PageBit::kPresent);
     const std::uint64_t* huge = vma.plane(PageBit::kHuge);
     std::uint64_t* deact = vma.plane(PageBit::kDeactivated);
-    ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t mask, std::size_t) {
-      const std::uint64_t cand = present[w] & ~huge[w] & mask;
-      deact[w] |= cand;
-      bytes += static_cast<std::uint64_t>(std::popcount(cand)) * kPageSize;
-    });
-  }
+    ForEachWord(vma.PageIndex(lo), vma.PageIndex(hi - 1) + 1,
+                [&](std::size_t w, std::uint64_t mask, std::size_t) {
+                  const std::uint64_t cand = present[w] & ~huge[w] & mask;
+                  deact[w] |= cand;
+                  bytes += Popcount(cand) * kPageSize;
+                });
+    return true;
+  });
   return bytes;
 }
 
 std::uint64_t AddressSpace::PromoteRange(Addr start, Addr end, SimTimeUs now,
                                          std::uint64_t* errors) {
   std::uint64_t bytes = 0;
-  for (Vma& vma : vmas_) {
-    if (vma.end() <= start || vma.start() >= end) continue;
-    const Addr lo = std::max(start, vma.start());
-    const Addr hi = std::min(end, vma.end());
-    const std::size_t first_block = vma.BlockOfAddr(lo);
-    const std::size_t last_block = vma.BlockOfAddr(hi - 1);
-    for (std::size_t b = first_block; b <= last_block; ++b) {
+  ForEachVmaSpan(start, end, [&](Vma& vma, Addr lo, Addr hi) {
+    for (std::size_t b = vma.BlockOfAddr(lo); b <= vma.BlockOfAddr(hi - 1);
+         ++b) {
       // Promote blocks at least half-covered by the requested range; DAMON
       // region bounds are arbitrary while huge pages are 2 MiB aligned.
       const Addr bstart =
@@ -688,22 +668,20 @@ std::uint64_t AddressSpace::PromoteRange(Addr start, Addr end, SimTimeUs now,
       if (overlap * 2 < kHugePageSize) continue;
       bytes += PromoteBlock(vma, b, now, errors);
     }
-  }
+    return true;
+  });
   return bytes;
 }
 
 std::uint64_t AddressSpace::DemoteRange(Addr start, Addr end) {
   std::uint64_t freed = 0;
-  for (Vma& vma : vmas_) {
-    if (vma.end() <= start || vma.start() >= end) continue;
-    const Addr lo = std::max(start, vma.start());
-    const Addr hi = std::min(end, vma.end());
-    const std::size_t first_block = vma.BlockOfAddr(lo);
-    const std::size_t last_block = vma.BlockOfAddr(hi - 1);
-    for (std::size_t b = first_block; b <= last_block; ++b) {
+  ForEachVmaSpan(start, end, [&](Vma& vma, Addr lo, Addr hi) {
+    for (std::size_t b = vma.BlockOfAddr(lo); b <= vma.BlockOfAddr(hi - 1);
+         ++b) {
       freed += DemoteBlock(vma, b);
     }
-  }
+    return true;
+  });
   return freed;
 }
 
@@ -737,47 +715,37 @@ std::uint64_t AddressSpace::MigrateRange(Addr start, Addr end, SimTimeUs now,
   (void)now;
   if (!machine_->tiered()) return 0;  // disarmed: a single branch
   std::uint64_t bytes = 0;
-  for (Vma& vma : vmas_) {
-    if (vma.end() <= start || vma.start() >= end) continue;
-    const std::size_t plo = vma.PageIndex(std::max(start, vma.start()));
-    const std::size_t phi =
-        vma.PageIndex(std::min(end, vma.end()) - 1) + 1;
+  ForEachVmaSpan(start, end, [&](Vma& vma, Addr lo, Addr hi) {
     // Huge mappings stay put: migrating a 2 MiB block piecemeal would
     // split it, and the kernel's migrate path works on base pages. The
-    // word-level candidate set prefilters both them and absent pages;
-    // migration never flips present/huge bits, so the snapshot is exact.
-    const std::uint64_t* present = vma.plane(PageBit::kPresent);
-    const std::uint64_t* huge = vma.plane(PageBit::kHuge);
-    for (std::size_t w = plo >> 6; w <= (phi - 1) >> 6; ++w) {
-      const std::size_t wlo = std::max(plo, w << 6);
-      const std::size_t whi = std::min(phi, (w + 1) << 6);
-      std::uint64_t word =
-          present[w] & ~huge[w] & BitRangeMask(wlo & 63, whi - (w << 6));
-      for (; word != 0; word &= word - 1) {
-        const std::size_t i =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        if (promote) {
-          if (vma.Meta(i).tier == 0) continue;
-          if (!machine_->TierHasRoom(0)) {
-            // Fast tier full: the rest of the range cannot promote either.
-            // A paired MIGRATE_COLD scheme is what makes room.
-            ++machine_->counters().tier_promote_blocked;
-            return bytes;
+    // walk visits present pages only; migration never flips present or
+    // huge bits, so the word snapshot is exact.
+    return ForEachSetBit(
+        vma.plane(PageBit::kPresent), vma.PageIndex(lo),
+        vma.PageIndex(hi - 1) + 1, [&](std::size_t i) {
+          if (vma.TestBit(PageBit::kHuge, i)) return true;
+          if (promote) {
+            if (vma.Meta(i).tier == 0) return true;
+            if (!machine_->TierHasRoom(0)) {
+              // Fast tier full: the rest of the range cannot promote
+              // either. A paired MIGRATE_COLD scheme is what makes room.
+              ++machine_->counters().tier_promote_blocked;
+              return false;
+            }
+            if (!MigratePage(vma, i, 0, errors)) return true;
+          } else {
+            // MIGRATE_COLD evacuates the fast tier only — its job is
+            // making room for promotions. Pages already below tier 0 age
+            // out through the tiered kswapd instead; demoting them again
+            // would just churn the elastic bottom tier into swap.
+            if (vma.Meta(i).tier != 0) return true;
+            const std::uint16_t to = machine_->PickDemotionTier(0);
+            if (!MigratePage(vma, i, to, errors)) return true;
           }
-          if (!MigratePage(vma, i, 0, errors)) continue;
-        } else {
-          // MIGRATE_COLD evacuates the fast tier only — its job is making
-          // room for promotions. Pages already below tier 0 age out through
-          // the tiered kswapd instead; demoting them again would just churn
-          // the elastic bottom tier into swap.
-          if (vma.Meta(i).tier != 0) continue;
-          const std::uint16_t to = machine_->PickDemotionTier(0);
-          if (!MigratePage(vma, i, to, errors)) continue;
-        }
-        bytes += kPageSize;
-      }
-    }
-  }
+          bytes += kPageSize;
+          return true;
+        });
+  });
   return bytes;
 }
 
@@ -805,34 +773,8 @@ std::uint64_t AddressSpace::TierDemoteScan(std::uint16_t from_tier,
       ++wraps;
       continue;
     }
-    // Word-level skip: absent or huge-mapped pages are charged against the
-    // budget 64 at a time (the same one-unit-per-page cost the per-page
-    // loop paid) without touching any per-page state.
-    const std::size_t w = page_cursor >> 6;
-    const std::size_t word_end = std::min(vma.page_count(), (w + 1) << 6);
-    const std::uint64_t cand =
-        vma.plane(PageBit::kPresent)[w] & ~vma.plane(PageBit::kHuge)[w] &
-        ~(((page_cursor & 63) != 0)
-              ? BitRangeMask(0, page_cursor & 63)
-              : 0);
-    if (cand == 0) {
-      const std::uint64_t charge =
-          std::min<std::uint64_t>(word_end - page_cursor, *budget);
-      page_cursor += charge;
-      *budget -= charge;
-      continue;
-    }
-    const std::size_t next =
-        (w << 6) + static_cast<std::size_t>(std::countr_zero(cand));
-    if (next > page_cursor) {
-      const std::uint64_t charge =
-          std::min<std::uint64_t>(next - page_cursor, *budget);
-      page_cursor += charge;
-      *budget -= charge;
-      continue;
-    }
-    const std::size_t idx = page_cursor++;
-    --*budget;
+    std::size_t idx = 0;
+    if (!ClockStep(vma, page_cursor, *budget, idx)) continue;
     if (vma.Meta(idx).tier != from_tier) continue;
     // CLOCK second chance: an up accessed bit buys one round — the scan
     // clears it (kswapd-style page aging; nothing else ages PTEs when no
@@ -902,22 +844,20 @@ std::uint64_t AddressSpace::DemoteBlock(Vma& vma, std::size_t block) {
   if (!blk.huge) return 0;
   const auto [plo, phi] = vma.BlockPageSpan(block);
   std::uint64_t freed = 0;
-  // Splitting clears up to 512 huge bits with word-ORs; the bloat pages the
-  // split frees (never-touched sub-pages) are found the same way.
+  // Splitting clears up to 512 huge bits with word-ORs, then frees the
+  // bloat pages (never-touched sub-pages) word at a time.
   std::uint64_t* huge = vma.plane(PageBit::kHuge);
-  const std::uint64_t* bloat = vma.plane(PageBit::kHugeBloat);
-  const std::uint64_t* ever = vma.plane(PageBit::kEverTouched);
   ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t mask, std::size_t) {
     huge[w] &= ~mask;
-    for (std::uint64_t word = bloat[w] & ~ever[w] & mask; word != 0;
-         word &= word - 1) {
-      const std::size_t i =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-      // This sub-page only exists because of the huge allocation; splitting
-      // lets the kernel hand it back — this is the bloat ethp removes.
+  });
+  ForEachSetBit(vma.plane(PageBit::kHugeBloat), plo, phi, [&](std::size_t i) {
+    // This sub-page only exists because of the huge allocation; splitting
+    // lets the kernel hand it back — this is the bloat ethp removes.
+    if (!vma.TestBit(PageBit::kEverTouched, i)) {
       MakeNonResident(vma, i);
       freed += kPageSize;
     }
+    return true;
   });
   blk.huge = false;
   --huge_blocks_;

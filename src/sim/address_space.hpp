@@ -21,7 +21,9 @@
 // eviction, coalescing and 10 s GC decide what a query sees.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -271,6 +273,33 @@ class Vma {
 
 static_assert(std::is_nothrow_move_constructible_v<Vma>);
 
+/// One step of a CLOCK hand over `vma`, shared by the reclaimer and the tier
+/// balancer. Candidates are present, non-huge pages. From `cursor` (inside
+/// the VMA, `budget` > 0) the hand either passes the non-candidates before
+/// the next candidate or the end of the 64-page word, charging one budget
+/// unit per page and stopping when the budget runs out, and returns false;
+/// or it stands on a candidate, sets `idx` to it, moves past it for one unit
+/// and returns true.
+inline bool ClockStep(const Vma& vma, std::size_t& cursor,
+                      std::uint64_t& budget, std::size_t& idx) {
+  const std::size_t w = cursor >> 6;
+  const std::uint64_t cand =
+      vma.plane(PageBit::kPresent)[w] & ~vma.plane(PageBit::kHuge)[w] &
+      (~std::uint64_t{0} << (cursor & 63));
+  const std::size_t next =
+      cand == 0 ? std::min(vma.page_count(), (w + 1) << 6)
+                : (w << 6) + static_cast<std::size_t>(std::countr_zero(cand));
+  if (next > cursor) {
+    const std::uint64_t charge = std::min<std::uint64_t>(next - cursor, budget);
+    cursor += charge;
+    budget -= charge;
+    return false;
+  }
+  idx = cursor++;
+  --budget;
+  return true;
+}
+
 /// A process's virtual address space.
 class AddressSpace {
  public:
@@ -436,6 +465,14 @@ class AddressSpace {
   void TouchPageAt(Vma& vma, std::size_t idx, bool write, SimTimeUs now,
                    TouchStats& st);
   bool SpanHasBloat(const Vma& vma, std::size_t plo, std::size_t phi) const;
+  /// Calls fn(vma, lo, hi) for each VMA overlapping [start, end), in address
+  /// order through the interval index, with [lo, hi) the overlap clamped to
+  /// the VMA, until fn returns false.
+  template <typename Fn>
+  void ForEachVmaSpan(Addr start, Addr end, Fn&& fn);
+  /// Returns every frame, tier charge and swap slot of `vma` to the machine
+  /// and drops its pages from this space's counters.
+  void ReleaseVma(const Vma& vma);
   /// Moves one resident page to `to_tier`, keeping tier/block accounting.
   /// Returns false when the injected migration fault fires (page untouched).
   bool MigratePage(Vma& vma, std::size_t page_idx, std::uint16_t to_tier,

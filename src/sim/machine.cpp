@@ -167,36 +167,32 @@ void Machine::UnregisterSpace(AddressSpace* space) {
 
 void Machine::RunReclaimIfNeeded(SimTimeUs now) {
   if (!UnderPressure()) return;
-  if (tiers_.tiered()) {
-    // Tiered kswapd: only the bottom tier's overflow is pushed out to the
-    // swap device; upper-tier pages leave via demotion, not eviction.
-    const std::uint16_t last = static_cast<std::uint16_t>(tiers_.size() - 1);
-    const auto low = static_cast<std::uint64_t>(
-        kLowWatermark * static_cast<double>(tiers_.tiers[last].capacity_bytes));
-    const std::uint64_t used = tier_used_pages_[last] * kPageSize;
-    if (used <= low) return;
-    const std::uint64_t target_pages = (used - low) / kPageSize + 1;
-    const std::uint64_t budget =
-        std::min<std::uint64_t>(target_pages * 8, 1u << 18);
-    reclaim_tier_filter_ = last;
-    const std::uint64_t got = reclaimer_->Reclaim(target_pages, budget, now);
-    reclaim_tier_filter_ = -1;
-    ++counters_.reclaim_scans;
-    counters_.reclaimed_pages += got;
-    if (got == 0) ++counters_.overcommit_events;
-    return;
-  }
+  // Tiered kswapd: only the bottom tier's overflow is pushed out to the
+  // swap device; upper-tier pages leave via demotion, not eviction.
+  const bool tiered = tiers_.tiered();
+  const std::uint64_t cap =
+      tiered ? tiers_.tiers.back().capacity_bytes : spec_.dram_bytes;
+  const std::uint64_t used =
+      tiered ? tier_used_pages_.back() * kPageSize : dram_used_bytes();
   const auto low =
-      static_cast<std::uint64_t>(kLowWatermark * static_cast<double>(spec_.dram_bytes));
-  const std::uint64_t used = dram_used_bytes();
+      static_cast<std::uint64_t>(kLowWatermark * static_cast<double>(cap));
   if (used <= low) return;
-  const std::uint64_t target_pages = (used - low) / kPageSize + 1;
-  // Bounded scan per call: kswapd does incremental work, not a full sweep.
-  const std::uint64_t budget = std::min<std::uint64_t>(target_pages * 8, 1u << 18);
-  const std::uint64_t got = reclaimer_->Reclaim(target_pages, budget, now);
+  const int victim_tier = tiered ? static_cast<int>(tiers_.size()) - 1 : -1;
+  const std::uint64_t got =
+      ReclaimPass((used - low) / kPageSize + 1, victim_tier, now);
+  if (got == 0) ++counters_.overcommit_events;
+}
+
+std::uint64_t Machine::ReclaimPass(std::uint64_t target_pages,
+                                   int victim_tier, SimTimeUs now) {
+  // Bounded scan per call: reclaim does incremental work, not a full sweep.
+  const std::uint64_t budget =
+      std::min<std::uint64_t>(target_pages * 8, 1u << 18);
+  const std::uint64_t got =
+      reclaimer_->Reclaim(target_pages, budget, victim_tier, now);
   ++counters_.reclaim_scans;
   counters_.reclaimed_pages += got;
-  if (got == 0) ++counters_.overcommit_events;
+  return got;
 }
 
 void Machine::RunTierBalancerIfNeeded(SimTimeUs now) {
@@ -308,12 +304,7 @@ void Machine::RunKhugepaged(SimTimeUs now) {
 }
 
 std::uint64_t Machine::DirectReclaim(std::uint64_t target_pages, SimTimeUs now) {
-  const std::uint64_t budget =
-      std::min<std::uint64_t>(target_pages * 8, 1u << 18);
-  const std::uint64_t got = reclaimer_->Reclaim(target_pages, budget, now);
-  ++counters_.reclaim_scans;
-  counters_.reclaimed_pages += got;
-  return got;
+  return ReclaimPass(target_pages, /*victim_tier=*/-1, now);
 }
 
 void Machine::SetFaultPlane(fault::FaultPlane* plane) {

@@ -188,9 +188,6 @@ class Machine {
   /// crosses its high watermark, demotes idle tier-0 pages downward until
   /// it is back under the low watermark (bounded per call).
   void RunTierBalancerIfNeeded(SimTimeUs now);
-  /// Reclaim victim filter: on a tiered machine kswapd evicts only from
-  /// this tier (the last one); -1 means any (untiered behavior).
-  int reclaim_tier_filter() const noexcept { return reclaim_tier_filter_; }
   /// Human-readable tier table for dbgfs `/tier/status`.
   std::string TierStatusText() const;
 
@@ -231,6 +228,12 @@ class Machine {
   const MachineCounters& counters() const noexcept { return counters_; }
 
  private:
+  /// One bounded reclaimer pass (kswapd or direct reclaim) for victims in
+  /// `victim_tier` (-1 = any): scans up to 8 pages per target page, counts
+  /// the scan and the pages it reclaimed, and returns those pages.
+  std::uint64_t ReclaimPass(std::uint64_t target_pages, int victim_tier,
+                            SimTimeUs now);
+
   MachineSpec spec_;
   CostModel costs_;
   SwapDevice swap_;
@@ -244,7 +247,6 @@ class Machine {
   // Mutable: PickDemotionTier is logically const (a placement query) but
   // records the skip like any other failed allocation.
   mutable std::vector<std::uint64_t> tier_alloc_skips_;
-  int reclaim_tier_filter_ = -1;
   std::size_t tier_space_cursor_ = 0;  // balancer round-robin over spaces
   std::vector<AddressSpace*> spaces_;
   std::unique_ptr<Reclaimer> reclaimer_;

@@ -1,15 +1,13 @@
 #include "sim/reclaim.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "sim/address_space.hpp"
 #include "sim/machine.hpp"
 
 namespace daos::sim {
 
 std::uint64_t Reclaimer::Reclaim(std::uint64_t target_pages,
-                                 std::uint64_t scan_budget, SimTimeUs now) {
+                                 std::uint64_t scan_budget, int victim_tier,
+                                 SimTimeUs now) {
   const auto& spaces = machine_->spaces();
   if (spaces.empty()) return 0;
   std::uint64_t evicted = 0;
@@ -40,51 +38,19 @@ std::uint64_t Reclaimer::Reclaim(std::uint64_t target_pages,
       --budget;
       continue;
     }
-    // Word-level skip: only present, non-huge pages are reclaim candidates,
-    // so a whole word with none of them is charged against the scan budget
-    // (one unit per page, exactly what the per-page loop paid) in a single
-    // operation. A cold sweep over absent or huge-mapped memory costs two
-    // word loads per 64 pages.
-    const std::size_t w = page_cursor_ >> 6;
-    const std::size_t word_end = std::min(vma.page_count(), (w + 1) << 6);
-    const std::uint64_t cand =
-        (vma.plane(PageBit::kPresent)[w] & ~vma.plane(PageBit::kHuge)[w]) &
-        (~std::uint64_t{0} << (page_cursor_ & 63));
-    if (cand == 0) {
-      const std::uint64_t charge =
-          std::min<std::uint64_t>(word_end - page_cursor_, budget);
-      page_cursor_ += charge;
-      budget -= charge;
-      continue;
-    }
-    const std::size_t next =
-        (w << 6) + static_cast<std::size_t>(std::countr_zero(cand));
-    if (next > page_cursor_) {
-      const std::uint64_t charge =
-          std::min<std::uint64_t>(next - page_cursor_, budget);
-      page_cursor_ += charge;
-      budget -= charge;
-      continue;
-    }
-    const std::size_t idx = page_cursor_++;
-    --budget;
+    std::size_t idx = 0;
+    if (!ClockStep(vma, page_cursor_, budget, idx)) continue;
     // Tiered kswapd evicts only from the (bottom) tier it was pointed at;
-    // pages in upper tiers leave via demotion instead. -1 = any (untiered).
-    if (machine_->reclaim_tier_filter() >= 0 &&
-        static_cast<int>(vma.Meta(idx).tier) !=
-            machine_->reclaim_tier_filter()) {
-      continue;
-    }
-
-    const Addr addr = vma.AddrOfIndex(idx);
+    // pages in upper tiers leave via demotion instead.
+    if (victim_tier >= 0 && vma.Meta(idx).tier != victim_tier) continue;
     if (vma.TestBit(PageBit::kDeactivated, idx)) {
       // DAMOS COLD regions go first, no second chance.
       if (space->EvictPage(vma, idx)) ++evicted;
       continue;
     }
-    if (space->IsYoung(addr)) {
+    if (vma.IsYoungAt(idx)) {
       // Second chance: clear the accessed state and move on (CLOCK).
-      space->MkOld(addr, now);
+      vma.MkOldAt(idx, now);
       vma.Meta(idx).reclaim_gen = 0;
       continue;
     }

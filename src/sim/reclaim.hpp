@@ -21,9 +21,10 @@ class Reclaimer {
 
   /// Tries to evict up to `target_pages`; returns pages actually evicted.
   /// `scan_budget` bounds the number of pages examined so a single call
-  /// cannot stall the simulation.
+  /// cannot stall the simulation. Only pages in tier `victim_tier` are
+  /// victims; -1 means any tier.
   std::uint64_t Reclaim(std::uint64_t target_pages, std::uint64_t scan_budget,
-                        SimTimeUs now);
+                        int victim_tier, SimTimeUs now);
 
  private:
   Machine* machine_;

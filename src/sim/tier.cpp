@@ -1,6 +1,8 @@
 #include "sim/tier.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <utility>
 
 #include "util/strings.hpp"
 #include "util/units.hpp"
@@ -17,17 +19,25 @@ std::string LineError(int line_no, const std::string& what) {
   return "tier " + daos::LineError(line_no, what);
 }
 
-std::vector<std::string_view> SplitTokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') ++j;
-    if (j > i) out.push_back(line.substr(i, j - i));
-    i = j;
+/// FormatSize's one decimal place where it reads back exactly ("64.0M"),
+/// else the largest unit that divides `bytes`, else plain bytes.
+std::string ExactSize(std::uint64_t bytes) {
+  std::string text = FormatSize(bytes);
+  if (ParseSize(text) == bytes) return text;
+  static constexpr std::pair<std::uint64_t, char> kUnits[] = {
+      {GiB, 'G'}, {MiB, 'M'}, {KiB, 'K'}};
+  for (const auto& [unit, suffix] : kUnits) {
+    if (bytes % unit == 0) return std::to_string(bytes / unit) + suffix;
   }
-  return out;
+  return std::to_string(bytes);
+}
+
+/// %g where it reads back exactly ("0.6"), else the shortest text that does.
+std::string ExactDouble(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  if (ParseFiniteDouble(buf) == v) return buf;
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 }  // namespace
@@ -57,15 +67,14 @@ std::optional<TierKind> ParseTierKind(std::string_view text) {
 std::string TierSpec::ToText() const {
   std::string out(TierKindName(kind));
   out += ' ';
-  out += FormatSize(capacity_bytes);
+  out += ExactSize(capacity_bytes);
   if (access_extra_us != 0.0) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, " lat=%g", access_extra_us);
-    out += buf;
+    out += " lat=";
+    out += ExactDouble(access_extra_us);
   }
   if (migrate_bw_bytes_per_s != 0) {
     out += " bw=";
-    out += FormatSize(migrate_bw_bytes_per_s);
+    out += ExactSize(migrate_bw_bytes_per_s);
   }
   return out;
 }
@@ -96,9 +105,7 @@ bool ParseTierGeometry(std::string_view text, TierGeometry* out,
       if (error != nullptr) *error = LineError(line_no, "line too long");
       return false;
     }
-    const std::size_t hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    const auto tokens = SplitTokens(line);
+    const auto tokens = SplitWhitespace(StripComment(line));
     if (tokens.empty()) continue;
     if (tokens.size() < 2) {
       if (error != nullptr) {

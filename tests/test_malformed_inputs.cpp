@@ -573,15 +573,11 @@ TEST(MalformedCheckpointTest, OverflowingNumberRejected) {
 }
 
 /// One seeded mutant of `golden`: a raw byte edit, or one to three token
-/// or line edits (a boundary value or record word from a dictionary, a
-/// token from another line, a deleted or doubled token or line).
-std::string MutateCheckpoint(const std::string& golden, Rng& rng) {
-  static constexpr const char* kWords[] = {
-      "0", "1", "2", "-1", "2147483647", "2147483648", "4294967295",
-      "4294967296", "18446744073709551615", "18446744073709551616", "4096",
-      "4097", "1048576", "1048577", "0x1p+1", "-0x1p-1", "1e308", "1e309",
-      "nan", "inf", "percent", "samples", "pageout", "free_mem_rate",
-      "none", "end", "target", "region", "x", ""};
+/// or line edits (a boundary value or grammar word from `words`, a token
+/// from another line, a deleted or doubled token or line).
+template <std::size_t N>
+std::string Mutate(const std::string& golden, const char* const (&words)[N],
+                   Rng& rng) {
   if (rng.NextBounded(4) == 0) {
     std::string text = golden;
     const std::size_t at = rng.NextBounded(text.size());
@@ -610,7 +606,7 @@ std::string MutateCheckpoint(const std::string& golden, Rng& rng) {
     const std::size_t ti = rng.NextBounded(tokens.size());
     switch (rng.NextBounded(6)) {
       case 0:
-        tokens[ti] = kWords[rng.NextBounded(std::size(kWords))];
+        tokens[ti] = words[rng.NextBounded(N)];
         break;
       case 1: {
         const std::vector<std::string_view> other =
@@ -644,11 +640,17 @@ TEST(MalformedCheckpointTest, MutantsNeverCrashAndReachAFixpoint) {
   // A rejected mutant names a line; an accepted one serializes to a text
   // that parses back and serializes to itself (a checkpoint restored from
   // dbgfs and captured again must stay restorable).
+  static constexpr const char* kWords[] = {
+      "0", "1", "2", "-1", "2147483647", "2147483648", "4294967295",
+      "4294967296", "18446744073709551615", "18446744073709551616", "4096",
+      "4097", "1048576", "1048577", "0x1p+1", "-0x1p-1", "1e308", "1e309",
+      "nan", "inf", "percent", "samples", "pageout", "free_mem_rate",
+      "none", "end", "target", "region", "x", ""};
   const std::string golden = kFullCheckpointText;
   Rng rng(0xc4ec'4b01'47f0'0d5eULL);
   int accepted = 0;
   for (int m = 0; m < 20000; ++m) {
-    const std::string text = MutateCheckpoint(golden, rng);
+    const std::string text = Mutate(golden, kWords, rng);
     lifecycle::CheckpointError error;
     std::optional<lifecycle::Checkpoint> parsed;
     ASSERT_NO_THROW(parsed = lifecycle::ParseCheckpoint(text, &error))
@@ -668,6 +670,65 @@ TEST(MalformedCheckpointTest, MutantsNeverCrashAndReachAFixpoint) {
     ASSERT_EQ(SerializeCheckpoint(*again), once) << "mutant " << m;
   }
   // About 8 % of the mutants are accepted; the fixpoint check must see them.
+  EXPECT_GT(accepted, 1000);
+}
+
+// --- tier geometry mutants (src/sim) --------------------------------------
+
+TEST(MalformedTierTest, MutantsNeverCrashAndReachAFixpoint) {
+  // A rejected mutant names a line (or the empty geometry); an accepted one
+  // prints a text that parses back to an equal geometry and prints to
+  // itself (what /tier/geometry reads back must be writable again).
+  static constexpr const char* kWords[] = {
+      "dram", "cxl", "zram", "file", "0", "1", "1025", "1500K", "3000M",
+      "64.0M", "1.5M", "2.9G", "0.3K", "16T", "18446744073709551615",
+      "18446744073709551616", "-1", "lat=0.1234567", "lat=-0", "lat=1e-320",
+      "lat=1e308", "lat=1e309", "lat=nan", "lat=inf", "lat=0x1p-3",
+      "bw=1000000", "bw=976.6K", "bw=-1G", "bw=0", "bw=0.5", "bw=", "lat=",
+      "#", "numa=1", "\v", "x", ""};
+  const std::string golden =
+      "# fastest first\n"
+      "dram 64M\n"
+      "cxl 1G lat=0.6 bw=8G\n"
+      "file 4G lat=2.0 bw=1G\n";
+  const auto same = [](const sim::TierGeometry& a, const sim::TierGeometry& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const sim::TierSpec& x = a.tiers[i];
+      const sim::TierSpec& y = b.tiers[i];
+      if (x.kind != y.kind || x.capacity_bytes != y.capacity_bytes ||
+          x.access_extra_us != y.access_extra_us ||
+          x.migrate_bw_bytes_per_s != y.migrate_bw_bytes_per_s) {
+        return false;
+      }
+    }
+    return true;
+  };
+  Rng rng(0x71e2'9e0f'a77e'5eedULL);
+  int accepted = 0;
+  for (int m = 0; m < 20000; ++m) {
+    const std::string text = Mutate(golden, kWords, rng);
+    sim::TierGeometry geo;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = sim::ParseTierGeometry(text, &geo, &error))
+        << "mutant " << m << ":\n" << text;
+    if (!ok) {
+      ASSERT_TRUE(error.find("tier line ") == 0 ||
+                  error == "tier geometry is empty")
+          << "mutant " << m << ": " << error << "\n" << text;
+      continue;
+    }
+    ++accepted;
+    const std::string once = geo.ToText();
+    sim::TierGeometry again;
+    ASSERT_TRUE(sim::ParseTierGeometry(once, &again, &error))
+        << "mutant " << m << " prints a rejected text (" << error << "):\n"
+        << once;
+    ASSERT_TRUE(same(geo, again))
+        << "mutant " << m << ":\n" << text << "reads back from\n" << once;
+    ASSERT_EQ(again.ToText(), once) << "mutant " << m;
+  }
   EXPECT_GT(accepted, 1000);
 }
 

@@ -24,7 +24,7 @@ TEST(Reclaimer, EvictsUntouchedPagesAfterTwoPasses) {
   // pages on probation, third evicts.
   std::uint64_t got = 0;
   for (int pass = 0; pass < 3 && got < 16; ++pass) {
-    got += reclaimer.Reclaim(16, 1024, 30 * kUsPerSec);
+    got += reclaimer.Reclaim(16, 1024, -1, 30 * kUsPerSec);
   }
   EXPECT_EQ(got, 16u);
   EXPECT_EQ(space.swapped_pages(), 16u);
@@ -39,7 +39,7 @@ TEST(Reclaimer, RespectsScanBudget) {
 
   Reclaimer reclaimer(&machine);
   // A budget of 10 can never evict more than 10 pages.
-  const std::uint64_t got = reclaimer.Reclaim(1000, 10, 30 * kUsPerSec);
+  const std::uint64_t got = reclaimer.Reclaim(1000, 10, -1, 30 * kUsPerSec);
   EXPECT_LE(got, 10u);
 }
 
@@ -52,7 +52,7 @@ TEST(Reclaimer, DeactivatedPagesGoFirst) {
   // very first pass, before anything else.
   space.DeactivateRange(0, 8 * kPageSize);
   Reclaimer reclaimer(&machine);
-  const std::uint64_t got = reclaimer.Reclaim(8, 8, kUsPerSec);
+  const std::uint64_t got = reclaimer.Reclaim(8, 8, -1, kUsPerSec);
   EXPECT_EQ(got, 8u);
   EXPECT_FALSE(space.IsResident(0));
   EXPECT_TRUE(space.IsResident(16 * kPageSize));
@@ -66,7 +66,7 @@ TEST(Reclaimer, RecentlyTouchedPagesSurvive) {
   Reclaimer reclaimer(&machine);
   // Touch log is fresh: every page looks young, nothing is evicted on the
   // first pass (budget == page count, so exactly one pass).
-  const std::uint64_t got = reclaimer.Reclaim(16, 16, kUsPerMs);
+  const std::uint64_t got = reclaimer.Reclaim(16, 16, -1, kUsPerMs);
   EXPECT_EQ(got, 0u);
   EXPECT_EQ(space.resident_pages(), 16u);
 }
@@ -74,7 +74,7 @@ TEST(Reclaimer, RecentlyTouchedPagesSurvive) {
 TEST(Reclaimer, NoSpacesNoCrash) {
   Machine machine(TinySpec(GiB), SwapConfig::Zram(64 * MiB));
   Reclaimer reclaimer(&machine);
-  EXPECT_EQ(reclaimer.Reclaim(10, 100, 0), 0u);
+  EXPECT_EQ(reclaimer.Reclaim(10, 100, -1, 0), 0u);
 }
 
 TEST(MachinePressure, ReclaimTriggersAboveWatermark) {

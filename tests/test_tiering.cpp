@@ -71,19 +71,40 @@ TEST(TierGeometryTest, ToTextParseRoundTrip) {
       "cxl 1G lat=0.6 bw=8G\n"
       "file 4G lat=2.0 bw=1G\n");
   ASSERT_EQ(geo.size(), 3u);
-
-  sim::TierGeometry again;
-  std::string error;
-  ASSERT_TRUE(sim::ParseTierGeometry(geo.ToText(), &again, &error)) << error;
-  ASSERT_EQ(again.size(), geo.size());
-  for (std::size_t i = 0; i < geo.size(); ++i) {
-    EXPECT_EQ(again.tiers[i].kind, geo.tiers[i].kind) << "tier " << i;
-    EXPECT_EQ(again.tiers[i].capacity_bytes, geo.tiers[i].capacity_bytes);
-    EXPECT_EQ(again.tiers[i].access_extra_us, geo.tiers[i].access_extra_us);
-    EXPECT_EQ(again.tiers[i].migrate_bw_bytes_per_s,
-              geo.tiers[i].migrate_bw_bytes_per_s);
-  }
   EXPECT_EQ(geo.TotalCapacityBytes(), 96 * MiB + 1 * GiB + 4 * GiB);
+  // Values that already read back keep their compact text.
+  EXPECT_EQ(geo.ToText(), "dram 96.0M\ncxl 1.0G lat=0.6 bw=8.0G\n"
+                          "file 4.0G lat=2 bw=1.0G\n");
+
+  // Every row parses, prints, and parses back to the same geometry. The
+  // rows after the first lost precision in FormatSize's one decimal place
+  // or in %g's six significant digits.
+  const char* const rows[] = {
+      "dram 96M\ncxl 1G lat=0.6 bw=8G\nfile 4G lat=2.0 bw=1G\n",
+      "dram 1500K\n",
+      "dram 64M\ncxl 3000M\n",
+      "dram 1025\n",
+      "dram 64M\ncxl 1G bw=1000000\n",
+      "dram 64M\ncxl 1G lat=0.1234567\n",
+  };
+  for (const char* row : rows) {
+    const sim::TierGeometry in = GeometryOrDie(row);
+    sim::TierGeometry again;
+    std::string error;
+    ASSERT_TRUE(sim::ParseTierGeometry(in.ToText(), &again, &error))
+        << row << error;
+    ASSERT_EQ(again.size(), in.size()) << row;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      EXPECT_EQ(again.tiers[i].kind, in.tiers[i].kind) << row;
+      EXPECT_EQ(again.tiers[i].capacity_bytes, in.tiers[i].capacity_bytes)
+          << row << "reads back as\n" << in.ToText();
+      EXPECT_EQ(again.tiers[i].access_extra_us, in.tiers[i].access_extra_us)
+          << row << "reads back as\n" << in.ToText();
+      EXPECT_EQ(again.tiers[i].migrate_bw_bytes_per_s,
+                in.tiers[i].migrate_bw_bytes_per_s)
+          << row << "reads back as\n" << in.ToText();
+    }
+  }
 }
 
 TEST(TierGeometryTest, SingleTierGeometryIsUntiered) {
