@@ -55,7 +55,7 @@ void FormatSpec(std::ostream& out, const FaultSpec& spec) {
   };
   if (spec.probability > 0.0) {
     sep();
-    out << "p=" << spec.probability;
+    out << "p=" << ExactDouble(spec.probability);
   }
   if (spec.every_nth > 0) {
     sep();

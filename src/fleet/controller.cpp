@@ -101,10 +101,11 @@ struct FleetController::Shard {
 
   // Controller bookkeeping (touched only on the serial path).
   bool quarantined = false;
-  bool in_wave = false;
   bool rollback_pending = false;
   std::uint32_t rollback_retries = 0;
-  std::string pre_wave;  // checkpoint captured when the shard joined a wave
+  // The restore point captured when the shard joined a wave; a shard is in
+  // the wave exactly while it holds one.
+  std::optional<lifecycle::Checkpoint> pre_wave;
   std::uint64_t initial_rss = 0;
   double last_cpu_us = 0.0;
   std::uint64_t last_crashes = 0;
@@ -203,7 +204,7 @@ bool FleetController::quarantined(std::size_t shard) const {
 }
 
 bool FleetController::in_wave(std::size_t shard) const {
-  return shards_.at(shard)->in_wave;
+  return shards_.at(shard)->pre_wave.has_value();
 }
 
 void FleetController::BindTelemetry(telemetry::MetricsRegistry& registry) {
@@ -371,22 +372,21 @@ bool FleetController::ApplyStage(std::string* error) {
   target = std::clamp<std::size_t>(target, 1, active);
   std::size_t committed = 0;
   for (const auto& sp : shards_)
-    if (sp->in_wave && !sp->quarantined) ++committed;
+    if (sp->pre_wave && !sp->quarantined) ++committed;
   for (auto& sp : shards_) {
     if (committed >= target) break;
     Shard& s = *sp;
-    if (s.quarantined || s.in_wave || !s.supervisor.alive()) continue;
-    s.pre_wave = s.supervisor.CaptureCheckpointText();
+    if (s.quarantined || s.pre_wave || !s.supervisor.alive()) continue;
+    s.pre_wave = s.supervisor.Capture();
     std::string err;
     if (!s.supervisor.CommitFromText(rollout_->spec.bundle_text, &err)) {
       // Rejected bundles change nothing on this shard; earlier wave
       // members are the caller's problem (BeginRollback).
-      s.pre_wave.clear();
+      s.pre_wave.reset();
       if (error != nullptr)
         *error = "shard " + std::to_string(s.index) + ": " + err;
       return false;
     }
-    s.in_wave = true;
     ++committed;
   }
   if (committed == 0) {
@@ -560,7 +560,7 @@ void FleetController::EvaluateRollout() {
   for (const auto& sp : shards_) {
     const Shard& s = *sp;
     if (s.quarantined || !s.sample_valid) continue;
-    if (s.in_wave) {
+    if (s.pre_wave) {
       wave_savings.push_back(s.saving);
       wave_cpus.push_back(s.cpu_overhead);
       wave_errors += s.new_errors;
@@ -612,10 +612,7 @@ void FleetController::EvaluateRollout() {
     return;
   }
   // Every stage held healthy: the bundle is fleet-wide.
-  for (auto& sp : shards_) {
-    sp->in_wave = false;
-    sp->pre_wave.clear();
-  }
+  for (auto& sp : shards_) sp->pre_wave.reset();
   state_ = RolloutState::kPromoted;
   ++counters_.promoted;
   last_rollout_result_ =
@@ -628,7 +625,7 @@ void FleetController::EvaluateRollout() {
 void FleetController::BeginRollback(RolloutState final_state,
                                     const std::string& reason) {
   for (auto& sp : shards_) {
-    if (sp->in_wave) sp->rollback_pending = true;
+    if (sp->pre_wave) sp->rollback_pending = true;
     sp->rollback_retries = 0;
   }
   state_ = final_state;
@@ -655,7 +652,7 @@ void FleetController::ContinueRollback() {
       // The wave bundle may still be staged (committed but not yet at a
       // window boundary); a surviving stage would re-apply after restore.
       s.supervisor.CancelStagedCommit();
-      if (!s.supervisor.RestoreFromText(s.pre_wave, &err)) failed = true;
+      if (!s.supervisor.Restore(*s.pre_wave, &err)) failed = true;
     }
     if (failed) {
       ++counters_.rollback_retries;
@@ -663,8 +660,7 @@ void FleetController::ContinueRollback() {
       if (s.rollback_retries > config_.rollback_retry_max) {
         ++counters_.rollback_failures;
         s.rollback_pending = false;
-        s.in_wave = false;
-        s.pre_wave.clear();
+        s.pre_wave.reset();
         Quarantine(s, "rollback retries exhausted");
       }
       continue;
@@ -676,10 +672,9 @@ void FleetController::ContinueRollback() {
 void FleetController::FinishShardRollback(Shard& s) {
   // Refresh the crash-restart source: the supervisor's periodic checkpoint
   // may be wave-era, and a crash after rollback must come back pre-wave.
-  s.supervisor.CaptureCheckpointText();
+  s.supervisor.Capture();
   s.rollback_pending = false;
-  s.in_wave = false;
-  s.pre_wave.clear();
+  s.pre_wave.reset();
   s.rollback_retries = 0;
   s.RefreshDeltas();
 }
@@ -720,7 +715,7 @@ std::string FleetController::StatusText() const {
   std::size_t quarantined = 0, wave = 0, pending = 0;
   for (const auto& sp : shards_) {
     if (sp->quarantined) ++quarantined;
-    if (sp->in_wave) ++wave;
+    if (sp->pre_wave) ++wave;
     if (sp->rollback_pending) ++pending;
   }
   line("quarantined", quarantined);
@@ -751,7 +746,7 @@ std::string FleetController::StatusText() const {
     out << "shard " << s.index << " state "
         << lifecycle::SupervisorStateName(s.supervisor.state()) << " mode "
         << (s.quarantined ? "quarantined" : "active") << " wave "
-        << (s.in_wave ? 1 : 0) << " saving " << Fmt(s.saving) << " cpu "
+        << (s.pre_wave ? 1 : 0) << " saving " << Fmt(s.saving) << " cpu "
         << Fmt(s.cpu_overhead) << " crashes " << s.supervisor.counters().crashes
         << " restores " << s.supervisor.counters().restores << '\n';
   }

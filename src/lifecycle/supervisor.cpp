@@ -275,14 +275,36 @@ void KdamondSupervisor::ApplyStagedCommit(SimTimeUs now) {
 
 // ---- pillar 2: checkpoint/restore ---------------------------------------
 
-std::string KdamondSupervisor::CaptureCheckpointText() {
-  const Checkpoint cp = CaptureCheckpoint(*ctx_, *engine_, recorder_.get(),
-                                          now_, config_.recorder_tail_max);
-  last_checkpoint_ = SerializeCheckpoint(cp);
-  last_checkpoint_at_ = now_;
+const Checkpoint& KdamondSupervisor::Capture() {
+  last_checkpoint_ = CaptureCheckpoint(*ctx_, *engine_, recorder_.get(), now_,
+                                       config_.recorder_tail_max);
   ++counters_.checkpoints;
   if (tel_.checkpoints != nullptr) tel_.checkpoints->Add(1);
-  return last_checkpoint_;
+  return *last_checkpoint_;
+}
+
+std::string KdamondSupervisor::CaptureCheckpointText() {
+  return SerializeCheckpoint(Capture());
+}
+
+std::string KdamondSupervisor::last_checkpoint() const {
+  return last_checkpoint_.has_value() ? SerializeCheckpoint(*last_checkpoint_)
+                                      : std::string();
+}
+
+bool KdamondSupervisor::Restore(const Checkpoint& cp, std::string* error) {
+  current_attrs_ = cp.attrs;
+  RebuildStack();
+  if (!RestoreCheckpoint(cp, *ctx_, *engine_, recorder_.get(), error)) {
+    // The old stack is gone; come up cold on the current configuration
+    // rather than half-restored.
+    engine_->Install(current_schemes_);
+    return false;
+  }
+  current_schemes_ = StripRuntime(engine_->schemes());
+  ++counters_.restores;
+  if (tel_.restores != nullptr) tel_.restores->Add(1);
+  return true;
 }
 
 bool KdamondSupervisor::RestoreFromText(std::string_view text,
@@ -291,25 +313,10 @@ bool KdamondSupervisor::RestoreFromText(std::string_view text,
   const std::optional<Checkpoint> cp = ParseCheckpoint(text, &parse_error);
   if (!cp.has_value()) {
     if (error != nullptr)
-      *error = "line " + std::to_string(parse_error.line_number) + ": " +
-               parse_error.message;
+      *error = LineError(parse_error.line_number, parse_error.message);
     return false;
   }
-  current_attrs_ = cp->attrs;
-  RebuildStack();
-  std::string restore_error;
-  if (!RestoreCheckpoint(*cp, *ctx_, *engine_, recorder_.get(),
-                         &restore_error)) {
-    // The old stack is gone; come up cold on the current configuration
-    // rather than half-restored.
-    engine_->Install(current_schemes_);
-    if (error != nullptr) *error = restore_error;
-    return false;
-  }
-  current_schemes_ = StripRuntime(engine_->schemes());
-  ++counters_.restores;
-  if (tel_.restores != nullptr) tel_.restores->Add(1);
-  return true;
+  return Restore(*cp, error);
 }
 
 // ---- pillar 3: stepping & crash containment -----------------------------
@@ -338,7 +345,7 @@ double KdamondSupervisor::Step(SimTimeUs now, SimTimeUs quantum) {
 void KdamondSupervisor::OnWindowBoundary(SimTimeUs now) {
   if (staged_.has_value()) ApplyStagedCommit(now);
   if (config_.checkpoint_interval > 0 && now >= next_checkpoint_) {
-    CaptureCheckpointText();
+    Capture();
     next_checkpoint_ = now + config_.checkpoint_interval;
   }
 }
@@ -387,9 +394,9 @@ void KdamondSupervisor::Restart(SimTimeUs now) {
   const bool degrade = restarts_in_window_ >= config_.restart_budget;
   ++restarts_in_window_;
   bool restored = false;
-  if (!last_checkpoint_.empty()) {
+  if (last_checkpoint_.has_value()) {
     std::string error;
-    restored = RestoreFromText(last_checkpoint_, &error);
+    restored = Restore(*last_checkpoint_, &error);
   }
   if (!restored) {
     // No (usable) checkpoint: the configuration survives, the learned
@@ -447,8 +454,9 @@ std::string KdamondSupervisor::StateText() const {
   line("budget_window_us", EffectiveBudgetWindow());
   line("backoff_exp", backoff_exp_);
   line("restart_at", restart_at_);
-  line("last_checkpoint_at", last_checkpoint_at_);
-  line("last_checkpoint_bytes", last_checkpoint_.size());
+  line("last_checkpoint_at",
+       last_checkpoint_.has_value() ? last_checkpoint_->at : 0);
+  line("last_checkpoint_bytes", last_checkpoint().size());
   if (!last_commit_result_.empty()) {
     out += "last_commit ";
     out += last_commit_result_;

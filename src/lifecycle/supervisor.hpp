@@ -17,10 +17,11 @@
 //      (SchemesEngine::CommitSchemes).
 //
 //   2. Checkpoint/restore. On a configurable cadence (aligned to window
-//      boundaries) the supervisor serializes the full monitoring state
-//      (checkpoint.hpp) and keeps the latest snapshot; a crashed kdamond
-//      is rebuilt from it instead of cold-starting, and the text form is
-//      exposed for explicit save/restore through dbgfs and daos_ctl.
+//      boundaries) the supervisor captures the full monitoring state as a
+//      Checkpoint value (checkpoint.hpp) and keeps the latest one; a
+//      crashed kdamond is rebuilt from it instead of cold-starting. Text is
+//      written only where a checkpoint leaves the process: explicit
+//      save/restore through dbgfs and daos_ctl.
 //
 //   3. Crash-loop containment. The kdamond dies *silently* (the
 //      "daemon.crash" fault point; a real oops sends no notification), so
@@ -190,18 +191,22 @@ class KdamondSupervisor {
 
   // ---- pillar 2: checkpoint/restore ----
 
-  /// Serializes the current stack state, stores it as the restart source,
-  /// and returns the text.
+  /// Captures the current stack state, stores it as the crash-restart
+  /// source and counts a checkpoint.
+  const Checkpoint& Capture();
+  /// The text of a Capture(): the dbgfs and daos_ctl form.
   std::string CaptureCheckpointText();
 
-  /// Rebuilds the stack from checkpoint text (parse errors leave the
-  /// running stack untouched). Also the crash-restart path.
+  /// Rebuilds the stack from `cp`; also the crash-restart path. On a target
+  /// count mismatch the stack comes up cold on the current configuration.
+  bool Restore(const Checkpoint& cp, std::string* error);
+  /// ParseCheckpoint + Restore; parse errors leave the running stack
+  /// untouched.
   bool RestoreFromText(std::string_view text, std::string* error);
 
-  const std::string& last_checkpoint() const noexcept {
-    return last_checkpoint_;
-  }
-  SimTimeUs last_checkpoint_at() const noexcept { return last_checkpoint_at_; }
+  /// The crash-restart source as text, serialized on each call ("" before
+  /// the first capture).
+  std::string last_checkpoint() const;
 
   // ---- pillar 3: stepping & crash containment ----
 
@@ -267,8 +272,7 @@ class KdamondSupervisor {
   std::optional<CommitBundle> staged_;
   std::string last_commit_result_;
 
-  std::string last_checkpoint_;
-  SimTimeUs last_checkpoint_at_ = 0;
+  std::optional<Checkpoint> last_checkpoint_;  // the crash-restart source
   SimTimeUs next_checkpoint_ = 0;
 
   // Crash containment runtime.

@@ -1,7 +1,5 @@
 #include "sim/tier.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <utility>
 
 #include "util/strings.hpp"
@@ -30,14 +28,6 @@ std::string ExactSize(std::uint64_t bytes) {
     if (bytes % unit == 0) return std::to_string(bytes / unit) + suffix;
   }
   return std::to_string(bytes);
-}
-
-/// %g where it reads back exactly ("0.6"), else the shortest text that does.
-std::string ExactDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  if (ParseFiniteDouble(buf) == v) return buf;
-  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 }  // namespace

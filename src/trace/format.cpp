@@ -148,6 +148,14 @@ std::string SerializeHeader(const TraceMeta& meta, std::uint64_t events,
   return out;
 }
 
+void AppendChunk(std::string& out, std::string_view payload,
+                 std::uint64_t records) {
+  AppendU32Le(out, static_cast<std::uint32_t>(payload.size()));
+  AppendU32Le(out, static_cast<std::uint32_t>(records));
+  AppendU32Le(out, Crc32(payload));
+  out += payload;
+}
+
 std::string SerializeTrace(const Trace& trace, std::size_t chunk_records) {
   if (chunk_records == 0) chunk_records = kChunkRecords;
   const std::uint64_t nchunks =
@@ -165,10 +173,7 @@ std::string SerializeTrace(const Trace& trace, std::size_t chunk_records) {
     for (std::size_t i = 0; i < count; ++i) {
       EncodeEvent(payload, trace.events[base + i], prev_at, prev_page);
     }
-    AppendU32Le(out, static_cast<std::uint32_t>(payload.size()));
-    AppendU32Le(out, static_cast<std::uint32_t>(count));
-    AppendU32Le(out, Crc32(payload));
-    out += payload;
+    AppendChunk(out, payload, count);
   }
   return out;
 }
@@ -374,21 +379,25 @@ std::optional<Trace> ParseTrace(std::string_view text, TraceError* error) {
   return trace;
 }
 
-bool WriteTraceFile(const std::string& path, const Trace& trace,
-                    std::string* error) {
+bool WriteTraceBytes(const std::string& path, std::string_view bytes,
+                     std::string* error) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     if (error != nullptr) *error = "cannot open " + path + " for writing";
     return false;
   }
-  const std::string text = SerializeTrace(trace);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.flush();
   if (!out) {
     if (error != nullptr) *error = "short write to " + path;
     return false;
   }
   return true;
+}
+
+bool WriteTraceFile(const std::string& path, const Trace& trace,
+                    std::string* error) {
+  return WriteTraceBytes(path, SerializeTrace(trace), error);
 }
 
 std::optional<Trace> ReadTraceFile(const std::string& path,

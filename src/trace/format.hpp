@@ -126,6 +126,11 @@ std::uint32_t Crc32(std::string_view data);
 /// place). Shared by SerializeTrace and the streaming TraceWriter.
 void EncodeEvent(std::string& out, const TraceEvent& event, SimTimeUs& prev_at,
                  std::uint64_t& prev_page);
+/// Appends one framed chunk: the payload size, record count and CRC-32 of
+/// `payload` as u32-le, then the payload. Shared by SerializeTrace and the
+/// streaming TraceWriter.
+void AppendChunk(std::string& out, std::string_view payload,
+                 std::uint64_t records);
 
 // --- whole-trace serialization ---------------------------------------------
 
@@ -144,6 +149,9 @@ std::optional<Trace> ParseTrace(std::string_view text,
 
 // --- file helpers -----------------------------------------------------------
 
+/// Writes serialized trace bytes to `path`, replacing it.
+bool WriteTraceBytes(const std::string& path, std::string_view bytes,
+                     std::string* error = nullptr);
 bool WriteTraceFile(const std::string& path, const Trace& trace,
                     std::string* error = nullptr);
 std::optional<Trace> ReadTraceFile(const std::string& path,

@@ -1,7 +1,5 @@
 #include "trace/writer.hpp"
 
-#include <fstream>
-
 #include "util/check.hpp"
 
 namespace daos::trace {
@@ -65,19 +63,7 @@ void TraceWriter::OnTouchRange(Addr start, Addr end, bool write,
 
 void TraceWriter::FlushChunk() {
   if (payload_records_ == 0) return;
-  char frame[12];
-  const std::uint32_t size = static_cast<std::uint32_t>(payload_.size());
-  const std::uint32_t count = static_cast<std::uint32_t>(payload_records_);
-  const std::uint32_t crc = Crc32(payload_);
-  const std::uint32_t words[3] = {size, count, crc};
-  for (int w = 0; w < 3; ++w) {
-    frame[w * 4 + 0] = static_cast<char>(words[w] & 0xff);
-    frame[w * 4 + 1] = static_cast<char>((words[w] >> 8) & 0xff);
-    frame[w * 4 + 2] = static_cast<char>((words[w] >> 16) & 0xff);
-    frame[w * 4 + 3] = static_cast<char>((words[w] >> 24) & 0xff);
-  }
-  body_.append(frame, sizeof frame);
-  body_ += payload_;
+  AppendChunk(body_, payload_, payload_records_);
   payload_.clear();
   payload_records_ = 0;
   prev_at_ = 0;
@@ -91,19 +77,7 @@ std::string TraceWriter::Finish() {
 }
 
 bool TraceWriter::WriteFile(const std::string& path, std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const std::string text = Finish();
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "short write to " + path;
-    return false;
-  }
-  return true;
+  return WriteTraceBytes(path, Finish(), error);
 }
 
 }  // namespace daos::trace

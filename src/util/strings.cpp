@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -94,6 +95,13 @@ std::optional<double> ParseProbability(std::string_view text) {
   const auto v = ParseFiniteDouble(text);
   if (!v || *v < 0.0 || *v > 1.0) return std::nullopt;
   return v;
+}
+
+std::string ExactDouble(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  if (ParseFiniteDouble(buf) == v) return buf;
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void AppendF(std::string& out, const char* fmt, ...) {

@@ -42,6 +42,9 @@ std::optional<std::uint32_t> ParseU32(std::string_view text);
 std::optional<double> ParseFiniteDouble(std::string_view text);
 /// ParseFiniteDouble limited to [0, 1].
 std::optional<double> ParseProbability(std::string_view text);
+/// "%g" where it reads back exactly through ParseFiniteDouble ("0.6"), else
+/// the shortest text that does.
+std::string ExactDouble(double v);
 
 /// Assigns a parsed value to `field` when parsing succeeded and returns
 /// whether it did, so a grammar can parse straight into a struct field.

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace daos {
 namespace {
@@ -119,24 +120,26 @@ std::string FormatSize(std::uint64_t bytes) {
 
 std::string FormatDuration(SimTimeUs us) {
   char buf[32];
-  if (us >= kUsPerMin && us % kUsPerMin == 0) {
-    std::snprintf(buf, sizeof buf, "%llum",
-                  static_cast<unsigned long long>(us / kUsPerMin));
-  } else if (us >= kUsPerSec) {
-    const double s = static_cast<double>(us) / kUsPerSec;
-    if (us % kUsPerSec == 0) {
-      std::snprintf(buf, sizeof buf, "%llus",
-                    static_cast<unsigned long long>(us / kUsPerSec));
-    } else {
-      std::snprintf(buf, sizeof buf, "%.3fs", s);
-    }
-  } else if (us >= kUsPerMs) {
-    std::snprintf(buf, sizeof buf, "%llums",
-                  static_cast<unsigned long long>(us / kUsPerMs));
-  } else {
-    std::snprintf(buf, sizeof buf, "%lluus",
-                  static_cast<unsigned long long>(us));
+  if (us >= kUsPerSec && us % kUsPerSec != 0) {
+    // "1.250s" where it reads back exactly; "1.0004s" would print as
+    // "1.000s", and "1.001s" parses one microsecond short.
+    std::snprintf(buf, sizeof buf, "%.3fs",
+                  static_cast<double>(us) / kUsPerSec);
+    if (ParseDuration(buf) == us) return buf;
   }
+  static constexpr std::pair<SimTimeUs, const char*> kUnits[] = {
+      {kUsPerMin, "m"}, {kUsPerSec, "s"}, {kUsPerMs, "ms"}};
+  SimTimeUs unit = 1;
+  const char* suffix = "us";
+  for (const auto& [u, s] : kUnits) {
+    if (us >= u && us % u == 0) {
+      unit = u;
+      suffix = s;
+      break;
+    }
+  }
+  std::snprintf(buf, sizeof buf, "%llu%s",
+                static_cast<unsigned long long>(us / unit), suffix);
   return buf;
 }
 

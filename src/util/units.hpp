@@ -30,7 +30,8 @@ std::optional<double> ParsePercent(std::string_view text);
 /// Formats a byte count compactly ("4.0K", "2.0M", "1.5G").
 std::string FormatSize(std::uint64_t bytes);
 
-/// Formats a duration compactly ("5ms", "2m", "1.5s").
+/// Formats a duration compactly ("5ms", "2m", "1.500s", "1500us"). The text
+/// reads back through ParseDuration exactly.
 std::string FormatDuration(SimTimeUs us);
 
 /// Formats a fraction as a percentage ("80%").

@@ -247,16 +247,19 @@ TEST(CheckpointRoundTripTest, LiveCaptureBytesPinned) {
 }
 
 TEST(CheckpointRoundTripTest, RestoreIsIdentityOverFollowingWindows) {
-  // Two identical systems stepped in lockstep stay bit-identical (the sim
-  // is deterministic). Mid-run, B's stack is torn down and rebuilt from
-  // its own checkpoint text; if restore is lossless, A and B must remain
-  // indistinguishable for every window after it.
+  // Identical systems stepped in lockstep stay bit-identical (the sim is
+  // deterministic). Mid-run, B's stack is torn down and rebuilt from its
+  // own checkpoint text, and C's from its own checkpoint value (the
+  // in-process restore point). If both restores are lossless, all three
+  // must remain indistinguishable for every window after them.
   Rig a;
   Rig b;
-  a.space.TouchRange(kBase, kBase + kHeap, true, 0);
-  b.space.TouchRange(kBase, kBase + kHeap, true, 0);
-  a.InstallOrDie(kGovernedScheme);
-  b.InstallOrDie(kGovernedScheme);
+  Rig c;
+  Rig* const rigs[] = {&a, &b, &c};
+  for (Rig* rig : rigs) {
+    rig->space.TouchRange(kBase, kBase + kHeap, true, 0);
+    rig->InstallOrDie(kGovernedScheme);
+  }
 
   auto run_lockstep = [&](SimTimeUs until) {
     while (a.system.Now() < until) {
@@ -265,26 +268,32 @@ TEST(CheckpointRoundTripTest, RestoreIsIdentityOverFollowingWindows) {
       if (a.system.Now() % (250 * kUsPerMs) == 0) {
         const Addr hot =
             kBase + (a.system.Now() / (250 * kUsPerMs) % 4) * (8 * MiB);
-        a.space.TouchRange(hot, hot + 8 * MiB, true, a.system.Now());
-        b.space.TouchRange(hot, hot + 8 * MiB, true, b.system.Now());
+        for (Rig* rig : rigs)
+          rig->space.TouchRange(hot, hot + 8 * MiB, true, rig->system.Now());
       }
-      a.system.Step();
-      b.system.Step();
+      for (Rig* rig : rigs) rig->system.Step();
     }
   };
 
   run_lockstep(2 * kUsPerSec);
   const std::string at_2s_a = a.supervisor.CaptureCheckpointText();
   const std::string at_2s_b = b.supervisor.CaptureCheckpointText();
+  const lifecycle::Checkpoint at_2s_c = c.supervisor.Capture();
   ASSERT_EQ(at_2s_a, at_2s_b) << "lockstep baseline diverged";
+  ASSERT_EQ(SerializeCheckpoint(at_2s_c), at_2s_a)
+      << "lockstep baseline diverged";
 
   std::string error;
   ASSERT_TRUE(b.supervisor.RestoreFromText(at_2s_b, &error)) << error;
   EXPECT_EQ(b.supervisor.counters().restores, 1u);
+  ASSERT_TRUE(c.supervisor.Restore(at_2s_c, &error)) << error;
+  EXPECT_EQ(c.supervisor.counters().restores, 1u);
 
   run_lockstep(4 * kUsPerSec);
-  EXPECT_EQ(a.supervisor.CaptureCheckpointText(),
-            b.supervisor.CaptureCheckpointText());
+  const std::string at_4s_a = a.supervisor.CaptureCheckpointText();
+  EXPECT_EQ(at_4s_a, b.supervisor.CaptureCheckpointText());
+  EXPECT_EQ(at_4s_a, c.supervisor.CaptureCheckpointText())
+      << "the value-restored twin drifted from the text-restored one";
 }
 
 TEST(CheckpointRoundTripTest, RejectedRestoreLeavesRunningStackUntouched) {

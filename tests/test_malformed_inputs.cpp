@@ -1195,6 +1195,70 @@ TEST(MalformedCampaignTest, EntryWithoutTriggerRejected) {
   EXPECT_NE(error.find("no trigger"), std::string::npos) << error;
 }
 
+TEST(MalformedCampaignTest, MutantsNeverCrashAndReachAFixpoint) {
+  // A rejected mutant names a line; an accepted one formats to a text that
+  // parses back to the same campaign and formats to itself (a repro line
+  // must rebuild the exact schedule). The trigger words reach the fault
+  // plane's own p=/every=/once= grammar.
+  static constexpr const char* kWords[] = {
+      "seed", "scenario", "fleet", "p=0", "p=1", "p=0.5", "p=1.5", "p=-0",
+      "p=nan", "p=1e-320", "p=0x1p-3", "p=0.1234567", "p=", "every=0",
+      "every=1", "every=18446744073709551615", "every=18446744073709551616",
+      "once=0", "once=7", "from=0", "from=1us", "from=1500us", "from=1.0004s",
+      "from=1.001s", "from=-1s", "from=1e300s", "until=0us", "until=1ms",
+      "until=1800us", "until=1.0006s", "until=2h", "until=0x10s", "=", "#",
+      "off", "18446744073709551616", "x", ""};
+  const std::string golden =
+      "# chaos campaign\n"
+      "seed 20220627\n"
+      "scenario lifecycle\n"
+      "swap.write_error p=0.2 every=100 from=500ms until=2s\n"
+      "daemon.crash once=120\n"
+      "fleet.rollback_fail p=0.05 from=1.250s\n"
+      "tier.migrate_fail every=7 until=4s\n";
+  const auto same = [](const chaos::Campaign& a, const chaos::Campaign& b) {
+    if (a.seed != b.seed || a.scenario != b.scenario ||
+        a.entries.size() != b.entries.size())
+      return false;
+    for (std::size_t i = 0; i < a.entries.size(); ++i) {
+      const chaos::CampaignEntry& x = a.entries[i];
+      const chaos::CampaignEntry& y = b.entries[i];
+      if (x.point != y.point || x.from != y.from || x.until != y.until ||
+          x.spec.probability != y.spec.probability ||
+          x.spec.every_nth != y.spec.every_nth ||
+          x.spec.once_at != y.spec.once_at)
+        return false;
+    }
+    return true;
+  };
+  Rng rng(0xca4b'a160'5eed'0b01ULL);
+  int accepted = 0;
+  for (int m = 0; m < 20000; ++m) {
+    const std::string text = Mutate(golden, kWords, rng);
+    chaos::Campaign parsed;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = chaos::ParseCampaign(text, &parsed, &error))
+        << "mutant " << m << ":\n" << text;
+    if (!ok) {
+      ASSERT_EQ(error.rfind("line ", 0), 0u)
+          << "mutant " << m << ": " << error << "\n" << text;
+      continue;
+    }
+    ++accepted;
+    const std::string once = chaos::FormatCampaign(parsed);
+    chaos::Campaign again;
+    ASSERT_TRUE(chaos::ParseCampaign(once, &again, &error))
+        << "mutant " << m << " formats to a rejected text (" << error
+        << "):\n" << text << "---\n" << once;
+    ASSERT_TRUE(same(parsed, again))
+        << "mutant " << m << " formats lossily:\n" << text << "---\n"
+        << once;
+    ASSERT_EQ(chaos::FormatCampaign(again), once) << "mutant " << m;
+  }
+  EXPECT_GT(accepted, 1000);
+}
+
 // --- hostile numbers --------------------------------------------------------
 //
 // Each input below used to be accepted — wrapped, half-read, or taken as

@@ -100,6 +100,20 @@ TEST(FormatDurationTest, Ranges) {
   EXPECT_EQ(FormatDuration(2 * kUsPerMin), "2m");
 }
 
+TEST(FormatDurationTest, ReadsBackExactly) {
+  // Millisecond and second text is kept where it parses back to the same
+  // value; elsewhere the finer unit prints ("1.0004s" used to read "1.000s",
+  // 1.001s parsed as 1000999us, and 1500us printed as "1ms").
+  EXPECT_EQ(FormatDuration(1250 * kUsPerMs), "1.250s");
+  EXPECT_EQ(FormatDuration(1000400), "1000400us");
+  EXPECT_EQ(FormatDuration(1001 * kUsPerMs), "1001ms");
+  EXPECT_EQ(FormatDuration(1500), "1500us");
+  for (const SimTimeUs v : {SimTimeUs{1500}, SimTimeUs{1000400},
+                            SimTimeUs{1001000}, SimTimeUs{1000999},
+                            SimTimeUs{5500000}, SimTimeUs{90061000}})
+    EXPECT_EQ(ParseDuration(FormatDuration(v)), v) << v;
+}
+
 TEST(FormatPercentTest, WholeAndFraction) {
   EXPECT_EQ(FormatPercent(0.8), "80%");
   EXPECT_EQ(FormatPercent(0.055), "5.50%");
