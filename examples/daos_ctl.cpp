@@ -61,12 +61,9 @@
 #include "trace/ingest.hpp"
 #include "trace/writer.hpp"
 #include "dbgfs/damon_dbgfs.hpp"
-#include "dbgfs/fleet_fs.hpp"
-#include "dbgfs/lifecycle_fs.hpp"
 #include "fleet/controller.hpp"
 #include "dbgfs/procfs.hpp"
-#include "dbgfs/telemetry_fs.hpp"
-#include "dbgfs/tier_fs.hpp"
+#include "dbgfs/views.hpp"
 #include "lifecycle/supervisor.hpp"
 #include "sim/system.hpp"
 #include "telemetry/metrics.hpp"
@@ -124,14 +121,14 @@ struct SupervisedRun {
   daos::sim::Process* proc = nullptr;
   daos::dbgfs::PseudoFs fs;
   daos::lifecycle::KdamondSupervisor supervisor;
-  daos::dbgfs::LifecycleFs lifecycle_fs;
+  daos::dbgfs::Mount lifecycle_fs;
 
   SupervisedRun()
       : system(daos::sim::MachineSpec::I3Metal().GuestOf(),
                daos::sim::SwapConfig::Zram(), daos::sim::ThpMode::kNever,
                5 * daos::kUsPerMs),
         supervisor(MakeConfig()),
-        lifecycle_fs(&fs, &supervisor) {
+        lifecycle_fs(daos::dbgfs::MountLifecycle(&fs, &supervisor)) {
     const daos::workload::WorkloadProfile* profile =
         daos::workload::FindProfile("parsec3/freqmine");
     proc = &system.AddProcess(daos::workload::ToProcessParams(*profile),
@@ -361,7 +358,7 @@ int RunTierStatus() {
                      sim::SwapConfig::Zram(), sim::ThpMode::kNever,
                      5 * kUsPerMs);
   dbgfs::PseudoFs fs;
-  dbgfs::TierFs tier_fs(&fs, &system.machine());
+  const dbgfs::Mount tier_fs = dbgfs::MountTier(&fs, &system.machine());
 
   bool ok = true;
   // Small fast tier on purpose: the workload's hot set cannot all start
@@ -397,7 +394,7 @@ int RunTierStatus() {
 int RunFleetStatus() {
   daos::fleet::FleetController fleet(DemoFleetConfig());
   daos::dbgfs::PseudoFs fs;
-  daos::dbgfs::FleetFs fleet_fs(&fs, &fleet);
+  const daos::dbgfs::Mount fleet_fs = daos::dbgfs::MountFleet(&fs, &fleet);
   for (int epoch = 0; epoch < 8; ++epoch) fleet.RunEpoch();
   Cat(fs, "/fleet/status");
   Cat(fs, "/fleet/quarantine");
@@ -412,7 +409,7 @@ int RunFleetRollout(const char* spec_path) {
   }
   daos::fleet::FleetController fleet(DemoFleetConfig());
   daos::dbgfs::PseudoFs fs;
-  daos::dbgfs::FleetFs fleet_fs(&fs, &fleet);
+  const daos::dbgfs::Mount fleet_fs = daos::dbgfs::MountFleet(&fs, &fleet);
   // Warm up: monitors prime, schemes start applying, health has a baseline.
   for (int epoch = 0; epoch < 4; ++epoch) fleet.RunEpoch();
   if (!Echo(fs, *spec, "/fleet/rollout")) {
@@ -493,7 +490,8 @@ int RunDemo() {
   telemetry::TraceBuffer trace(1024);
   damon_fs.SetTelemetry(metrics, &trace);
   system.AttachTelemetry(&metrics, &trace);
-  dbgfs::TelemetryFs telemetry_fs(&fs, &metrics, &trace);
+  const dbgfs::Mount telemetry_fs =
+      dbgfs::MountTelemetry(&fs, &metrics, &trace);
 
   std::printf("workload %s started as pid %d\n\n", profile->name.c_str(),
               proc.pid());

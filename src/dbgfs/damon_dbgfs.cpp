@@ -8,32 +8,31 @@
 
 namespace daos::dbgfs {
 
-DamonDbgfs::DamonDbgfs(sim::System* system, PseudoFs* fs, std::string root)
+DamonDbgfs::DamonDbgfs(sim::System* system, PseudoFs* fs)
     : system_(system),
-      fs_(fs),
-      root_(std::move(root)),
       ctx_(std::make_unique<damon::DamonContext>(
           damon::MonitoringAttrs::PaperDefaults(), /*seed=*/42,
-          system->machine().costs().monitor_interference_us)) {
+          system->machine().costs().monitor_interference_us)),
+      mount_(fs, "/damon") {
   engine_.Attach(*ctx_);
   // Watermark metrics and time-quota pricing come from this machine.
   engine_.SetMachine(&system_->machine());
 
-  fs_->RegisterFile(
-      root_ + "/attrs", [this] { return ReadAttrs(); },
+  mount_.File(
+      "attrs", [this] { return ReadAttrs(); },
       [this](std::string_view c, std::string* e) { return WriteAttrs(c, e); });
-  fs_->RegisterFile(
-      root_ + "/target_ids", [this] { return ReadTargets(); },
+  mount_.File(
+      "target_ids", [this] { return ReadTargets(); },
       [this](std::string_view c, std::string* e) {
         return WriteTargets(c, e);
       });
-  fs_->RegisterFile(
-      root_ + "/schemes", [this] { return ReadSchemes(); },
+  mount_.File(
+      "schemes", [this] { return ReadSchemes(); },
       [this](std::string_view c, std::string* e) {
         return WriteSchemes(c, e);
       });
-  fs_->RegisterFile(
-      root_ + "/monitor_on", [this] { return ReadMonitorOn(); },
+  mount_.File(
+      "monitor_on", [this] { return ReadMonitorOn(); },
       [this](std::string_view c, std::string* e) {
         return WriteMonitorOn(c, e);
       });
@@ -41,16 +40,6 @@ DamonDbgfs::DamonDbgfs(sim::System* system, PseudoFs* fs, std::string root)
   system_->RegisterDaemon([this](SimTimeUs now, SimTimeUs quantum) {
     return on_ ? ctx_->Step(now, quantum) : 0.0;
   });
-}
-
-DamonDbgfs::~DamonDbgfs() {
-  fs_->RemoveFile(root_ + "/attrs");
-  fs_->RemoveFile(root_ + "/target_ids");
-  fs_->RemoveFile(root_ + "/schemes");
-  fs_->RemoveFile(root_ + "/monitor_on");
-  // The daemon registered on the System captures `this`; the System must
-  // not be stepped after the dbgfs is destroyed (matches kernel teardown
-  // ordering: debugfs dies with the module).
 }
 
 std::string DamonDbgfs::ReadAttrs() const {

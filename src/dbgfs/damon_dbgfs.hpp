@@ -3,11 +3,11 @@
 // Mirrors the kernel's /sys/kernel/debug/damon directory: the user-space
 // runtime configures monitoring and schemes by writing strings to files.
 //
-//   <root>/attrs       "sample_us aggr_us update_us min_nr max_nr"
-//   <root>/target_ids  "1 2 3" (pids) or "paddr" (physical monitoring)
-//   <root>/schemes     one scheme per line (Listing 1/3 format);
+//   /damon/attrs       "sample_us aggr_us update_us min_nr max_nr"
+//   /damon/target_ids  "1 2 3" (pids) or "paddr" (physical monitoring)
+//   /damon/schemes     one scheme per line (Listing 1/3 format);
 //                      reading returns each scheme plus its stats
-//   <root>/monitor_on  "on" / "off"
+//   /damon/monitor_on  "on" / "off"
 //
 // A DamonDbgfs owns its DamonContext and SchemesEngine and registers a
 // daemon on the System, so after `echo on > monitor_on` monitoring runs as
@@ -29,10 +29,12 @@ namespace daos::dbgfs {
 
 class DamonDbgfs {
  public:
-  /// Registers the debugfs files under `root` in `fs` and a monitoring
-  /// daemon on `system`. Both must outlive this object.
-  DamonDbgfs(sim::System* system, PseudoFs* fs, std::string root = "/damon");
-  ~DamonDbgfs();
+  /// Registers the debugfs files under /damon in `fs` and a monitoring
+  /// daemon on `system`. Both must outlive this object. The daemon
+  /// captures `this`; the System must not be stepped after the dbgfs is
+  /// destroyed (matches kernel teardown ordering: debugfs dies with the
+  /// module).
+  DamonDbgfs(sim::System* system, PseudoFs* fs);
 
   DamonDbgfs(const DamonDbgfs&) = delete;
   DamonDbgfs& operator=(const DamonDbgfs&) = delete;
@@ -64,13 +66,12 @@ class DamonDbgfs {
   bool RebuildTargets(std::string* error);
 
   sim::System* system_;
-  PseudoFs* fs_;
-  std::string root_;
   std::unique_ptr<damon::DamonContext> ctx_;
   damos::SchemesEngine engine_;
   std::vector<int> target_pids_;  // empty + paddr_ set => physical
   bool paddr_ = false;
   bool on_ = false;
+  Mount mount_;  // last: its files capture `this`
 };
 
 }  // namespace daos::dbgfs

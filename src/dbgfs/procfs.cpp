@@ -7,18 +7,12 @@
 
 namespace daos::dbgfs {
 
-ProcFs::ProcFs(sim::System* system, PseudoFs* fs, std::string root)
-    : system_(system), fs_(fs), root_(std::move(root)) {
-  Refresh();
-}
-
-void ProcFs::Refresh() {
-  for (auto& proc : system_->processes()) {
+ProcFs::ProcFs(sim::System* system, PseudoFs* fs) : mount_(fs, "/proc") {
+  for (auto& proc : system->processes()) {
     sim::Process* p = proc.get();
-    const std::string dir = root_ + "/" + std::to_string(p->pid());
-    if (fs_->Exists(dir + "/status")) continue;
-    fs_->RegisterFile(
-        dir + "/status",
+    const std::string pid = std::to_string(p->pid());
+    mount_.File(
+        pid + "/status",
         [p] {
           char buf[160];
           std::snprintf(buf, sizeof buf,
@@ -31,8 +25,8 @@ void ProcFs::Refresh() {
           return std::string(buf);
         },
         nullptr);
-    fs_->RegisterFile(
-        dir + "/statm",
+    mount_.File(
+        pid + "/statm",
         [p] {
           char buf[64];
           std::snprintf(
@@ -47,8 +41,7 @@ void ProcFs::Refresh() {
 }
 
 std::uint64_t ProcFs::ReadRssBytes(int pid) const {
-  const auto content =
-      fs_->Read(root_ + "/" + std::to_string(pid) + "/status");
+  const auto content = mount_.Read(std::to_string(pid) + "/status");
   if (!content) return 0;
   for (std::string_view line : SplitChar(*content, '\n')) {
     if (!StartsWith(line, "VmRSS:")) continue;

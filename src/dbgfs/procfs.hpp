@@ -6,7 +6,7 @@
 //   /proc/<pid>/statm   "size resident" in pages
 #pragma once
 
-#include <string>
+#include <cstdint>
 
 #include "dbgfs/pseudo_fs.hpp"
 
@@ -18,21 +18,16 @@ namespace daos::dbgfs {
 
 class ProcFs {
  public:
-  /// Registers files for every process currently in `system`; call
-  /// Refresh() after adding processes. Both must outlive this object.
-  ProcFs(sim::System* system, PseudoFs* fs, std::string root = "/proc");
-
-  /// Re-registers files so newly added processes appear.
-  void Refresh();
+  /// Registers files for every process in `system` at construction;
+  /// processes added later get none. Both must outlive this object.
+  ProcFs(sim::System* system, PseudoFs* fs);
 
   /// Convenience: reads a pid's RSS in bytes through the filesystem,
   /// the way the runtime's scripts do. Returns 0 for unknown pids.
   std::uint64_t ReadRssBytes(int pid) const;
 
  private:
-  sim::System* system_;
-  PseudoFs* fs_;
-  std::string root_;
+  Mount mount_;
 };
 
 }  // namespace daos::dbgfs

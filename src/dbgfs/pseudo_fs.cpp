@@ -43,4 +43,23 @@ bool PseudoFs::Write(const std::string& path, std::string_view content,
   return it->second.writer(content, error);
 }
 
+Mount::~Mount() {
+  for (const std::string& path : paths_) fs_->RemoveFile(path);
+}
+
+Mount::Mount(Mount&& other) noexcept
+    : fs_(other.fs_),
+      dir_(std::move(other.dir_)),
+      paths_(std::exchange(other.paths_, {})) {}
+
+void Mount::File(const std::string& name, FileReader reader,
+                 FileWriter writer) {
+  paths_.push_back(dir_ + "/" + name);
+  fs_->RegisterFile(paths_.back(), std::move(reader), std::move(writer));
+}
+
+std::optional<std::string> Mount::Read(const std::string& name) const {
+  return fs_->Read(dir_ + "/" + name);
+}
+
 }  // namespace daos::dbgfs

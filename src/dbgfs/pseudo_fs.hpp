@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace daos::dbgfs {
@@ -49,6 +50,30 @@ class PseudoFs {
     FileWriter writer;
   };
   std::map<std::string, Node> files_;
+};
+
+/// The files one view registers under its fixed directory. Destroying the
+/// mount removes exactly the paths it registered, so a view never lists
+/// its paths twice. Move-only; a moved-from mount removes nothing.
+class Mount {
+ public:
+  /// `fs` must outlive the mount.
+  Mount(PseudoFs* fs, std::string dir) : fs_(fs), dir_(std::move(dir)) {}
+  ~Mount();
+
+  Mount(Mount&& other) noexcept;
+  Mount(const Mount&) = delete;
+  Mount& operator=(const Mount&) = delete;
+
+  /// Registers `<dir>/<name>` (see PseudoFs::RegisterFile).
+  void File(const std::string& name, FileReader reader, FileWriter writer);
+  /// Reads `<dir>/<name>` (see PseudoFs::Read).
+  std::optional<std::string> Read(const std::string& name) const;
+
+ private:
+  PseudoFs* fs_;
+  std::string dir_;
+  std::vector<std::string> paths_;
 };
 
 }  // namespace daos::dbgfs

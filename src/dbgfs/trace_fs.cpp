@@ -7,9 +7,9 @@
 namespace daos::dbgfs {
 
 TraceFs::TraceFs(PseudoFs* fs, sim::AddressSpace* space, trace::TraceMeta meta)
-    : fs_(fs), space_(space), meta_(std::move(meta)) {
-  fs_->RegisterFile(
-      "/trace/record",
+    : space_(space), meta_(std::move(meta)), mount_(fs, "/trace") {
+  mount_.File(
+      "record",
       [this] { return std::string(recording_ ? "on\n" : "off\n"); },
       [this](std::string_view content, std::string* error) {
         const std::string_view arg = TrimWhitespace(content);
@@ -29,8 +29,8 @@ TraceFs::TraceFs(PseudoFs* fs, sim::AddressSpace* space, trace::TraceMeta meta)
           *error = "line 1: expected \"on\" or \"off\"";
         return false;
       });
-  fs_->RegisterFile(
-      "/trace/status",
+  mount_.File(
+      "status",
       [this] {
         char buf[160];
         std::snprintf(buf, sizeof buf,
@@ -49,8 +49,8 @@ TraceFs::TraceFs(PseudoFs* fs, sim::AddressSpace* space, trace::TraceMeta meta)
         return std::string(buf);
       },
       nullptr);
-  fs_->RegisterFile(
-      "/trace/data",
+  mount_.File(
+      "data",
       [this] {
         // An unarmed plane serializes as an empty-but-valid trace, so
         // consumers can always round-trip what they read here.
@@ -64,9 +64,6 @@ TraceFs::TraceFs(PseudoFs* fs, sim::AddressSpace* space, trace::TraceMeta meta)
 
 TraceFs::~TraceFs() {
   if (recording_) space_->SetAccessTap(nullptr);
-  fs_->RemoveFile("/trace/record");
-  fs_->RemoveFile("/trace/status");
-  fs_->RemoveFile("/trace/data");
 }
 
 }  // namespace daos::dbgfs

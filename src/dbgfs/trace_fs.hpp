@@ -39,11 +39,11 @@ class TraceFs {
   trace::TraceWriter* writer() noexcept { return writer_.get(); }
 
  private:
-  PseudoFs* fs_;
   sim::AddressSpace* space_;
   trace::TraceMeta meta_;
   std::unique_ptr<trace::TraceWriter> writer_;
   bool recording_ = false;
+  Mount mount_;  // last: its files capture `this`
 };
 
 }  // namespace daos::dbgfs

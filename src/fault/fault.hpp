@@ -20,7 +20,7 @@
 //   every=<N>   fire on every Nth check (N >= 1)
 //   once=<N>    fire exactly once, on the Nth check (1-based)
 //
-// The same grammar drives the dbgfs "/fault" control file (fault_fs.hpp),
+// The same grammar drives the dbgfs "/fault" control file (dbgfs MountFault),
 // kernel fault-injection style:  "swap.write_error p=0.2 every=100".
 #pragma once
 

@@ -483,10 +483,9 @@ void FleetController::PoliceQuarantine() {
   for (auto& sp : shards_) {
     Shard& s = *sp;
     if (!s.quarantined) {
-      if (s.crashes_in_window >= config_.quarantine_crash_threshold)
-        Quarantine(s, "crash storm");
-      else if (s.supervisor.state() == lifecycle::SupervisorState::kDegraded)
-        Quarantine(s, "supervisor degraded");
+      if (s.crashes_in_window >= config_.quarantine_crash_threshold ||
+          s.supervisor.state() == lifecycle::SupervisorState::kDegraded)
+        Quarantine(s);
     } else {
       // The supervisor's own restart path re-arms schemes after a quiet
       // budget window; quarantine overrides it until the fleet releases.
@@ -503,14 +502,13 @@ void FleetController::PoliceQuarantine() {
   }
 }
 
-void FleetController::Quarantine(Shard& shard, const char* reason) {
+void FleetController::Quarantine(Shard& shard) {
   shard.quarantined = true;
   shard.quiet_epochs = 0;
   shard.sample_valid = false;
   shard.supervisor.engine().SetDisarmed(true);
   ++counters_.quarantines;
   if (tel_.quarantines != nullptr) tel_.quarantines->Add();
-  (void)reason;
 }
 
 void FleetController::Release(Shard& shard) {
@@ -661,7 +659,7 @@ void FleetController::ContinueRollback() {
         ++counters_.rollback_failures;
         s.rollback_pending = false;
         s.pre_wave.reset();
-        Quarantine(s, "rollback retries exhausted");
+        Quarantine(s);
       }
       continue;
     }
@@ -801,7 +799,7 @@ bool FleetController::WriteQuarantine(std::string_view text,
     switch (op.kind) {
       case OpKind::kAdd:
         if (!shards_[op.index]->quarantined)
-          Quarantine(*shards_[op.index], "operator");
+          Quarantine(*shards_[op.index]);
         break;
       case OpKind::kRelease:
         if (shards_[op.index]->quarantined) Release(*shards_[op.index]);

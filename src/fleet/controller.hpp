@@ -251,7 +251,7 @@ class FleetController {
   bool ApplyStage(std::string* error);
   void CollectHealth();
   void PoliceQuarantine();
-  void Quarantine(Shard& shard, const char* reason);
+  void Quarantine(Shard& shard);
   void Release(Shard& shard);
   void EvaluateRollout();
   void BeginRollback(RolloutState final_state, const std::string& reason);

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "chaos/engine.hpp"
-#include "dbgfs/chaos_fs.hpp"
+#include "dbgfs/views.hpp"
 #include "fault/fault.hpp"
 
 namespace {
@@ -300,7 +300,7 @@ TEST(ChaosEngine, UnknownScenarioFailsItsOwnOracle) {
 TEST(ChaosFsTest, StatusAndLastReproFiles) {
   dbgfs::PseudoFs fs;
   ChaosEngine engine(ChaosConfig{});
-  dbgfs::ChaosFs chaos_fs(&fs, &engine);
+  const dbgfs::Mount chaos_fs = dbgfs::MountChaos(&fs, &engine);
 
   std::string error;
   auto content = fs.Read("/chaos/last_repro");

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "dbgfs/procfs.hpp"
 #include "sim/system.hpp"
 #include "workload/generator.hpp"
@@ -72,6 +76,37 @@ TEST(PseudoFsTest, ListByPrefix) {
   EXPECT_EQ(fs.List().size(), 3u);
   fs.RemoveFile("/a/1");
   EXPECT_EQ(fs.List("/a").size(), 1u);
+}
+
+TEST(MountTest, DestructionRemovesExactlyItsFiles) {
+  PseudoFs fs;
+  fs.RegisterFile("/a/direct", [] { return std::string(); }, nullptr);
+  Mount other(&fs, "/b");
+  other.File("1", [] { return std::string(); }, nullptr);
+  {
+    Mount mount(&fs, "/a");
+    mount.File("1", [] { return std::string("one"); }, nullptr);
+    mount.File("2", nullptr, [](std::string_view, std::string*) {
+      return true;
+    });
+    EXPECT_EQ(fs.Read("/a/1").value(), "one");
+    EXPECT_EQ(mount.Read("1").value(), "one");
+    EXPECT_TRUE(fs.Exists("/a/2"));
+  }
+  EXPECT_EQ(fs.List(), (std::vector<std::string>{"/a/direct", "/b/1"}));
+}
+
+TEST(MountTest, MovedFromMountRemovesNothing) {
+  PseudoFs fs;
+  std::optional<Mount> target;
+  {
+    Mount source(&fs, "/m");
+    source.File("f", [] { return std::string("x"); }, nullptr);
+    target.emplace(std::move(source));
+  }
+  EXPECT_TRUE(fs.Exists("/m/f"));
+  target.reset();
+  EXPECT_FALSE(fs.Exists("/m/f"));
 }
 
 TEST_F(DbgfsTest, FilesRegistered) {
@@ -182,6 +217,17 @@ TEST_F(DbgfsTest, ProcfsReportsRss) {
   EXPECT_NE(status.find("VmRSS:"), std::string::npos);
   EXPECT_NE(status.find("VmSize:"), std::string::npos);
   EXPECT_EQ(procfs.ReadRssBytes(4242), 0u);
+}
+
+TEST_F(DbgfsTest, ProcfsDestructionRemovesItsFiles) {
+  const std::string dir = "/proc/" + std::to_string(proc_.pid());
+  {
+    ProcFs procfs(&system_, &fs_);
+    EXPECT_TRUE(fs_.Exists(dir + "/status"));
+    EXPECT_TRUE(fs_.Exists(dir + "/statm"));
+  }
+  EXPECT_TRUE(fs_.List("/proc").empty());
+  EXPECT_TRUE(fs_.Exists("/damon/attrs"));
 }
 
 TEST_F(DbgfsTest, ProcfsStatmPages) {

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "dbgfs/damon_dbgfs.hpp"
-#include "dbgfs/fault_fs.hpp"
+#include "dbgfs/views.hpp"
 #include "sim/system.hpp"
 #include "telemetry/metrics.hpp"
 #include "workload/generator.hpp"
@@ -223,7 +223,7 @@ TEST(FaultPlaneTest, TelemetryCountsFires) {
 TEST(FaultFsTest, ControlFileRoundTrip) {
   dbgfs::PseudoFs fs;
   FaultPlane plane(11);
-  dbgfs::FaultFs fault_fs(&fs, &plane);
+  const dbgfs::Mount fault_fs = dbgfs::MountFault(&fs, &plane);
   std::string error;
   EXPECT_TRUE(fs.Write("/fault", "swap.write_error p=0.1", &error)) << error;
   EXPECT_NE(fs.Read("/fault").value().find("swap.write_error p=0.1"),

@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "dbgfs/fleet_fs.hpp"
 #include "dbgfs/pseudo_fs.hpp"
+#include "dbgfs/views.hpp"
 #include "fleet/controller.hpp"
 #include "util/units.hpp"
 
@@ -395,7 +395,7 @@ TEST(FleetDeterminism, JobsOneAndFourAreBitIdentical) {
 TEST(FleetFs, ControlFilesDriveTheController) {
   fleet::FleetController fleet(SmallFleet());
   dbgfs::PseudoFs fs;
-  dbgfs::FleetFs fleet_fs(&fs, &fleet);
+  const dbgfs::Mount fleet_fs = dbgfs::MountFleet(&fs, &fleet);
   for (int epoch = 0; epoch < 4; ++epoch) fleet.RunEpoch();
 
   const std::optional<std::string> status = fs.Read("/fleet/status");

@@ -13,10 +13,9 @@
 #include "chaos/engine.hpp"
 #include "checkpoint_golden.hpp"
 #include "damos/parser.hpp"
-#include "dbgfs/chaos_fs.hpp"
 #include "dbgfs/damon_dbgfs.hpp"
+#include "dbgfs/views.hpp"
 #include "fault/fault.hpp"
-#include "dbgfs/tier_fs.hpp"
 #include "fleet/controller.hpp"
 #include "lifecycle/checkpoint.hpp"
 #include "lifecycle/supervisor.hpp"
@@ -296,7 +295,7 @@ TEST(MalformedTierTest, RejectedGeometryWriteKeepsPrevious) {
                      sim::SwapConfig::Zram(), sim::ThpMode::kNever,
                      5 * kUsPerMs);
   dbgfs::PseudoFs fs;
-  dbgfs::TierFs tier_fs(&fs, &system.machine());
+  const dbgfs::Mount tier_fs = dbgfs::MountTier(&fs, &system.machine());
 
   ASSERT_TRUE(fs.Write("/tier/geometry", "dram 64M\ncxl 1G lat=0.6\n"));
   const std::string before = fs.Read("/tier/geometry").value();
@@ -1366,7 +1365,7 @@ TEST_F(MalformedDbgfsTest, HostileAttrsNumbersRejectedAndUnchanged) {
 TEST(MalformedChaosFsTest, OverflowingRunCountRejected) {
   dbgfs::PseudoFs fs;
   chaos::ChaosEngine engine(chaos::ChaosConfig{});
-  dbgfs::ChaosFs chaos_fs(&fs, &engine);
+  const dbgfs::Mount chaos_fs = dbgfs::MountChaos(&fs, &engine);
   std::string error;
   EXPECT_FALSE(
       fs.Write("/chaos/status", "run 99999999999999999999999", &error));

@@ -10,7 +10,7 @@
 #include "damon/primitives.hpp"
 #include "damos/engine.hpp"
 #include "dbgfs/pseudo_fs.hpp"
-#include "dbgfs/telemetry_fs.hpp"
+#include "dbgfs/views.hpp"
 #include "sim/system.hpp"
 #include "telemetry/export.hpp"
 #include "workload/generator.hpp"
@@ -132,7 +132,7 @@ TEST(TelemetryWiringTest, SystemSnapshotPublishesSimGauges) {
 TEST(TelemetryWiringTest, DbgfsTelemetryFileServesExports) {
   Stack s;
   dbgfs::PseudoFs fs;
-  dbgfs::TelemetryFs tfs(&fs, &s.registry, &s.trace);
+  const dbgfs::Mount tfs = dbgfs::MountTelemetry(&fs, &s.registry, &s.trace);
   s.system.Run(20 * kUsPerSec);
 
   const auto metrics = fs.Read("/telemetry/metrics");

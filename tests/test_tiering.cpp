@@ -372,8 +372,14 @@ TEST(TieringPropertyTest, TieredRecordReplayBitIdentity) {
       profile, analysis::Config::kSchemes, options, &schemes);
   ASSERT_TRUE(recorded.finished);
   ASSERT_GT(writer.events(), 0u);
-  // The tiered run must have done access-aware placement worth replaying.
-  EXPECT_GT(recorded.telemetry.Value("sim.tier.promoted_pages"), 0.0);
+  // The tiered run must have done access-aware placement worth replaying,
+  // unless the workload was OOM-killed before it could. Under
+  // alloc.frame_fail every failed allocation enters a direct reclaim that
+  // frees nothing while the footprint is still being populated, so the run
+  // can die in its first quantum; the identity check below still holds.
+  if (recorded.telemetry.Value("sim.oom_kills") == 0.0) {
+    EXPECT_GT(recorded.telemetry.Value("sim.tier.promoted_pages"), 0.0);
+  }
 
   const std::string path = ::testing::TempDir() + "/tiering_replay.dtr";
   std::string error;
