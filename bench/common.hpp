@@ -26,6 +26,9 @@
 #ifndef DAOS_BUILD_TYPE
 #error "bench targets define DAOS_BUILD_TYPE (the CMake build type)"
 #endif
+#ifndef DAOS_GIT_REVISION
+#error "bench targets define DAOS_GIT_REVISION (the configure-time revision)"
+#endif
 
 namespace daos::bench {
 
@@ -125,7 +128,8 @@ inline bool IsJsonArray(std::string_view text) {
 /// Appends `row`, one JSON object from '{' to '}' (it may span lines), to
 /// the trajectory array in `path`, stamped with the provenance every row
 /// carries: the host's hardware concurrency, the runner's job count
-/// (DAOS_JOBS), the build type and the bench mode. A missing or blank file
+/// (DAOS_JOBS), the build type, the git revision at configure time
+/// ("unknown" outside a checkout) and the bench mode. A missing or blank file
 /// starts a fresh array. A file holding anything else is left byte for
 /// byte as it was and false is returned: a damaged trajectory is history
 /// to recover, not to overwrite. The new array goes to `path`.tmp and is
@@ -154,10 +158,11 @@ inline bool AppendTrajectory(const std::string& path, std::string_view row) {
   out += row;
   AppendF(out,
           ", \"hardware_concurrency\": %u, \"jobs\": %u, "
-          "\"build_type\": \"%s\", \"mode\": \"%s\"}\n]\n",
+          "\"build_type\": \"%s\", \"git_revision\": \"%s\", "
+          "\"mode\": \"%s\"}\n]\n",
           std::thread::hardware_concurrency(),
           analysis::ParallelRunner::JobsFromEnv(), DAOS_BUILD_TYPE,
-          FullMode() ? "full" : "quick");
+          DAOS_GIT_REVISION, FullMode() ? "full" : "quick");
 
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");

@@ -5,6 +5,9 @@
 
 namespace daos::autotune {
 
+/// Fraction of samples spent exploring globally (paper: 60/40).
+constexpr double kExploreFrac = 0.6;
+
 AutoTuner::AutoTuner(TunerConfig config, std::unique_ptr<ScoreFunction> score)
     : config_(config),
       score_(score ? std::move(score)
@@ -52,10 +55,9 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
   if (result.baseline.failed) ++result.failed_trials;
 
   const std::size_t total = std::max<std::size_t>(2, config_.EffectiveSamples());
-  const auto explore =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   std::round(config_.explore_frac *
-                                              static_cast<double>(total))));
+  const auto explore = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::round(kExploreFrac * static_cast<double>(total))));
   const std::size_t exploit = total - explore;
 
   auto run_one = [&](std::uint64_t knob_value, bool exploration) {

@@ -59,8 +59,6 @@ struct TunerConfig {
   /// floor must stay nonzero: quota_sz=0 would disarm the quota entirely.
   std::uint64_t quota_sz_lo = 1 * MiB;
   std::uint64_t quota_sz_hi = 256 * MiB;
-  /// Fraction of samples spent exploring globally (paper: 60/40).
-  double explore_frac = 0.6;
   std::uint64_t seed = 1234;
 
   std::size_t EffectiveSamples() const {

@@ -126,6 +126,9 @@ std::string ReproLine(const Campaign& campaign) {
   return out.str();
 }
 
+/// Chance that a generated entry gets an arm/disarm window at all.
+constexpr double kWindowFrac = 0.5;
+
 Campaign GenerateCampaign(const GeneratorConfig& config, std::uint64_t index) {
   // (master_seed, index) -> campaign, via SplitMix64 so neighbouring
   // indices decorrelate fully.
@@ -167,14 +170,13 @@ Campaign GenerateCampaign(const GeneratorConfig& config, std::uint64_t index) {
       entry.spec.probability =
           static_cast<double>(1 + rng.NextBounded(100)) / 1000.0;
     }
-    if (config.horizon >= 2 * config.window_step &&
-        rng.NextBool(config.window_frac)) {
-      const std::uint64_t steps = config.horizon / config.window_step;
+    if (config.horizon >= 2 * kWindowStep && rng.NextBool(kWindowFrac)) {
+      const std::uint64_t steps = config.horizon / kWindowStep;
       const std::uint64_t start = rng.NextBounded(steps);
       const std::uint64_t len = 1 + rng.NextBounded(steps - start);
-      entry.from = start * config.window_step;
+      entry.from = start * kWindowStep;
       if (start + len < steps) {
-        entry.until = (start + len) * config.window_step;
+        entry.until = (start + len) * kWindowStep;
       }  // else: window runs to the end — leave until=0
     }
     campaign.entries.push_back(std::move(entry));

@@ -75,6 +75,10 @@ std::string FaultsText(const Campaign& campaign);
 /// The one-line replayable repro.
 std::string ReproLine(const Campaign& campaign);
 
+/// Window endpoints of generated entries align to this grain (and
+/// FormatDuration round-trips whole milliseconds only, so keep it >= 1ms).
+inline constexpr SimTimeUs kWindowStep = 250 * kUsPerMs;
+
 /// Seeded campaign generation: campaign `index` under `master_seed` is a
 /// pure function of (master_seed, index) — the engine fans indices out
 /// through the parallel runner and the draw stays DAOS_JOBS-independent.
@@ -85,11 +89,6 @@ struct GeneratorConfig {
   std::size_t max_entries = 5;
   /// Run length windows are drawn inside; 0 disables windowed entries.
   SimTimeUs horizon = 0;
-  /// Window endpoints align to this grain (and FormatDuration round-trips
-  /// whole milliseconds only, so keep it >= 1ms).
-  SimTimeUs window_step = 250 * kUsPerMs;
-  /// Chance that an entry gets an arm/disarm window at all.
-  double window_frac = 0.5;
 };
 
 Campaign GenerateCampaign(const GeneratorConfig& config, std::uint64_t index);

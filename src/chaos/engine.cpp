@@ -18,13 +18,11 @@ std::uint64_t Permille(double probability) {
 ChaosEngine::ChaosEngine(ChaosConfig config) : config_(std::move(config)) {}
 
 GeneratorConfig ChaosEngine::generator_config() const {
-  GeneratorConfig gen;
-  gen.master_seed = config_.master_seed;
-  gen.scenario = config_.scenario;
-  gen.min_entries = config_.min_entries;
-  gen.max_entries = config_.max_entries;
-  gen.horizon = config_.windows ? ScenarioHorizon(config_.scenario) : 0;
-  return gen;
+  return {.master_seed = config_.master_seed,
+          .scenario = config_.scenario,
+          .min_entries = config_.min_entries,
+          .max_entries = config_.max_entries,
+          .horizon = ScenarioHorizon(config_.scenario)};
 }
 
 Campaign ChaosEngine::GenerateAt(std::uint64_t index) const {
@@ -146,9 +144,8 @@ Campaign ChaosEngine::Shrink(const Campaign& failing) {
   // Phase 3: narrow windows, binary-descending from half the span down to
   // one step per edge (front first). Entries running to the end of the
   // horizon (until=0) keep doing so; only their start can move.
-  const SimTimeUs step = generator_config().window_step;
   const SimTimeUs horizon = ScenarioHorizon(campaign.scenario);
-  const auto align = [step](SimTimeUs v) { return v / step * step; };
+  const auto align = [](SimTimeUs v) { return v / kWindowStep * kWindowStep; };
   // Tries campaign with entry i's edge moved inward by descending deltas;
   // applies the largest still-failing move. Returns true when one applied.
   const auto narrow = [&](std::size_t i, bool front) {
@@ -158,8 +155,8 @@ Campaign ChaosEngine::Shrink(const Campaign& failing) {
     if (!e.windowed()) return false;
     if (!front && e.until == 0) return false;
     const SimTimeUs end = e.until == 0 ? horizon : e.until;
-    if (end <= e.from + step) return false;
-    for (SimTimeUs delta = align((end - e.from) / 2); delta >= step;
+    if (end <= e.from + kWindowStep) return false;
+    for (SimTimeUs delta = align((end - e.from) / 2); delta >= kWindowStep;
          delta = align(delta / 2)) {
       Campaign candidate = campaign;
       if (front) {

@@ -33,8 +33,6 @@ struct ChaosConfig {
   std::uint64_t master_seed = 20220627;
   std::size_t min_entries = 1;
   std::size_t max_entries = 5;
-  /// Draw arm/disarm windows (inside the scenario horizon)?
-  bool windows = true;
   /// Delta-debug violations down to a minimal failing schedule?
   bool shrink = true;
   /// Probe/run parallelism; 0 resolves through DAOS_JOBS.
@@ -66,8 +64,8 @@ class ChaosEngine {
   explicit ChaosEngine(ChaosConfig config = {});
 
   const ChaosConfig& config() const noexcept { return config_; }
-  /// The generator settings the config resolves to (horizon comes from the
-  /// scenario when windows are on).
+  /// The generator settings the config resolves to (the horizon is the
+  /// scenario's).
   GeneratorConfig generator_config() const;
 
   Campaign GenerateAt(std::uint64_t index) const;

@@ -1,7 +1,9 @@
 #include "damos/scheme.hpp"
 
+#include <charconv>
 #include <cmath>
 
+#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace daos::damos {
@@ -31,18 +33,29 @@ namespace {
 std::string SizeToken(std::uint64_t v, bool is_min) {
   if (is_min && v == 0) return "min";
   if (v == kMaxU64) return "max";
-  return FormatSize(v);
+  // FormatSize rounds to a tenth of its unit; where that would not read
+  // back, the byte count does.
+  std::string text = FormatSize(v);
+  return ParseSize(text) == v ? text : std::to_string(v);
+}
+
+// FormatPercent rounds to two decimals; where that would not read back, the
+// shortest fixed-point percentage does (any double fits in the buffer).
+std::string PercentToken(double fraction) {
+  std::string text = FormatPercent(fraction);
+  if (ParsePercent(text) == fraction) return text;
+  char buf[400];
+  text.assign(buf, std::to_chars(buf, buf + sizeof buf, fraction * 100.0,
+                                 std::chars_format::fixed)
+                       .ptr);
+  return text + "%";
 }
 
 std::string FreqToken(const FreqBound& f, bool is_min) {
-  if (f.unit == FreqBound::Unit::kPercent) {
-    if (f.value <= 0.0) return "min";  // the listings write "min min"
-    if (!is_min && f.value >= 1.0) return "max";
-    return FormatPercent(f.value);
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", f.value);
-  return buf;
+  if (f.unit == FreqBound::Unit::kSamples) return ExactDouble(f.value);
+  if (f.value <= 0.0) return "min";  // the listings write "min min"
+  if (!is_min && f.value == 1.0) return "max";
+  return PercentToken(f.value);
 }
 
 std::string AgeToken(SimTimeUs v, bool is_min) {

@@ -1,5 +1,6 @@
 #include "dbgfs/damon_dbgfs.hpp"
 
+#include <climits>
 #include <cstdio>
 
 #include "damos/parser.hpp"
@@ -105,14 +106,12 @@ bool DamonDbgfs::WriteTargets(std::string_view content, std::string* error) {
       paddr = true;
       continue;
     }
-    char* end = nullptr;
-    const std::string t(tok);
-    const long pid = std::strtol(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0' || pid <= 0) {
-      if (error != nullptr) *error = "bad target '" + t + "'";
+    const std::optional<std::uint32_t> pid = ParseU32(tok);
+    if (!pid || *pid == 0 || *pid > INT_MAX) {
+      if (error != nullptr) *error = "bad target '" + std::string(tok) + "'";
       return false;
     }
-    pids.push_back(static_cast<int>(pid));
+    pids.push_back(static_cast<int>(*pid));
   }
   if (paddr && !pids.empty()) {
     if (error != nullptr) *error = "paddr cannot be mixed with pids";

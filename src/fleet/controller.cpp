@@ -21,6 +21,13 @@ constexpr std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt) {
   return seed ^ (0x9e37'79b9'7f4a'7c15ULL * (salt + 1));
 }
 
+/// Rollback restore attempts per shard before giving up (the shard is then
+/// quarantined and counted as a rollback failure).
+constexpr std::uint32_t kRollbackRetryMax = 3;
+/// Fraction of non-quarantined shards that must deliver a valid health
+/// sample for a gate decision; below it the epoch is a quorum miss.
+constexpr double kHealthQuorumFrac = 0.5;
+
 std::string Fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.4f", v);
@@ -58,7 +65,7 @@ struct FleetController::Shard {
         const lifecycle::SupervisorConfig& sup_cfg)
       : index(idx),
         plane(std::move(pl)),
-        system(cfg.machine, cfg.swap, cfg.thp, cfg.quantum),
+        system(cfg.machine, cfg.swap, sim::ThpMode::kNever, cfg.quantum),
         supervisor(sup_cfg) {
     system.SetFaultPlane(plane.get());
     servers.reserve(static_cast<std::size_t>(cfg.workload.nr_processes));
@@ -544,7 +551,7 @@ void FleetController::EvaluateRollout() {
   for (const auto& sp : shards_)
     if (!sp->quarantined && sp->sample_valid) ++valid;
   const std::size_t quorum = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(config_.health_quorum_frac *
+      1, static_cast<std::size_t>(std::ceil(kHealthQuorumFrac *
                                             static_cast<double>(active))));
   if (valid < quorum) {
     // No gate decision without a quorum: neither promote nor roll back on
@@ -655,7 +662,7 @@ void FleetController::ContinueRollback() {
     if (failed) {
       ++counters_.rollback_retries;
       ++s.rollback_retries;
-      if (s.rollback_retries > config_.rollback_retry_max) {
+      if (s.rollback_retries > kRollbackRetryMax) {
         ++counters_.rollback_failures;
         s.rollback_pending = false;
         s.pre_wave.reset();

@@ -71,7 +71,6 @@ struct FleetConfig {
   workload::ServerlessConfig workload;
   sim::MachineSpec machine{"fleet-shard", 8, 3.0, 4 * GiB};
   sim::SwapConfig swap = sim::SwapConfig::File(16 * GiB);
-  sim::ThpMode thp = sim::ThpMode::kNever;
   SimTimeUs quantum = 5 * kUsPerMs;
   /// Control-loop cadence (sim time). Rounded up to a whole number of
   /// quanta so every shard clock lands exactly on the epoch boundary.
@@ -92,12 +91,6 @@ struct FleetConfig {
   std::uint32_t quarantine_window_epochs = 8;
   /// Quiet (crash-free, alive) epochs before a quarantined shard rejoins.
   std::uint32_t quarantine_probation_epochs = 4;
-  /// Rollback restore attempts per shard before giving up (the shard is
-  /// then quarantined and counted as a rollback failure).
-  std::uint32_t rollback_retry_max = 3;
-  /// Fraction of non-quarantined shards that must deliver a valid health
-  /// sample for a gate decision; below it the epoch is a quorum miss.
-  double health_quorum_frac = 0.5;
 };
 
 /// One staged rollout: the commit bundle plus wave shape and gate

@@ -285,8 +285,7 @@ std::optional<Checkpoint> ParseCheckpoint(std::string_view text,
 
 Checkpoint CaptureCheckpoint(const damon::DamonContext& ctx,
                              const damos::SchemesEngine& engine,
-                             const damon::Recorder* recorder, SimTimeUs now,
-                             std::size_t recorder_tail_max) {
+                             const damon::Recorder* recorder, SimTimeUs now) {
   Checkpoint cp;
   cp.at = now;
   cp.attrs = ctx.attrs();
@@ -310,7 +309,7 @@ Checkpoint CaptureCheckpoint(const damon::DamonContext& ctx,
     cp.recorder_every = recorder->every();
     cp.recorder_next = recorder->next();
     const std::vector<damon::Snapshot>& all = recorder->snapshots();
-    const std::size_t keep = std::min(all.size(), recorder_tail_max);
+    const std::size_t keep = std::min(all.size(), kRecorderTailMax);
     cp.recorder_tail.assign(all.end() - static_cast<std::ptrdiff_t>(keep),
                             all.end());
   }

@@ -77,12 +77,13 @@ struct CheckpointError {
 std::optional<Checkpoint> ParseCheckpoint(std::string_view text,
                                           CheckpointError* error = nullptr);
 
-/// Captures the live stack. `recorder` may be null; `recorder_tail_max`
-/// bounds the serialized snapshot tail (oldest dropped first, 0 = none).
+/// Recorder snapshots a checkpoint keeps: the newest, oldest dropped first.
+inline constexpr std::size_t kRecorderTailMax = 256;
+
+/// Captures the live stack. `recorder` may be null.
 Checkpoint CaptureCheckpoint(const damon::DamonContext& ctx,
                              const damos::SchemesEngine& engine,
-                             const damon::Recorder* recorder, SimTimeUs now,
-                             std::size_t recorder_tail_max = 256);
+                             const damon::Recorder* recorder, SimTimeUs now);
 
 /// Installs `cp` into a freshly-built stack whose targets were already
 /// recreated (same count and order as at capture). Returns false and sets

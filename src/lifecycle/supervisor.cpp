@@ -9,6 +9,27 @@
 
 namespace daos::lifecycle {
 
+namespace {
+
+// Each lifecycle counter, named once: "lifecycle.<name>" in the registry and
+// "<name>" in StateText, in this order.
+struct CounterRow {
+  const char* name;
+  std::uint64_t LifecycleCounters::*field;
+};
+
+constexpr CounterRow kCounters[] = {
+    {"commits", &LifecycleCounters::commits},
+    {"rollbacks", &LifecycleCounters::rollbacks},
+    {"checkpoints", &LifecycleCounters::checkpoints},
+    {"restores", &LifecycleCounters::restores},
+    {"cold_restarts", &LifecycleCounters::cold_restarts},
+    {"crashes", &LifecycleCounters::crashes},
+    {"degraded_entries", &LifecycleCounters::degraded_entries},
+};
+
+}  // namespace
+
 std::string_view SupervisorStateName(SupervisorState state) {
   switch (state) {
     case SupervisorState::kRunning:
@@ -37,8 +58,7 @@ void KdamondSupervisor::RebuildStack() {
   ctx_.reset();
   engine_ = std::make_unique<damos::SchemesEngine>();
   recorder_ = std::make_unique<damon::Recorder>();
-  ctx_ = std::make_unique<damon::DamonContext>(
-      current_attrs_, config_.seed, config_.interference_per_sample_us);
+  ctx_ = std::make_unique<damon::DamonContext>(current_attrs_, config_.seed);
   engine_->Attach(*ctx_);
   engine_->SetMachine(machine_);
   recorder_->Attach(*ctx_, config_.recorder_every);
@@ -70,20 +90,11 @@ void KdamondSupervisor::BindTelemetry(telemetry::MetricsRegistry& registry,
                                       telemetry::TraceBuffer* trace) {
   registry_ = &registry;
   trace_ = trace;
-  tel_.commits = &registry.GetCounter("lifecycle.commits");
-  tel_.rollbacks = &registry.GetCounter("lifecycle.rollbacks");
-  tel_.checkpoints = &registry.GetCounter("lifecycle.checkpoints");
-  tel_.restores = &registry.GetCounter("lifecycle.restores");
-  tel_.cold_restarts = &registry.GetCounter("lifecycle.cold_restarts");
-  tel_.crashes = &registry.GetCounter("lifecycle.crashes");
-  tel_.degraded_entries = &registry.GetCounter("lifecycle.degraded_entries");
-  tel_.commits->Add(counters_.commits);
-  tel_.rollbacks->Add(counters_.rollbacks);
-  tel_.checkpoints->Add(counters_.checkpoints);
-  tel_.restores->Add(counters_.restores);
-  tel_.cold_restarts->Add(counters_.cold_restarts);
-  tel_.crashes->Add(counters_.crashes);
-  tel_.degraded_entries->Add(counters_.degraded_entries);
+  tel_.clear();
+  for (const CounterRow& row : kCounters) {
+    tel_.push_back(&registry.GetCounter(std::string("lifecycle.") + row.name));
+    tel_.back()->Add(counters_.*row.field);  // catch up on earlier counts
+  }
   BindStackTelemetry();
 }
 
@@ -91,6 +102,12 @@ void KdamondSupervisor::BindStackTelemetry() {
   if (registry_ == nullptr) return;
   ctx_->BindTelemetry(*registry_, trace_, "damon.ctx0");
   engine_->BindTelemetry(*registry_, trace_, "damos");
+}
+
+void KdamondSupervisor::Count(std::uint64_t LifecycleCounters::*field) {
+  ++(counters_.*field);
+  for (std::size_t i = 0; i < tel_.size(); ++i)
+    if (kCounters[i].field == field) tel_[i]->Add(1);
 }
 
 void KdamondSupervisor::Push(telemetry::EventKind kind, std::uint64_t arg0,
@@ -174,19 +191,20 @@ bool KdamondSupervisor::ParseCommitBundle(std::string_view text,
   return true;
 }
 
+bool KdamondSupervisor::Reject(const std::string& message,
+                               std::string* error) {
+  Count(&LifecycleCounters::rollbacks);
+  last_commit_result_ = "rejected: " + message;
+  if (error != nullptr) *error = message;
+  return false;
+}
+
 bool KdamondSupervisor::StageCommit(CommitBundle bundle, std::string* error) {
-  auto reject = [&](const std::string& message) {
-    ++counters_.rollbacks;
-    if (tel_.rollbacks != nullptr) tel_.rollbacks->Add(1);
-    last_commit_result_ = "rejected: " + message;
-    if (error != nullptr) *error = message;
-    return false;
-  };
-  if (bundle.empty()) return reject("empty commit bundle");
+  if (bundle.empty()) return Reject("empty commit bundle", error);
   if (bundle.attrs.has_value()) {
     const damon::MonitoringAttrs& a = *bundle.attrs;
     std::string why;
-    if (!damon::ValidateAttrs(a, &why)) return reject(why);
+    if (!damon::ValidateAttrs(a, &why)) return Reject(why, error);
     // The restart-budget window slides in sim-clock deltas but its quiet
     // check only happens at stepping cadence; an aggregation interval
     // larger than the window would leave zero window boundaries inside it
@@ -196,12 +214,13 @@ bool KdamondSupervisor::StageCommit(CommitBundle bundle, std::string* error) {
     // least one full aggregation window inside the budget window.
     if (config_.restart_budget_window > 0 &&
         a.aggregation_interval > config_.restart_budget_window)
-      return reject(
+      return Reject(
           "attrs: aggregation interval " +
-          std::to_string(a.aggregation_interval) +
-          "us exceeds the restart budget window " +
-          std::to_string(config_.restart_budget_window) +
-          "us (zero aggregation windows would fit the sliding window)");
+              std::to_string(a.aggregation_interval) +
+              "us exceeds the restart budget window " +
+              std::to_string(config_.restart_budget_window) +
+              "us (zero aggregation windows would fit the sliding window)",
+          error);
   }
   if (bundle.schemes.has_value()) {
     // Scheme lines were validated at parse time; a programmatic bundle
@@ -211,7 +230,8 @@ bool KdamondSupervisor::StageCommit(CommitBundle bundle, std::string* error) {
       std::string policy_error;
       if (!governor::ValidatePolicy((*bundle.schemes)[i].policy(),
                                     &policy_error))
-        return reject("scheme " + std::to_string(i) + ": " + policy_error);
+        return Reject("scheme " + std::to_string(i) + ": " + policy_error,
+                      error);
     }
   }
   staged_ = std::move(bundle);
@@ -229,13 +249,8 @@ bool KdamondSupervisor::CommitFromText(std::string_view text,
                                        std::string* error) {
   CommitBundle bundle;
   std::string parse_error;
-  if (!ParseCommitBundle(text, &bundle, &parse_error)) {
-    ++counters_.rollbacks;
-    if (tel_.rollbacks != nullptr) tel_.rollbacks->Add(1);
-    last_commit_result_ = "rejected: " + parse_error;
-    if (error != nullptr) *error = parse_error;
-    return false;
-  }
+  if (!ParseCommitBundle(text, &bundle, &parse_error))
+    return Reject(parse_error, error);
   return StageCommit(std::move(bundle), error);
 }
 
@@ -261,8 +276,7 @@ void KdamondSupervisor::ApplyStagedCommit(SimTimeUs now) {
     current_schemes_ = StripRuntime(engine_->schemes());
   }
   staged_.reset();
-  ++counters_.commits;
-  if (tel_.commits != nullptr) tel_.commits->Add(1);
+  Count(&LifecycleCounters::commits);
   char buf[96];
   std::snprintf(buf, sizeof buf,
                 "committed: %zu carried %zu fresh %zu quota_resets",
@@ -276,10 +290,8 @@ void KdamondSupervisor::ApplyStagedCommit(SimTimeUs now) {
 // ---- pillar 2: checkpoint/restore ---------------------------------------
 
 const Checkpoint& KdamondSupervisor::Capture() {
-  last_checkpoint_ = CaptureCheckpoint(*ctx_, *engine_, recorder_.get(), now_,
-                                       config_.recorder_tail_max);
-  ++counters_.checkpoints;
-  if (tel_.checkpoints != nullptr) tel_.checkpoints->Add(1);
+  last_checkpoint_ = CaptureCheckpoint(*ctx_, *engine_, recorder_.get(), now_);
+  Count(&LifecycleCounters::checkpoints);
   return *last_checkpoint_;
 }
 
@@ -302,8 +314,7 @@ bool KdamondSupervisor::Restore(const Checkpoint& cp, std::string* error) {
     return false;
   }
   current_schemes_ = StripRuntime(engine_->schemes());
-  ++counters_.restores;
-  if (tel_.restores != nullptr) tel_.restores->Add(1);
+  Count(&LifecycleCounters::restores);
   return true;
 }
 
@@ -357,8 +368,7 @@ void KdamondSupervisor::SuperviseDead(SimTimeUs now) {
     if (now - last_heartbeat_ < config_.heartbeat_timeout) return;
     // Stale heartbeat: declare the crash and schedule the restart.
     crash_detected_ = true;
-    ++counters_.crashes;
-    if (tel_.crashes != nullptr) tel_.crashes->Add(1);
+    Count(&LifecycleCounters::crashes);
     Push(telemetry::EventKind::kDaemonCrash, now - last_heartbeat_,
          backoff_exp_);
     const std::uint32_t exp =
@@ -403,16 +413,14 @@ void KdamondSupervisor::Restart(SimTimeUs now) {
     // state does not.
     RebuildStack();
     engine_->Install(current_schemes_);
-    ++counters_.cold_restarts;
-    if (tel_.cold_restarts != nullptr) tel_.cold_restarts->Add(1);
+    Count(&LifecycleCounters::cold_restarts);
   }
   alive_ = true;
   crash_detected_ = false;
   last_heartbeat_ = now;
   next_health_check_ = now + config_.heartbeat_interval;
   if (degrade) {
-    ++counters_.degraded_entries;
-    if (tel_.degraded_entries != nullptr) tel_.degraded_entries->Add(1);
+    Count(&LifecycleCounters::degraded_entries);
     Push(telemetry::EventKind::kLifecycleDegraded, restarts_in_window_,
          config_.restart_budget);
     state_ = SupervisorState::kDegraded;
@@ -430,38 +438,21 @@ void KdamondSupervisor::Restart(SimTimeUs now) {
 }
 
 std::string KdamondSupervisor::StateText() const {
-  std::string out;
-  char buf[128];
-  auto line = [&](const char* key, std::uint64_t value) {
-    std::snprintf(buf, sizeof buf, "%s %" PRIu64 "\n", key, value);
-    out += buf;
-  };
-  out += "state ";
-  out += SupervisorStateName(state_);
-  out += '\n';
-  line("alive", alive_ ? 1 : 0);
-  line("commit_pending", staged_.has_value() ? 1 : 0);
-  line("commits", counters_.commits);
-  line("rollbacks", counters_.rollbacks);
-  line("checkpoints", counters_.checkpoints);
-  line("restores", counters_.restores);
-  line("cold_restarts", counters_.cold_restarts);
-  line("crashes", counters_.crashes);
-  line("degraded_entries", counters_.degraded_entries);
-  std::snprintf(buf, sizeof buf, "restart_budget %u/%u\n",
-                restarts_in_window_, config_.restart_budget);
-  out += buf;
-  line("budget_window_us", EffectiveBudgetWindow());
-  line("backoff_exp", backoff_exp_);
-  line("restart_at", restart_at_);
-  line("last_checkpoint_at",
-       last_checkpoint_.has_value() ? last_checkpoint_->at : 0);
-  line("last_checkpoint_bytes", last_checkpoint().size());
-  if (!last_commit_result_.empty()) {
-    out += "last_commit ";
-    out += last_commit_result_;
-    out += '\n';
-  }
+  std::string out = "state " + std::string(SupervisorStateName(state_));
+  AppendF(out, "\nalive %d\ncommit_pending %d\n", alive_ ? 1 : 0,
+          staged_.has_value() ? 1 : 0);
+  for (const CounterRow& row : kCounters)
+    AppendF(out, "%s %" PRIu64 "\n", row.name, counters_.*row.field);
+  AppendF(out,
+          "restart_budget %u/%u\nbudget_window_us %" PRIu64
+          "\nbackoff_exp %u\nrestart_at %" PRIu64
+          "\nlast_checkpoint_at %" PRIu64 "\nlast_checkpoint_bytes %zu\n",
+          restarts_in_window_, config_.restart_budget, EffectiveBudgetWindow(),
+          backoff_exp_, restart_at_,
+          last_checkpoint_.has_value() ? last_checkpoint_->at : SimTimeUs{0},
+          last_checkpoint().size());
+  if (!last_commit_result_.empty())
+    out += "last_commit " + last_commit_result_ + "\n";
   return out;
 }
 

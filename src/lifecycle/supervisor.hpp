@@ -69,15 +69,12 @@ std::string_view SupervisorStateName(SupervisorState state);
 struct SupervisorConfig {
   damon::MonitoringAttrs attrs;
   std::uint64_t seed = 42;
-  double interference_per_sample_us = 1.0;
   /// Recorder cadence (0 = record every aggregation interval).
   SimTimeUs recorder_every = 0;
   /// Periodic checkpoint cadence, taken at the first window boundary past
   /// each deadline (0 disables periodic capture; explicit captures still
   /// work).
   SimTimeUs checkpoint_interval = kUsPerSec;
-  /// Recorder snapshots serialized per checkpoint (newest kept).
-  std::size_t recorder_tail_max = 256;
 
   // Crash containment. The heartbeat is stamped on every live Step; the
   // supervisor polls it every `heartbeat_interval` and declares the
@@ -241,6 +238,10 @@ class KdamondSupervisor {
   void SuperviseDead(SimTimeUs now);
   void Restart(SimTimeUs now);
   void RollBudgetWindow(SimTimeUs now);
+  /// Counts one event in `counters_` and its bound registry mirror.
+  void Count(std::uint64_t LifecycleCounters::*field);
+  /// Counts a rollback of a rejected bundle; returns false.
+  bool Reject(const std::string& message, std::string* error);
   void Push(telemetry::EventKind kind, std::uint64_t arg0,
             std::uint64_t arg1 = 0, std::uint64_t arg2 = 0);
   /// `schemes` with stats and runtime dropped: the cold-restart install
@@ -288,15 +289,7 @@ class KdamondSupervisor {
 
   telemetry::MetricsRegistry* registry_ = nullptr;
   telemetry::TraceBuffer* trace_ = nullptr;
-  struct {
-    telemetry::Counter* commits = nullptr;
-    telemetry::Counter* rollbacks = nullptr;
-    telemetry::Counter* checkpoints = nullptr;
-    telemetry::Counter* restores = nullptr;
-    telemetry::Counter* cold_restarts = nullptr;
-    telemetry::Counter* crashes = nullptr;
-    telemetry::Counter* degraded_entries = nullptr;
-  } tel_;
+  std::vector<telemetry::Counter*> tel_;  // one per counter row, once bound
 };
 
 }  // namespace daos::lifecycle

@@ -85,6 +85,7 @@ struct MachineCounters {
   std::uint64_t alloc_stalls = 0;          // frame allocs that hit direct reclaim
   std::uint64_t thp_collapse_errors = 0;   // injected collapse failures
   std::uint64_t khugepaged_backoffs = 0;   // scan periods stretched after errors
+  std::uint64_t touchlog_gc_entries = 0;   // dropped by the System's 1 s GC
   // Tier substrate (all zero on an untiered machine).
   std::uint64_t tier_promoted_pages = 0;   // moved into the fast tier
   std::uint64_t tier_demoted_pages = 0;    // moved to a slower tier

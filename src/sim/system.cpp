@@ -1,6 +1,10 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
+#include <string_view>
+#include <utility>
 
 namespace daos::sim {
 
@@ -54,6 +58,81 @@ Process& System::AddProcess(ProcessParams params,
   return *processes_.back();
 }
 
+namespace {
+
+using enum telemetry::EventKind;
+using MC = MachineCounters;
+using Read = std::uint64_t (*)(const System&);
+
+template <std::uint64_t MC::*kField>
+std::uint64_t Field(const System& s) {
+  return s.machine().counters().*kField;
+}
+
+// Everything a snapshot publishes, each name once. A "sim.tier." row binds
+// only on a tiered machine, so untiered runs publish exactly the pre-tier
+// metric set (dbgfs listings stay golden).
+bool TierOnly(std::string_view name) { return name.starts_with("sim.tier."); }
+
+struct GaugeRow {
+  const char* name;
+  Read read;
+};
+
+constexpr GaugeRow kGauges[] = {
+    {"sim.dram_used_bytes",
+     [](const System& s) { return s.machine().dram_used_bytes(); }},
+    {"sim.used_frames",
+     [](const System& s) { return s.machine().used_frames(); }},
+    {"sim.swap.used_slots",
+     [](const System& s) { return s.machine().swap().used_slots(); }},
+    {"sim.processes.active",
+     [](const System& s) { return s.ActiveProcesses(); }},
+    {"sim.tier.fast_used_bytes",
+     [](const System& s) { return s.machine().FastTierUsedBytes(); }},
+};
+
+// A counter row mirrors a running total by delta. A row with an event turns
+// each nonzero delta into that tracepoint (arg0=count since the last
+// snapshot, arg1=running total), in table order.
+struct CounterRow {
+  const char* name;
+  Read read;
+  std::optional<telemetry::EventKind> event = std::nullopt;
+};
+
+constexpr CounterRow kCounters[] = {
+    {"sim.reclaim.pages", Field<&MC::reclaimed_pages>, kReclaim},
+    {"sim.swap.ins",
+     [](const System& s) { return s.machine().swap().total_ins(); }, kSwapIn},
+    {"sim.swap.outs",
+     [](const System& s) { return s.machine().swap().total_outs(); },
+     kSwapOut},
+    {"sim.thp.collapses", Field<&MC::khugepaged_collapses>, kThpCollapse},
+    {"sim.swap.errors", Field<&MC::swap_write_errors>, kSwapError},
+    {"sim.oom_kills", [](const System& s) { return s.oom_kills(); }, kOomKill},
+    {"sim.reclaim.scans", Field<&MC::reclaim_scans>},
+    {"sim.alloc.errors", Field<&MC::alloc_stalls>},
+    {"sim.thp.collapse_errors", Field<&MC::thp_collapse_errors>},
+    {"sim.daemon.overruns",
+     [](const System& s) { return s.daemon_overruns(); }},
+    {"sim.touchlog.gc_entries", Field<&MC::touchlog_gc_entries>},
+    {"sim.tier.slow_touches", Field<&MC::tier_slow_touches>},
+    {"sim.tier.promoted_pages", Field<&MC::tier_promoted_pages>},
+    {"sim.tier.demoted_pages", Field<&MC::tier_demoted_pages>},
+    {"sim.tier.migrate_fails", Field<&MC::tier_migrate_fails>},
+    {"sim.tier.promote_blocked", Field<&MC::tier_promote_blocked>},
+};
+
+}  // namespace
+
+std::uint64_t System::ActiveProcesses() const {
+  std::uint64_t active = 0;
+  for (const auto& proc : processes_)
+    if (!proc->finished()) ++active;
+  return active;
+}
+
 void System::AttachTelemetry(telemetry::MetricsRegistry* registry,
                              telemetry::TraceBuffer* trace,
                              SimTimeUs interval) {
@@ -61,144 +140,48 @@ void System::AttachTelemetry(telemetry::MetricsRegistry* registry,
   trace_ = trace;
   telemetry_interval_ = std::max<SimTimeUs>(interval, quantum_);
   next_telemetry_ = clock_.Now();
-  tel_ = {};
-  if (registry_ != nullptr) {
-    interference_hist_ =
-        &registry_->GetHistogram("sim.quantum.interference_us");
-    tel_.dram_used_bytes = &registry_->GetGauge("sim.dram_used_bytes");
-    tel_.used_frames = &registry_->GetGauge("sim.used_frames");
-    tel_.swap_used_slots = &registry_->GetGauge("sim.swap.used_slots");
-    tel_.processes_active = &registry_->GetGauge("sim.processes.active");
-    tel_.reclaim_pages = &registry_->GetCounter("sim.reclaim.pages");
-    tel_.reclaim_scans = &registry_->GetCounter("sim.reclaim.scans");
-    tel_.swap_ins = &registry_->GetCounter("sim.swap.ins");
-    tel_.swap_outs = &registry_->GetCounter("sim.swap.outs");
-    tel_.thp_collapses = &registry_->GetCounter("sim.thp.collapses");
-    tel_.swap_errors = &registry_->GetCounter("sim.swap.errors");
-    tel_.oom_kills = &registry_->GetCounter("sim.oom_kills");
-    tel_.alloc_errors = &registry_->GetCounter("sim.alloc.errors");
-    tel_.thp_collapse_errors =
-        &registry_->GetCounter("sim.thp.collapse_errors");
-    tel_.daemon_overruns = &registry_->GetCounter("sim.daemon.overruns");
-    tel_.touchlog_gc_entries =
-        &registry_->GetCounter("sim.touchlog.gc_entries");
-    if (machine_.tiered()) {
-      // The hot-cold mismatch gauge is the tuner's native score function
-      // for tiering schemes: fraction (permille) of this interval's page
-      // touches that landed outside the fast tier.
-      tel_.tier_fast_used_bytes =
-          &registry_->GetGauge("sim.tier.fast_used_bytes");
-      tel_.tier_mismatch_permille =
-          &registry_->GetGauge("sim.tier.hot_mismatch_permille");
-      tel_.tier_promoted = &registry_->GetCounter("sim.tier.promoted_pages");
-      tel_.tier_demoted = &registry_->GetCounter("sim.tier.demoted_pages");
-      tel_.tier_migrate_fails =
-          &registry_->GetCounter("sim.tier.migrate_fails");
-      tel_.tier_promote_blocked =
-          &registry_->GetCounter("sim.tier.promote_blocked");
-      tel_.tier_slow_touches =
-          &registry_->GetCounter("sim.tier.slow_touches");
-    }
-  } else {
-    interference_hist_ = nullptr;
-  }
-  last_ = {};
+  interference_hist_ = nullptr;
+  if (registry_ == nullptr) return;
+  const bool tiered = machine_.tiered();
+  interference_hist_ = &registry_->GetHistogram("sim.quantum.interference_us");
+  gauges_.assign(std::size(kGauges), nullptr);
+  counters_.assign(std::size(kCounters), Mirror{});
+  for (std::size_t i = 0; i < std::size(kGauges); ++i)
+    if (tiered || !TierOnly(kGauges[i].name))
+      gauges_[i] = &registry_->GetGauge(kGauges[i].name);
+  for (std::size_t i = 0; i < std::size(kCounters); ++i)
+    if (tiered || !TierOnly(kCounters[i].name))
+      counters_[i].counter = &registry_->GetCounter(kCounters[i].name);
+  // The tuner's native score for tiering schemes: the permille of this
+  // interval's page touches that landed outside the fast tier.
+  tier_mismatch_ =
+      tiered ? &registry_->GetGauge("sim.tier.hot_mismatch_permille") : nullptr;
+  last_tier_touches_ = last_tier_slow_ = 0;
 }
 
 void System::PublishTelemetry(SimTimeUs now) {
-  // Gauges: current state of the machine. All instrument handles were
-  // resolved at AttachTelemetry; this path is pure pointer arithmetic.
-  tel_.dram_used_bytes->Set(static_cast<double>(machine_.dram_used_bytes()));
-  tel_.used_frames->Set(static_cast<double>(machine_.used_frames()));
-  tel_.swap_used_slots->Set(
-      static_cast<double>(machine_.swap().used_slots()));
-  std::uint64_t active = 0;
-  for (const auto& proc : processes_)
-    if (!proc->finished()) ++active;
-  tel_.processes_active->Set(static_cast<double>(active));
-
-  // Counters: mirror the machine/swap totals by delta, and turn nonzero
-  // deltas into tracepoints (id/args documented per kind).
-  const MachineCounters& mc = machine_.counters();
-  const SwapDevice& swap = machine_.swap();
-  struct DeltaSpec {
-    telemetry::Counter* counter;
-    std::uint64_t current;
-    std::uint64_t* last;
-    telemetry::EventKind kind;
-  } deltas[] = {
-      {tel_.reclaim_pages, mc.reclaimed_pages, &last_.reclaimed_pages,
-       telemetry::EventKind::kReclaim},
-      {tel_.swap_ins, swap.total_ins(), &last_.swap_ins,
-       telemetry::EventKind::kSwapIn},
-      {tel_.swap_outs, swap.total_outs(), &last_.swap_outs,
-       telemetry::EventKind::kSwapOut},
-      {tel_.thp_collapses, mc.khugepaged_collapses,
-       &last_.khugepaged_collapses, telemetry::EventKind::kThpCollapse},
-      {tel_.swap_errors, mc.swap_write_errors, &last_.swap_write_errors,
-       telemetry::EventKind::kSwapError},
-      {tel_.oom_kills, oom_kills_, &last_.oom_kills,
-       telemetry::EventKind::kOomKill},
-  };
-  for (DeltaSpec& d : deltas) {
-    const std::uint64_t delta = d.current - *d.last;
-    *d.last = d.current;
+  for (std::size_t i = 0; i < std::size(kGauges); ++i)
+    if (gauges_[i] != nullptr)
+      gauges_[i]->Set(static_cast<double>(kGauges[i].read(*this)));
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    Mirror& m = counters_[i];
+    if (m.counter == nullptr) continue;
+    const std::uint64_t total = kCounters[i].read(*this);
+    const std::uint64_t delta = total - std::exchange(m.last, total);
     if (delta == 0) continue;
-    d.counter->Add(delta);
-    if (trace_ != nullptr) {
-      // arg0=count since last snapshot, arg1=running total.
-      trace_->Push({now, d.kind, 0, delta, d.current, 0});
-    }
+    m.counter->Add(delta);
+    if (trace_ != nullptr && kCounters[i].event.has_value())
+      trace_->Push({now, *kCounters[i].event, 0, delta, total, 0});
   }
-
-  // Event-less counters (failure paths that already traced above or need no
-  // tracepoint of their own), plus maintenance totals.
-  struct PlainDelta {
-    telemetry::Counter* counter;
-    std::uint64_t current;
-    std::uint64_t* last;
-  } plain[] = {
-      {tel_.reclaim_scans, mc.reclaim_scans, &last_.reclaim_scans},
-      {tel_.alloc_errors, mc.alloc_stalls, &last_.alloc_stalls},
-      {tel_.thp_collapse_errors, mc.thp_collapse_errors,
-       &last_.thp_collapse_errors},
-      {tel_.daemon_overruns, daemon_overruns_, &last_.daemon_overruns},
-      {tel_.touchlog_gc_entries, touchlog_gc_entries_,
-       &last_.touchlog_gc_entries},
-  };
-  for (PlainDelta& d : plain) {
-    const std::uint64_t delta = d.current - *d.last;
-    *d.last = d.current;
-    if (delta > 0) d.counter->Add(delta);
-  }
-
-  if (tel_.tier_mismatch_permille != nullptr) {
-    tel_.tier_fast_used_bytes->Set(
-        static_cast<double>(machine_.FastTierUsedBytes()));
-    const std::uint64_t touches = mc.tier_touches - last_.tier_touches;
-    const std::uint64_t slow =
-        mc.tier_slow_touches - last_.tier_slow_touches;
-    last_.tier_touches = mc.tier_touches;
-    last_.tier_slow_touches = mc.tier_slow_touches;
-    if (touches > 0) {
-      tel_.tier_mismatch_permille->Set(
-          static_cast<double>(slow * 1000 / touches));
-    }
-    if (slow > 0) tel_.tier_slow_touches->Add(slow);
-    PlainDelta tier_deltas[] = {
-        {tel_.tier_promoted, mc.tier_promoted_pages,
-         &last_.tier_promoted_pages},
-        {tel_.tier_demoted, mc.tier_demoted_pages, &last_.tier_demoted_pages},
-        {tel_.tier_migrate_fails, mc.tier_migrate_fails,
-         &last_.tier_migrate_fails},
-        {tel_.tier_promote_blocked, mc.tier_promote_blocked,
-         &last_.tier_promote_blocked},
-    };
-    for (PlainDelta& d : tier_deltas) {
-      const std::uint64_t delta = d.current - *d.last;
-      *d.last = d.current;
-      if (delta > 0) d.counter->Add(delta);
-    }
+  if (tier_mismatch_ != nullptr) {
+    const MachineCounters& mc = machine_.counters();
+    const std::uint64_t touches =
+        mc.tier_touches - std::exchange(last_tier_touches_, mc.tier_touches);
+    const std::uint64_t slow = mc.tier_slow_touches -
+                               std::exchange(last_tier_slow_,
+                                             mc.tier_slow_touches);
+    if (touches > 0)
+      tier_mismatch_->Set(static_cast<double>(slow * 1000 / touches));
   }
 }
 
@@ -222,9 +205,7 @@ void System::Step() {
   if (interference_us > 0.0) {
     // Monitoring interference (TLB shootdowns from accessed-bit clearing)
     // hits whichever processes are running; distribute evenly.
-    std::size_t active = 0;
-    for (auto& proc : processes_)
-      if (!proc->finished()) ++active;
+    const std::uint64_t active = ActiveProcesses();
     if (active > 0) {
       const double share = interference_us / static_cast<double>(active);
       for (auto& proc : processes_)
@@ -240,7 +221,7 @@ void System::Step() {
   if (now >= next_log_gc_) {
     next_log_gc_ = now + kUsPerSec;
     for (AddressSpace* space : machine_.spaces())
-      touchlog_gc_entries_ += space->MaintainLogs(now);
+      machine_.counters().touchlog_gc_entries += space->MaintainLogs(now);
   }
 
   if (registry_ != nullptr && now >= next_telemetry_) {

@@ -75,13 +75,14 @@ class System {
   /// Chaos telemetry-conservation oracles compare this against the point's
   /// cumulative fire count.
   std::uint64_t daemon_overruns() const noexcept { return daemon_overruns_; }
+  /// Processes not yet finished.
+  std::uint64_t ActiveProcesses() const;
 
   /// Attaches the telemetry plane: every `interval` of simulated time the
-  /// daemon loop publishes system gauges (DRAM use, swap slots, active
-  /// processes), mirrors the machine/swap counters into monotonic registry
-  /// counters, and — when `trace` is non-null — emits kReclaim/kSwapIn/
-  /// kSwapOut/kThpCollapse events carrying the deltas since the previous
-  /// snapshot. Per-quantum daemon interference is observed into the
+  /// daemon loop publishes the gauge and counter tables in system.cpp
+  /// (counters mirror machine totals by delta, from zero at each attach)
+  /// and — when `trace` is non-null — emits each traced row's event with
+  /// the delta. Per-quantum daemon interference is observed into the
   /// "sim.quantum.interference_us" histogram. Both pointers must outlive
   /// the system's stepping.
   void AttachTelemetry(telemetry::MetricsRegistry* registry,
@@ -113,62 +114,22 @@ class System {
   std::uint64_t daemon_overruns_ = 0;
   std::uint64_t oom_kills_ = 0;
 
-  // Telemetry snapshot state (inactive until AttachTelemetry).
+  // Telemetry snapshot state (inactive until AttachTelemetry): one handle
+  // per table row, null for a tier row on an untiered machine.
   telemetry::MetricsRegistry* registry_ = nullptr;
   telemetry::TraceBuffer* trace_ = nullptr;
   telemetry::Histogram* interference_hist_ = nullptr;
   SimTimeUs telemetry_interval_ = kUsPerSec;
   SimTimeUs next_telemetry_ = 0;
-  std::uint64_t touchlog_gc_entries_ = 0;  // touch-log entries GC'd so far
-  /// Instrument handles resolved once at AttachTelemetry — PublishTelemetry
-  /// runs every snapshot interval and must not pay ~15 string-keyed map
-  /// lookups per tick (the same resolve-at-bind discipline as
-  /// DamonContext::BindTelemetry).
-  struct {
-    telemetry::Gauge* dram_used_bytes = nullptr;
-    telemetry::Gauge* used_frames = nullptr;
-    telemetry::Gauge* swap_used_slots = nullptr;
-    telemetry::Gauge* processes_active = nullptr;
-    telemetry::Counter* reclaim_pages = nullptr;
-    telemetry::Counter* reclaim_scans = nullptr;
-    telemetry::Counter* swap_ins = nullptr;
-    telemetry::Counter* swap_outs = nullptr;
-    telemetry::Counter* thp_collapses = nullptr;
-    telemetry::Counter* swap_errors = nullptr;
-    telemetry::Counter* oom_kills = nullptr;
-    telemetry::Counter* alloc_errors = nullptr;
-    telemetry::Counter* thp_collapse_errors = nullptr;
-    telemetry::Counter* daemon_overruns = nullptr;
-    telemetry::Counter* touchlog_gc_entries = nullptr;
-    // Tier instruments: bound only on a tiered machine, so untiered runs
-    // publish exactly the pre-tier metric set (dbgfs listings stay golden).
-    telemetry::Gauge* tier_fast_used_bytes = nullptr;
-    telemetry::Gauge* tier_mismatch_permille = nullptr;
-    telemetry::Counter* tier_promoted = nullptr;
-    telemetry::Counter* tier_demoted = nullptr;
-    telemetry::Counter* tier_migrate_fails = nullptr;
-    telemetry::Counter* tier_promote_blocked = nullptr;
-    telemetry::Counter* tier_slow_touches = nullptr;
-  } tel_;
-  struct {
-    std::uint64_t reclaimed_pages = 0;
-    std::uint64_t reclaim_scans = 0;
-    std::uint64_t swap_ins = 0;
-    std::uint64_t swap_outs = 0;
-    std::uint64_t khugepaged_collapses = 0;
-    std::uint64_t swap_write_errors = 0;
-    std::uint64_t alloc_stalls = 0;
-    std::uint64_t thp_collapse_errors = 0;
-    std::uint64_t oom_kills = 0;
-    std::uint64_t daemon_overruns = 0;
-    std::uint64_t touchlog_gc_entries = 0;
-    std::uint64_t tier_promoted_pages = 0;
-    std::uint64_t tier_demoted_pages = 0;
-    std::uint64_t tier_migrate_fails = 0;
-    std::uint64_t tier_promote_blocked = 0;
-    std::uint64_t tier_touches = 0;
-    std::uint64_t tier_slow_touches = 0;
-  } last_;  // previous snapshot's counter values (for deltas)
+  struct Mirror {
+    telemetry::Counter* counter = nullptr;
+    std::uint64_t last = 0;  // the total at the previous snapshot
+  };
+  std::vector<Mirror> counters_;
+  std::vector<telemetry::Gauge*> gauges_;
+  // The hot-cold mismatch gauge: this interval's slow share of touches.
+  telemetry::Gauge* tier_mismatch_ = nullptr;
+  std::uint64_t last_tier_touches_ = 0, last_tier_slow_ = 0;
 };
 
 }  // namespace daos::sim

@@ -6,8 +6,10 @@
 // sysfs stat files for the same reason. This module is that observability
 // plane for the reproduction: one process-wide `MetricsRegistry` holding
 // typed instruments registered by hierarchical dotted name
-// ("damon.ctx0.samples", "sim.swap.ins"), shared by every layer instead of
-// each component keeping a private counters struct.
+// ("damon.ctx0.samples", "sim.swap.ins"), shared by every layer. Each
+// component keeps its own counters struct as the source of truth
+// (MonitorCounters, SchemeStats, LifecycleCounters, MachineCounters); the
+// registry holds a mirror of it, which a late bind catches up to.
 //
 // Hot-path cost is the design constraint: an instrument handle, once
 // resolved, is a stable pointer and updating it is a plain `uint64_t`

@@ -42,13 +42,14 @@ class TrajectoryTest : public ::testing::Test {
     return std::ifstream(path_ + ".tmp").good();
   }
 
-  /// What the writer adds to a row: the four provenance keys.
+  /// What the writer adds to a row: the five provenance keys.
   static std::string Stamp(const char* mode) {
     std::string out;
     AppendF(out,
             ", \"hardware_concurrency\": %u, \"jobs\": 3, \"build_type\": "
-            "\"%s\", \"mode\": \"%s\"}",
-            std::thread::hardware_concurrency(), DAOS_BUILD_TYPE, mode);
+            "\"%s\", \"git_revision\": \"%s\", \"mode\": \"%s\"}",
+            std::thread::hardware_concurrency(), DAOS_BUILD_TYPE,
+            DAOS_GIT_REVISION, mode);
     return out;
   }
 
@@ -74,6 +75,21 @@ TEST_F(TrajectoryTest, FullModeIsStamped) {
   ASSERT_TRUE(AppendTrajectory(path_, "{\"bench\": \"t\"}"));
   unsetenv("DAOS_BENCH_FULL");
   EXPECT_EQ(Read(), "[\n  {\"bench\": \"t\"" + Stamp("full") + "\n]\n");
+}
+
+TEST_F(TrajectoryTest, GitRevisionIsStamped) {
+  // A configure-time short revision (12 hex digits), or "unknown" when the
+  // source tree is not a git checkout.
+  const std::string rev = DAOS_GIT_REVISION;
+  if (rev != "unknown") {
+    ASSERT_EQ(rev.size(), 12u) << rev;
+    EXPECT_EQ(rev.find_first_not_of("0123456789abcdef"), std::string::npos)
+        << rev;
+  }
+  ASSERT_TRUE(AppendTrajectory(path_, "{\"bench\": \"t\"}"));
+  EXPECT_NE(Read().find("\"git_revision\": \"" + rev + "\""),
+            std::string::npos)
+      << Read();
 }
 
 TEST_F(TrajectoryTest, AppendsAfterTrailingWhitespace) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -408,6 +409,17 @@ TEST_F(MalformedDbgfsTest, BadTargetsRejectedAndUnchanged) {
   EXPECT_FALSE(fs_.Write("/damon/target_ids", "999999", &error));
   EXPECT_NE(error.find("no such pid"), std::string::npos);
   EXPECT_EQ(fs_.Read("/damon/target_ids").value(), before);
+  // Not a pid at all: a sign, zero, past INT_MAX, or past 32 bits (which
+  // must not wrap 4294967297 around to pid 1).
+  for (const char* bad : {"+1", "0", "2147483648", "4294967295",
+                          "4294967297", "18446744073709551617", "1x"}) {
+    error.clear();
+    EXPECT_FALSE(fs_.Write("/damon/target_ids", bad, &error)) << bad;
+    EXPECT_NE(error.find(std::string("bad target '") + bad + "'"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(fs_.Read("/damon/target_ids").value(), before) << bad;
+  }
 }
 
 TEST_F(MalformedDbgfsTest, MonitorOnGarbageRejected) {
@@ -574,9 +586,8 @@ TEST(MalformedCheckpointTest, OverflowingNumberRejected) {
 /// One seeded mutant of `golden`: a raw byte edit, or one to three token
 /// or line edits (a boundary value or grammar word from `words`, a token
 /// from another line, a deleted or doubled token or line).
-template <std::size_t N>
-std::string Mutate(const std::string& golden, const char* const (&words)[N],
-                   Rng& rng) {
+std::string Mutate(const std::string& golden,
+                   const std::vector<const char*>& words, Rng& rng) {
   if (rng.NextBounded(4) == 0) {
     std::string text = golden;
     const std::size_t at = rng.NextBounded(text.size());
@@ -605,7 +616,7 @@ std::string Mutate(const std::string& golden, const char* const (&words)[N],
     const std::size_t ti = rng.NextBounded(tokens.size());
     switch (rng.NextBounded(6)) {
       case 0:
-        tokens[ti] = words[rng.NextBounded(N)];
+        tokens[ti] = words[rng.NextBounded(words.size())];
         break;
       case 1: {
         const std::vector<std::string_view> other =
@@ -635,100 +646,137 @@ std::string Mutate(const std::string& golden, const char* const (&words)[N],
   return JoinLines(lines);
 }
 
-TEST(MalformedCheckpointTest, MutantsNeverCrashAndReachAFixpoint) {
-  // A rejected mutant names a line; an accepted one serializes to a text
-  // that parses back and serializes to itself (a checkpoint restored from
-  // dbgfs and captured again must stay restorable).
-  static constexpr const char* kWords[] = {
-      "0", "1", "2", "-1", "2147483647", "2147483648", "4294967295",
-      "4294967296", "18446744073709551615", "18446744073709551616", "4096",
-      "4097", "1048576", "1048577", "0x1p+1", "-0x1p-1", "1e308", "1e309",
-      "nan", "inf", "percent", "samples", "pageout", "free_mem_rate",
-      "none", "end", "target", "region", "x", ""};
-  const std::string golden = kFullCheckpointText;
-  Rng rng(0xc4ec'4b01'47f0'0d5eULL);
+/// True when `error` reads "line N: <message>" with N >= 1.
+bool NamesLine(std::string_view error) {
+  if (!error.starts_with("line ")) return false;
+  error.remove_prefix(5);
+  const std::size_t colon = error.find(": ");
+  return colon != std::string_view::npos && colon + 2 < error.size() &&
+         ParseU32(error.substr(0, colon)).value_or(0) >= 1;
+}
+
+/// One text grammar under the mutation fuzzer: a golden text, the words
+/// Mutate draws from, the seed that fixes the mutants, and the grammar's
+/// parse/format pair.
+template <typename T>
+struct FuzzGrammar {
+  std::string golden;
+  std::vector<const char*> words;
+  std::uint64_t seed;
+  /// Parses a text; a rejection returns nullopt and sets the error.
+  std::function<std::optional<T>(const std::string&, std::string*)> parse;
+  std::function<std::string(const T&)> format;
+  /// Field-by-field equality; null when the texts alone decide.
+  std::function<bool(const T&, const T&)> same = nullptr;
+  std::function<bool(std::string_view)> names_line = NamesLine;
+};
+
+/// Feeds 20000 seeded mutants of `g.golden` to `g.parse`. None may throw. A
+/// rejected one names a line; an accepted one formats to a text that parses
+/// back (to an equal value, where `g.same` is set) and formats to itself.
+/// More than 1000 must be accepted, so the fixpoint check sees enough.
+template <typename T>
+void FuzzFixpoint(const FuzzGrammar<T>& g) {
+  Rng rng(g.seed);
   int accepted = 0;
   for (int m = 0; m < 20000; ++m) {
-    const std::string text = Mutate(golden, kWords, rng);
-    lifecycle::CheckpointError error;
-    std::optional<lifecycle::Checkpoint> parsed;
-    ASSERT_NO_THROW(parsed = lifecycle::ParseCheckpoint(text, &error))
+    const std::string text = Mutate(g.golden, g.words, rng);
+    std::string error;
+    std::optional<T> parsed;
+    ASSERT_NO_THROW(parsed = g.parse(text, &error))
         << "mutant " << m << ":\n" << text;
     if (!parsed.has_value()) {
-      ASSERT_GE(error.line_number, 1) << "mutant " << m << ":\n" << text;
-      ASSERT_FALSE(error.message.empty()) << "mutant " << m;
+      ASSERT_TRUE(g.names_line(error))
+          << "mutant " << m << ": " << error << "\n" << text;
       continue;
     }
     ++accepted;
-    const std::string once = SerializeCheckpoint(*parsed);
-    const std::optional<lifecycle::Checkpoint> again =
-        lifecycle::ParseCheckpoint(once, &error);
+    const std::string once = g.format(*parsed);
+    const std::optional<T> again = g.parse(once, &error);
     ASSERT_TRUE(again.has_value())
-        << "mutant " << m << " reserializes to a rejected text (line "
-        << error.line_number << ": " << error.message << "):\n" << text;
-    ASSERT_EQ(SerializeCheckpoint(*again), once) << "mutant " << m;
+        << "mutant " << m << " formats to a rejected text (" << error
+        << "):\n" << text << "---\n" << once;
+    if (g.same) {
+      ASSERT_TRUE(g.same(*parsed, *again))
+          << "mutant " << m << " formats lossily:\n" << text << "---\n"
+          << once;
+    }
+    ASSERT_EQ(g.format(*again), once) << "mutant " << m;
   }
-  // About 8 % of the mutants are accepted; the fixpoint check must see them.
   EXPECT_GT(accepted, 1000);
+}
+
+TEST(MalformedCheckpointTest, MutantsNeverCrashAndReachAFixpoint) {
+  // A checkpoint restored from dbgfs and captured again must stay
+  // restorable. About 8 % of the mutants are accepted.
+  FuzzFixpoint<lifecycle::Checkpoint>({
+      .golden = kFullCheckpointText,
+      .words = {"0", "1", "2", "-1", "2147483647", "2147483648", "4294967295",
+                "4294967296", "18446744073709551615", "18446744073709551616",
+                "4096", "4097", "1048576", "1048577", "0x1p+1", "-0x1p-1",
+                "1e308", "1e309", "nan", "inf", "percent", "samples",
+                "pageout", "free_mem_rate", "none", "end", "target", "region",
+                "x", ""},
+      .seed = 0xc4ec'4b01'47f0'0d5eULL,
+      .parse =
+          [](const std::string& text, std::string* error) {
+            lifecycle::CheckpointError e;
+            std::optional<lifecycle::Checkpoint> cp =
+                lifecycle::ParseCheckpoint(text, &e);
+            if (!cp.has_value()) *error = LineError(e.line_number, e.message);
+            return cp;
+          },
+      .format = lifecycle::SerializeCheckpoint,
+  });
 }
 
 // --- tier geometry mutants (src/sim) --------------------------------------
 
 TEST(MalformedTierTest, MutantsNeverCrashAndReachAFixpoint) {
-  // A rejected mutant names a line (or the empty geometry); an accepted one
-  // prints a text that parses back to an equal geometry and prints to
-  // itself (what /tier/geometry reads back must be writable again).
-  static constexpr const char* kWords[] = {
-      "dram", "cxl", "zram", "file", "0", "1", "1025", "1500K", "3000M",
-      "64.0M", "1.5M", "2.9G", "0.3K", "16T", "18446744073709551615",
-      "18446744073709551616", "-1", "lat=0.1234567", "lat=-0", "lat=1e-320",
-      "lat=1e308", "lat=1e309", "lat=nan", "lat=inf", "lat=0x1p-3",
-      "bw=1000000", "bw=976.6K", "bw=-1G", "bw=0", "bw=0.5", "bw=", "lat=",
-      "#", "numa=1", "\v", "x", ""};
-  const std::string golden =
-      "# fastest first\n"
-      "dram 64M\n"
-      "cxl 1G lat=0.6 bw=8G\n"
-      "file 4G lat=2.0 bw=1G\n";
-  const auto same = [](const sim::TierGeometry& a, const sim::TierGeometry& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const sim::TierSpec& x = a.tiers[i];
-      const sim::TierSpec& y = b.tiers[i];
-      if (x.kind != y.kind || x.capacity_bytes != y.capacity_bytes ||
-          x.access_extra_us != y.access_extra_us ||
-          x.migrate_bw_bytes_per_s != y.migrate_bw_bytes_per_s) {
-        return false;
-      }
-    }
-    return true;
-  };
-  Rng rng(0x71e2'9e0f'a77e'5eedULL);
-  int accepted = 0;
-  for (int m = 0; m < 20000; ++m) {
-    const std::string text = Mutate(golden, kWords, rng);
-    sim::TierGeometry geo;
-    std::string error;
-    bool ok = false;
-    ASSERT_NO_THROW(ok = sim::ParseTierGeometry(text, &geo, &error))
-        << "mutant " << m << ":\n" << text;
-    if (!ok) {
-      ASSERT_TRUE(error.find("tier line ") == 0 ||
-                  error == "tier geometry is empty")
-          << "mutant " << m << ": " << error << "\n" << text;
-      continue;
-    }
-    ++accepted;
-    const std::string once = geo.ToText();
-    sim::TierGeometry again;
-    ASSERT_TRUE(sim::ParseTierGeometry(once, &again, &error))
-        << "mutant " << m << " prints a rejected text (" << error << "):\n"
-        << once;
-    ASSERT_TRUE(same(geo, again))
-        << "mutant " << m << ":\n" << text << "reads back from\n" << once;
-    ASSERT_EQ(again.ToText(), once) << "mutant " << m;
-  }
-  EXPECT_GT(accepted, 1000);
+  // What /tier/geometry reads back must be writable again. The empty
+  // geometry is the one rejection without a line.
+  FuzzFixpoint<sim::TierGeometry>({
+      .golden = "# fastest first\n"
+                "dram 64M\n"
+                "cxl 1G lat=0.6 bw=8G\n"
+                "file 4G lat=2.0 bw=1G\n",
+      .words = {"dram", "cxl", "zram", "file", "0", "1", "1025", "1500K",
+                "3000M", "64.0M", "1.5M", "2.9G", "0.3K", "16T",
+                "18446744073709551615", "18446744073709551616", "-1",
+                "lat=0.1234567", "lat=-0", "lat=1e-320", "lat=1e308",
+                "lat=1e309", "lat=nan", "lat=inf", "lat=0x1p-3",
+                "bw=1000000", "bw=976.6K", "bw=-1G", "bw=0", "bw=0.5", "bw=",
+                "lat=", "#", "numa=1", "\v", "x", ""},
+      .seed = 0x71e2'9e0f'a77e'5eedULL,
+      .parse =
+          [](const std::string& text, std::string* error) {
+            sim::TierGeometry geo;
+            return sim::ParseTierGeometry(text, &geo, error)
+                       ? std::optional<sim::TierGeometry>(geo)
+                       : std::nullopt;
+          },
+      .format = [](const sim::TierGeometry& geo) { return geo.ToText(); },
+      .same =
+          [](const sim::TierGeometry& a, const sim::TierGeometry& b) {
+            if (a.size() != b.size()) return false;
+            for (std::size_t i = 0; i < a.size(); ++i) {
+              const sim::TierSpec& x = a.tiers[i];
+              const sim::TierSpec& y = b.tiers[i];
+              if (x.kind != y.kind || x.capacity_bytes != y.capacity_bytes ||
+                  x.access_extra_us != y.access_extra_us ||
+                  x.migrate_bw_bytes_per_s != y.migrate_bw_bytes_per_s) {
+                return false;
+              }
+            }
+            return true;
+          },
+      .names_line =
+          [](std::string_view error) {
+            return error == "tier geometry is empty" ||
+                   (error.starts_with("tier ") &&
+                    NamesLine(error.substr(5)));
+          },
+  });
 }
 
 // --- commit bundles (src/lifecycle) ---------------------------------------
@@ -1195,67 +1243,126 @@ TEST(MalformedCampaignTest, EntryWithoutTriggerRejected) {
 }
 
 TEST(MalformedCampaignTest, MutantsNeverCrashAndReachAFixpoint) {
-  // A rejected mutant names a line; an accepted one formats to a text that
-  // parses back to the same campaign and formats to itself (a repro line
-  // must rebuild the exact schedule). The trigger words reach the fault
-  // plane's own p=/every=/once= grammar.
-  static constexpr const char* kWords[] = {
-      "seed", "scenario", "fleet", "p=0", "p=1", "p=0.5", "p=1.5", "p=-0",
-      "p=nan", "p=1e-320", "p=0x1p-3", "p=0.1234567", "p=", "every=0",
-      "every=1", "every=18446744073709551615", "every=18446744073709551616",
-      "once=0", "once=7", "from=0", "from=1us", "from=1500us", "from=1.0004s",
-      "from=1.001s", "from=-1s", "from=1e300s", "until=0us", "until=1ms",
-      "until=1800us", "until=1.0006s", "until=2h", "until=0x10s", "=", "#",
-      "off", "18446744073709551616", "x", ""};
-  const std::string golden =
-      "# chaos campaign\n"
-      "seed 20220627\n"
-      "scenario lifecycle\n"
-      "swap.write_error p=0.2 every=100 from=500ms until=2s\n"
-      "daemon.crash once=120\n"
-      "fleet.rollback_fail p=0.05 from=1.250s\n"
-      "tier.migrate_fail every=7 until=4s\n";
-  const auto same = [](const chaos::Campaign& a, const chaos::Campaign& b) {
-    if (a.seed != b.seed || a.scenario != b.scenario ||
-        a.entries.size() != b.entries.size())
-      return false;
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-      const chaos::CampaignEntry& x = a.entries[i];
-      const chaos::CampaignEntry& y = b.entries[i];
-      if (x.point != y.point || x.from != y.from || x.until != y.until ||
-          x.spec.probability != y.spec.probability ||
-          x.spec.every_nth != y.spec.every_nth ||
-          x.spec.once_at != y.spec.once_at)
-        return false;
-    }
-    return true;
-  };
-  Rng rng(0xca4b'a160'5eed'0b01ULL);
-  int accepted = 0;
-  for (int m = 0; m < 20000; ++m) {
-    const std::string text = Mutate(golden, kWords, rng);
-    chaos::Campaign parsed;
-    std::string error;
-    bool ok = false;
-    ASSERT_NO_THROW(ok = chaos::ParseCampaign(text, &parsed, &error))
-        << "mutant " << m << ":\n" << text;
-    if (!ok) {
-      ASSERT_EQ(error.rfind("line ", 0), 0u)
-          << "mutant " << m << ": " << error << "\n" << text;
-      continue;
-    }
-    ++accepted;
-    const std::string once = chaos::FormatCampaign(parsed);
-    chaos::Campaign again;
-    ASSERT_TRUE(chaos::ParseCampaign(once, &again, &error))
-        << "mutant " << m << " formats to a rejected text (" << error
-        << "):\n" << text << "---\n" << once;
-    ASSERT_TRUE(same(parsed, again))
-        << "mutant " << m << " formats lossily:\n" << text << "---\n"
-        << once;
-    ASSERT_EQ(chaos::FormatCampaign(again), once) << "mutant " << m;
+  // A repro line must rebuild the exact schedule. The trigger words reach
+  // the fault plane's own p=/every=/once= grammar.
+  FuzzFixpoint<chaos::Campaign>({
+      .golden = "# chaos campaign\n"
+                "seed 20220627\n"
+                "scenario lifecycle\n"
+                "swap.write_error p=0.2 every=100 from=500ms until=2s\n"
+                "daemon.crash once=120\n"
+                "fleet.rollback_fail p=0.05 from=1.250s\n"
+                "tier.migrate_fail every=7 until=4s\n",
+      .words = {"seed", "scenario", "fleet", "p=0", "p=1", "p=0.5", "p=1.5",
+                "p=-0", "p=nan", "p=1e-320", "p=0x1p-3", "p=0.1234567", "p=",
+                "every=0", "every=1", "every=18446744073709551615",
+                "every=18446744073709551616", "once=0", "once=7", "from=0",
+                "from=1us", "from=1500us", "from=1.0004s", "from=1.001s",
+                "from=-1s", "from=1e300s", "until=0us", "until=1ms",
+                "until=1800us", "until=1.0006s", "until=2h", "until=0x10s",
+                "=", "#", "off", "18446744073709551616", "x", ""},
+      .seed = 0xca4b'a160'5eed'0b01ULL,
+      .parse =
+          [](const std::string& text, std::string* error) {
+            chaos::Campaign parsed;
+            return chaos::ParseCampaign(text, &parsed, error)
+                       ? std::optional<chaos::Campaign>(parsed)
+                       : std::nullopt;
+          },
+      .format = chaos::FormatCampaign,
+      .same =
+          [](const chaos::Campaign& a, const chaos::Campaign& b) {
+            if (a.seed != b.seed || a.scenario != b.scenario ||
+                a.entries.size() != b.entries.size())
+              return false;
+            for (std::size_t i = 0; i < a.entries.size(); ++i) {
+              const chaos::CampaignEntry& x = a.entries[i];
+              const chaos::CampaignEntry& y = b.entries[i];
+              if (x.point != y.point || x.from != y.from ||
+                  x.until != y.until ||
+                  x.spec.probability != y.spec.probability ||
+                  x.spec.every_nth != y.spec.every_nth ||
+                  x.spec.once_at != y.spec.once_at)
+                return false;
+            }
+            return true;
+          },
+  });
+}
+
+TEST(MalformedParserTest, SchemeTextReadsBackExactly) {
+  // Each line once printed a value that parsed back to another: a size
+  // rounded to a tenth of its unit, a sample count to six digits, a
+  // percentage to two decimals, and a max_freq above 100% as "max".
+  for (const char* line : {"4095 1500K min max min max stat",
+                           "min max 18446744073709551616 max min max stat",
+                           "min max 0.1234567 max min max stat",
+                           "4K max min 12.3456789% 5s max pageout",
+                           "min max 50% 101% min max stat"}) {
+    const ParseResult first = ParseSchemes(line);
+    ASSERT_TRUE(first.ok()) << line;
+    const std::string text = first.schemes[0].ToText();
+    const ParseResult again = ParseSchemes(text);
+    ASSERT_TRUE(again.ok()) << line << " -> " << text;
+    EXPECT_EQ(again.schemes[0].bounds(), first.schemes[0].bounds())
+        << line << " -> " << text;
+    EXPECT_EQ(again.schemes[0].ToText(), text);
   }
-  EXPECT_GT(accepted, 1000);
+  // Values the old forms printed exactly keep their text.
+  EXPECT_EQ(ParseSchemes("4K max min min 5s max pageout").schemes[0].ToText(),
+            "4.0K max min min 5s max pageout");
+  EXPECT_EQ(ParseSchemes("min max 5 80% min max stat").schemes[0].ToText(),
+            "min max 5 80% min max stat");
+}
+
+TEST(MalformedParserTest, SchemeMutantsNeverCrashAndReachAFixpoint) {
+  // What the dbgfs /schemes file reads back must be writable again and
+  // install the same schemes.
+  FuzzFixpoint<std::vector<damos::Scheme>>({
+      .golden = "# prcl, then a governed tiering scheme\n"
+                "4K max min min 5s max pageout\n"
+                "min 2M 5 80% 100ms 1h migrate_hot quota_sz=16M "
+                "quota_ms=10 quota_reset_ms=1000 prio=3,2,1 "
+                "wmarks=free_mem_rate,500,400,200\n",
+      .words = {"min", "max", "0", "1", "5", "0.5", "1.2345678", "1e-7",
+                "1e300", "nan", "inf", "-1", "0%", "1%", "50.5%", "100%",
+                "101%", "12.3456789%", "4K", "2M", "1G", "1.5M", "4095",
+                "18446744073709551615", "18446744073709551616", "1us",
+                "1500us", "1ms", "1.0004s", "5s", "1h", "stat", "pageout",
+                "hugepage", "nohugepage", "cold", "migrate_hot",
+                "migrate_cold", "quota_sz=0", "quota_sz=1", "quota_ms=0",
+                "quota_reset_ms=0", "prio=0,0,0", "prio=1,1,1",
+                "wmarks=free_mem_rate,1000,500,0", "wmarks=none", "=", "#",
+                "x", ""},
+      .seed = 0x5c4e'3e5f'a22e'd00dULL,
+      .parse =
+          [](const std::string& text, std::string* error)
+              -> std::optional<std::vector<damos::Scheme>> {
+            ParseResult result = ParseSchemes(text);
+            if (!result.ok()) {
+              *error = LineError(result.errors[0].line_number,
+                                 result.errors[0].message);
+              return std::nullopt;
+            }
+            return std::move(result.schemes);
+          },
+      .format =
+          [](const std::vector<damos::Scheme>& schemes) {
+            std::string out;
+            for (const damos::Scheme& s : schemes) out += s.ToText() + "\n";
+            return out;
+          },
+      .same =
+          [](const std::vector<damos::Scheme>& a,
+             const std::vector<damos::Scheme>& b) {
+            if (a.size() != b.size()) return false;
+            for (std::size_t i = 0; i < a.size(); ++i)
+              if (a[i].bounds() != b[i].bounds() ||
+                  a[i].policy() != b[i].policy())
+                return false;
+            return true;
+          },
+  });
 }
 
 // --- hostile numbers --------------------------------------------------------
