@@ -58,7 +58,7 @@ int main() {
   for (int tick = 0; tick <= 16; ++tick) {
     std::uint64_t rss = 0;
     for (sim::Process* server : servers) rss += server->ReadRssBytes();
-    const auto& quota = engine.governor().quota_state(0);
+    const auto& quota = engine.schemes()[0].runtime().quota;
     std::printf("%6llus %-14s %-12s %8.1f%%   %s\n",
                 static_cast<unsigned long long>(system.Now() / kUsPerSec),
                 FormatSize(rss).c_str(),

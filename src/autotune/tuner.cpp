@@ -28,41 +28,26 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
   result.tuned = base;
   score_->Reset();
 
-  // Knob abstraction: the search below is identical for both dimensions;
-  // only the range, the scheme field written, and the fit's x-axis unit
-  // (seconds vs MiB — both O(1..100) for typical ranges, keeping the
-  // polynomial fit well conditioned) differ.
-  const bool quota_knob = config_.knob == TuneKnob::kQuotaSz;
-  const std::uint64_t knob_lo =
-      quota_knob ? std::max<std::uint64_t>(config_.quota_sz_lo, kPageSize)
-                 : config_.min_age_lo;
-  const std::uint64_t knob_hi =
-      quota_knob ? config_.quota_sz_hi : config_.min_age_hi;
-  const double knob_unit =
-      quota_knob ? static_cast<double>(MiB) : static_cast<double>(kUsPerSec);
-  const std::uint64_t radius_floor = quota_knob ? MiB : kUsPerSec;
-  const auto set_knob = [quota_knob](damos::Scheme& s, std::uint64_t v) {
-    if (quota_knob) {
-      s.policy().quota.sz_bytes = v;
-    } else {
-      s.bounds().min_age = v;
-    }
-  };
+  // The fit's x-axis is in seconds, O(1..100) for typical ranges, which
+  // keeps the polynomial fit well conditioned.
+  const SimTimeUs age_lo = config_.min_age_lo;
+  const SimTimeUs age_hi = config_.min_age_hi;
+  constexpr double age_unit = static_cast<double>(kUsPerSec);
 
   // Baseline: the workload without any scheme.
   result.baseline = runner(nullptr);
   result.retried_trials += result.baseline.retries;
   if (result.baseline.failed) ++result.failed_trials;
 
-  const std::size_t total = std::max<std::size_t>(2, config_.EffectiveSamples());
+  const std::size_t total = std::max<std::size_t>(2, config_.nr_samples);
   const auto explore = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::round(kExploreFrac * static_cast<double>(total))));
   const std::size_t exploit = total - explore;
 
-  auto run_one = [&](std::uint64_t knob_value, bool exploration) {
+  auto run_one = [&](SimTimeUs min_age, bool exploration) {
     damos::Scheme candidate = base;
-    set_knob(candidate, knob_value);
+    candidate.bounds().min_age = min_age;
     const TrialMeasurement m = runner(&candidate);
     result.retried_trials += m.retries;
     if (m.failed) {
@@ -72,25 +57,25 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
       // and out of the fit/best-sample selection below.
       ++result.failed_trials;
       result.samples.push_back(
-          TunerSample{knob_value, 0.0, exploration, true});
+          TunerSample{min_age, 0.0, exploration, true});
       if (registry_ != nullptr)
         registry_->GetCounter(prefix_ + ".steps").Add(1);
       return;
     }
     const double score = score_->Score(m, result.baseline);
-    result.samples.push_back(TunerSample{knob_value, score, exploration});
+    result.samples.push_back(TunerSample{min_age, score, exploration});
     if (registry_ != nullptr) {
       registry_->GetCounter(prefix_ + ".steps").Add(1);
       registry_->GetGauge(prefix_ + ".last_score").Set(score);
       registry_->GetGauge(prefix_ + ".last_min_age_us")
-          .Set(static_cast<double>(knob_value));
+          .Set(static_cast<double>(min_age));
     }
     if (trace_ != nullptr) {
       // kTuneStep: id=1 for exploration / 0 for local search,
-      // arg0=knob value (min_age µs or quota bytes), arg1=score in
+      // arg0=min_age µs, arg1=score in
       // micro-units (two's complement).
       trace_->Push({0, telemetry::EventKind::kTuneStep,
-                    exploration ? 1u : 0u, knob_value,
+                    exploration ? 1u : 0u, min_age,
                     static_cast<std::uint64_t>(
                         static_cast<std::int64_t>(score * 1e6)),
                     0});
@@ -99,7 +84,7 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
 
   // Phase 1: global random exploration of the aggressiveness space.
   for (std::size_t i = 0; i < explore; ++i) {
-    run_one(rng_.NextInRange(knob_lo, knob_hi), true);
+    run_one(rng_.NextInRange(age_lo, age_hi), true);
   }
 
   // Orders samples by score with failed trials below any real score, so
@@ -111,16 +96,16 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
 
   // Phase 2: local search around the best exploration sample. If every
   // exploration trial failed there is no signal to follow — search around
-  // the middle of the knob range instead.
+  // the middle of the min_age range instead.
   auto best = std::max_element(result.samples.begin(), result.samples.end(),
                                by_score);
-  const std::uint64_t center =
-      !best->failed ? best->min_age : (knob_lo + knob_hi) / 2;
-  const std::uint64_t radius =
-      std::max<std::uint64_t>((knob_hi - knob_lo) / 10, radius_floor);
+  const SimTimeUs center =
+      !best->failed ? best->min_age : (age_lo + age_hi) / 2;
+  const SimTimeUs radius =
+      std::max<SimTimeUs>((age_hi - age_lo) / 10, kUsPerSec);
   for (std::size_t i = 0; i < exploit; ++i) {
-    const std::uint64_t lo = center > radius ? center - radius : knob_lo;
-    const std::uint64_t hi = std::min(center + radius, knob_hi);
+    const SimTimeUs lo = center > radius ? center - radius : age_lo;
+    const SimTimeUs hi = std::min(center + radius, age_hi);
     run_one(rng_.NextInRange(lo, hi), false);
   }
 
@@ -131,7 +116,7 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
   ys.reserve(result.samples.size());
   for (const TunerSample& s : result.samples) {
     if (s.failed) continue;
-    xs.push_back(static_cast<double>(s.min_age) / knob_unit);
+    xs.push_back(static_cast<double>(s.min_age) / age_unit);
     ys.push_back(s.score);
   }
   const std::size_t degree = std::max<std::size_t>(1, total / 3);
@@ -143,11 +128,11 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
                           by_score);
   if (best->failed) {
     // Every trial failed: nothing to tune against. Emit the base scheme
-    // with a mid-range knob and a zero prediction; the caller reads
+    // with a mid-range min_age and a zero prediction; the caller reads
     // failed_trials to see why.
-    result.best_min_age = (knob_lo + knob_hi) / 2;
+    result.best_min_age = (age_lo + age_hi) / 2;
     result.predicted_score = 0.0;
-    set_knob(result.tuned, result.best_min_age);
+    result.tuned.bounds().min_age = result.best_min_age;
     return result;
   }
 
@@ -163,12 +148,12 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
     // as the best seen score. Keep the curve's job what §3.5 intends —
     // denoising *around the best observed region* — by accepting only
     // peaks within the local-search neighbourhood of the best sample.
-    const double best_x = static_cast<double>(best->min_age) / knob_unit;
+    const double best_x = static_cast<double>(best->min_age) / age_unit;
     const double neighbourhood =
-        static_cast<double>(knob_hi - knob_lo) / knob_unit / 4.0;
+        static_cast<double>(age_hi - age_lo) / age_unit / 4.0;
     for (const Peak& peak : peaks) {
       if (std::fabs(peak.x - best_x) > neighbourhood) continue;
-      result.best_min_age = static_cast<SimTimeUs>(peak.x * knob_unit);
+      result.best_min_age = static_cast<SimTimeUs>(peak.x * age_unit);
       result.predicted_score = peak.value;
       picked_from_curve = true;
       break;
@@ -179,7 +164,7 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
     result.best_min_age = best->min_age;
     result.predicted_score = best->score;
   }
-  set_knob(result.tuned, result.best_min_age);
+  result.tuned.bounds().min_age = result.best_min_age;
   if (registry_ != nullptr) {
     registry_->GetGauge(prefix_ + ".best_min_age_us")
         .Set(static_cast<double>(result.best_min_age));

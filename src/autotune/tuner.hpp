@@ -1,8 +1,10 @@
 // The Auto-tuning Runtime (paper §3.5).
 //
-// Given a base scheme, a workload trial runner, and a time budget, the
+// Given a base scheme, a workload trial runner, and a sample budget, the
 // tuner:
-//   1. derives the sample budget nr_samples = time_limit / unit_work_time,
+//   1. takes the sample budget nr_samples (the paper derives it from a
+//      time limit and the time of one trial; its evaluation fixes it to
+//      10),
 //   2. spends 60 % of it on uniformly random aggressiveness values (global
 //      exploration) and 40 % near the best observed value (local search),
 //   3. fits a degree-(nr_samples/3) polynomial to the (aggressiveness,
@@ -10,10 +12,8 @@
 //   4. finds the highest peak of the fitted curve via gradients and emits
 //      the scheme tuned to that aggressiveness.
 //
-// Aggressiveness here is the scheme's `min_age` threshold (as in the
-// paper's evaluation: smaller min_age == more aggressive PAGEOUT), or —
-// with TunerConfig::knob = kQuotaSz — the governor's per-window byte
-// budget, so the same search machinery tunes how much a scheme may do.
+// Aggressiveness here is the scheme's `min_age` threshold, as in the
+// paper's evaluation: smaller min_age == more aggressive PAGEOUT.
 #pragma once
 
 #include <functional>
@@ -37,41 +37,17 @@ namespace daos::autotune {
 using TrialRunner =
     std::function<TrialMeasurement(const damos::Scheme* scheme_or_null)>;
 
-/// Which scheme dimension the tuner searches. The classic knob is the
-/// paper's min_age aggressiveness; kQuotaSz instead tunes the governor's
-/// per-window byte budget (how *much* an aggressive scheme may do, rather
-/// than how aggressively it matches).
-enum class TuneKnob : std::uint8_t { kMinAge, kQuotaSz };
-
 struct TunerConfig {
-  /// Total tuning budget and per-trial time; nr_samples is their ratio.
-  SimTimeUs time_limit = 0;
-  SimTimeUs unit_work_time = 0;
-  /// Explicit sample budget; used when nonzero (the paper's evaluation
-  /// fixes it to 10).
+  /// Sample budget (at least 2 are taken); the paper's evaluation fixes it
+  /// to 10.
   std::size_t nr_samples = 10;
-  /// The tuned dimension.
-  TuneKnob knob = TuneKnob::kMinAge;
-  /// Search space for the min_age aggressiveness knob (knob == kMinAge).
+  /// Search space for the min_age aggressiveness knob.
   SimTimeUs min_age_lo = 0;
   SimTimeUs min_age_hi = 60 * kUsPerSec;
-  /// Search space for the quota_sz knob (knob == kQuotaSz), in bytes. The
-  /// floor must stay nonzero: quota_sz=0 would disarm the quota entirely.
-  std::uint64_t quota_sz_lo = 1 * MiB;
-  std::uint64_t quota_sz_hi = 256 * MiB;
   std::uint64_t seed = 1234;
-
-  std::size_t EffectiveSamples() const {
-    if (nr_samples > 0) return nr_samples;
-    if (unit_work_time == 0) return 0;
-    return static_cast<std::size_t>(time_limit / unit_work_time);
-  }
 };
 
 struct TunerSample {
-  /// The sampled knob value: min_age in µs (kMinAge) or quota bytes
-  /// (kQuotaSz). The field keeps its historical name — every consumer of
-  /// the classic knob reads it as min_age.
   SimTimeUs min_age = 0;
   double score = 0.0;
   bool exploration = false;  // true for the global-60% phase
@@ -81,8 +57,8 @@ struct TunerSample {
 };
 
 struct TunerResult {
-  damos::Scheme tuned;             // base scheme with the winning knob value
-  SimTimeUs best_min_age = 0;      // winning knob value (see TunerSample)
+  damos::Scheme tuned;             // base scheme with the winning min_age
+  SimTimeUs best_min_age = 0;
   double predicted_score = 0.0;
   std::vector<TunerSample> samples;
   Polynomial estimate;             // the fitted curve (Figure 5's line)
@@ -98,8 +74,7 @@ class AutoTuner {
  public:
   AutoTuner(TunerConfig config, std::unique_ptr<ScoreFunction> score = nullptr);
 
-  /// Tunes `base` against `runner`, searching the dimension selected by
-  /// `config.knob` (min_age by default, governor quota_sz optionally).
+  /// Tunes `base`'s min_age against `runner`.
   TunerResult Tune(const damos::Scheme& base, const TrialRunner& runner);
 
   /// Publishes per-step tuning progress: "<prefix>.steps" counter,

@@ -130,13 +130,11 @@ lifecycle::SupervisorConfig FastSupervisorConfig() {
   return config;
 }
 
-void CheckGovernorQuota(Oracles& oracles, damos::SchemesEngine& engine) {
-  const auto& schemes = engine.schemes();
-  for (std::size_t si = 0; si < schemes.size(); ++si) {
-    const governor::QuotaSpec& quota = schemes[si].policy().quota;
+void CheckGovernorQuota(Oracles& oracles, const damos::SchemesEngine& engine) {
+  for (const damos::Scheme& scheme : engine.schemes()) {
+    const governor::QuotaSpec& quota = scheme.policy().quota;
     if (quota.sz_bytes == 0) continue;
-    if (si >= engine.governor().nr_slots()) continue;
-    const governor::QuotaState& qs = engine.governor().quota_state(si);
+    const governor::QuotaState& qs = scheme.runtime().quota;
     oracles.Check(
         "governor.window_quota", qs.charged_sz <= quota.sz_bytes,
         U64Detail("in-flight charge exceeds quota (charged vs quota)",

@@ -34,8 +34,6 @@ bool SchemesEngine::InstallFromText(std::string_view text,
     return false;
   }
   schemes_ = std::move(parsed.schemes);
-  runtime_.clear();  // fresh schemes start un-parked
-  governor_.Reset(schemes_.size());  // fresh budgets, gates re-armed
   return true;
 }
 
@@ -70,14 +68,8 @@ void SchemesEngine::RebindInstruments() {
 SchemesEngine::CommitOutcome SchemesEngine::CommitSchemes(
     std::vector<Scheme> schemes) {
   CommitOutcome outcome;
-  runtime_.resize(schemes_.size());
-  governor_.EnsureSlots(schemes_.size());
-
-  std::vector<SchemeRuntime> new_runtime(schemes.size());
-  std::vector<governor::Governor::SlotState> new_slots(schemes.size());
   std::vector<bool> old_taken(schemes_.size(), false);
-  for (std::size_t nj = 0; nj < schemes.size(); ++nj) {
-    Scheme& incoming = schemes[nj];
+  for (Scheme& incoming : schemes) {
     std::size_t match = schemes_.size();
     for (std::size_t oi = 0; oi < schemes_.size(); ++oi) {
       if (old_taken[oi]) continue;
@@ -87,57 +79,35 @@ SchemesEngine::CommitOutcome SchemesEngine::CommitSchemes(
       }
     }
     if (match == schemes_.size()) {
-      ++outcome.fresh;  // no identity match: cold stats, cold runtime
+      ++outcome.fresh;  // no identity match: keeps its own (cold) state
       continue;
     }
     old_taken[match] = true;
     ++outcome.carried;
     const Scheme& old = schemes_[match];
     incoming.stats() = old.stats();
-    new_runtime[nj] = runtime_[match];
-    new_slots[nj] = governor_.ExportSlot(match);
+    incoming.runtime() = old.runtime();
     // Reset only what changed: a new quota spec starts a fresh charge
-    // window, a new watermark spec re-arms the gate from its default.
+    // window, a new watermark spec re-opens the gate.
     if (incoming.policy().quota != old.policy().quota) {
-      new_slots[nj].quota = governor::QuotaState{};
+      incoming.runtime().quota = governor::QuotaState{};
       ++outcome.quota_resets;
     }
     if (incoming.policy().wmarks != old.policy().wmarks) {
-      new_slots[nj].wmark_active = true;
-      new_slots[nj].next_wmark_check = 0;
+      incoming.runtime().wmark = governor::WatermarkGate{};
       incoming.stats().wmark_active = true;
     }
   }
 
   schemes_ = std::move(schemes);
-  runtime_ = std::move(new_runtime);
-  governor_.Reset(schemes_.size());
-  for (std::size_t i = 0; i < schemes_.size(); ++i)
-    governor_.ImportSlot(i, new_slots[i]);
   if (registry_ != nullptr) RebindInstruments();
   return outcome;
-}
-
-SchemesEngine::SlotRuntime SchemesEngine::ExportSlotRuntime(
-    std::size_t scheme_index) const {
-  if (scheme_index >= runtime_.size()) return SlotRuntime{};
-  return SlotRuntime{runtime_[scheme_index].backoff_exp,
-                     runtime_[scheme_index].backoff_until};
-}
-
-void SchemesEngine::ImportSlotRuntime(std::size_t scheme_index,
-                                      const SlotRuntime& rt) {
-  if (scheme_index >= runtime_.size()) runtime_.resize(scheme_index + 1);
-  runtime_[scheme_index] =
-      SchemeRuntime{rt.backoff_exp, rt.backoff_until};
 }
 
 void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
   if (disarmed_) return;  // degraded mode: monitoring-only, schemes idle
   if (registry_ != nullptr && instruments_.size() != schemes_.size())
     RebindInstruments();  // schemes were reinstalled since the last pass
-  runtime_.resize(schemes_.size());
-  governor_.EnsureSlots(schemes_.size());
   const damon::MonitoringAttrs& attrs = ctx.attrs();
 
   // Per-pass aggregates, so the backoff decision sees the whole pass (a
@@ -152,9 +122,12 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
     std::uint64_t quota_blocked_bytes = 0;
   };
   std::vector<PassAgg> pass(schemes_.size());
-  for (std::size_t si = 0; si < schemes_.size(); ++si) {
-    if (runtime_[si].backoff_until != 0 && now < runtime_[si].backoff_until)
-      schemes_[si].stats().nr_skipped += 1;
+  auto parked = [now](const Scheme& scheme) {
+    const SimTimeUs until = scheme.runtime().backoff_until;
+    return until != 0 && now < until;
+  };
+  for (Scheme& scheme : schemes_) {
+    if (parked(scheme)) scheme.stats().nr_skipped += 1;
   }
 
   // Governor plan phase: watermark gate + quota window roll per scheme.
@@ -163,8 +136,9 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
   std::vector<governor::PassPlan> plans(schemes_.size());
   for (std::size_t si = 0; si < schemes_.size(); ++si) {
     Scheme& scheme = schemes_[si];
-    plans[si] =
-        governor_.PlanPass(si, scheme.policy(), scheme.action(), now);
+    plans[si] = governor::PlanPass(scheme.policy(), scheme.action(), now,
+                                   machine_, &scheme.runtime().quota,
+                                   &scheme.runtime().wmark);
     if (scheme.policy().wmarks.armed()) {
       scheme.stats().wmark_active = plans[si].wmark_active;
       if (plans[si].wmark_transition) {
@@ -190,7 +164,7 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
   // computed from the same regions the apply loop will visit.
   for (std::size_t si = 0; si < schemes_.size(); ++si) {
     if (!plans[si].wants_facts) continue;
-    if (runtime_[si].backoff_until != 0 && now < runtime_[si].backoff_until)
+    if (parked(schemes_[si]))
       continue;  // parked: the apply loop will not visit it either
     std::vector<governor::RegionFacts> facts;
     for (damon::DamonTarget& target : ctx.targets()) {
@@ -200,17 +174,14 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
                                               region.nr_accesses, region.age});
       }
     }
-    governor_.FinishPlan(&plans[si], facts, si);
+    governor::FinishPlan(&plans[si], facts, schemes_[si].runtime().quota);
   }
 
   for (damon::DamonTarget& target : ctx.targets()) {
     for (damon::Region& region : target.regions) {
       for (std::size_t si = 0; si < schemes_.size(); ++si) {
         Scheme& scheme = schemes_[si];
-        if (runtime_[si].backoff_until != 0 &&
-            now < runtime_[si].backoff_until) {
-          continue;  // parked by the failure backoff
-        }
+        if (parked(scheme)) continue;  // parked by the failure backoff
         const governor::PassPlan& plan = plans[si];
         if (plan.skip) continue;  // watermark-inactive: not even "tried"
         if (!scheme.Matches(region, attrs)) continue;
@@ -224,7 +195,8 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
         }
         std::uint64_t attempt = region.size();
         if (plan.governed) {
-          attempt = governor_.ClipToBudget(si, region.size());
+          attempt = governor::ClipToBudget(scheme.runtime().quota,
+                                           region.size());
           if (attempt == 0) {
             scheme.stats().qt_exceeds += 1;
             scheme.stats().sz_quota_exceeded += region.size();
@@ -238,7 +210,8 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
           }
           // Attempt-based: charged before the action runs, so a failing
           // device cannot launder extra budget.
-          governor_.Charge(si, scheme.action(), attempt);
+          governor::Charge(&scheme.runtime().quota, scheme.action(), attempt,
+                           machine_);
         }
         scheme.stats().nr_tried += 1;
         scheme.stats().sz_tried += attempt;
@@ -285,14 +258,14 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
       trace_->Push({now, telemetry::EventKind::kQuotaExceeded,
                     static_cast<std::uint32_t>(si), pass[si].quota_blocked,
                     pass[si].quota_blocked_bytes,
-                    governor_.quota_state(si).charged_sz});
+                    schemes_[si].runtime().quota.charged_sz});
     }
   }
 
   // Post-pass backoff bookkeeping. A pass that only produced errors parks
   // the scheme exponentially; any pass that applied bytes re-arms it.
   for (std::size_t si = 0; si < schemes_.size(); ++si) {
-    SchemeRuntime& rt = runtime_[si];
+    SchemeRuntime& rt = schemes_[si].runtime();
     if (pass[si].errors > 0 && pass[si].applied_bytes == 0 &&
         pass[si].tried > 0) {
       const std::uint32_t exp = std::min(rt.backoff_exp, kMaxBackoffExp);
@@ -313,11 +286,6 @@ void SchemesEngine::Apply(damon::DamonContext& ctx, SimTimeUs now) {
       rt.backoff_until = 0;
     }
   }
-}
-
-SimTimeUs SchemesEngine::BackoffUntil(std::size_t scheme_index) const {
-  return scheme_index < runtime_.size() ? runtime_[scheme_index].backoff_until
-                                        : 0;
 }
 
 std::string SchemesEngine::StatsText() const {

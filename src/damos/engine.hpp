@@ -13,7 +13,6 @@
 
 #include "damon/monitor.hpp"
 #include "damos/scheme.hpp"
-#include "governor/governor.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_buffer.hpp"
 
@@ -31,44 +30,36 @@ class SchemesEngine {
 
   /// Replaces the installed schemes (the "debugfs write" of §3.6). Returns
   /// false and leaves the installed schemes unchanged on parse errors,
-  /// which are reported via `errors` when non-null.
+  /// which are reported via `errors` when non-null. Parsed schemes start
+  /// with cold stats and runtime.
   bool InstallFromText(std::string_view text,
                        std::vector<std::string>* errors = nullptr);
-  void Install(std::vector<Scheme> schemes) {
-    schemes_ = std::move(schemes);
-    runtime_.clear();  // fresh schemes start un-parked
-    governor_.Reset(schemes_.size());  // fresh budgets, gates re-armed
-  }
+  /// Replaces the installed schemes with `schemes` exactly as they are,
+  /// stats and runtime included: a checkpoint restore installs its
+  /// captured schemes warm, a freshly constructed scheme starts cold.
+  void Install(std::vector<Scheme> schemes) { schemes_ = std::move(schemes); }
 
   /// Binds the machine whose metrics feed watermark gates and whose cost
   /// model prices time quotas. Optional: without it, watermarks fail open
   /// and time quotas use the default CostModel.
-  void SetMachine(const sim::Machine* machine) noexcept {
-    governor_.BindMachine(machine);
-  }
+  void SetMachine(const sim::Machine* machine) noexcept { machine_ = machine; }
 
-  /// The governor runtime (budget charges, watermark state). Exposed for
-  /// tests and dbgfs introspection; the mutable overload exists for the
-  /// lifecycle supervisor's checkpoint import.
-  const governor::Governor& governor() const noexcept { return governor_; }
-  governor::Governor& governor() noexcept { return governor_; }
-
-  /// How a transactional scheme commit mapped new slots onto old ones.
+  /// How a transactional scheme commit mapped new schemes onto old ones.
   struct CommitOutcome {
-    std::size_t carried = 0;        // slots whose stats/runtime survived
-    std::size_t fresh = 0;          // slots with no old identity match
-    std::size_t quota_resets = 0;   // carried slots whose quota spec changed
+    std::size_t carried = 0;       // schemes whose stats/runtime survived
+    std::size_t fresh = 0;         // schemes with no old identity match
+    std::size_t quota_resets = 0;  // carried schemes whose quota changed
   };
 
   /// Replaces the installed schemes *transactionally* (upstream DAMON's
-  /// damos commit): each new scheme that shares its bounds identity with an
-  /// installed one inherits that slot's stats, failure-backoff runtime and
-  /// governor charge state — a retune of policy knobs must not reset the
-  /// window's spent budget (and must not launder a fresh one). Only what
-  /// changed is reset: a changed quota spec drops the charge state, a
-  /// changed watermark spec drops the gate runtime, an unmatched scheme
-  /// starts cold. The caller validates the scheme text beforehand;
-  /// this call cannot fail.
+  /// damos commit): each new scheme takes the stats and runtime of the
+  /// first not yet taken installed scheme with equal bounds — a retune of
+  /// policy knobs must not reset the window's spent budget (and must not
+  /// launder a fresh one). Only what changed is reset: a changed quota
+  /// spec zeroes the quota charges, a changed watermark spec re-opens the
+  /// gate, an unmatched scheme keeps what it came with (cold, if parsed).
+  /// The caller validates the scheme text beforehand; this call cannot
+  /// fail.
   CommitOutcome CommitSchemes(std::vector<Scheme> schemes);
 
   /// Degraded mode (lifecycle crash-loop containment): while disarmed, the
@@ -77,15 +68,6 @@ class SchemesEngine {
   /// pass state was left.
   void SetDisarmed(bool disarmed) noexcept { disarmed_ = disarmed; }
   bool disarmed() const noexcept { return disarmed_; }
-
-  /// One slot's engine-side runtime (failure backoff), exported for
-  /// checkpoints alongside the governor's SlotState.
-  struct SlotRuntime {
-    std::uint32_t backoff_exp = 0;
-    SimTimeUs backoff_until = 0;
-  };
-  SlotRuntime ExportSlotRuntime(std::size_t scheme_index) const;
-  void ImportSlotRuntime(std::size_t scheme_index, const SlotRuntime& rt);
 
   std::vector<Scheme>& schemes() noexcept { return schemes_; }
   const std::vector<Scheme>& schemes() const noexcept { return schemes_; }
@@ -111,10 +93,6 @@ class SchemesEngine {
                      telemetry::TraceBuffer* trace = nullptr,
                      std::string_view prefix = "damos");
 
-  /// When a scheme slot is parked by the failure backoff, the time its
-  /// applications resume; 0 when it is active. Exposed for tests/dbgfs.
-  SimTimeUs BackoffUntil(std::size_t scheme_index) const;
-
  private:
   struct SchemeInstruments {
     telemetry::Counter* nr_tried = nullptr;
@@ -127,20 +105,12 @@ class SchemesEngine {
     telemetry::Counter* sz_quota_exceeded = nullptr;
     telemetry::Counter* wmark_deactivations = nullptr;
   };
-  /// Failure-backoff state per scheme slot (mirrors upstream DAMOS quotas:
-  /// a scheme whose action keeps failing must not burn its whole budget on
-  /// a broken device every aggregation).
-  struct SchemeRuntime {
-    std::uint32_t backoff_exp = 0;   // consecutive error-only passes
-    SimTimeUs backoff_until = 0;     // parked until then (0 = active)
-  };
   /// (Re)resolves one instrument set per installed scheme slot.
   void RebindInstruments();
 
   std::vector<Scheme> schemes_;
-  std::vector<SchemeRuntime> runtime_;
   bool disarmed_ = false;
-  governor::Governor governor_;
+  const sim::Machine* machine_ = nullptr;
   telemetry::MetricsRegistry* registry_ = nullptr;
   telemetry::TraceBuffer* trace_ = nullptr;
   std::string prefix_;

@@ -12,7 +12,7 @@
 #include "damon/attrs.hpp"
 #include "damon/primitives.hpp"
 #include "damon/region.hpp"
-#include "governor/policy.hpp"
+#include "governor/governor.hpp"
 #include "util/types.hpp"
 
 namespace daos::damos {
@@ -75,6 +75,21 @@ struct SchemeStats {
   bool wmark_active = true;              // current watermark gate state
 };
 
+/// A scheme's mutable runtime besides its stats: the engine's failure
+/// backoff and the governor's charge and gate state. It travels with the
+/// scheme, so a checkpoint or a commit that copies the scheme copies all of
+/// it: a kdamond rebuilt mid-window keeps the window's charges, so a crash
+/// cannot launder quota. A parsed or newly constructed scheme starts cold.
+struct SchemeRuntime {
+  // Failure backoff (mirrors upstream DAMOS quotas: a scheme whose action
+  // keeps failing must not burn its whole budget on a broken device every
+  // aggregation).
+  std::uint32_t backoff_exp = 0;  // consecutive error-only passes
+  SimTimeUs backoff_until = 0;    // parked until then (0 = active)
+  governor::QuotaState quota;
+  governor::WatermarkGate wmark;
+};
+
 /// The single formatter for SchemeStats — every text surface (engine
 /// StatsText, the dbgfs /schemes read) goes through it, so stat fields
 /// cannot drift between views when new ones (governor counters) are added.
@@ -95,6 +110,8 @@ class Scheme {
   /// governor did not exist.
   const governor::GovernorPolicy& policy() const noexcept { return policy_; }
   governor::GovernorPolicy& policy() noexcept { return policy_; }
+  const SchemeRuntime& runtime() const noexcept { return runtime_; }
+  SchemeRuntime& runtime() noexcept { return runtime_; }
 
   /// Whether `region` currently fulfills the three conditions.
   bool Matches(const damon::Region& region,
@@ -120,6 +137,7 @@ class Scheme {
   SchemeBounds bounds_;
   SchemeStats stats_;
   governor::GovernorPolicy policy_;
+  SchemeRuntime runtime_;
 };
 
 }  // namespace daos::damos

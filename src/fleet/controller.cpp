@@ -108,10 +108,10 @@ struct FleetController::Shard {
 
   // Controller bookkeeping (touched only on the serial path).
   bool quarantined = false;
-  bool rollback_pending = false;
   std::uint32_t rollback_retries = 0;
   // The restore point captured when the shard joined a wave; a shard is in
-  // the wave exactly while it holds one.
+  // the wave exactly while it holds one, and rolling back exactly while it
+  // holds one and the rollout is not gating (RollingBack).
   std::optional<lifecycle::Checkpoint> pre_wave;
   std::uint64_t initial_rss = 0;
   double last_cpu_us = 0.0;
@@ -446,11 +446,18 @@ RolloutState FleetController::RunRollout(std::uint32_t max_epochs) {
   return state_;
 }
 
+bool FleetController::gating() const noexcept {
+  return state_ == RolloutState::kCanary || state_ == RolloutState::kRamping;
+}
+
+bool FleetController::RollingBack(const Shard& shard) const {
+  return shard.pre_wave.has_value() && !gating();
+}
+
 bool FleetController::rollout_active() const {
-  if (state_ == RolloutState::kCanary || state_ == RolloutState::kRamping)
-    return true;
+  if (gating()) return true;
   for (const auto& sp : shards_)
-    if (sp->rollback_pending) return true;
+    if (RollingBack(*sp)) return true;
   return false;
 }
 
@@ -629,10 +636,7 @@ void FleetController::EvaluateRollout() {
 
 void FleetController::BeginRollback(RolloutState final_state,
                                     const std::string& reason) {
-  for (auto& sp : shards_) {
-    if (sp->pre_wave) sp->rollback_pending = true;
-    sp->rollback_retries = 0;
-  }
+  for (auto& sp : shards_) sp->rollback_retries = 0;
   state_ = final_state;
   last_rollout_result_ =
       std::string(RolloutStateName(final_state)) + ": " + reason;
@@ -644,7 +648,7 @@ void FleetController::BeginRollback(RolloutState final_state,
 void FleetController::ContinueRollback() {
   for (auto& sp : shards_) {
     Shard& s = *sp;
-    if (!s.rollback_pending) continue;
+    if (!RollingBack(s)) continue;
     // A dead kdamond cannot restore; wait for the supervisor's backoff to
     // bring it back (the retry budget is for failed restores, not deaths).
     if (!s.supervisor.alive()) continue;
@@ -664,7 +668,6 @@ void FleetController::ContinueRollback() {
       ++s.rollback_retries;
       if (s.rollback_retries > kRollbackRetryMax) {
         ++counters_.rollback_failures;
-        s.rollback_pending = false;
         s.pre_wave.reset();
         Quarantine(s);
       }
@@ -678,7 +681,6 @@ void FleetController::FinishShardRollback(Shard& s) {
   // Refresh the crash-restart source: the supervisor's periodic checkpoint
   // may be wave-era, and a crash after rollback must come back pre-wave.
   s.supervisor.Capture();
-  s.rollback_pending = false;
   s.pre_wave.reset();
   s.rollback_retries = 0;
   s.RefreshDeltas();
@@ -721,7 +723,7 @@ std::string FleetController::StatusText() const {
   for (const auto& sp : shards_) {
     if (sp->quarantined) ++quarantined;
     if (sp->pre_wave) ++wave;
-    if (sp->rollback_pending) ++pending;
+    if (RollingBack(*sp)) ++pending;
   }
   line("quarantined", quarantined);
   line("wave", wave);
@@ -746,6 +748,7 @@ std::string FleetController::StatusText() const {
   line("rollback_retries", counters_.rollback_retries);
   line("rollback_failures", counters_.rollback_failures);
   line("last_rollout", last_rollout_result_);
+  if (!init_error_.empty()) line("init_error", init_error_);
   for (const auto& sp : shards_) {
     const Shard& s = *sp;
     out << "shard " << s.index << " state "

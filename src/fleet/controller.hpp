@@ -210,13 +210,18 @@ class FleetController {
   RolloutState rollout_state() const noexcept { return state_; }
   /// True while gating or while rollback restores are still pending.
   bool rollout_active() const;
+  /// Why the `initial_schemes` install failed ("shard <i>: <parse error>"
+  /// for the first failing shard); empty when it succeeded. Those shards
+  /// run monitoring-only.
+  const std::string& init_error() const noexcept { return init_error_; }
   const std::string& last_rollout_result() const noexcept {
     return last_rollout_result_;
   }
   const FleetCounters& counters() const noexcept { return counters_; }
 
   /// The "/fleet/status" read: fleet-level "key value" lines followed by
-  /// one "shard <i> ..." line per shard.
+  /// one "shard <i> ..." line per shard. An "init_error" line appears only
+  /// when the initial scheme install failed.
   std::string StatusText() const;
 
   /// The "/fleet/quarantine" read: one "add <i>" line per quarantined
@@ -239,6 +244,10 @@ class FleetController {
 
   std::unique_ptr<Shard> BuildShard(std::size_t index);
   std::size_t ActiveShards() const;
+  /// The rollout is in a gating state (canary or ramping).
+  bool gating() const noexcept;
+  /// The shard still owes a rollback restore.
+  bool RollingBack(const Shard& shard) const;
   double StageFraction(std::size_t stage) const;
   std::size_t StageCount() const;
   bool ApplyStage(std::string* error);

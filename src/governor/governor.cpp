@@ -1,53 +1,58 @@
 #include "governor/governor.hpp"
 
+#include "sim/machine.hpp"
+
 namespace daos::governor {
 
-const sim::CostModel& Governor::costs() const noexcept {
+namespace {
+
+const sim::CostModel& Costs(const sim::Machine* machine) noexcept {
   static const sim::CostModel kDefault{};
-  return machine_ != nullptr ? machine_->costs() : kDefault;
+  return machine != nullptr ? machine->costs() : kDefault;
 }
 
-PassPlan Governor::PlanPass(std::size_t si, const GovernorPolicy& policy,
-                            damon::DamosAction action, SimTimeUs now) {
+}  // namespace
+
+PassPlan PlanPass(const GovernorPolicy& policy, damon::DamosAction action,
+                  SimTimeUs now, const sim::Machine* machine,
+                  QuotaState* quota, WatermarkGate* gate) {
   PassPlan plan;
   if (!policy.armed()) return plan;  // the disarmed single branch
 
-  Slot& slot = slots_[si];
-
-  if (policy.wmarks.armed() && machine_ != nullptr) {
+  if (policy.wmarks.armed() && machine != nullptr) {
     const WatermarkSpec& w = policy.wmarks;
-    if (now >= slot.next_wmark_check) {
+    if (now >= gate->next_check) {
       std::uint32_t metric = 0;
       switch (w.metric) {
         case WatermarkMetric::kFreeMemRate:
-          metric = machine_->FreeMemRatePermille();
+          metric = machine->FreeMemRatePermille();
           break;
         case WatermarkMetric::kNone:
           break;
       }
-      const bool was_active = slot.wmark_active;
+      const bool was_active = gate->active;
       if (metric > w.high || metric < w.low) {
         // Healthy (lots of free memory) or emergency (so little that the
         // kernel's own reclaim owns the field): stand down.
-        slot.wmark_active = false;
-      } else if (!slot.wmark_active && metric <= w.mid) {
+        gate->active = false;
+      } else if (!gate->active && metric <= w.mid) {
         // Hysteresis: a deactivated scheme re-arms only once the metric
         // falls to mid, not the moment it dips under high.
-        slot.wmark_active = true;
+        gate->active = true;
       }
-      slot.next_wmark_check = now + w.interval;
-      plan.wmark_transition = was_active != slot.wmark_active;
+      gate->next_check = now + w.interval;
+      plan.wmark_transition = was_active != gate->active;
       plan.wmark_metric = metric;
     }
-    plan.wmark_active = slot.wmark_active;
-    if (!slot.wmark_active) {
+    plan.wmark_active = gate->active;
+    if (!gate->active) {
       plan.skip = true;
       return plan;  // deactivated: no quota roll, no stats, no work
     }
   }
 
   if (policy.quota.armed()) {
-    slot.quota.RollWindow(policy.quota, action, costs(), now);
+    quota->RollWindow(policy.quota, action, Costs(machine), now);
     plan.governed = true;
     plan.wants_facts = policy.prio.armed();
     plan.weights = policy.prio;
@@ -56,9 +61,8 @@ PassPlan Governor::PlanPass(std::size_t si, const GovernorPolicy& policy,
   return plan;
 }
 
-void Governor::FinishPlan(PassPlan* plan,
-                          const std::vector<RegionFacts>& facts,
-                          std::size_t si) {
+void FinishPlan(PassPlan* plan, const std::vector<RegionFacts>& facts,
+                const QuotaState& quota) {
   if (!plan->wants_facts) return;
   plan->wants_facts = false;
   if (facts.empty()) return;
@@ -69,22 +73,21 @@ void Governor::FinishPlan(PassPlan* plan,
     histogram.Add(ScoreRegion(f, plan->scale, plan->weights, plan->cold_first),
                   f.sz);
   }
-  plan->min_score = histogram.MinScoreFor(slots_[si].quota.remaining());
+  plan->min_score = histogram.MinScoreFor(quota.remaining());
   plan->prioritized = true;
 }
 
-std::uint64_t Governor::ClipToBudget(std::size_t si,
-                                     std::uint64_t region_bytes) const
-    noexcept {
-  const std::uint64_t remaining = slots_[si].quota.remaining();
+std::uint64_t ClipToBudget(const QuotaState& quota,
+                           std::uint64_t region_bytes) noexcept {
+  const std::uint64_t remaining = quota.remaining();
   const std::uint64_t allow =
       region_bytes < remaining ? region_bytes : remaining;
   return allow & ~(kPageSize - 1);  // whole pages only
 }
 
-void Governor::Charge(std::size_t si, damon::DamosAction action,
-                      std::uint64_t bytes) noexcept {
-  slots_[si].quota.Charge(bytes, action, costs());
+void Charge(QuotaState* quota, damon::DamosAction action,
+            std::uint64_t bytes, const sim::Machine* machine) noexcept {
+  quota->Charge(bytes, action, Costs(machine));
 }
 
 }  // namespace daos::governor

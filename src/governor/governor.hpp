@@ -16,15 +16,15 @@
 //      entirely and its pass does nothing; it re-arms once the metric
 //      falls back to `mid`.
 //
-// The Governor holds only *runtime* state (charges, watermark activation,
-// check deadlines) per engine slot; the configuration lives in each
-// scheme's GovernorPolicy. The engine drives region iteration and stats —
-// the governor decides skip / clip / charge. A disarmed policy takes one
-// branch in PlanPass and leaves the apply loop bit-identical to the
-// ungoverned engine.
+// The governor holds no state of its own: each scheme carries its runtime
+// (quota charges, watermark gate) next to its stats, and the functions
+// below read and update it, with the machine passed in. The configuration
+// lives in each scheme's GovernorPolicy. The engine drives region
+// iteration and stats — the governor decides skip / clip / charge. A
+// disarmed policy takes one branch in PlanPass and leaves the apply loop
+// bit-identical to the ungoverned engine.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "governor/policy.hpp"
@@ -50,78 +50,33 @@ struct PassPlan {
   bool cold_first = false;
 };
 
-class Governor {
- public:
-  /// Metric + cost source. Watermarks without a bound machine fail open
-  /// (scheme stays active); time quotas fall back to the default CostModel.
-  void BindMachine(const sim::Machine* machine) noexcept {
-    machine_ = machine;
-  }
-
-  /// Drops all runtime state (fresh schemes, fresh budgets/gates).
-  void Reset(std::size_t nr_schemes) { slots_.assign(nr_schemes, Slot{}); }
-  /// Grows/shrinks the slot table without resetting surviving slots.
-  void EnsureSlots(std::size_t nr_schemes) { slots_.resize(nr_schemes); }
-  std::size_t nr_slots() const noexcept { return slots_.size(); }
-
-  /// Watermark gate + quota window roll for slot `si`. Cheap single branch
-  /// when `policy` is disarmed. When the returned plan `wants_facts`, the
-  /// engine collects the matching regions' facts and calls FinishPlan
-  /// before applying.
-  PassPlan PlanPass(std::size_t si, const GovernorPolicy& policy,
-                    damon::DamosAction action, SimTimeUs now);
-
-  /// Computes the adaptive min-score cutoff from the matching set.
-  void FinishPlan(PassPlan* plan, const std::vector<RegionFacts>& facts,
-                  std::size_t si);
-
-  /// Bytes of `region_bytes` the slot's remaining window budget admits,
-  /// aligned down to whole pages (0 = quota exhausted for this region).
-  std::uint64_t ClipToBudget(std::size_t si,
-                             std::uint64_t region_bytes) const noexcept;
-
-  /// Charges an attempted application (call once per admitted region,
-  /// before the action runs — failures still consume budget).
-  void Charge(std::size_t si, damon::DamosAction action,
-              std::uint64_t bytes) noexcept;
-
-  /// Runtime introspection (tests, dbgfs, stats).
-  const QuotaState& quota_state(std::size_t si) const {
-    return slots_[si].quota;
-  }
-  bool wmark_active(std::size_t si) const { return slots_[si].wmark_active; }
-
-  /// One slot's full runtime state, for checkpoint/restore and for commits
-  /// that carry charge state across a scheme reconfiguration. A kdamond
-  /// rebuilt mid-window must NOT get a fresh budget: importing the
-  /// captured slot carries the window's charges, so a crash cannot
-  /// launder quota.
-  struct SlotState {
-    QuotaState quota;
-    bool wmark_active = true;
-    SimTimeUs next_wmark_check = 0;
-  };
-  SlotState ExportSlot(std::size_t si) const {
-    const Slot& s = slots_[si];
-    return SlotState{s.quota, s.wmark_active, s.next_wmark_check};
-  }
-  void ImportSlot(std::size_t si, const SlotState& state) {
-    if (si >= slots_.size()) slots_.resize(si + 1);
-    slots_[si] = Slot{state.quota, state.wmark_active,
-                      state.next_wmark_check};
-  }
-
- private:
-  struct Slot {
-    QuotaState quota;
-    bool wmark_active = true;       // kernel default: schemes start active
-    SimTimeUs next_wmark_check = 0;
-  };
-
-  const sim::CostModel& costs() const noexcept;
-
-  const sim::Machine* machine_ = nullptr;
-  std::vector<Slot> slots_;
+/// One scheme's watermark gate. Kernel default: schemes start active.
+struct WatermarkGate {
+  bool active = true;
+  SimTimeUs next_check = 0;
 };
+
+/// Watermark gate + quota window roll for one scheme. Cheap single branch
+/// when `policy` is disarmed. Watermarks without a `machine` fail open
+/// (the scheme stays active); time quotas then use the default CostModel.
+/// When the returned plan `wants_facts`, the engine collects the matching
+/// regions' facts and calls FinishPlan before applying.
+PassPlan PlanPass(const GovernorPolicy& policy, damon::DamosAction action,
+                  SimTimeUs now, const sim::Machine* machine,
+                  QuotaState* quota, WatermarkGate* gate);
+
+/// Computes the adaptive min-score cutoff from the matching set.
+void FinishPlan(PassPlan* plan, const std::vector<RegionFacts>& facts,
+                const QuotaState& quota);
+
+/// Bytes of `region_bytes` the remaining window budget admits, aligned
+/// down to whole pages (0 = quota exhausted for this region).
+std::uint64_t ClipToBudget(const QuotaState& quota,
+                           std::uint64_t region_bytes) noexcept;
+
+/// Charges an attempted application (call once per admitted region,
+/// before the action runs — failures still consume budget).
+void Charge(QuotaState* quota, damon::DamosAction action,
+            std::uint64_t bytes, const sim::Machine* machine) noexcept;
 
 }  // namespace daos::governor

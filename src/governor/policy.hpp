@@ -78,8 +78,8 @@ struct WatermarkSpec {
 };
 
 /// The full governor configuration of one scheme. Value-semantic and
-/// embedded in damos::Scheme; the Governor keeps the mutable runtime state
-/// (charges, watermark activation) separately, per engine slot.
+/// embedded in damos::Scheme, next to the scheme's mutable runtime
+/// (QuotaState charges, WatermarkGate).
 struct GovernorPolicy {
   QuotaSpec quota;
   PrioWeights prio;

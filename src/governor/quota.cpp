@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/machine.hpp"
+
 namespace daos::governor {
 namespace {
 

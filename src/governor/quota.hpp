@@ -16,7 +16,11 @@
 
 #include "damon/primitives.hpp"
 #include "governor/policy.hpp"
-#include "sim/machine.hpp"
+
+namespace daos::sim {
+struct CostModel;
+class Machine;
+}  // namespace daos::sim
 
 namespace daos::governor {
 
@@ -25,7 +29,7 @@ namespace daos::governor {
 double ActionCostUs(const sim::CostModel& costs, damon::DamosAction action,
                     std::uint64_t bytes) noexcept;
 
-/// Mutable charge state of one scheme slot. Survives scheme backoff and
+/// Mutable charge state of one scheme. Survives scheme backoff and
 /// watermark re-arm (only a scheme reinstall resets it): a scheme that was
 /// parked mid-window resumes against the same remaining budget.
 struct QuotaState {

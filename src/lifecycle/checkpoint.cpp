@@ -66,27 +66,28 @@ void Walk(Io& io, Cp& cp) {
   }
 
   io("schemes", Count{cp.schemes, 4096, "scheme"});
-  for (auto& cs : cp.schemes) {
+  for (auto& scheme : cp.schemes) {
     // Scheme::ToText() is human-facing and lossy (FormatSize rounds); a
     // checkpoint carries every raw field.
-    auto& b = cs.scheme.bounds();
+    auto& b = scheme.bounds();
     io("scheme", b.min_size, b.max_size, b.min_freq.unit, b.min_freq.value,
        b.max_freq.unit, b.max_freq.value, b.min_age, b.max_age, b.action);
-    auto& p = cs.scheme.policy();
+    auto& p = scheme.policy();
     io("policy", p.quota.sz_bytes, p.quota.time_us, p.quota.reset_interval,
        p.prio.sz, p.prio.freq, p.prio.age, p.wmarks.metric, p.wmarks.interval,
        p.wmarks.high, p.wmarks.mid, p.wmarks.low);
     const bool policy_ok = governor::ValidatePolicy(p, &why);
     io.Check(policy_ok, "invalid governor policy: " + why);
-    auto& st = cs.scheme.stats();
+    auto& st = scheme.stats();
     io("stats", st.nr_tried, st.sz_tried, st.nr_applied, st.sz_applied,
        st.nr_errors, st.nr_backoffs, st.nr_skipped, st.qt_exceeds,
        st.sz_quota_exceeded, st.nr_wmark_deactivations, st.wmark_active);
-    io("backoff", cs.backoff.backoff_exp, cs.backoff.backoff_until);
-    auto& q = cs.slot.quota;
+    auto& rt = scheme.runtime();
+    io("backoff", rt.backoff_exp, rt.backoff_until);
+    auto& q = rt.quota;
     io("quota", q.window_start, q.charged_sz, q.charged_us, q.esz,
        q.total_charged_sz, q.total_charged_us);
-    io("wmark", cs.slot.wmark_active, cs.slot.next_wmark_check);
+    io("wmark", rt.wmark.active, rt.wmark.next_check);
   }
 
   io("recorder", cp.recorder_every, cp.recorder_next,
@@ -296,15 +297,7 @@ Checkpoint CaptureCheckpoint(const damon::DamonContext& ctx,
     cp.targets.push_back(std::move(ct));
   }
   cp.engine_disarmed = engine.disarmed();
-  for (std::size_t si = 0; si < engine.schemes().size(); ++si) {
-    CheckpointScheme cs;
-    cs.scheme = engine.schemes()[si];
-    cs.backoff = engine.ExportSlotRuntime(si);
-    cs.slot = si < engine.governor().nr_slots()
-                  ? engine.governor().ExportSlot(si)
-                  : governor::Governor::SlotState{};
-    cp.schemes.push_back(std::move(cs));
-  }
+  cp.schemes = engine.schemes();
   if (recorder != nullptr) {
     cp.recorder_every = recorder->every();
     cp.recorder_next = recorder->next();
@@ -332,14 +325,7 @@ bool RestoreCheckpoint(const Checkpoint& cp, damon::DamonContext& ctx,
     ctx.targets()[ti].regions = cp.targets[ti].regions;
   ctx.ImportSchedState(cp.sched);
 
-  std::vector<damos::Scheme> schemes;
-  schemes.reserve(cp.schemes.size());
-  for (const CheckpointScheme& cs : cp.schemes) schemes.push_back(cs.scheme);
-  engine.Install(std::move(schemes));
-  for (std::size_t si = 0; si < cp.schemes.size(); ++si) {
-    engine.ImportSlotRuntime(si, cp.schemes[si].backoff);
-    engine.governor().ImportSlot(si, cp.schemes[si].slot);
-  }
+  engine.Install(cp.schemes);
   engine.SetDisarmed(cp.engine_disarmed);
 
   if (recorder != nullptr)

@@ -28,7 +28,6 @@
 #include "damon/recorder.hpp"
 #include "damos/engine.hpp"
 #include "damos/scheme.hpp"
-#include "governor/governor.hpp"
 
 namespace daos::lifecycle {
 
@@ -43,13 +42,6 @@ struct CheckpointTarget {
   std::vector<damon::Region> regions;
 };
 
-/// One scheme slot: configuration, stats, and both runtime planes.
-struct CheckpointScheme {
-  damos::Scheme scheme;  // bounds + policy + stats
-  damos::SchemesEngine::SlotRuntime backoff;
-  governor::Governor::SlotState slot;
-};
-
 struct Checkpoint {
   int version = kCheckpointVersion;
   SimTimeUs at = 0;  // capture time (sim clock)
@@ -57,7 +49,8 @@ struct Checkpoint {
   damon::MonitorSchedState sched;
   std::vector<CheckpointTarget> targets;
   bool engine_disarmed = false;
-  std::vector<CheckpointScheme> schemes;
+  // Bounds, policy, stats and runtime: a scheme carries all of its state.
+  std::vector<damos::Scheme> schemes;
   // Recorder tail: the most recent snapshots, so restore does not truncate
   // the history feeding analysis/heatmap.
   SimTimeUs recorder_every = 0;

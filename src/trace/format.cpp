@@ -133,7 +133,9 @@ std::string SerializeHeader(const TraceMeta& meta, std::uint64_t events,
   std::string out;
   out += kTraceMagic;
   out += '\n';
-  AppendF(out, "name %s\n", meta.name.c_str());
+  out += "name ";
+  out += meta.name;  // verbatim: "%s" would stop at an embedded NUL
+  out += '\n';
   AppendF(out, "page_shift %" PRIu64 "\n", meta.page_shift);
   AppendF(out, "quantum_us %" PRIu64 "\n",
           static_cast<std::uint64_t>(meta.quantum_us));
@@ -274,8 +276,10 @@ std::optional<Trace> ParseTrace(std::string_view text, TraceError* error) {
   }
 
   // --- body: declared_chunks framed chunks, delta state reset per chunk.
+  // Every record takes at least 3 bytes (op byte and two varints), so the
+  // body, not the header's claim, bounds the reservation.
   trace.events.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(declared_events, 1ULL << 24)));
+      std::min<std::uint64_t>(declared_events, (text.size() - pos) / 3)));
   const std::uint64_t max_page = 1ULL << (62 - trace.meta.page_shift);
   SimTimeUs last_at = 0;
   for (std::uint64_t chunk = 0; chunk < declared_chunks; ++chunk) {

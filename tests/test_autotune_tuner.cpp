@@ -148,21 +148,6 @@ TEST(TunerTest, DeterministicForSameSeed) {
   EXPECT_EQ(r1.best_min_age, r2.best_min_age);
 }
 
-TEST(TunerTest, TimeBudgetDerivesSamples) {
-  TunerConfig cfg;
-  cfg.nr_samples = 0;
-  cfg.time_limit = 100 * kUsPerSec;
-  cfg.unit_work_time = 10 * kUsPerSec;
-  EXPECT_EQ(cfg.EffectiveSamples(), 10u);
-}
-
-TEST(TunerTest, EffectiveSamplesZeroGuard) {
-  TunerConfig cfg;
-  cfg.nr_samples = 0;
-  cfg.unit_work_time = 0;
-  EXPECT_EQ(cfg.EffectiveSamples(), 0u);
-}
-
 // Property: across different optima positions, the tuner's pick never
 // lands in the catastrophic-slowdown zone far below the optimum.
 class TunerOptimumTest : public ::testing::TestWithParam<double> {};
@@ -179,38 +164,6 @@ TEST_P(TunerOptimumTest, AvoidsDeepSlowdownRegion) {
 
 INSTANTIATE_TEST_SUITE_P(Optima, TunerOptimumTest,
                          ::testing::Values(8.0, 15.0, 25.0, 40.0));
-
-// The quota knob tunes the scheme's governor budget and leaves the
-// matching bounds alone.
-TEST(TunerTest, QuotaSizeKnobTunesPolicyNotBounds) {
-  TunerConfig cfg;
-  cfg.nr_samples = 10;
-  cfg.knob = TuneKnob::kQuotaSz;
-  cfg.quota_sz_lo = 1 * MiB;
-  cfg.quota_sz_hi = 256 * MiB;
-  cfg.seed = 42;
-  Rng rng(7);
-  // Memory saving saturates with quota; slowdown explodes past ~64M/s.
-  auto run = [&](const damos::Scheme* s) {
-    if (s == nullptr) return TrialMeasurement{100.0, 1000.0};
-    const double q_mib =
-        static_cast<double>(s->policy().quota.sz_bytes) / MiB;
-    const double saving = 0.5 * (1.0 - std::exp(-q_mib / 32.0));
-    const double slowdown = q_mib > 64.0 ? 0.3 * (q_mib - 64.0) / 64.0 : 0.0;
-    const double noise = (rng.NextDouble() - 0.5) * 0.02;
-    return TrialMeasurement{100.0 * (1.0 + slowdown + noise),
-                            1000.0 * (1.0 - saving)};
-  };
-
-  const damos::Scheme seed = damos::Scheme::Prcl(2 * kUsPerSec);
-  AutoTuner tuner(cfg);
-  const TunerResult r = tuner.Tune(seed, run);
-  // best_min_age carries the winning knob value — here, quota bytes.
-  EXPECT_GE(r.best_min_age, cfg.quota_sz_lo);
-  EXPECT_LE(r.best_min_age, cfg.quota_sz_hi);
-  EXPECT_EQ(r.tuned.policy().quota.sz_bytes, r.best_min_age);
-  EXPECT_EQ(r.tuned.bounds().min_age, seed.bounds().min_age);
-}
 
 }  // namespace
 }  // namespace daos::autotune

@@ -10,14 +10,20 @@
 
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <sstream>
 #include <string>
 
 #include "checkpoint_golden.hpp"
+#include "damon/monitor.hpp"
 #include "damon/primitives.hpp"
+#include "damos/engine.hpp"
+#include "damos/parser.hpp"
 #include "fault/fault.hpp"
 #include "lifecycle/checkpoint.hpp"
 #include "lifecycle/supervisor.hpp"
 #include "sim/address_space.hpp"
+#include "sim/machine.hpp"
 #include "sim/system.hpp"
 #include "util/hash.hpp"
 #include "util/units.hpp"
@@ -87,9 +93,8 @@ lifecycle::Checkpoint FullCheckpoint() {
   bounds.max_freq = damos::FreqBound::Percent(0.5);
   bounds.min_age = 2 * kUsPerSec;
   bounds.action = damon::DamosAction::kPageout;
-  lifecycle::CheckpointScheme cs;
-  cs.scheme = damos::Scheme(bounds);
-  governor::GovernorPolicy& policy = cs.scheme.policy();
+  damos::Scheme scheme(bounds);
+  governor::GovernorPolicy& policy = scheme.policy();
   policy.quota.sz_bytes = 4 * MiB;
   policy.quota.time_us = 5000;
   policy.prio = {3, 7, 1};
@@ -97,7 +102,7 @@ lifecycle::Checkpoint FullCheckpoint() {
   policy.wmarks.high = 700;
   policy.wmarks.mid = 500;
   policy.wmarks.low = 100;
-  damos::SchemeStats& stats = cs.scheme.stats();
+  damos::SchemeStats& stats = scheme.stats();
   stats.nr_tried = 40;
   stats.sz_tried = 40 * 4096;
   stats.nr_applied = 12;
@@ -109,16 +114,18 @@ lifecycle::Checkpoint FullCheckpoint() {
   stats.sz_quota_exceeded = 5 * 4096;
   stats.nr_wmark_deactivations = 2;
   stats.wmark_active = false;
-  cs.backoff = {3, 5 * kUsPerSec};
-  cs.slot.quota.window_start = kUsPerSec;
-  cs.slot.quota.charged_sz = 8192;
-  cs.slot.quota.charged_us = 1.0 / 3.0;
-  cs.slot.quota.esz = 4 * MiB;
-  cs.slot.quota.total_charged_sz = 65536;
-  cs.slot.quota.total_charged_us = 2.5;
-  cs.slot.wmark_active = false;
-  cs.slot.next_wmark_check = 1100000;
-  cp.schemes.push_back(cs);
+  damos::SchemeRuntime& runtime = scheme.runtime();
+  runtime.backoff_exp = 3;
+  runtime.backoff_until = 5 * kUsPerSec;
+  runtime.quota.window_start = kUsPerSec;
+  runtime.quota.charged_sz = 8192;
+  runtime.quota.charged_us = 1.0 / 3.0;
+  runtime.quota.esz = 4 * MiB;
+  runtime.quota.total_charged_sz = 65536;
+  runtime.quota.total_charged_us = 2.5;
+  runtime.wmark.active = false;
+  runtime.wmark.next_check = 1100000;
+  cp.schemes.push_back(scheme);
 
   cp.recorder_every = kUsPerSec;
   cp.recorder_next = 2 * kUsPerSec;
@@ -209,7 +216,7 @@ TEST(CheckpointRoundTripTest, LiveCaptureReserializesExactly) {
   EXPECT_EQ(SerializeCheckpoint(*parsed), text);
   EXPECT_GT(parsed->targets.at(0).regions.size(), 0u);
   ASSERT_EQ(parsed->schemes.size(), 1u);
-  EXPECT_GT(parsed->schemes[0].scheme.stats().nr_tried, 0u);
+  EXPECT_GT(parsed->schemes[0].stats().nr_tried, 0u);
 }
 
 // The two goldens below were recorded before the checkpoint format moved to
@@ -229,7 +236,7 @@ TEST(CheckpointFormatTest, FullCheckpointTextPinned) {
   EXPECT_EQ(parsed->sched.target_layout_gens,
             (std::vector<std::uint64_t>{1, 4}));
   EXPECT_EQ(parsed->targets.at(1).regions.size(), 2u);
-  EXPECT_EQ(parsed->schemes.at(0).slot.quota.charged_us, 1.0 / 3.0);
+  EXPECT_EQ(parsed->schemes.at(0).runtime().quota.charged_us, 1.0 / 3.0);
   EXPECT_EQ(parsed->recorder_tail.at(1).target_index, 1);
 }
 
@@ -321,6 +328,172 @@ TEST(CheckpointRoundTripTest, TargetCountMismatchFailsRestore) {
   EXPECT_FALSE(
       rig.supervisor.RestoreFromText(SerializeCheckpoint(cp), &error));
   EXPECT_NE(error.find("2 targets"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Commit carry rules (SchemesEngine::CommitSchemes), read through the
+// checkpoint's per-scheme records: the one view of a scheme's runtime that
+// does not depend on where the engine keeps it.
+// ---------------------------------------------------------------------------
+
+/// One scheme's runtime records, as SerializeCheckpoint prints them.
+struct SchemeRecords {
+  std::string stats;
+  std::string backoff;
+  std::string quota;
+  std::string wmark;
+  bool operator==(const SchemeRecords&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SchemeRecords& r) {
+  return os << "{" << r.stats << " | " << r.backoff << " | " << r.quota
+            << " | " << r.wmark << "}";
+}
+
+/// The records every freshly installed scheme carries.
+const SchemeRecords kColdRecords{
+    "stats 0 0 0 0 0 0 0 0 0 0 1", "backoff 0 0",
+    "quota 0 0 0x0p+0 18446744073709551615 0 0x0p+0", "wmark 1 0"};
+
+std::vector<SchemeRecords> RuntimeRecords(const std::string& text) {
+  std::vector<SchemeRecords> out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::string key = line.substr(0, line.find(' '));
+    if (key == "stats") out.emplace_back().stats = line;
+    if (out.empty()) continue;
+    if (key == "backoff") out.back().backoff = line;
+    if (key == "quota") out.back().quota = line;
+    if (key == "wmark") out.back().wmark = line;
+  }
+  return out;
+}
+
+// Scheme 0 and 1 share their bounds (one identity, two quotas) and fail
+// every pageout, so both are parked by the backoff with charges in their
+// windows; scheme 2 is gated off by its watermark on the first check.
+constexpr char kCarrySchemes[] =
+    "min max min min 1s max pageout quota_sz=4M\n"
+    "min max min min 1s max pageout quota_sz=2M\n"
+    "min max min min min max stat wmarks=free_mem_rate,900,500,1\n";
+
+/// Drives a fresh engine over a failing swap device, commits `next` and
+/// returns the records before and after the commit.
+struct CarryResult {
+  std::vector<SchemeRecords> before;
+  std::vector<SchemeRecords> after;
+  damos::SchemesEngine::CommitOutcome outcome;
+};
+
+CarryResult CommitAfterRun(const char* next) {
+  fault::FaultPlane plane;  // own plane: DAOS_FAULTS cannot move the runtime
+  plane.Arm(fault::kSwapWriteError, fault::FaultSpec{1.0});
+  sim::Machine machine(sim::MachineSpec{"carry", 4, 3.0, 4 * GiB},
+                       sim::SwapConfig::Zram());
+  machine.SetFaultPlane(&plane);
+  sim::AddressSpace space(1, &machine, 3.0);
+  space.Map(kBase, kHeap, "heap");
+  space.TouchRange(kBase, kBase + kHeap, true, 0);
+  damon::DamonContext ctx(damon::MonitoringAttrs::PaperDefaults(),
+                          /*seed=*/42);
+  ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(&space));
+  damos::SchemesEngine engine;
+  engine.SetMachine(&machine);
+  engine.Attach(ctx);
+  EXPECT_TRUE(engine.InstallFromText(kCarrySchemes));
+  SimTimeUs now = 0;
+  for (; now < 3 * kUsPerSec; now += ctx.attrs().sampling_interval)
+    ctx.Step(now, ctx.attrs().sampling_interval);
+
+  CarryResult result;
+  result.before = RuntimeRecords(SerializeCheckpoint(
+      lifecycle::CaptureCheckpoint(ctx, engine, nullptr, now)));
+  damos::ParseResult parsed = damos::ParseSchemes(next);
+  EXPECT_TRUE(parsed.ok());
+  result.outcome = engine.CommitSchemes(std::move(parsed.schemes));
+  result.after = RuntimeRecords(SerializeCheckpoint(
+      lifecycle::CaptureCheckpoint(ctx, engine, nullptr, now)));
+  return result;
+}
+
+SchemeRecords WithQuota(SchemeRecords r, const SchemeRecords& from) {
+  r.quota = from.quota;
+  return r;
+}
+
+TEST(CheckpointCarryRulesTest, RunLeavesEveryRuntimeFamilyWarm) {
+  const CarryResult r = CommitAfterRun(kCarrySchemes);
+  ASSERT_EQ(r.before.size(), 3u);
+  for (int si : {0, 1}) {
+    EXPECT_NE(r.before[si].backoff, kColdRecords.backoff) << si;
+    EXPECT_NE(r.before[si].quota, kColdRecords.quota) << si;
+    EXPECT_NE(r.before[si].stats, kColdRecords.stats) << si;
+  }
+  EXPECT_NE(r.before[0].quota, r.before[1].quota);
+  EXPECT_NE(r.before[2].wmark, kColdRecords.wmark);
+  EXPECT_EQ(r.before[2].stats.back(), '0');  // gate closed in the stats too
+}
+
+TEST(CheckpointCarryRulesTest, SameSetCarriesEverything) {
+  const CarryResult r = CommitAfterRun(kCarrySchemes);
+  EXPECT_EQ(r.after, r.before);
+  EXPECT_EQ(r.outcome.carried, 3u);
+  EXPECT_EQ(r.outcome.fresh, 0u);
+  EXPECT_EQ(r.outcome.quota_resets, 0u);
+}
+
+TEST(CheckpointCarryRulesTest, ChangedQuotaZeroesOnlyTheQuota) {
+  const CarryResult r = CommitAfterRun(
+      "min max min min 1s max pageout quota_sz=8M\n"
+      "min max min min 1s max pageout quota_sz=2M\n"
+      "min max min min min max stat wmarks=free_mem_rate,900,500,1\n");
+  ASSERT_EQ(r.after.size(), 3u);
+  EXPECT_EQ(r.after[0], WithQuota(r.before[0], kColdRecords));
+  EXPECT_EQ(r.after[1], r.before[1]);
+  EXPECT_EQ(r.after[2], r.before[2]);
+  EXPECT_EQ(r.outcome.quota_resets, 1u);
+}
+
+TEST(CheckpointCarryRulesTest, ChangedWmarksReopensTheGate) {
+  const CarryResult r = CommitAfterRun(
+      "min max min min 1s max pageout quota_sz=4M\n"
+      "min max min min 1s max pageout quota_sz=2M\n"
+      "min max min min min max stat wmarks=free_mem_rate,950,500,1\n");
+  ASSERT_EQ(r.after.size(), 3u);
+  EXPECT_EQ(r.after[0], r.before[0]);
+  EXPECT_EQ(r.after[1], r.before[1]);
+  SchemeRecords reopened = r.before[2];
+  reopened.stats.back() = '1';
+  reopened.wmark = kColdRecords.wmark;
+  EXPECT_EQ(r.after[2], reopened);
+  EXPECT_EQ(r.outcome.carried, 3u);
+  EXPECT_EQ(r.outcome.quota_resets, 0u);
+}
+
+TEST(CheckpointCarryRulesTest, NewBoundsStartCold) {
+  const CarryResult r = CommitAfterRun(
+      "min max min min 2s max pageout quota_sz=4M\n"
+      "min max min min min max stat wmarks=free_mem_rate,900,500,1\n");
+  ASSERT_EQ(r.after.size(), 2u);
+  EXPECT_EQ(r.after[0], kColdRecords);
+  EXPECT_EQ(r.after[1], r.before[2]);
+  EXPECT_EQ(r.outcome.carried, 1u);
+  EXPECT_EQ(r.outcome.fresh, 1u);
+}
+
+TEST(CheckpointCarryRulesTest, EqualBoundsTakeTheFirstUntakenSlot) {
+  const CarryResult r = CommitAfterRun(
+      "min max min min 1s max pageout quota_sz=4M\n"
+      "min max min min 1s max pageout quota_sz=4M\n"
+      "min max min min 1s max pageout quota_sz=4M\n");
+  ASSERT_EQ(r.after.size(), 3u);
+  EXPECT_EQ(r.after[0], r.before[0]);
+  EXPECT_EQ(r.after[1], WithQuota(r.before[1], kColdRecords));
+  EXPECT_EQ(r.after[2], kColdRecords);
+  EXPECT_EQ(r.outcome.carried, 2u);
+  EXPECT_EQ(r.outcome.fresh, 1u);
+  EXPECT_EQ(r.outcome.quota_resets, 1u);
 }
 
 }  // namespace

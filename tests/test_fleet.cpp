@@ -115,6 +115,24 @@ TEST(FleetRollout, RejectsBadSpecsWithNothingStaged) {
     EXPECT_FALSE(fleet.in_wave(i));
 }
 
+TEST(FleetRollout, FailedInitialInstallIsReported) {
+  fleet::FleetConfig config = SmallFleet();
+  config.nr_shards = 2;
+  config.initial_schemes = "bogus";
+  fleet::FleetController fleet(config);
+  EXPECT_EQ(fleet.init_error().rfind("shard 0: line 1: ", 0), 0u)
+      << fleet.init_error();
+  const std::string status = fleet.StatusText();
+  EXPECT_NE(status.find("\ninit_error " + fleet.init_error() + "\n"),
+            std::string::npos)
+      << status;
+
+  config.initial_schemes = "min max min min 6s max pageout";
+  fleet::FleetController healthy(config);
+  EXPECT_EQ(healthy.init_error(), "");
+  EXPECT_EQ(healthy.StatusText().find("init_error"), std::string::npos);
+}
+
 TEST(FleetRollout, ParseRolloutSpecGrammar) {
   fleet::RolloutSpec spec;
   std::string error;

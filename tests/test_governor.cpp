@@ -206,8 +206,6 @@ class GovernorWatermarkTest : public ::testing::Test {
   GovernorWatermarkTest()
       : machine_(sim::MachineSpec{"wm", 4, 3.0, 1 * GiB},
                  sim::SwapConfig::Zram()) {
-    governor_.BindMachine(&machine_);
-    governor_.Reset(1);
     policy_ = [] {
       GovernorPolicy p;
       std::string error;
@@ -225,11 +223,13 @@ class GovernorWatermarkTest : public ::testing::Test {
   }
 
   PassPlan Plan(SimTimeUs now) {
-    return governor_.PlanPass(0, policy_, damon::DamosAction::kPageout, now);
+    return PlanPass(policy_, damon::DamosAction::kPageout, now, &machine_,
+                    &quota_, &gate_);
   }
 
   sim::Machine machine_;
-  Governor governor_;
+  QuotaState quota_;
+  WatermarkGate gate_;
   GovernorPolicy policy_;
 };
 
@@ -243,7 +243,7 @@ TEST_F(GovernorWatermarkTest, DeactivatesAboveHighReactivatesAtMid) {
   plan = Plan(100 * kUsPerMs);
   EXPECT_TRUE(plan.skip);
   EXPECT_TRUE(plan.wmark_transition);
-  EXPECT_FALSE(governor_.wmark_active(0));
+  EXPECT_FALSE(gate_.active);
 
   // Hysteresis: dipping back under high but above mid is NOT enough.
   SetFree(600);
@@ -255,14 +255,14 @@ TEST_F(GovernorWatermarkTest, DeactivatesAboveHighReactivatesAtMid) {
   plan = Plan(300 * kUsPerMs);
   EXPECT_FALSE(plan.skip);
   EXPECT_TRUE(plan.wmark_transition);
-  EXPECT_TRUE(governor_.wmark_active(0));
+  EXPECT_TRUE(gate_.active);
 }
 
 TEST_F(GovernorWatermarkTest, DeactivatesBelowLow) {
   SetFree(50);  // emergency: below low, leave reclaim to the kernel
   const PassPlan plan = Plan(0);
   EXPECT_TRUE(plan.skip);
-  EXPECT_FALSE(governor_.wmark_active(0));
+  EXPECT_FALSE(gate_.active);
 }
 
 TEST_F(GovernorWatermarkTest, ChecksOnlyAtIntervalBoundaries) {
@@ -275,10 +275,10 @@ TEST_F(GovernorWatermarkTest, ChecksOnlyAtIntervalBoundaries) {
 }
 
 TEST_F(GovernorWatermarkTest, NoMachineFailsOpen) {
-  Governor unbound;
-  unbound.Reset(1);
-  const PassPlan plan =
-      unbound.PlanPass(0, policy_, damon::DamosAction::kPageout, 0);
+  QuotaState quota;
+  WatermarkGate gate;
+  const PassPlan plan = PlanPass(policy_, damon::DamosAction::kPageout, 0,
+                                 nullptr, &quota, &gate);
   EXPECT_FALSE(plan.skip);
 }
 

@@ -57,7 +57,7 @@ TEST(GovernorPropertyTest, PerWindowChargeNeverExceedsQuota) {
   // `total_charged_sz - charged_sz` is exactly the charge accumulated in
   // *completed* windows (rolls zero the window charge, never the lifetime
   // total), so its delta between two rolls is the closed window's charge.
-  const governor::QuotaState& qs = engine.governor().quota_state(0);
+  const governor::QuotaState& qs = engine.schemes()[0].runtime().quota;
   std::uint64_t completed_prev = 0;
   std::uint64_t closed_windows = 0;
   for (SimTimeUs now = 0; now < 8 * kUsPerSec;
@@ -236,7 +236,7 @@ TEST(GovernorPropertyTest, WatermarkDeactivationFreezesNrTried) {
   EXPECT_EQ(st.nr_tried, tried_at_release);
   EXPECT_FALSE(st.wmark_active);
   EXPECT_GE(st.nr_wmark_deactivations, 2u);
-  EXPECT_FALSE(engine.governor().wmark_active(0));
+  EXPECT_FALSE(engine.schemes()[0].runtime().wmark.active);
 }
 
 // ---------------------------------------------------------------------------

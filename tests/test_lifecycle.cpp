@@ -245,7 +245,7 @@ TEST(LifecycleRestoreTest, GovernorQuotaChargeSurvivesRestore) {
   rig.system.Run(4 * kUsPerSec);
 
   const governor::QuotaState before =
-      rig.supervisor.engine().governor().quota_state(0);
+      rig.supervisor.engine().schemes()[0].runtime().quota;
   ASSERT_GT(before.charged_sz, 0u);
 
   const std::string text = rig.supervisor.CaptureCheckpointText();
@@ -253,14 +253,14 @@ TEST(LifecycleRestoreTest, GovernorQuotaChargeSurvivesRestore) {
   ASSERT_TRUE(rig.supervisor.RestoreFromText(text, &error)) << error;
 
   const governor::QuotaState after =
-      rig.supervisor.engine().governor().quota_state(0);
+      rig.supervisor.engine().schemes()[0].runtime().quota;
   EXPECT_EQ(after.charged_sz, before.charged_sz);
   EXPECT_EQ(after.window_start, before.window_start);
   EXPECT_EQ(after.total_charged_sz, before.total_charged_sz);
 
   // The restored window keeps honoring the cap.
   rig.system.Run(2 * kUsPerSec);
-  EXPECT_LE(rig.supervisor.engine().governor().quota_state(0).charged_sz,
+  EXPECT_LE(rig.supervisor.engine().schemes()[0].runtime().quota.charged_sz,
             2 * MiB);
 }
 

@@ -3,8 +3,11 @@
 // installed state untouched — never crash, never half-apply.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <new>
 #include <optional>
 #include <string>
 #include <utility>
@@ -29,6 +32,31 @@
 #include "util/units.hpp"
 #include "workload/generator.hpp"
 #include "workload/profile.hpp"
+
+// Every allocation of this binary goes through a replaced global operator
+// new. While `g_watch_allocs` is set it records the largest request, and
+// refuses any above 64 MiB, so a parser that sizes a buffer from an
+// untrusted count fails its test without taking the memory.
+namespace {
+std::atomic<bool> g_watch_allocs{false};
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_watch_allocs.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+    while (seen < size && !g_largest_alloc.compare_exchange_weak(seen, size)) {
+    }
+    if (size > (std::size_t{64} << 20)) throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(std::max<std::size_t>(size, 1))) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free with new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace daos {
 namespace {
@@ -453,7 +481,7 @@ std::vector<std::string> SplitLines(const std::string& text) {
   std::size_t pos = 0;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size() - 1;
+    if (eol == std::string::npos) eol = text.size();
     lines.push_back(text.substr(pos, eol - pos));
     pos = eol + 1;
   }
@@ -643,7 +671,11 @@ std::string Mutate(const std::string& golden,
     for (const std::string& t : tokens) line += (line.empty() ? "" : " ") + t;
     lines[li] = line;
   }
-  return JoinLines(lines);
+  std::string text = JoinLines(lines);
+  // A golden without a final newline (a trace's binary body) keeps its
+  // last byte as it was.
+  if (!golden.ends_with('\n') && !text.empty()) text.pop_back();
+  return text;
 }
 
 /// True when `error` reads "line N: <message>" with N >= 1.
@@ -1442,6 +1474,78 @@ TEST(MalformedTraceTest, HostileHeaderNumbersRejected) {
   };
   reject("data_bytes", "-1", 5);  // magic, name, page_shift, quantum_us
   reject("mem_boundness", "nan", 7);
+}
+
+TEST(MalformedTraceTest, HostileEventCountReservesNoMoreThanTheBody) {
+  // A ~150-byte header claiming 2^24 events and carrying no body must not
+  // make the parser ask for 2^24 TraceEvents (1 GiB) up front.
+  const std::string text =
+      SerializeHeader(trace::TraceMeta{}, 1ULL << 24, 0);
+  g_largest_alloc = 0;
+  g_watch_allocs = true;
+  std::optional<trace::Trace> parsed;
+  trace::TraceError error;
+  EXPECT_NO_THROW(parsed = trace::ParseTrace(text, &error));
+  g_watch_allocs = false;
+  EXPECT_FALSE(parsed.has_value());
+  EXPECT_LE(g_largest_alloc.load(), 64 * KiB);
+}
+
+TEST(MalformedTraceTest, NameWithEmbeddedNulRoundTrips) {
+  // Found by the trace mutants below: the header writer stopped the name at
+  // its first NUL byte, so a parsed trace did not write back as itself.
+  trace::Trace t = TinyTrace();
+  t.meta.name = std::string("a\0b", 3);
+  trace::TraceError error;
+  const std::optional<trace::Trace> parsed =
+      trace::ParseTrace(SerializeTrace(t), &error);
+  ASSERT_TRUE(parsed.has_value()) << error.Format();
+  EXPECT_EQ(parsed->meta.name, t.meta.name);
+}
+
+// --- trace file mutants (src/trace) ---------------------------------------
+
+TEST(MalformedTraceTest, MutantsNeverCrashAndReachAFixpoint) {
+  // A recorded trace parsed and written again must stay parseable. Header
+  // errors name their line; body errors name their byte offset.
+  FuzzFixpoint<trace::Trace>({
+      .golden = SerializeTrace(TinyTrace()),
+      .words = {"0", "1", "9", "10", "12", "20", "21", "62", "-1", "-0",
+                "4294967296", "18446744073709551615", "18446744073709551616",
+                "0x1p+1", "-0x1p-1", "1e308", "1e309", "nan", "inf", "name",
+                "events", "chunks", "body", "daos-trace", "v1", "x", ""},
+      .seed = 0x7ace'f11e'0b0d'1e55ULL,
+      .parse =
+          [](const std::string& text, std::string* error) {
+            trace::TraceError e;
+            std::optional<trace::Trace> t = trace::ParseTrace(text, &e);
+            if (!t.has_value()) *error = e.Format();
+            return t;
+          },
+      .format = [](const trace::Trace& t) { return SerializeTrace(t); },
+      .same =
+          [](const trace::Trace& a, const trace::Trace& b) {
+            const trace::TraceMeta& x = a.meta;
+            const trace::TraceMeta& y = b.meta;
+            return x.name == y.name && x.page_shift == y.page_shift &&
+                   x.quantum_us == y.quantum_us &&
+                   x.data_bytes == y.data_bytes &&
+                   x.runtime_s == y.runtime_s &&
+                   x.mem_boundness == y.mem_boundness &&
+                   x.thp_gain == y.thp_gain && x.zram_ratio == y.zram_ratio &&
+                   a.events == b.events;
+          },
+      .names_line =
+          [](std::string_view error) {
+            if (NamesLine(error)) return true;
+            if (!error.starts_with("offset ")) return false;
+            error.remove_prefix(7);
+            const std::size_t colon = error.find(": ");
+            return colon != std::string_view::npos &&
+                   colon + 2 < error.size() &&
+                   ParseU64(error.substr(0, colon)).has_value();
+          },
+  });
 }
 
 TEST(MalformedIngestTest, CsvNegativeTimeRejected) {

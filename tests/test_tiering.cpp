@@ -281,7 +281,7 @@ TEST(TieringPropertyTest, MigrationChargeNeverExceedsQuota) {
   // the charge of *completed* windows, so deltas between rolls bound each
   // closed window. Migration charges are attempt-based — an injected
   // tier.migrate_fail must never let the scheme overdraw.
-  const governor::QuotaState& qs = engine.governor().quota_state(0);
+  const governor::QuotaState& qs = engine.schemes()[0].runtime().quota;
   std::uint64_t completed_prev = 0;
   std::uint64_t closed_windows = 0;
   for (SimTimeUs now = 0; now < 8 * kUsPerSec;
