@@ -20,6 +20,7 @@
 
 #include "analysis/experiment.hpp"
 #include "analysis/runner.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 #include "workload/profile.hpp"
 
@@ -135,13 +136,7 @@ inline bool IsJsonArray(std::string_view text) {
 /// to recover, not to overwrite. The new array goes to `path`.tmp and is
 /// renamed over `path`, so a crash mid-write cannot truncate it either.
 inline bool AppendTrajectory(const std::string& path, std::string_view row) {
-  std::string text;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-    std::fclose(f);
-  }
+  const std::string text = ReadFile(path).value_or("");
   std::string_view head = TrimWhitespace(text);  // all but the closing ']'
   if (head.empty()) {
     head = "[";
@@ -165,13 +160,7 @@ inline bool AppendTrajectory(const std::string& path, std::string_view row) {
           DAOS_GIT_REVISION, FullMode() ? "full" : "quick");
 
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  bool ok = f != nullptr;
-  if (ok) {
-    ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-    ok = std::fclose(f) == 0 && ok;
-  }
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (!WriteFile(tmp, out) || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     std::fprintf(stderr, "%s: cannot write the trajectory\n", path.c_str());
     return false;

@@ -4,10 +4,16 @@
 //
 // Prints, per workload, one row per min_age with score.i / score.m /
 // score.z (mean and, with repeats, stddev), then the classified score
-// pattern per machine — the empirical validation of the six Figure 3
-// patterns (paper Conclusion-1).
+// pattern per machine — the empirical check of the Figure 3 patterns
+// (paper Conclusion-1).
+//
+// The claim EXPERIMENTS.md makes is a check: the program exits 1, naming
+// the pattern on stderr, when one of the four patterns the sweep is said to
+// produce (rising, peak-ends-positive, peak-ends-negative, falling) never
+// occurs.
 #include <cstdio>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "analysis/patterns.hpp"
@@ -45,6 +51,7 @@ int main() {
               "repeats: %d\n\n",
               names.size(), hosts.size(), ages.size(), repeats);
 
+  std::set<analysis::ScorePattern> seen;
   for (const std::string& name : names) {
     const workload::WorkloadProfile profile =
         bench::CapSize(*workload::FindProfile(name));
@@ -122,12 +129,25 @@ int main() {
     for (const auto& host : hosts) {
       std::vector<double> by_aggr(mean_scores[host.name].rbegin(),
                                   mean_scores[host.name].rend());
+      const analysis::ScorePattern pattern =
+          analysis::ClassifyScores(by_aggr, 2.0);
+      seen.insert(pattern);
       std::printf("  %s=%s", host.name.c_str(),
-                  std::string(analysis::ScorePatternName(
-                                  analysis::ClassifyScores(by_aggr, 2.0)))
-                      .c_str());
+                  std::string(analysis::ScorePatternName(pattern)).c_str());
     }
     std::printf("\n\n");
   }
-  return 0;
+
+  int misses = 0;
+  for (const analysis::ScorePattern pattern :
+       {analysis::ScorePattern::kRising,
+        analysis::ScorePattern::kPeakEndsPositive,
+        analysis::ScorePattern::kPeakEndsNegative,
+        analysis::ScorePattern::kFalling}) {
+    if (seen.contains(pattern)) continue;
+    ++misses;
+    std::fprintf(stderr, "claim failed: pattern %s never occurred\n",
+                 std::string(analysis::ScorePatternName(pattern)).c_str());
+  }
+  return misses == 0 ? 0 : 1;
 }

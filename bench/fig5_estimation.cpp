@@ -60,7 +60,7 @@ int main() {
                                             measured[0].avg_rss_bytes};
   std::printf("%-10s %10s\n", "min_age", "measured");
   std::vector<double> xs, ys;
-  autotune::DefaultScoreFunction measured_score;
+  autotune::ScoreFunction measured_score;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& r = measured[i + 1];
     const double score =

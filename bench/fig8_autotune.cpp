@@ -89,7 +89,7 @@ int main() {
     // Scores via the paper's Listing-2 function: SLA violations (>10 %
     // performance drop) are penalized, which is exactly what the manual
     // scheme suffers on mistuned workloads.
-    autotune::DefaultScoreFunction man_fn, aut_fn;
+    autotune::ScoreFunction man_fn, aut_fn;
     cell.man_score = man_fn.Score(man, bl);
     cell.aut_score = aut_fn.Score(aut, bl);
     cell.tuned_min_age_s =

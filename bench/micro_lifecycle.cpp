@@ -9,18 +9,19 @@
 //   stage     validate + stage a commit bundle (the /commit write path)
 //
 // Capture and restore bound how often a deployment can afford periodic
-// checkpoints; stage is the latency a reconfiguration writer sees.
+// checkpoints; stage is the latency a reconfiguration writer sees. Before
+// timing anything the bench exits 1 unless capture -> restore -> capture
+// is the identity and the checkpoint carries at most kRecorderTailMax
+// snapshots.
 //
 // Results append a machine-readable entry to BENCH_lifecycle.json in the
 // working directory (one entry per run).
 //
 // Build & run:  ./build/bench/micro_lifecycle
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "bench/common.hpp"
-#include "damon/primitives.hpp"
 #include "lifecycle/checkpoint.hpp"
 #include "lifecycle/supervisor.hpp"
 #include "sim/system.hpp"
@@ -58,11 +59,7 @@ Result Run() {
   space.TouchRange(kHeapStart, kHeapStart + kHeap, true, 0);
 
   lifecycle::KdamondSupervisor supervisor;
-  sim::AddressSpace* heap = &space;
-  supervisor.SetTargetFactory([heap](damon::DamonContext& ctx) {
-    ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(heap));
-  });
-  supervisor.AttachTo(system);
+  supervisor.AttachTo(system, {&space});
   std::string error;
   supervisor.InstallSchemesFromText(
       "min max min min 2s max pageout quota_sz=32M quota_reset_ms=1000 "
@@ -77,6 +74,13 @@ Result Run() {
   for (const lifecycle::CheckpointTarget& t : cp.targets)
     r.regions += t.regions.size();
   r.snapshots = cp.recorder_tail.size();
+  if (r.snapshots > lifecycle::kRecorderTailMax)
+    bench::Die("micro_lifecycle",
+               "the checkpoint carries more than kRecorderTailMax snapshots");
+  if (!supervisor.RestoreFromText(text, &error) ||
+      supervisor.CaptureCheckpointText() != text)
+    bench::Die("micro_lifecycle",
+               "capture -> restore -> capture is not the identity");
 
   r.capture_wall_us =
       TimeAvgUs(50, [&] { (void)supervisor.CaptureCheckpointText(); });

@@ -68,6 +68,7 @@
 #include "sim/system.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_buffer.hpp"
+#include "util/file.hpp"
 #include "util/units.hpp"
 #include "workload/generator.hpp"
 #include "workload/profile.hpp"
@@ -94,26 +95,6 @@ void Cat(daos::dbgfs::PseudoFs& fs, const std::string& path) {
               fs.Read(path).value_or("<unreadable>\n").c_str());
 }
 
-std::optional<std::string> Slurp(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return std::nullopt;
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
-bool Spill(const char* path, const std::string& content) {
-  std::FILE* f = std::fopen(path, "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-                  content.size();
-  std::fclose(f);
-  return ok;
-}
-
 /// One supervised kdamond over the demo workload: the lifecycle verbs all
 /// operate on this stack through the /lifecycle control files.
 struct SupervisedRun {
@@ -133,14 +114,7 @@ struct SupervisedRun {
         daos::workload::FindProfile("parsec3/freqmine");
     proc = &system.AddProcess(daos::workload::ToProcessParams(*profile),
                               daos::workload::MakeSource(*profile, 11));
-    daos::sim::Process* target = proc;
-    const double check_us = system.machine().costs().monitor_check_us;
-    supervisor.SetTargetFactory(
-        [target, check_us](daos::damon::DamonContext& ctx) {
-          ctx.AddTarget(std::make_unique<daos::damon::VaddrPrimitives>(
-              &target->space(), check_us));
-        });
-    supervisor.AttachTo(system);
+    supervisor.AttachTo(system, {&proc->space()});
   }
 
   static daos::lifecycle::SupervisorConfig MakeConfig() {
@@ -151,7 +125,7 @@ struct SupervisedRun {
 };
 
 int RunCommit(const char* bundle_path) {
-  const std::optional<std::string> bundle = Slurp(bundle_path);
+  const std::optional<std::string> bundle = daos::ReadFile(bundle_path);
   if (!bundle.has_value()) {
     std::fprintf(stderr, "cannot read bundle file '%s'\n", bundle_path);
     return 1;
@@ -187,7 +161,7 @@ int RunCheckpoint(const char* out_path) {
   run.system.Run(10 * daos::kUsPerSec);
   const std::optional<std::string> checkpoint =
       run.fs.Read("/lifecycle/checkpoint");
-  if (!checkpoint.has_value() || !Spill(out_path, *checkpoint)) {
+  if (!checkpoint.has_value() || !daos::WriteFile(out_path, *checkpoint)) {
     std::fprintf(stderr, "cannot write checkpoint to '%s'\n", out_path);
     return 1;
   }
@@ -233,7 +207,7 @@ int RunRecord(const char* workload, const char* out_path) {
   system.Run(900 * kUsPerSec);
   if (!Echo(fs, "off", "/trace/record")) return 1;
   const std::optional<std::string> blob = fs.Read("/trace/data");
-  if (!blob.has_value() || !Spill(out_path, *blob)) {
+  if (!blob.has_value() || !daos::WriteFile(out_path, *blob)) {
     std::fprintf(stderr, "cannot write trace to '%s'\n", out_path);
     return 1;
   }
@@ -278,7 +252,7 @@ int RunReplay(const char* in_path) {
 /// `daos_ctl ingest <in.txt> <out.dtr>`: lackey/CSV text -> daos-trace v1.
 int RunIngest(const char* in_path, const char* out_path) {
   using namespace daos;
-  const std::optional<std::string> text = Slurp(in_path);
+  const std::optional<std::string> text = daos::ReadFile(in_path);
   if (!text.has_value()) {
     std::fprintf(stderr, "cannot read trace text '%s'\n", in_path);
     return 1;
@@ -314,7 +288,7 @@ int RunIngest(const char* in_path, const char* out_path) {
 }
 
 int RunRestore(const char* in_path) {
-  const std::optional<std::string> checkpoint = Slurp(in_path);
+  const std::optional<std::string> checkpoint = daos::ReadFile(in_path);
   if (!checkpoint.has_value()) {
     std::fprintf(stderr, "cannot read checkpoint file '%s'\n", in_path);
     return 1;
@@ -402,7 +376,7 @@ int RunFleetStatus() {
 }
 
 int RunFleetRollout(const char* spec_path) {
-  const std::optional<std::string> spec = Slurp(spec_path);
+  const std::optional<std::string> spec = daos::ReadFile(spec_path);
   if (!spec.has_value()) {
     std::fprintf(stderr, "cannot read rollout spec '%s'\n", spec_path);
     return 1;

@@ -16,18 +16,18 @@ double RawScore(const TrialMeasurement& trial, const TrialMeasurement& baseline,
   return 100.0 * (perf_weight * pscore + mem_weight * mscore);
 }
 
-double DefaultScoreFunction::Score(const TrialMeasurement& trial,
-                                   const TrialMeasurement& baseline) {
+double ScoreFunction::Score(const TrialMeasurement& trial,
+                            const TrialMeasurement& baseline) {
   const double pscore =
       baseline.runtime_s > 0 ? -(trial.runtime_s / baseline.runtime_s - 1.0)
                              : 0.0;
-  if (pscore > -sla_) {
-    const double score = RawScore(trial, baseline, perf_weight_, mem_weight_);
+  if (pscore > -kSlaMaxPerfDrop) {
+    const double score = RawScore(trial, baseline);
     prev_scores_.push_back(score);
     return score;
   }
   // SLA violated: "the worst score ever calculated is returned".
-  if (prev_scores_.empty()) return -100.0 * sla_;
+  if (prev_scores_.empty()) return -100.0 * kSlaMaxPerfDrop;
   return *std::min_element(prev_scores_.begin(), prev_scores_.end());
 }
 

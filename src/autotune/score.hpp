@@ -5,7 +5,6 @@
 // improvement), matching the y-axes of Figures 4 and 5.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 namespace daos::autotune {
@@ -22,39 +21,28 @@ struct TrialMeasurement {
   int retries = 0;
 };
 
-/// Stateful score function interface; the default implementation is the
-/// paper's Listing 2 verbatim: equal weights, SLA of at most 10 %
-/// performance drop, SLA violations return the worst score seen so far.
+// Listing 2's constants: equal weights, and an SLA of at most a 10 %
+// performance drop.
+inline constexpr double kPerfWeight = 0.5;
+inline constexpr double kMemWeight = 0.5;
+inline constexpr double kSlaMaxPerfDrop = 0.10;
+
+/// The paper's Listing 2 score function, verbatim. It is stateful: an SLA
+/// violation returns the worst score seen since the last Reset().
 class ScoreFunction {
  public:
-  virtual ~ScoreFunction() = default;
-  virtual double Score(const TrialMeasurement& trial,
-                       const TrialMeasurement& baseline) = 0;
-  virtual void Reset() = 0;
-};
-
-class DefaultScoreFunction final : public ScoreFunction {
- public:
-  DefaultScoreFunction(double perf_weight = 0.5, double mem_weight = 0.5,
-                       double sla_max_perf_drop = 0.10)
-      : perf_weight_(perf_weight),
-        mem_weight_(mem_weight),
-        sla_(sla_max_perf_drop) {}
-
   double Score(const TrialMeasurement& trial,
-               const TrialMeasurement& baseline) override;
-  void Reset() override { prev_scores_.clear(); }
+               const TrialMeasurement& baseline);
+  void Reset() { prev_scores_.clear(); }
 
  private:
-  double perf_weight_;
-  double mem_weight_;
-  double sla_;
   std::vector<double> prev_scores_;
 };
 
 /// Stateless scoring helper used by analysis code (no SLA floor state):
 /// 100 * (w_p * perf_improvement + w_m * memory_saving).
 double RawScore(const TrialMeasurement& trial, const TrialMeasurement& baseline,
-                double perf_weight = 0.5, double mem_weight = 0.5);
+                double perf_weight = kPerfWeight,
+                double mem_weight = kMemWeight);
 
 }  // namespace daos::autotune

@@ -8,11 +8,8 @@ namespace daos::autotune {
 /// Fraction of samples spent exploring globally (paper: 60/40).
 constexpr double kExploreFrac = 0.6;
 
-AutoTuner::AutoTuner(TunerConfig config, std::unique_ptr<ScoreFunction> score)
-    : config_(config),
-      score_(score ? std::move(score)
-                   : std::make_unique<DefaultScoreFunction>()),
-      rng_(config.seed) {}
+AutoTuner::AutoTuner(TunerConfig config)
+    : config_(config), rng_(config.seed) {}
 
 void AutoTuner::BindTelemetry(telemetry::MetricsRegistry& registry,
                               telemetry::TraceBuffer* trace,
@@ -26,7 +23,7 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
                             const TrialRunner& runner) {
   TunerResult result;
   result.tuned = base;
-  score_->Reset();
+  score_.Reset();
 
   // The fit's x-axis is in seconds, O(1..100) for typical ranges, which
   // keeps the polynomial fit well conditioned.
@@ -62,7 +59,7 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
         registry_->GetCounter(prefix_ + ".steps").Add(1);
       return;
     }
-    const double score = score_->Score(m, result.baseline);
+    const double score = score_.Score(m, result.baseline);
     result.samples.push_back(TunerSample{min_age, score, exploration});
     if (registry_ != nullptr) {
       registry_->GetCounter(prefix_ + ".steps").Add(1);

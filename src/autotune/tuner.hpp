@@ -17,7 +17,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "autotune/polyfit.hpp"
@@ -72,7 +71,7 @@ struct TunerResult {
 
 class AutoTuner {
  public:
-  AutoTuner(TunerConfig config, std::unique_ptr<ScoreFunction> score = nullptr);
+  explicit AutoTuner(TunerConfig config);
 
   /// Tunes `base`'s min_age against `runner`.
   TunerResult Tune(const damos::Scheme& base, const TrialRunner& runner);
@@ -88,7 +87,7 @@ class AutoTuner {
 
  private:
   TunerConfig config_;
-  std::unique_ptr<ScoreFunction> score_;
+  ScoreFunction score_;
   Rng rng_;
   telemetry::MetricsRegistry* registry_ = nullptr;
   telemetry::TraceBuffer* trace_ = nullptr;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <sstream>
 
-#include "damon/primitives.hpp"
 #include "fleet/controller.hpp"
 #include "governor/governor.hpp"
 #include "lifecycle/supervisor.hpp"
@@ -246,11 +245,7 @@ ScenarioResult RunSystemScenario(const Campaign& campaign, bool tiered,
   space.Map(kBase, kHeap, "heap");
 
   lifecycle::KdamondSupervisor supervisor(FastSupervisorConfig());
-  sim::AddressSpace* heap = &space;
-  supervisor.SetTargetFactory([heap](damon::DamonContext& ctx) {
-    ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(heap));
-  });
-  supervisor.AttachTo(system);
+  supervisor.AttachTo(system, {&space});
 
   const char* schemes =
       tiered ? "min max 1 max min max migrate_hot quota_sz=16M "

@@ -12,11 +12,15 @@ void Recorder::Attach(DamonContext& ctx, SimTimeUs every) {
 void Recorder::Record(DamonContext& ctx, SimTimeUs now) {
   if (every_ != 0 && now < next_) return;
   next_ = now + every_;
-  int target_index = 0;
-  for (const DamonTarget& target : ctx.targets()) {
+  const std::vector<DamonTarget>& targets = ctx.targets();
+  // Snapshots the bound would drop at once are not taken.
+  const std::size_t first =
+      targets.size() > max_snapshots_ ? targets.size() - max_snapshots_ : 0;
+  for (std::size_t i = first; i < targets.size(); ++i) {
+    const DamonTarget& target = targets[i];
     Snapshot snap;
     snap.at = now;
-    snap.target_index = target_index++;
+    snap.target_index = static_cast<int>(i);
     snap.regions.reserve(target.regions.size());
     for (const Region& r : target.regions) {
       snap.regions.push_back(
@@ -24,6 +28,14 @@ void Recorder::Record(DamonContext& ctx, SimTimeUs now) {
     }
     snapshots_.push_back(std::move(snap));
   }
+  DropOldest();
+}
+
+void Recorder::DropOldest() {
+  if (snapshots_.size() <= max_snapshots_) return;
+  const std::size_t drop = snapshots_.size() - max_snapshots_;
+  snapshots_.erase(snapshots_.begin(),
+                   snapshots_.begin() + static_cast<std::ptrdiff_t>(drop));
 }
 
 std::uint64_t Recorder::LatestWorkingSetBytes() const {

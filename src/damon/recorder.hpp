@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "damon/monitor.hpp"
-#include "util/check.hpp"
 #include "util/types.hpp"
 
 namespace daos::damon {
@@ -29,32 +28,29 @@ struct Snapshot {
 
 class Recorder {
  public:
+  /// Keeps at most `max_snapshots`, newest kept and oldest dropped first.
+  /// The default keeps the whole history, which the heatmaps need; the
+  /// lifecycle supervisor keeps only what its checkpoint carries.
+  explicit Recorder(std::size_t max_snapshots = SIZE_MAX)
+      : max_snapshots_(max_snapshots) {}
+
   /// Registers the recorder on `ctx`. `every` limits recording frequency
   /// (0 = every aggregation interval). The recorder must outlive the
   /// context's use of the hook.
   void Attach(DamonContext& ctx, SimTimeUs every = 0);
 
   const std::vector<Snapshot>& snapshots() const noexcept { return snapshots_; }
-  /// Drops the history. NOT the restart path: a kdamond rebuilt from a
-  /// checkpoint must call RestoreTail() instead, or the snapshot history
-  /// feeding analysis/heatmap silently truncates at the crash. On a
-  /// restored recorder this is therefore refused (loudly, via DAOS_CHECK):
-  /// the restored history is preserved and the call is a no-op.
-  void Clear() {
-    if (!DAOS_CHECK(!restored_ && "Clear() on a restored recorder")) return;
-    snapshots_.clear();
-  }
 
   /// Checkpoint hooks (src/lifecycle). `RestoreTail` replaces the held
-  /// history with the checkpoint's tail and re-arms the recording cadence,
-  /// so post-restore snapshots append seamlessly after the restored ones.
+  /// history with a checkpoint's (its newest `max_snapshots` when longer)
+  /// and re-arms the recording cadence, so post-restore snapshots append
+  /// seamlessly after the restored ones.
   SimTimeUs every() const noexcept { return every_; }
   SimTimeUs next() const noexcept { return next_; }
-  bool restored() const noexcept { return restored_; }
   void RestoreTail(std::vector<Snapshot> tail, SimTimeUs next) {
     snapshots_ = std::move(tail);
     next_ = next;
-    restored_ = true;
+    DropOldest();
   }
 
   /// Total bytes believed accessed (nr_accesses > 0) in the latest
@@ -63,11 +59,12 @@ class Recorder {
 
  private:
   void Record(DamonContext& ctx, SimTimeUs now);
+  void DropOldest();
 
+  std::size_t max_snapshots_;
   std::vector<Snapshot> snapshots_;
   SimTimeUs every_ = 0;
   SimTimeUs next_ = 0;
-  bool restored_ = false;
 };
 
 }  // namespace daos::damon

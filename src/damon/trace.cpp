@@ -2,9 +2,8 @@
 
 #include <cinttypes>
 #include <climits>
-#include <fstream>
-#include <sstream>
 
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace daos::damon {
@@ -59,18 +58,12 @@ std::optional<std::vector<Snapshot>> ParseTrace(std::string_view text) {
 
 bool WriteTraceFile(const std::string& path,
                     const std::vector<Snapshot>& snapshots) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << SerializeTrace(snapshots);
-  return static_cast<bool>(out);
+  return WriteFile(path, SerializeTrace(snapshots));
 }
 
 std::optional<std::vector<Snapshot>> ReadTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return ParseTrace(buffer.str());
+  const std::optional<std::string> text = ReadFile(path);
+  return text.has_value() ? ParseTrace(*text) : std::nullopt;
 }
 
 }  // namespace daos::damon

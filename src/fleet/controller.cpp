@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "damon/primitives.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 
@@ -82,14 +81,7 @@ struct FleetController::Shard {
     std::vector<sim::AddressSpace*> spaces;
     spaces.reserve(servers.size());
     for (sim::Process* s : servers) spaces.push_back(&s->space());
-    const double check_us = system.machine().costs().monitor_check_us;
-    supervisor.SetTargetFactory(
-        [spaces, check_us](damon::DamonContext& ctx) {
-          for (sim::AddressSpace* sp : spaces)
-            ctx.AddTarget(
-                std::make_unique<damon::VaddrPrimitives>(sp, check_us));
-        });
-    supervisor.AttachTo(system);
+    supervisor.AttachTo(system, std::move(spaces));
     crash_pt = &plane->Point(fault::kFleetShardCrash);
     rollback_pt = &plane->Point(fault::kFleetRollbackFail);
     loss_pt = &plane->Point(fault::kFleetTelemetryLoss);

@@ -1,6 +1,5 @@
 #include "lifecycle/checkpoint.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <concepts>
 #include <limits>
@@ -301,10 +300,7 @@ Checkpoint CaptureCheckpoint(const damon::DamonContext& ctx,
   if (recorder != nullptr) {
     cp.recorder_every = recorder->every();
     cp.recorder_next = recorder->next();
-    const std::vector<damon::Snapshot>& all = recorder->snapshots();
-    const std::size_t keep = std::min(all.size(), kRecorderTailMax);
-    cp.recorder_tail.assign(all.end() - static_cast<std::ptrdiff_t>(keep),
-                            all.end());
+    cp.recorder_tail = recorder->snapshots();
   }
   return cp;
 }

@@ -4,12 +4,12 @@
 // A checkpoint captures everything the monitor/engine/governor stack has
 // *learned* — region splits with ages and access counts, the RNG stream,
 // scheduling deadlines, per-scheme stats, failure-backoff runtime,
-// governor quota charges and watermark phase, and the recorder tail — so
-// a supervisor can rebuild a crashed kdamond from the last snapshot
-// instead of cold-starting and throwing the adaptation away. Restoring at
-// the capture time continues bit-identically (pinned by
-// test_checkpoint_roundtrip); restoring after a crash converges within
-// one aggregation window (pinned by test_lifecycle).
+// governor quota charges and watermark phase, and the recorder's whole
+// history — so a supervisor can rebuild a crashed kdamond exactly from the
+// last snapshot instead of cold-starting. Restoring at the capture time
+// continues bit-identically (pinned by test_checkpoint_roundtrip);
+// restoring after a crash converges within one aggregation window (pinned
+// by test_lifecycle).
 //
 // The format is line-oriented text, "daos-checkpoint v1" first, one
 // record per line, doubles as hex-floats ("%a") for exact round-trips.
@@ -36,8 +36,8 @@ inline constexpr std::string_view kCheckpointMagic = "daos-checkpoint";
 
 /// One monitoring target's learned region state. The primitives themselves
 /// are not serializable (they point at live sim objects); the restore side
-/// recreates them through the supervisor's target factory and installs
-/// these regions on top.
+/// recreates them from the address spaces the supervisor monitors and
+/// installs these regions on top.
 struct CheckpointTarget {
   std::vector<damon::Region> regions;
 };
@@ -51,8 +51,8 @@ struct Checkpoint {
   bool engine_disarmed = false;
   // Bounds, policy, stats and runtime: a scheme carries all of its state.
   std::vector<damos::Scheme> schemes;
-  // Recorder tail: the most recent snapshots, so restore does not truncate
-  // the history feeding analysis/heatmap.
+  // The recorder's whole history, oldest first. A supervised recorder keeps
+  // at most kRecorderTailMax snapshots, so restore loses none of it.
   SimTimeUs recorder_every = 0;
   SimTimeUs recorder_next = 0;
   std::vector<damon::Snapshot> recorder_tail;
@@ -70,10 +70,10 @@ struct CheckpointError {
 std::optional<Checkpoint> ParseCheckpoint(std::string_view text,
                                           CheckpointError* error = nullptr);
 
-/// Recorder snapshots a checkpoint keeps: the newest, oldest dropped first.
+/// A supervised recorder's bound (newest kept): all a checkpoint carries.
 inline constexpr std::size_t kRecorderTailMax = 256;
 
-/// Captures the live stack. `recorder` may be null.
+/// Captures the live stack, the recorder whole. `recorder` may be null.
 Checkpoint CaptureCheckpoint(const damon::DamonContext& ctx,
                              const damos::SchemesEngine& engine,
                              const damon::Recorder* recorder, SimTimeUs now);

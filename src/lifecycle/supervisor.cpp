@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "damon/primitives.hpp"
 #include "damos/parser.hpp"
 #include "util/strings.hpp"
 
@@ -57,26 +58,30 @@ void KdamondSupervisor::RebuildStack() {
   // reference: tear the context down first, then replace the callees.
   ctx_.reset();
   engine_ = std::make_unique<damos::SchemesEngine>();
-  recorder_ = std::make_unique<damon::Recorder>();
+  recorder_ = std::make_unique<damon::Recorder>(kRecorderTailMax);
   ctx_ = std::make_unique<damon::DamonContext>(current_attrs_, config_.seed);
   engine_->Attach(*ctx_);
   engine_->SetMachine(machine_);
   recorder_->Attach(*ctx_, config_.recorder_every);
-  if (factory_) factory_(*ctx_);
+  AddTargets();
   // Telemetry binds before any state import: the bind-time catch-up sees
   // all-zero counters, so registry totals stay monotonic across rebuilds
   // instead of double-counting the restored values.
   BindStackTelemetry();
 }
 
-void KdamondSupervisor::SetTargetFactory(TargetFactory factory) {
-  factory_ = std::move(factory);
-  if (factory_) factory_(*ctx_);
+void KdamondSupervisor::AddTargets() {
+  for (sim::AddressSpace* space : spaces_)
+    ctx_->AddTarget(std::make_unique<damon::VaddrPrimitives>(
+        space, machine_->costs().monitor_check_us));
 }
 
-void KdamondSupervisor::AttachTo(sim::System& system) {
+void KdamondSupervisor::AttachTo(sim::System& system,
+                                 std::vector<sim::AddressSpace*> spaces) {
   machine_ = &system.machine();
+  spaces_ = std::move(spaces);
   engine_->SetMachine(machine_);
+  AddTargets();
   system.AddFaultPlaneListener([this](fault::FaultPlane* plane) {
     crash_point_ =
         plane != nullptr ? &plane->Point(fault::kDaemonCrash) : nullptr;

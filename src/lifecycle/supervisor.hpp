@@ -5,8 +5,9 @@
 // damon_commit_ctx instead of a stop/start that would discard everything
 // the monitor learned, and a kdamond that dies must not take the
 // monitoring service down with it. This module is the reproduction's
-// version of that management layer, owning one monitor/engine/recorder
-// stack and wrapping it in three robustness pillars:
+// version of that management layer. Its whole state is its config, the
+// address spaces it monitors, and its checkpoint; it owns one
+// monitor/engine/recorder stack and wraps it in three robustness pillars:
 //
 //   1. Transactional online reconfiguration. A Commit bundle (new attrs
 //      and/or a new scheme set, including governor clauses) is validated
@@ -36,7 +37,6 @@
 // Degraded; Degraded -> Running after a quiet budget window.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -114,25 +114,18 @@ struct CommitBundle {
 
 class KdamondSupervisor {
  public:
-  /// Recreates the stack's monitoring targets after a rebuild; the
-  /// primitives point at live sim objects and cannot be serialized, so
-  /// restore needs this to run before region state is installed. Must
-  /// produce the same targets in the same order every call.
-  using TargetFactory = std::function<void(damon::DamonContext&)>;
-
   explicit KdamondSupervisor(SupervisorConfig config = {});
 
   KdamondSupervisor(const KdamondSupervisor&) = delete;
   KdamondSupervisor& operator=(const KdamondSupervisor&) = delete;
 
-  /// Sets the factory and runs it on the current context immediately.
-  void SetTargetFactory(TargetFactory factory);
-
   /// Registers the supervisor as a System daemon, binds the machine
   /// (watermark metrics, time-quota pricing) and subscribes to fault-plane
-  /// swaps so the "daemon.crash" point stays current. The supervisor must
-  /// outlive the system's stepping.
-  void AttachTo(sim::System& system);
+  /// swaps so the "daemon.crash" point stays current. Every stack, this
+  /// one and each rebuild, monitors `spaces` in order: one VaddrPrimitives
+  /// per space at the machine's `monitor_check_us`. The spaces and the
+  /// system must outlive the supervisor's stepping.
+  void AttachTo(sim::System& system, std::vector<sim::AddressSpace*> spaces);
 
   /// Publishes "lifecycle.*" counters, re-binds the owned stack's
   /// telemetry, and emits kDaemonCrash / kLifecycleRestart /
@@ -232,6 +225,7 @@ class KdamondSupervisor {
 
  private:
   void RebuildStack();
+  void AddTargets();
   void BindStackTelemetry();
   void OnWindowBoundary(SimTimeUs now);
   void ApplyStagedCommit(SimTimeUs now);
@@ -251,12 +245,13 @@ class KdamondSupervisor {
       const std::vector<damos::Scheme>& schemes);
 
   SupervisorConfig config_;
-  TargetFactory factory_;
+  std::vector<sim::AddressSpace*> spaces_;  // the monitored targets, in order
   const sim::Machine* machine_ = nullptr;
   fault::FaultPoint* crash_point_ = nullptr;
 
   // The supervised stack. Rebuilt wholesale on restart; ctx_ is destroyed
-  // first (its hooks reference the engine and recorder).
+  // first (its hooks reference the engine and recorder). The recorder keeps
+  // the newest kRecorderTailMax snapshots.
   std::unique_ptr<damon::DamonContext> ctx_;
   std::unique_ptr<damos::SchemesEngine> engine_;
   std::unique_ptr<damon::Recorder> recorder_;

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cinttypes>
-#include <fstream>
-#include <sstream>
 
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace daos::trace {
@@ -383,41 +382,17 @@ std::optional<Trace> ParseTrace(std::string_view text, TraceError* error) {
   return trace;
 }
 
-bool WriteTraceBytes(const std::string& path, std::string_view bytes,
-                     std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "short write to " + path;
-    return false;
-  }
-  return true;
-}
-
 bool WriteTraceFile(const std::string& path, const Trace& trace,
                     std::string* error) {
-  return WriteTraceBytes(path, SerializeTrace(trace), error);
+  return WriteFile(path, SerializeTrace(trace), error);
 }
 
 std::optional<Trace> ReadTraceFile(const std::string& path,
                                    TraceError* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) {
-      error->offset = 0;
-      error->line_number = 0;
-      error->message = "cannot open " + path;
-    }
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseTrace(buf.str(), error);
+  const std::optional<std::string> bytes = ReadFile(path);
+  if (bytes.has_value()) return ParseTrace(*bytes, error);
+  Fail(error, 0, 0, "cannot open " + path);
+  return std::nullopt;
 }
 
 }  // namespace daos::trace

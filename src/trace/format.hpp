@@ -149,9 +149,7 @@ std::optional<Trace> ParseTrace(std::string_view text,
 
 // --- file helpers -----------------------------------------------------------
 
-/// Writes serialized trace bytes to `path`, replacing it.
-bool WriteTraceBytes(const std::string& path, std::string_view bytes,
-                     std::string* error = nullptr);
+/// Writes `trace` to `path`, replacing it (util/file.hpp error texts).
 bool WriteTraceFile(const std::string& path, const Trace& trace,
                     std::string* error = nullptr);
 std::optional<Trace> ReadTraceFile(const std::string& path,

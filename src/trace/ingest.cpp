@@ -195,7 +195,8 @@ std::optional<Trace> IngestLackey(std::string_view text, std::string_view name,
     touches.push_back(std::move(ev));
     ++op_index;
   }
-  if (touches.empty()) return Fail(error, 0, "no data accesses in input");
+  if (touches.empty())
+    return Fail(error, lines.line_no(), "no data accesses in input");
   std::uint64_t data_bytes = 0;
   std::vector<TraceEvent> layout =
       SynthesizeLayout(std::move(spans), data_bytes);
@@ -259,7 +260,8 @@ std::optional<Trace> IngestCsv(std::string_view text, std::string_view name,
     saw_data = true;
     events.push_back(std::move(ev));
   }
-  if (events.empty()) return Fail(error, 0, "no events in input");
+  if (events.empty())
+    return Fail(error, lines.line_no(), "no events in input");
   std::uint64_t data_bytes = explicit_bytes;
   std::vector<TraceEvent> layout;
   // No map rows: synthesize the layout from the touched clusters, same as

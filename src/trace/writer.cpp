@@ -76,8 +76,4 @@ std::string TraceWriter::Finish() {
   return SerializeHeader(meta_, events_, chunks_) + body_;
 }
 
-bool TraceWriter::WriteFile(const std::string& path, std::string* error) {
-  return WriteTraceBytes(path, Finish(), error);
-}
-
 }  // namespace daos::trace

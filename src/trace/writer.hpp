@@ -48,7 +48,6 @@ class TraceWriter final : public sim::AccessTap {
   /// Seals the current chunk and returns the complete serialized trace
   /// (header + body). Idempotent; Add() after Finish() starts a new chunk.
   std::string Finish();
-  bool WriteFile(const std::string& path, std::string* error = nullptr);
 
  private:
   void FlushChunk();

@@ -34,15 +34,15 @@ TEST(RawScoreTest, ZeroBaselineSafe) {
   EXPECT_DOUBLE_EQ(RawScore(kBaseline, TrialMeasurement{0.0, 0.0}), 0.0);
 }
 
-TEST(DefaultScoreTest, WithinSlaMatchesRawScore) {
-  DefaultScoreFunction fn;
+TEST(ScoreFunctionTest, WithinSlaMatchesRawScore) {
+  ScoreFunction fn;
   const TrialMeasurement t{105.0, 700.0};  // 5 % drop: within 10 % SLA
   EXPECT_NEAR(fn.Score(t, kBaseline), RawScore(t, kBaseline), 1e-9);
 }
 
-TEST(DefaultScoreTest, SlaViolationReturnsWorstSeen) {
+TEST(ScoreFunctionTest, SlaViolationReturnsWorstSeen) {
   // Listing 2: once the SLA is broken, return min(prev_scores).
-  DefaultScoreFunction fn;
+  ScoreFunction fn;
   const double s1 = fn.Score(TrialMeasurement{101.0, 900.0}, kBaseline);
   const double s2 = fn.Score(TrialMeasurement{104.0, 500.0}, kBaseline);
   const double worst = std::min(s1, s2);
@@ -51,23 +51,23 @@ TEST(DefaultScoreTest, SlaViolationReturnsWorstSeen) {
   EXPECT_DOUBLE_EQ(violation, worst);
 }
 
-TEST(DefaultScoreTest, SlaViolationFirstHasFloor) {
-  DefaultScoreFunction fn;
+TEST(ScoreFunctionTest, SlaViolationFirstHasFloor) {
+  ScoreFunction fn;
   const double v = fn.Score(TrialMeasurement{200.0, 100.0}, kBaseline);
   EXPECT_LE(v, 0.0);  // never rewarded
 }
 
-TEST(DefaultScoreTest, ExactlyTenPercentDropViolates) {
+TEST(ScoreFunctionTest, ExactlyTenPercentDropViolates) {
   // Listing 2 uses strict ">": pscore == -0.1 is NOT within the SLA.
-  DefaultScoreFunction fn;
+  ScoreFunction fn;
   const double good = fn.Score(TrialMeasurement{109.9, 500.0}, kBaseline);
   EXPECT_GT(good, 0.0);
   const double edge = fn.Score(TrialMeasurement{110.0, 1.0}, kBaseline);
   EXPECT_DOUBLE_EQ(edge, good);  // falls back to best==worst==good
 }
 
-TEST(DefaultScoreTest, ResetClearsHistory) {
-  DefaultScoreFunction fn;
+TEST(ScoreFunctionTest, ResetClearsHistory) {
+  ScoreFunction fn;
   fn.Score(TrialMeasurement{101.0, 200.0}, kBaseline);  // big positive
   fn.Reset();
   // After reset, a violation cannot return the old positive score.
@@ -75,11 +75,12 @@ TEST(DefaultScoreTest, ResetClearsHistory) {
   EXPECT_LE(v, 0.0);
 }
 
-TEST(DefaultScoreTest, CustomSla) {
-  DefaultScoreFunction strict(0.5, 0.5, /*sla=*/0.02);
-  strict.Score(TrialMeasurement{100.0, 900.0}, kBaseline);
-  // 5 % drop violates a 2 % SLA.
-  const double v = strict.Score(TrialMeasurement{105.0, 100.0}, kBaseline);
+TEST(ScoreFunctionTest, SlaViolationOutweighsAnySaving) {
+  ScoreFunction fn;
+  fn.Score(TrialMeasurement{100.0, 900.0}, kBaseline);
+  // A 15 % drop violates the 10 % SLA; its 90 % saving (raw score 37.5)
+  // does not count.
+  const double v = fn.Score(TrialMeasurement{115.0, 100.0}, kBaseline);
   EXPECT_NEAR(v, 5.0, 1e-9);  // worst seen: the first sample's score
 }
 

@@ -153,11 +153,7 @@ struct Rig {
         space(1, &system.machine(), 3.0),
         supervisor(lifecycle::SupervisorConfig{}) {
     space.Map(kBase, kHeap, "heap");
-    sim::AddressSpace* heap = &space;
-    supervisor.SetTargetFactory([heap](damon::DamonContext& ctx) {
-      ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(heap));
-    });
-    supervisor.AttachTo(system);
+    supervisor.AttachTo(system, {&space});
     system.SetFaultPlane(&plane);
   }
 

@@ -84,38 +84,55 @@ TEST_F(RecorderTest, WorkingSetEstimateTracksHotSize) {
   EXPECT_LT(wss, 40 * MiB);
 }
 
-TEST_F(RecorderTest, ClearDropsHistory) {
-  recorder_.Attach(ctx_);
-  Drive(0, kUsPerSec, true);
-  ASSERT_FALSE(recorder_.snapshots().empty());
-  recorder_.Clear();
-  EXPECT_TRUE(recorder_.snapshots().empty());
-}
-
 TEST_F(RecorderTest, NoSnapshotsNoWss) {
   EXPECT_EQ(recorder_.LatestWorkingSetBytes(), 0u);
 }
 
-TEST_F(RecorderTest, ClearRefusedAfterRestoreTail) {
-  // The footgun: a kdamond rebuilt from a checkpoint calls RestoreTail()
-  // to re-seed its history; a later Clear() (the fresh-start path) would
-  // silently truncate every heatmap at the crash point. The recorder must
-  // refuse it and keep the restored history.
+TEST_F(RecorderTest, RestoreTailReplacesHistoryAndKeepsAppending) {
   recorder_.Attach(ctx_);
   Drive(0, kUsPerSec, true);
   ASSERT_FALSE(recorder_.snapshots().empty());
 
   std::vector<Snapshot> tail = recorder_.snapshots();
   const std::size_t restored_count = tail.size();
+  const SimTimeUs last_at = tail.back().at;
   recorder_.RestoreTail(std::move(tail), recorder_.next());
-  ASSERT_TRUE(recorder_.restored());
-
-  recorder_.Clear();  // refused (DAOS_CHECK logs; no abort, no truncation)
   EXPECT_EQ(recorder_.snapshots().size(), restored_count);
 
-  // The restored recorder keeps appending normally after the refusal.
   Drive(kUsPerSec, 2 * kUsPerSec, true);
-  EXPECT_GT(recorder_.snapshots().size(), restored_count);
+  ASSERT_GT(recorder_.snapshots().size(), restored_count);
+  EXPECT_GT(recorder_.snapshots()[restored_count].at, last_at);
+}
+
+TEST_F(RecorderTest, BoundKeepsTheNewestSnapshots) {
+  Recorder full;
+  Recorder bounded(5);
+  full.Attach(ctx_);
+  bounded.Attach(ctx_);
+  Drive(0, 2 * kUsPerSec, true);
+  const std::vector<Snapshot>& all = full.snapshots();
+  ASSERT_GT(all.size(), 5u);
+  ASSERT_EQ(bounded.snapshots().size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i)
+    EXPECT_EQ(bounded.snapshots()[i].at, all[all.size() - 5 + i].at);
+
+  // A longer restored history keeps its newest snapshots too.
+  bounded.RestoreTail(all, full.next());
+  ASSERT_EQ(bounded.snapshots().size(), 5u);
+  EXPECT_EQ(bounded.snapshots().front().at, all[all.size() - 5].at);
+  EXPECT_EQ(bounded.snapshots().back().at, all.back().at);
+}
+
+TEST_F(RecorderTest, BoundBelowTheTargetCountKeepsTheLastTargets) {
+  sim::AddressSpace other(2, &machine_, 3.0);
+  other.Map(0x10000000, 64 * MiB, "heap");
+  ctx_.AddTarget(std::make_unique<VaddrPrimitives>(&other));
+  Recorder bounded(1);
+  bounded.Attach(ctx_);
+  Drive(0, kUsPerSec, true);
+  ASSERT_EQ(bounded.snapshots().size(), 1u);
+  EXPECT_EQ(bounded.snapshots()[0].target_index, 1);
+  EXPECT_FALSE(bounded.snapshots()[0].regions.empty());
 }
 
 }  // namespace

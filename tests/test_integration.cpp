@@ -191,7 +191,7 @@ TEST(PaperShape, AutotuneBeatsBadManualScheme) {
   const autotune::TrialMeasurement baseline = trial(nullptr);
   const autotune::TrialMeasurement manual_m = trial(&manual);
   const autotune::TrialMeasurement tuned_m = trial(&result.tuned);
-  autotune::DefaultScoreFunction manual_fn, tuned_fn;
+  autotune::ScoreFunction manual_fn, tuned_fn;
   const double manual_score = manual_fn.Score(manual_m, baseline);
   const double tuned_score = tuned_fn.Score(tuned_m, baseline);
   EXPECT_GT(tuned_score, manual_score);

@@ -11,8 +11,8 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "damon/primitives.hpp"
 #include "fault/fault.hpp"
 #include "lifecycle/checkpoint.hpp"
 #include "lifecycle/supervisor.hpp"
@@ -53,11 +53,7 @@ struct Rig {
         space(1, &system.machine(), 3.0),
         supervisor(config) {
     space.Map(kBase, kHeap, "heap");
-    sim::AddressSpace* heap = &space;
-    supervisor.SetTargetFactory([heap](damon::DamonContext& ctx) {
-      ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(heap));
-    });
-    supervisor.AttachTo(system);
+    supervisor.AttachTo(system, {&space});
     if (!keep_env_plane) system.SetFaultPlane(&plane);
   }
 
@@ -265,9 +261,8 @@ TEST(LifecycleRestoreTest, GovernorQuotaChargeSurvivesRestore) {
 }
 
 TEST(LifecycleRestoreTest, RecorderTailSurvivesRestore) {
-  // Regression for the Recorder::Clear() restart bug: rebuilding the stack
-  // used to truncate the snapshot history feeding analysis/heatmap. The
-  // restore path must re-install the tail and keep appending after it.
+  // Rebuilding the stack builds a fresh recorder: the restore path must
+  // re-install the checkpoint's history and keep appending after it.
   Rig rig;
   rig.space.TouchRange(kBase, kBase + kHeap, true, 0);
   rig.InstallOrDie("min max min min min max stat");
@@ -292,6 +287,54 @@ TEST(LifecycleRestoreTest, RecorderTailSurvivesRestore) {
   ASSERT_GT(grown.size(), count_before);
   // Appended, not restarted: times stay monotonic across the restore.
   EXPECT_GT(grown[count_before].at, last_at);
+}
+
+TEST(LifecycleRestoreTest, RecorderHoldsWhatTheCheckpointHolds) {
+  // Sixteen small spaces pass kRecorderTailMax snapshots within a few
+  // 100 ms windows. The supervisor's recorder keeps only the newest
+  // kRecorderTailMax, all a checkpoint carries, so a restore puts back
+  // every snapshot it held.
+  fault::FaultPlane plane;
+  sim::System system(sim::MachineSpec{"lc", 4, 3.0, 4 * GiB},
+                     sim::SwapConfig::Zram());
+  std::vector<std::unique_ptr<sim::AddressSpace>> spaces;
+  std::vector<sim::AddressSpace*> targets;
+  for (int i = 0; i < 16; ++i) {
+    spaces.push_back(
+        std::make_unique<sim::AddressSpace>(i + 1, &system.machine(), 3.0));
+    spaces.back()->Map(kBase, 4 * MiB, "heap");
+    targets.push_back(spaces.back().get());
+  }
+  lifecycle::KdamondSupervisor supervisor;
+  supervisor.AttachTo(system, targets);
+  system.SetFaultPlane(&plane);
+  system.Run(3 * kUsPerSec);
+
+  ASSERT_GT(supervisor.context().counters().aggregations * targets.size(),
+            lifecycle::kRecorderTailMax);
+  const std::vector<damon::Snapshot> before =
+      supervisor.recorder().snapshots();
+  ASSERT_LE(before.size(), lifecycle::kRecorderTailMax);
+
+  std::string error;
+  ASSERT_TRUE(supervisor.RestoreFromText(supervisor.CaptureCheckpointText(),
+                                         &error))
+      << error;
+  const std::vector<damon::Snapshot>& after =
+      supervisor.recorder().snapshots();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].at, before[i].at) << i;
+    EXPECT_EQ(after[i].target_index, before[i].target_index) << i;
+    ASSERT_EQ(after[i].regions.size(), before[i].regions.size()) << i;
+    for (std::size_t r = 0; r < before[i].regions.size(); ++r) {
+      const damon::SnapshotRegion& x = after[i].regions[r];
+      const damon::SnapshotRegion& y = before[i].regions[r];
+      EXPECT_TRUE(x.start == y.start && x.end == y.end &&
+                  x.nr_accesses == y.nr_accesses && x.age == y.age)
+          << "snapshot " << i << " region " << r;
+    }
+  }
 }
 
 TEST(LifecycleStateTest, StateTextReportsTheMachine) {

@@ -698,17 +698,24 @@ struct FuzzGrammar {
   /// Parses a text; a rejection returns nullopt and sets the error.
   std::function<std::optional<T>(const std::string&, std::string*)> parse;
   std::function<std::string(const T&)> format;
+  /// Reads back what `format` wrote, where that is another grammar than
+  /// `parse` reads; null when `parse` reads it.
+  std::function<std::optional<T>(const std::string&, std::string*)> reparse =
+      nullptr;
   /// Field-by-field equality; null when the texts alone decide.
   std::function<bool(const T&, const T&)> same = nullptr;
   std::function<bool(std::string_view)> names_line = NamesLine;
 };
 
-/// Feeds 20000 seeded mutants of `g.golden` to `g.parse`. None may throw. A
-/// rejected one names a line; an accepted one formats to a text that parses
-/// back (to an equal value, where `g.same` is set) and formats to itself.
-/// More than 1000 must be accepted, so the fixpoint check sees enough.
+/// Feeds 20000 seeded mutants of `g.golden`, which must parse, to
+/// `g.parse`. None may throw. A rejected one names a line; an accepted one
+/// formats to a text that reads back (through `g.reparse` where set; to an
+/// equal value, where `g.same` is set) and formats to itself. More than
+/// 1000 must be accepted, so the fixpoint check sees enough.
 template <typename T>
 void FuzzFixpoint(const FuzzGrammar<T>& g) {
+  std::string golden_error;
+  ASSERT_TRUE(g.parse(g.golden, &golden_error).has_value()) << golden_error;
   Rng rng(g.seed);
   int accepted = 0;
   for (int m = 0; m < 20000; ++m) {
@@ -724,7 +731,8 @@ void FuzzFixpoint(const FuzzGrammar<T>& g) {
     }
     ++accepted;
     const std::string once = g.format(*parsed);
-    const std::optional<T> again = g.parse(once, &error);
+    const auto& read_back = g.reparse ? g.reparse : g.parse;
+    const std::optional<T> again = read_back(once, &error);
     ASSERT_TRUE(again.has_value())
         << "mutant " << m << " formats to a rejected text (" << error
         << "):\n" << text << "---\n" << once;
@@ -872,6 +880,77 @@ TEST(MalformedCommitBundleTest, RegionCountsBeyond32BitsRejected) {
       "attrs 5000 100000 1000000 4294967306 4294967316\n", &bundle, &error));
   EXPECT_NE(error.find("line 1: bad number '4294967306'"), std::string::npos)
       << error;
+}
+
+TEST(MalformedCommitBundleTest, MutantsNeverCrashAndReachAFixpoint) {
+  // A bundle written back from what was parsed must parse to the same
+  // bundle. The formatter is the wire form: an attrs line, then one
+  // "scheme <Scheme::ToText()>" line per scheme.
+  lifecycle::KdamondSupervisor supervisor;
+  FuzzFixpoint<lifecycle::CommitBundle>({
+      .golden = "# staged reconfiguration\n"
+                "attrs 5000 100000 1000000 10 1000\n"
+                "scheme 4K max min min 5s max pageout\n"
+                "# a governed tiering scheme\n"
+                "scheme min 2M 5 80% 100ms 1h migrate_hot quota_sz=16M "
+                "quota_reset_ms=1000 prio_weights=3,2,1\n"
+                "scheme min max min max min max stat\n",
+      .words = {"attrs", "scheme", "0", "1", "10", "1000", "4294967295",
+                "4294967296", "18446744073709551615", "18446744073709551616",
+                "-1", "1e3", "0x10", "min", "max", "5s", "1.5M", "101%",
+                "nan", "stat", "pageout", "quota_sz=0", "quota_ms=0",
+                "wmarks=none", "#", "x", ""},
+      .seed = 0xc0de'b0d1'e5ee'd5edULL,
+      .parse =
+          [&supervisor](const std::string& text, std::string* error)
+              -> std::optional<lifecycle::CommitBundle> {
+            lifecycle::CommitBundle bundle;
+            if (!supervisor.ParseCommitBundle(text, &bundle, error))
+              return std::nullopt;
+            return bundle;
+          },
+      .format =
+          [](const lifecycle::CommitBundle& bundle) {
+            std::string out;
+            if (bundle.attrs.has_value()) {
+              const damon::MonitoringAttrs& a = *bundle.attrs;
+              AppendF(out, "attrs %llu %llu %llu %u %u\n",
+                      static_cast<unsigned long long>(a.sampling_interval),
+                      static_cast<unsigned long long>(a.aggregation_interval),
+                      static_cast<unsigned long long>(
+                          a.regions_update_interval),
+                      a.min_nr_regions, a.max_nr_regions);
+            }
+            for (const damos::Scheme& s :
+                 bundle.schemes.value_or(std::vector<damos::Scheme>{}))
+              out += "scheme " + s.ToText() + "\n";
+            return out;
+          },
+      .same =
+          [](const lifecycle::CommitBundle& a,
+             const lifecycle::CommitBundle& b) {
+            if (a.attrs.has_value() != b.attrs.has_value() ||
+                a.schemes.has_value() != b.schemes.has_value())
+              return false;
+            if (a.attrs.has_value()) {
+              const damon::MonitoringAttrs& x = *a.attrs;
+              const damon::MonitoringAttrs& y = *b.attrs;
+              if (x.sampling_interval != y.sampling_interval ||
+                  x.aggregation_interval != y.aggregation_interval ||
+                  x.regions_update_interval != y.regions_update_interval ||
+                  x.min_nr_regions != y.min_nr_regions ||
+                  x.max_nr_regions != y.max_nr_regions)
+                return false;
+            }
+            if (!a.schemes.has_value()) return true;
+            if (a.schemes->size() != b.schemes->size()) return false;
+            for (std::size_t i = 0; i < a.schemes->size(); ++i)
+              if ((*a.schemes)[i].bounds() != (*b.schemes)[i].bounds() ||
+                  (*a.schemes)[i].policy() != (*b.schemes)[i].policy())
+                return false;
+            return true;
+          },
+  });
 }
 
 // --- daos-trace binary format (src/trace) ----------------------------------
@@ -1178,6 +1257,22 @@ TEST(MalformedIngestTest, EmptyInputRejected) {
             std::string::npos);
 }
 
+TEST(MalformedIngestTest, NothingToIngestNamesTheEndOfInput) {
+  // Both "nothing ingested" rejections once read "line 0", which names no
+  // line; like every end-of-input error they name the line past the last.
+  trace::IngestError error;
+  EXPECT_FALSE(trace::IngestText("I  0400d7d4,8\nI  0400d7d8,4\n", "x",
+                                 trace::IngestOptions{}, &error)
+                   .has_value());
+  EXPECT_EQ(LineError(error.line_number, error.message),
+            "line 3: no data accesses in input");
+  EXPECT_FALSE(trace::IngestText("time_us,op,addr,size\n", "x",
+                                 trace::IngestOptions{}, &error)
+                   .has_value());
+  EXPECT_EQ(LineError(error.line_number, error.message),
+            "line 2: no events in input");
+}
+
 // --- fault plane env -------------------------------------------------------
 
 // Saves and restores DAOS_FAULTS / DAOS_FAULT_SEED around a test, so CI
@@ -1354,7 +1449,7 @@ TEST(MalformedParserTest, SchemeMutantsNeverCrashAndReachAFixpoint) {
       .golden = "# prcl, then a governed tiering scheme\n"
                 "4K max min min 5s max pageout\n"
                 "min 2M 5 80% 100ms 1h migrate_hot quota_sz=16M "
-                "quota_ms=10 quota_reset_ms=1000 prio=3,2,1 "
+                "quota_ms=10 quota_reset_ms=1000 prio_weights=3,2,1 "
                 "wmarks=free_mem_rate,500,400,200\n",
       .words = {"min", "max", "0", "1", "5", "0.5", "1.2345678", "1e-7",
                 "1e300", "nan", "inf", "-1", "0%", "1%", "50.5%", "100%",
@@ -1505,6 +1600,24 @@ TEST(MalformedTraceTest, NameWithEmbeddedNulRoundTrips) {
 
 // --- trace file mutants (src/trace) ---------------------------------------
 
+bool SameTrace(const trace::Trace& a, const trace::Trace& b) {
+  const trace::TraceMeta& x = a.meta;
+  const trace::TraceMeta& y = b.meta;
+  return x.name == y.name && x.page_shift == y.page_shift &&
+         x.quantum_us == y.quantum_us && x.data_bytes == y.data_bytes &&
+         x.runtime_s == y.runtime_s && x.mem_boundness == y.mem_boundness &&
+         x.thp_gain == y.thp_gain && x.zram_ratio == y.zram_ratio &&
+         a.events == b.events;
+}
+
+std::optional<trace::Trace> ReadTrace(const std::string& text,
+                                      std::string* error) {
+  trace::TraceError e;
+  std::optional<trace::Trace> t = trace::ParseTrace(text, &e);
+  if (!t.has_value()) *error = e.Format();
+  return t;
+}
+
 TEST(MalformedTraceTest, MutantsNeverCrashAndReachAFixpoint) {
   // A recorded trace parsed and written again must stay parseable. Header
   // errors name their line; body errors name their byte offset.
@@ -1515,26 +1628,9 @@ TEST(MalformedTraceTest, MutantsNeverCrashAndReachAFixpoint) {
                 "0x1p+1", "-0x1p-1", "1e308", "1e309", "nan", "inf", "name",
                 "events", "chunks", "body", "daos-trace", "v1", "x", ""},
       .seed = 0x7ace'f11e'0b0d'1e55ULL,
-      .parse =
-          [](const std::string& text, std::string* error) {
-            trace::TraceError e;
-            std::optional<trace::Trace> t = trace::ParseTrace(text, &e);
-            if (!t.has_value()) *error = e.Format();
-            return t;
-          },
+      .parse = ReadTrace,
       .format = [](const trace::Trace& t) { return SerializeTrace(t); },
-      .same =
-          [](const trace::Trace& a, const trace::Trace& b) {
-            const trace::TraceMeta& x = a.meta;
-            const trace::TraceMeta& y = b.meta;
-            return x.name == y.name && x.page_shift == y.page_shift &&
-                   x.quantum_us == y.quantum_us &&
-                   x.data_bytes == y.data_bytes &&
-                   x.runtime_s == y.runtime_s &&
-                   x.mem_boundness == y.mem_boundness &&
-                   x.thp_gain == y.thp_gain && x.zram_ratio == y.zram_ratio &&
-                   a.events == b.events;
-          },
+      .same = SameTrace,
       .names_line =
           [](std::string_view error) {
             if (NamesLine(error)) return true;
@@ -1546,6 +1642,64 @@ TEST(MalformedTraceTest, MutantsNeverCrashAndReachAFixpoint) {
                    ParseU64(error.substr(0, colon)).has_value();
           },
   });
+}
+
+/// The ingest grammar under the mutation fuzzer: an accepted text's trace
+/// must survive SerializeTrace -> ParseTrace unchanged, and a rejection
+/// must name its line.
+FuzzGrammar<trace::Trace> IngestGrammar(std::string golden,
+                                        std::vector<const char*> words,
+                                        std::uint64_t seed) {
+  return {
+      .golden = std::move(golden),
+      .words = std::move(words),
+      .seed = seed,
+      .parse =
+          [](const std::string& text, std::string* error) {
+            trace::IngestError e;
+            std::optional<trace::Trace> t =
+                trace::IngestText(text, "fuzz", trace::IngestOptions{}, &e);
+            if (!t.has_value()) *error = LineError(e.line_number, e.message);
+            return t;
+          },
+      .format = [](const trace::Trace& t) { return SerializeTrace(t); },
+      .reparse = ReadTrace,
+      .same = SameTrace,
+  };
+}
+
+TEST(MalformedIngestTest, LackeyMutantsNeverCrashAndRoundTrip) {
+  FuzzFixpoint(IngestGrammar(
+      "==4242== Lackey, an example Valgrind tool\n"
+      "I  0400d7d4,8\n"
+      " L 10000000,4\n"
+      " S 10001000,64\n"
+      " M 10400000,8\n"
+      " L 7ff000ff0,4096\n",
+      {"I", "L", "S", "M", "X", "0", "1", "fff", "0x1000", "10000000,0",
+       "10000000,1", "10000000,1073741824", "10000000,1073741825",
+       "1000000000000000,4", "1000000000000001,4", "ffffffffffffffff,1",
+       "10000000,-4", "10000000,+4", ",4", "10000000,", "==", "--", "#",
+       "x", ""},
+      0x1ac4'e7ace'0001ULL));
+}
+
+TEST(MalformedIngestTest, CsvMutantsNeverCrashAndRoundTrip) {
+  FuzzFixpoint(IngestGrammar(
+      "time_us,op,addr,size\n"
+      "0,map,0x10000000,8388608\n"
+      "0,w,0x10000000,65536\n"
+      "100,r,0x10000400,4096\n"
+      "5000,R,268439552,64\n"
+      "20000,unmap,0x10000000,0\n",
+      {"0,r,0x1000,1", "0,w,0x1000,4096", "1,unmap,0x1000,0",
+       "0,map,0x0,68719476736", "0,map,0x0,68719476737",
+       "0,r,0x1000000000000000,1", "0,r,0x1000000000000001,1",
+       "0,r,0x1000,1073741825", "0,r,0x1000,0", "-1,r,0x1000,4",
+       "18446744073709551615,r,0x1000,4", "18446744073709551616,r,0x1000,4",
+       "0,r,0x1000", "0,r,0x1000,4,5", "0,frobnicate,0x1000,4",
+       "time_us,op,addr,size", "0,,0x1000,4", ",,,", "#", "==", "x", ""},
+      0xc5f0'e7ace'0002ULL));
 }
 
 TEST(MalformedIngestTest, CsvNegativeTimeRejected) {

@@ -154,10 +154,7 @@ TEST(TelemetryGoldenTest, SupervisorAfterCrashAndRestore) {
   config.restart_backoff = 50 * kUsPerMs;
   lifecycle::KdamondSupervisor supervisor(config);
   space.Map(kBase, kHeap, "heap");
-  supervisor.SetTargetFactory([&space](damon::DamonContext& ctx) {
-    ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(&space));
-  });
-  supervisor.AttachTo(system);
+  supervisor.AttachTo(system, {&space});
   system.SetFaultPlane(&plane);
   std::string error;
   ASSERT_TRUE(supervisor.InstallSchemesFromText(

@@ -34,6 +34,7 @@
 #include "sim/machine.hpp"
 #include "sim/tier.hpp"
 #include "trace/writer.hpp"
+#include "util/file.hpp"
 #include "util/units.hpp"
 #include "workload/profile.hpp"
 
@@ -383,7 +384,7 @@ TEST(TieringPropertyTest, TieredRecordReplayBitIdentity) {
 
   const std::string path = ::testing::TempDir() + "/tiering_replay.dtr";
   std::string error;
-  ASSERT_TRUE(writer.WriteFile(path, &error)) << error;
+  ASSERT_TRUE(WriteFile(path, writer.Finish(), &error)) << error;
   const std::optional<workload::WorkloadProfile> replay_profile =
       workload::ResolveProfile("trace:" + path, &error);
   ASSERT_TRUE(replay_profile.has_value()) << error;

@@ -25,6 +25,7 @@
 #include "trace/format.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
+#include "util/file.hpp"
 #include "util/units.hpp"
 #include "workload/profile.hpp"
 
@@ -124,7 +125,7 @@ TEST(TraceRoundTripProperty, RecordReplayBitIdentityAcrossProfilesAndSeeds) {
 
       const std::string path = TracePathFor(profile, seed);
       std::string error;
-      ASSERT_TRUE(writer.WriteFile(path, &error)) << error;
+      ASSERT_TRUE(WriteFile(path, writer.Finish(), &error)) << error;
       const std::optional<workload::WorkloadProfile> replay_profile =
           workload::ResolveProfile("trace:" + path, &error);
       ASSERT_TRUE(replay_profile.has_value()) << error;
@@ -167,11 +168,7 @@ struct ReplayRig {
                sim::SwapConfig::Zram()),
         space(1, &system.machine(), 3.0),
         supervisor(lifecycle::SupervisorConfig{}) {
-    sim::AddressSpace* target = &space;
-    supervisor.SetTargetFactory([target](damon::DamonContext& ctx) {
-      ctx.AddTarget(std::make_unique<damon::VaddrPrimitives>(target));
-    });
-    supervisor.AttachTo(system);
+    supervisor.AttachTo(system, {&space});
     system.SetFaultPlane(&plane);
   }
 
@@ -257,7 +254,7 @@ TEST(TraceRoundTripProperty, ReplayAndScenarioIdenticalUnderParallelRunner) {
 
   const std::string path = TracePathFor(source, 5);
   std::string error;
-  ASSERT_TRUE(writer.WriteFile(path, &error)) << error;
+  ASSERT_TRUE(WriteFile(path, writer.Finish(), &error)) << error;
   const std::optional<workload::WorkloadProfile> replay_profile =
       workload::ResolveProfile("trace:" + path, &error);
   ASSERT_TRUE(replay_profile.has_value()) << error;
