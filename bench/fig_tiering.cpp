@@ -20,13 +20,21 @@
 // migration counters. The headline claim — access-aware placement wins —
 // requires damos to beat BOTH baselines on runtime in every cell.
 //
+// The 18 cells fan out over DAOS_JOBS workers; results print in grid order.
 // Results append an entry to BENCH_tiering.json in the working directory.
+// Arguments, when given, name the workloads to run (e.g. `tier/scan`): a
+// partial grid, which CI's thread-sanitizer leg runs, and which appends no
+// trajectory row.
 //
-// Build & run:  ./build/bench/fig_tiering
+// Build & run:  ./build/bench/fig_tiering [workload...]
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/runner.hpp"
 #include "bench/common.hpp"
 #include "damos/parser.hpp"
 #include "sim/tier.hpp"
@@ -101,40 +109,36 @@ struct Cell {
   std::uint64_t major_faults = 0;
 };
 
-Cell RunCell(const workload::WorkloadProfile& profile,
-             const GeometryCase& geometry, const char* policy) {
+struct CellKey {
+  const workload::WorkloadProfile* profile;
+  const GeometryCase* geometry;
+  const sim::TierGeometry* tiers;
+  const char* policy;
+};
+
+// Runs on a runner worker: everything it reads was parsed on the main
+// thread, and everything it writes is its own result.
+Cell RunCell(const CellKey& key, const std::vector<damos::Scheme>& migrate) {
   analysis::ExperimentOptions options = bench::DefaultOptions(/*seed=*/11);
   options.apply_runtime_noise = false;
-  std::string error;
-  if (!sim::ParseTierGeometry(geometry.text, &options.tiers, &error)) {
-    std::fprintf(stderr, "geometry %s rejected: %s\n", geometry.name,
-                 error.c_str());
-    std::exit(1);
-  }
+  options.tiers = *key.tiers;
 
   analysis::Config config = analysis::Config::kBaseline;
-  std::vector<damos::Scheme> schemes;
-  if (std::string_view(policy) == "lru") {
+  const std::vector<damos::Scheme>* schemes = nullptr;
+  if (std::string_view(key.policy) == "lru") {
     options.tier_policy = sim::TierPolicy::kLruDemote;
-  } else if (std::string_view(policy) == "damos") {
-    const damos::ParseResult parsed = damos::ParseSchemes(kMigrateSchemes);
-    if (!parsed.errors.empty()) {
-      std::fprintf(stderr, "migrate schemes rejected: line %d: %s\n",
-                   parsed.errors[0].line_number,
-                   parsed.errors[0].message.c_str());
-      std::exit(1);
-    }
-    schemes = parsed.schemes;
+  } else if (std::string_view(key.policy) == "damos") {
+    schemes = &migrate;
     config = analysis::Config::kSchemes;
   }
 
-  const analysis::ExperimentResult result = analysis::RunWorkload(
-      profile, config, options, schemes.empty() ? nullptr : &schemes);
+  const analysis::ExperimentResult result =
+      analysis::RunWorkload(*key.profile, config, options, schemes);
 
   Cell cell;
-  cell.workload = profile.name;
-  cell.geometry = geometry.name;
-  cell.policy = policy;
+  cell.workload = key.profile->name;
+  cell.geometry = key.geometry->name;
+  cell.policy = key.policy;
   cell.runtime_s = result.runtime_s;
   cell.mismatch_permille =
       result.telemetry.Value("sim.tier.hot_mismatch_permille");
@@ -147,19 +151,58 @@ Cell RunCell(const workload::WorkloadProfile& profile,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   bench::PrintHeader("fig_tiering",
                      "access-aware DAMOS migration vs static / LRU-demote "
                      "placement across tier geometries");
 
-  const char* policies[] = {"static", "lru", "damos"};
-  std::vector<Cell> cells;
-  for (const workload::WorkloadProfile& profile : Workloads()) {
-    for (const GeometryCase& geometry : kGeometries) {
-      for (const char* policy : policies)
-        cells.push_back(RunCell(profile, geometry, policy));
+  // Parse every input once, before the fan-out, so a rejected one exits
+  // from the main thread.
+  std::vector<sim::TierGeometry> tiers(std::size(kGeometries));
+  for (std::size_t g = 0; g < tiers.size(); ++g) {
+    std::string error;
+    if (!sim::ParseTierGeometry(kGeometries[g].text, &tiers[g], &error)) {
+      std::fprintf(stderr, "geometry %s rejected: %s\n", kGeometries[g].name,
+                   error.c_str());
+      return 1;
     }
   }
+  const damos::ParseResult migrate = damos::ParseSchemes(kMigrateSchemes);
+  if (!migrate.errors.empty()) {
+    std::fprintf(stderr, "migrate schemes rejected: line %d: %s\n",
+                 migrate.errors[0].line_number,
+                 migrate.errors[0].message.c_str());
+    return 1;
+  }
+
+  std::vector<workload::WorkloadProfile> workloads = Workloads();
+  if (argc > 1) {
+    std::vector<workload::WorkloadProfile> chosen;
+    for (int a = 1; a < argc; ++a) {
+      const auto it = std::find_if(
+          workloads.begin(), workloads.end(),
+          [&](const workload::WorkloadProfile& p) { return p.name == argv[a]; });
+      if (it == workloads.end()) {
+        std::fprintf(stderr, "unknown workload %s\n", argv[a]);
+        return 1;
+      }
+      chosen.push_back(*it);
+    }
+    workloads = std::move(chosen);
+  }
+  const char* policies[] = {"static", "lru", "damos"};
+  std::vector<CellKey> keys;
+  for (const workload::WorkloadProfile& profile : workloads) {
+    for (std::size_t g = 0; g < tiers.size(); ++g) {
+      for (const char* policy : policies)
+        keys.push_back({&profile, &kGeometries[g], &tiers[g], policy});
+    }
+  }
+  std::vector<Cell> cells(keys.size());
+  analysis::ParallelRunner runner;
+  runner.ForEach(keys.size(), [&](std::size_t i) {
+    cells[i] = RunCell(keys[i], migrate.schemes);
+  });
 
   std::printf("%-12s %-24s %-7s %10s %9s %13s %10s %10s %8s\n", "workload",
               "geometry", "policy", "runtime_s", "mismatch", "slow_touches",
@@ -207,6 +250,7 @@ int main() {
             i + 1 < cells.size() ? "," : "");
   }
   row += "  ]}";
-  const bool written = bench::AppendTrajectory("BENCH_tiering.json", row);
+  const bool written =
+      argc > 1 || bench::AppendTrajectory("BENCH_tiering.json", row);
   return written && wins == total ? 0 : 1;
 }

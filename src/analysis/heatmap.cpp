@@ -1,7 +1,6 @@
 #include "analysis/heatmap.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace daos::analysis {
 
@@ -120,28 +119,6 @@ std::string RenderAscii(const Heatmap& map) {
       out.push_back(kShades[std::min<std::size_t>(idx, 9)]);
     }
     out.push_back('\n');
-  }
-  return out;
-}
-
-std::string ToCsv(const Heatmap& map) {
-  std::string out = "time_s,addr_mib,frequency\n";
-  const double t_step = static_cast<double>(map.t_hi - map.t_lo) /
-                        static_cast<double>(std::max<std::size_t>(1, map.time_bins));
-  const double a_step = static_cast<double>(map.addr_hi - map.addr_lo) /
-                        static_cast<double>(std::max<std::size_t>(1, map.addr_bins));
-  char buf[96];
-  for (std::size_t t = 0; t < map.time_bins; ++t) {
-    for (std::size_t a = 0; a < map.addr_bins; ++a) {
-      const double ts = (static_cast<double>(map.t_lo) +
-                         t_step * static_cast<double>(t)) /
-                        kUsPerSec;
-      const double am = (static_cast<double>(map.addr_lo - map.addr_lo) +
-                         a_step * static_cast<double>(a)) /
-                        static_cast<double>(MiB);
-      std::snprintf(buf, sizeof buf, "%.2f,%.2f,%.3f\n", ts, am, map.At(t, a));
-      out += buf;
-    }
   }
   return out;
 }

@@ -52,7 +52,4 @@ Heatmap BuildHeatmap(std::span<const damon::Snapshot> snapshots,
 /// ASCII rendering: one row per time bin, darkness ~ access frequency.
 std::string RenderAscii(const Heatmap& map);
 
-/// CSV rows "time_s,addr_mib,frequency" for external plotting.
-std::string ToCsv(const Heatmap& map);
-
 }  // namespace daos::analysis

@@ -1,7 +1,5 @@
 #include "analysis/report.hpp"
 
-#include <cstdio>
-
 #include "autotune/score.hpp"
 
 namespace daos::analysis {
@@ -16,19 +14,6 @@ NormalizedResult Normalize(const ExperimentResult& run,
   out.score = autotune::RawScore(
       autotune::TrialMeasurement{run.runtime_s, run.avg_rss_bytes},
       autotune::TrialMeasurement{baseline.runtime_s, baseline.avg_rss_bytes});
-  return out;
-}
-
-std::string FormatRow(const std::string& label,
-                      std::initializer_list<double> values, int width,
-                      int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%-28s", label.c_str());
-  std::string out = buf;
-  for (double v : values) {
-    std::snprintf(buf, sizeof buf, "%*.*f", width, precision, v);
-    out += buf;
-  }
   return out;
 }
 

@@ -20,9 +20,4 @@ struct NormalizedResult {
 NormalizedResult Normalize(const ExperimentResult& run,
                            const ExperimentResult& baseline);
 
-/// Fixed-width table-row formatting used by the benches.
-std::string FormatRow(const std::string& label,
-                      std::initializer_list<double> values, int width = 10,
-                      int precision = 3);
-
 }  // namespace daos::analysis

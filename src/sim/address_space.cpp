@@ -84,6 +84,7 @@ Vma::Vma(Addr start, Addr end, std::string name)
   page_count_ = static_cast<std::size_t>((end - start) >> kPageShift);
   words_ = (page_count_ + 63) / 64;
   bits_.assign(kPageBitPlanes * words_, 0);
+  cleared_ms_.assign(page_count_, 0);
   meta_.assign(page_count_, PageMeta{});
   const std::size_t nblocks = static_cast<std::size_t>(
       (AlignUp(end, kHugePageSize) - aligned_base_) >> kHugePageShift);
@@ -99,6 +100,7 @@ PageView Vma::PageAt(Addr a) const {
     v.flags |= static_cast<std::uint8_t>(
         TestBit(static_cast<PageBit>(p), i) ? 1u << p : 0u);
   }
+  v.acc_cleared_ms = cleared_ms_[i];
   v.meta = meta_[i];
   return v;
 }

@@ -134,19 +134,19 @@ class Vma {
   const PageMeta& Meta(std::size_t i) const noexcept { return meta_[i]; }
 
   // --- monitor primitives on page index `idx` (inline: the batched access
-  // checks run them once per region per sampling interval) -----------------
+  // checks run them once per region per sampling interval, so they read
+  // only the planes, the dense clear times and the touch-log stamps) ------
   /// PTE mkold: clears the accessed bit and records the clear time.
   void MkOldAt(std::size_t idx, SimTimeUs now) noexcept {
     ClearBit(PageBit::kAccessed, idx);
-    meta_[idx].acc_cleared_ms = static_cast<std::uint32_t>(now / 1000);
+    cleared_ms_[idx] = static_cast<std::uint32_t>(now / 1000);
   }
   /// True if the page was accessed since its last MkOldAt: its accessed bit,
   /// or a logged range touch at or after the clear time.
   bool IsYoungAt(std::size_t idx) const {
     if (TestBit(PageBit::kAccessed, idx)) return true;
-    return LogCoversSince(
-        AddrOfIndex(idx),
-        static_cast<SimTimeUs>(meta_[idx].acc_cleared_ms) * 1000);
+    return LogCoversSince(AddrOfIndex(idx),
+                          static_cast<SimTimeUs>(cleared_ms_[idx]) * 1000);
   }
 
   // --- 2 MiB block bookkeeping (THP) -------------------------------------
@@ -223,6 +223,7 @@ class Vma {
   std::size_t page_count_ = 0;
   std::size_t words_ = 0;              // per-plane words: ceil(pages / 64)
   std::vector<std::uint64_t> bits_;    // kPageBitPlanes planes, plane-major
+  std::vector<std::uint32_t> cleared_ms_;  // per page: last MkOldAt, in ms
   std::vector<PageMeta> meta_;         // cold per-page fields (slow paths)
   std::vector<Block> blocks_;
 
@@ -361,7 +362,7 @@ class AddressSpace {
   /// Clears the accessed state of the page at `addr` (PTE mkold).
   void MkOld(Addr addr, SimTimeUs now);
   /// True if the page was accessed since its last MkOld. MkOld records the
-  /// clear time truncated to whole milliseconds (PageMeta::acc_cleared_ms),
+  /// clear time truncated to whole milliseconds (PageView::acc_cleared_ms),
   /// so a logged range touch earlier in the same simulated millisecond as
   /// the MkOld still reads young.
   bool IsYoung(Addr addr) const;

@@ -9,11 +9,15 @@
 // word covers 64 pages — see Vma in address_space.hpp), so the hot sweeps
 // (monitor region checks, reclaim CLOCK scans, DAMOS COLD deactivation, the
 // tier balancer's aging scan) test-and-clear 64 pages per operation and
-// skip absent words outright. The residual cold fields below are a parallel
-// side array touched only on slow paths (faults, evictions, migrations).
-// Hot per-page state is 8 flag bits + 12 bytes of PageMeta — 13 bytes/page,
-// down from the 16-byte flat struct the pre-overhaul core kept, which is
-// what lets large workloads map tens of millions of pages affordably.
+// skip absent words outright. The accessed-bit clear time the monitor reads
+// with every sample is a dense u32 array next to the planes (reported as
+// PageView::acc_cleared_ms), and the residual cold fields below are a
+// parallel side array touched only on slow paths (faults, evictions,
+// migrations, reclaim and tier scans).
+// Per-page state is 8 flag bits + 4 bytes of clear time + 8 bytes of
+// PageMeta — 13 bytes/page, down from the 16-byte flat struct the
+// pre-overhaul core kept, which is what lets large workloads map tens of
+// millions of pages affordably.
 #pragma once
 
 #include <cstddef>
@@ -43,23 +47,22 @@ struct PageMeta {
   std::uint16_t tier = 0;
   std::uint8_t reclaim_gen = 0;  // CLOCK second-chance counter
   std::uint8_t pad = 0;
-  /// Simulated milliseconds of the most recent direct touch and of the most
-  /// recent accessed-bit clearing (monitor MkOld). Range touches are kept
-  /// in the VMA touch log instead; IsYoung() consults both. last_touch_ms
-  /// is only consumed by the tier balancer, so untiered machines skip
-  /// maintaining it on the touch fast path.
+  /// Simulated milliseconds of the most recent direct touch. Range touches
+  /// are kept in the VMA touch log instead. Only the tier balancer reads
+  /// it, so untiered machines skip maintaining it on the touch fast path.
   std::uint32_t last_touch_ms = 0;
-  std::uint32_t acc_cleared_ms = 0;
 };
 
-static_assert(sizeof(PageMeta) == 12, "PageMeta must stay compact");
+static_assert(sizeof(PageMeta) == 8, "PageMeta must stay compact");
 
-/// Value snapshot of one page's state, assembled from the bit planes and
-/// the meta side array by Vma::PageAt. For tests and debugging output —
-/// the sim's own hot paths operate on the planes directly. Flag bit
-/// positions match the PageBit plane indices.
+/// Value snapshot of one page's state, assembled from the bit planes, the
+/// clear-time array and the meta side array by Vma::PageAt. For tests and
+/// debugging output — the sim's own hot paths operate on the planes
+/// directly. Flag bit positions match the PageBit plane indices.
 struct PageView {
   std::uint8_t flags = 0;
+  /// Simulated milliseconds of the last accessed-bit clearing (MkOld).
+  std::uint32_t acc_cleared_ms = 0;
   PageMeta meta;
 
   bool Test(PageBit b) const noexcept {

@@ -212,6 +212,8 @@ std::optional<Trace> IngestCsv(std::string_view text, std::string_view name,
   bool has_explicit_map = false;
   std::uint64_t explicit_bytes = 0;
   SimTimeUs last_at = 0;
+  const SimTimeUs max_at =
+      kMaxIngestEndUs - std::min(options.quantum_us, kMaxIngestEndUs);
   bool saw_data = false;
   LineCursor lines(text);
   std::string_view raw;
@@ -225,6 +227,10 @@ std::optional<Trace> IngestCsv(std::string_view text, std::string_view name,
       return Fail(error, line_no, "expected 4 fields: time_us,op,addr,size");
     const auto at = ParseU64(TrimWhitespace(fields[0]));
     if (!at) return Fail(error, line_no, "bad time_us");
+    if (static_cast<SimTimeUs>(*at) > max_at)
+      return Fail(error, line_no,
+                  "time_us past " + std::to_string(max_at) +
+                      " (2^53 us less one quantum)");
     if (static_cast<SimTimeUs>(*at) < last_at)
       return Fail(error, line_no, "time_us went backwards");
     const std::string op = ToLower(TrimWhitespace(fields[1]));

@@ -22,7 +22,10 @@
 //        20000,unmap,0x10000000,0
 //
 //    `op` is r | w | map | unmap; `addr` is hex (0x-prefixed) or decimal;
-//    `size` is bytes. `time_us` must be non-decreasing.
+//    `size` is bytes. `time_us` must be non-decreasing and at most
+//    kMaxIngestEndUs (2^53) minus one quantum: the replay ends one quantum
+//    after the last row, and that end time must neither wrap nor round
+//    when it becomes the trace's `runtime_s`.
 //
 // Lackey traces carry no clock, so events are spread over simulated time
 // at `ops_per_quantum` per quantum. CSV traces without map rows (and all
@@ -52,6 +55,10 @@ struct IngestOptions {
   std::uint64_t ops_per_quantum = 200;
   SimTimeUs quantum_us = 5 * kUsPerMs;
 };
+
+/// Ceiling on an ingested trace's end time (last event + one quantum), in
+/// simulated microseconds: every integer up to 2^53 is exact as a double.
+inline constexpr SimTimeUs kMaxIngestEndUs = SimTimeUs{1} << 53;
 
 enum class TraceTextFormat : std::uint8_t { kLackey, kCsv, kUnknown };
 

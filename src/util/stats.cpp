@@ -43,23 +43,6 @@ double Percentile(std::span<const double> xs, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double Correlation(std::span<const double> xs, std::span<const double> ys) {
-  const std::size_t n = std::min(xs.size(), ys.size());
-  if (n < 2) return 0.0;
-  const double mx = Mean(xs.first(n));
-  const double my = Mean(ys.first(n));
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 void RunningStats::Add(double x) {
   if (n_ == 0) {
     min_ = max_ = x;

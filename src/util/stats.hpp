@@ -15,9 +15,6 @@ double Max(std::span<const double> xs);
 /// Linear interpolation percentile, p in [0, 100].
 double Percentile(std::span<const double> xs, double p);
 
-/// Pearson correlation; 0 if either side is constant.
-double Correlation(std::span<const double> xs, std::span<const double> ys);
-
 /// Simple accumulator for streaming mean/stddev (Welford).
 class RunningStats {
  public:

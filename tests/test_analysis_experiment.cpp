@@ -177,12 +177,5 @@ TEST(ReportTest, NormalizeBasics) {
   EXPECT_DOUBLE_EQ(n.memory_efficiency, 0.5);
 }
 
-TEST(ReportTest, FormatRowAligned) {
-  const std::string row = FormatRow("workload", {1.0, 2.5}, 8, 2);
-  EXPECT_NE(row.find("workload"), std::string::npos);
-  EXPECT_NE(row.find("1.00"), std::string::npos);
-  EXPECT_NE(row.find("2.50"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace daos::analysis

@@ -114,15 +114,5 @@ TEST(RenderAsciiTest, ShapeAndShading) {
   EXPECT_EQ(art[7], ' ');   // idle cell is blank
 }
 
-TEST(ToCsvTest, HeaderAndRowCount) {
-  std::vector<damon::Snapshot> snaps;
-  snaps.push_back(MakeSnapshot(0, {{0, MiB, 5, 0}}));
-  const Heatmap map = BuildHeatmap(snaps, 0, 3, 4, AddrSpan{0, MiB});
-  const std::string csv = ToCsv(map);
-  EXPECT_EQ(csv.find("time_s,addr_mib,frequency"), 0u);
-  // 12 data lines + header.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 13);
-}
-
 }  // namespace
 }  // namespace daos::analysis

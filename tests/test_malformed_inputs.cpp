@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <optional>
 #include <string>
@@ -1553,6 +1554,42 @@ TEST(MalformedQuarantineTest, NegativeShardIndexRejected) {
   EXPECT_EQ(fleet.QuarantineText(), "") << "reject must not half-apply";
 }
 
+TEST(MalformedQuarantineTest, MutantsNeverCrashAndReachAFixpoint) {
+  // Each mutant is written to a fleet with nothing quarantined; what
+  // /fleet/quarantine then reads back must write to the same state. A
+  // rejected write leaves the quarantine set empty.
+  fleet::FleetConfig config;
+  config.nr_shards = 4;
+  config.workload.nr_processes = 1;
+  config.workload.rss_per_process = 4 * MiB;
+  config.use_env_faults = false;
+  const auto fleet = std::make_shared<fleet::FleetController>(config);
+  const auto write = [fleet](const std::string& text, std::string* error)
+      -> std::optional<std::string> {
+    EXPECT_TRUE(fleet->WriteQuarantine("clear", error)) << *error;
+    if (!fleet->WriteQuarantine(text, error)) {
+      EXPECT_EQ(fleet->QuarantineText(), "") << "half-applied:\n" << text;
+      return std::nullopt;
+    }
+    return fleet->QuarantineText();
+  };
+  FuzzFixpoint<std::string>({
+      .golden = "# operator overrides\n"
+                "add 0\n"
+                "add 2 # crash-looping\n"
+                "release 0\n"
+                "clear\n"
+                "add 3\n"
+                "add 1\n",
+      .words = {"add", "release", "clear", "0", "1", "3", "4", "-1", "+1",
+                "0x1", "01", "4294967296", "18446744073709551615",
+                "18446744073709551616", "#", "\t", "x", ""},
+      .seed = 0x90a7'a471'7e55'0001ULL,
+      .parse = write,
+      .format = [](const std::string& text) { return text; },
+  });
+}
+
 TEST(MalformedTraceTest, HostileHeaderNumbersRejected) {
   const auto reject = [](const std::string& key, std::string_view value,
                          int line) {
@@ -1711,6 +1748,33 @@ TEST(MalformedIngestTest, CsvNegativeTimeRejected) {
                    .has_value());
   EXPECT_EQ(error.line_number, 3);
   EXPECT_NE(error.message.find("bad time_us"), std::string::npos);
+}
+
+TEST(MalformedIngestTest, CsvTimePastCeilingRejected) {
+  // The replay ends one quantum after the last row; at 2^64 - 1 that sum
+  // wrapped and the trace claimed a runtime of about 5 ms.
+  trace::IngestError error;
+  EXPECT_FALSE(trace::IngestText("time_us,op,addr,size\n"
+                                 "0,r,0x1000,4\n"
+                                 "18446744073709551615,r,0x1000,4\n",
+                                 "x", trace::IngestOptions{}, &error)
+                   .has_value());
+  EXPECT_EQ(error.line_number, 3);
+  EXPECT_NE(error.message.find("time_us past"), std::string::npos);
+
+  // The last accepted row ends exactly at the ceiling, exact as a double.
+  const trace::IngestOptions options;
+  const SimTimeUs last = trace::kMaxIngestEndUs - options.quantum_us;
+  const std::string row = ",r,0x1000,4\n";
+  const std::optional<trace::Trace> t = trace::IngestText(
+      "0" + row + std::to_string(last) + row, "x", options, &error);
+  ASSERT_TRUE(t.has_value()) << error.message;
+  EXPECT_EQ(t->meta.runtime_s, static_cast<double>(trace::kMaxIngestEndUs) /
+                                   static_cast<double>(kUsPerSec));
+  EXPECT_FALSE(trace::IngestText(std::to_string(last + 1) + row, "x", options,
+                                 &error)
+                   .has_value());
+  EXPECT_EQ(error.line_number, 1);
 }
 
 TEST_F(MalformedDbgfsTest, HostileAttrsNumbersRejectedAndUnchanged) {

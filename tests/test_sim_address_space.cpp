@@ -120,6 +120,32 @@ TEST_F(AddressSpaceTest, RangeTouchBeforeMkOldNotYoung) {
   EXPECT_FALSE(space_.IsYoung(probe));
 }
 
+TEST_F(AddressSpaceTest, ClearTimeKeepsWholeMilliseconds) {
+  // MkOld stores its clear time truncated to whole milliseconds, so a
+  // logged range sweep earlier in the same millisecond still reads young
+  // and one a microsecond before that millisecond reads old.
+  constexpr Addr kEarly = 0x40000000;
+  constexpr Addr kSameMs = 0x40400000;
+  for (const Addr base : {kEarly, kSameMs}) {
+    ASSERT_NE(space_.Map(base, kHugePageSize, "a"), nullptr);
+    space_.TouchRange(base, base + kHugePageSize, false, 0);
+    space_.MkOld(base + 7 * kPageSize, 5900);
+  }
+  const PageView cleared =
+      space_.FindVma(kEarly)->PageAt(kEarly + 7 * kPageSize);
+  EXPECT_EQ(cleared.acc_cleared_ms, 5u);
+  EXPECT_FALSE(cleared.Accessed());
+
+  space_.TouchRange(kEarly, kEarly + kHugePageSize, false, 4999);
+  space_.TouchRange(kSameMs, kSameMs + kHugePageSize, false, 5000);
+  EXPECT_FALSE(space_.IsYoung(kEarly + 7 * kPageSize));
+  EXPECT_TRUE(space_.IsYoung(kSameMs + 7 * kPageSize));
+  // Both sweeps went through the touch log, not the accessed bit.
+  const Vma& same_ms = *space_.FindVma(kSameMs);
+  EXPECT_FALSE(same_ms.PageAt(kSameMs + 7 * kPageSize).Accessed());
+  EXPECT_EQ(same_ms.PageAt(kSameMs + 7 * kPageSize).acc_cleared_ms, 5u);
+}
+
 TEST_F(AddressSpaceTest, PageOutRangeEvictsToSwap) {
   space_.Map(0x10000, 64 * kPageSize, "a");
   space_.TouchRange(0x10000, 0x10000 + 64 * kPageSize, true, 0);

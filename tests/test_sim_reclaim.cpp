@@ -71,6 +71,22 @@ TEST(Reclaimer, RecentlyTouchedPagesSurvive) {
   EXPECT_EQ(space.resident_pages(), 16u);
 }
 
+TEST(Reclaimer, SecondChanceRecordsTheClearTime) {
+  Machine machine(TinySpec(GiB), SwapConfig::Zram(64 * MiB));
+  AddressSpace space(1, &machine, 3.0);
+  const Vma* vma = space.Map(0, 16 * kPageSize, "a");
+  space.TouchRange(0, 16 * kPageSize, false, 0);
+  Reclaimer reclaimer(&machine);
+  // Every page is young, so the one pass clears each page's accessed state
+  // at 7345.678 ms, kept as 7345 ms.
+  EXPECT_EQ(reclaimer.Reclaim(16, 16, -1, 7'345'678), 0u);
+  for (std::size_t i = 0; i < vma->page_count(); ++i) {
+    EXPECT_EQ(vma->PageAt(vma->AddrOfIndex(i)).acc_cleared_ms, 7345u)
+        << "page " << i;
+    EXPECT_FALSE(space.IsYoung(vma->AddrOfIndex(i))) << "page " << i;
+  }
+}
+
 TEST(Reclaimer, NoSpacesNoCrash) {
   Machine machine(TinySpec(GiB), SwapConfig::Zram(64 * MiB));
   Reclaimer reclaimer(&machine);

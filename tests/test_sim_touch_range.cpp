@@ -7,10 +7,10 @@
 // it reaches each block, and otherwise calls TouchPage page by page in
 // address order. On an untiered machine TouchPage runs the per-page touch
 // step unchanged, so the two must agree bit for bit: every bit plane, every
-// PageMeta, the block counters, the space and machine counters, the touch
-// log (through IsYoung on every page after every step; each query is O(1)
-// on the log's coverage stamps) and the returned TouchStats, stall_us
-// included.
+// PageMeta and clear time, the block counters, the space and machine
+// counters, the touch log (through IsYoung on every page after every step;
+// each query is O(1) on the log's coverage stamps) and the returned
+// TouchStats, stall_us included.
 // Tiered machines take every partly-resident word page by page; their seeds
 // hold the same state to bit identity, but the reference sums a faulting
 // slow-tier page's fault and tier latency before adding them to the range
@@ -141,9 +141,11 @@ std::string DiffVma(const Vma& a, const Vma& b, const AddressSpace& sa,
     const PageMeta& ma = a.Meta(i);
     const PageMeta& mb = b.Meta(i);
     if (ma.tier != mb.tier || ma.reclaim_gen != mb.reclaim_gen ||
-        ma.last_touch_ms != mb.last_touch_ms ||
-        ma.acc_cleared_ms != mb.acc_cleared_ms)
+        ma.last_touch_ms != mb.last_touch_ms)
       return "PageMeta of page " + std::to_string(i);
+    if (a.PageAt(a.AddrOfIndex(i)).acc_cleared_ms !=
+        b.PageAt(b.AddrOfIndex(i)).acc_cleared_ms)
+      return "clear time of page " + std::to_string(i);
     if (sa.IsYoung(a.AddrOfIndex(i)) != sb.IsYoung(b.AddrOfIndex(i)))
       return "IsYoung of page " + std::to_string(i);
   }

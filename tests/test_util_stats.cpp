@@ -51,24 +51,6 @@ TEST(Stats, PercentileUnsortedInput) {
   EXPECT_DOUBLE_EQ(Percentile(xs, 50), 30);
 }
 
-TEST(Stats, CorrelationPerfectPositive) {
-  const std::array<double, 4> xs{1, 2, 3, 4};
-  const std::array<double, 4> ys{2, 4, 6, 8};
-  EXPECT_NEAR(Correlation(xs, ys), 1.0, 1e-12);
-}
-
-TEST(Stats, CorrelationPerfectNegative) {
-  const std::array<double, 4> xs{1, 2, 3, 4};
-  const std::array<double, 4> ys{8, 6, 4, 2};
-  EXPECT_NEAR(Correlation(xs, ys), -1.0, 1e-12);
-}
-
-TEST(Stats, CorrelationConstantSideIsZero) {
-  const std::array<double, 3> xs{1, 1, 1};
-  const std::array<double, 3> ys{1, 2, 3};
-  EXPECT_DOUBLE_EQ(Correlation(xs, ys), 0.0);
-}
-
 TEST(RunningStats, MatchesBatchComputation) {
   const std::array<double, 6> xs{1.5, 2.5, -3, 8, 0, 4};
   RunningStats rs;
