@@ -142,6 +142,11 @@ void DamonContext::InitRegionsFor(DamonTarget& target) {
 
 void DamonContext::PrepareAccessChecks(SimTimeUs now) {
   std::uint64_t sampled = 0;
+  // The generator and the CPU charge live in locals across the loop and
+  // are written back after it: the region stores could alias the members,
+  // and the primitives' batch calls read neither.
+  Rng rng = rng_;
+  double cpu_us = counters_.cpu_us;
   for (DamonTarget& target : targets_) {
     const double half_cost = target.primitives->CheckCostUs() * 0.5;
     for (Region& r : target.regions) {
@@ -153,12 +158,14 @@ void DamonContext::PrepareAccessChecks(SimTimeUs now) {
       // accessed state and the next sampling pass reads it back.
       const std::uint64_t pages = std::max<std::uint64_t>(1, r.size() / kPageSize);
       r.sampling_addr =
-          r.start + AlignDown(rng_.NextBounded(pages) * kPageSize, kPageSize);
+          r.start + AlignDown(rng.NextBounded(pages) * kPageSize, kPageSize);
       ++sampled;
-      counters_.cpu_us += half_cost;
+      cpu_us += half_cost;
     }
     target.primitives->PrepareAccessChecks(target.regions, now);
   }
+  rng_ = rng;
+  counters_.cpu_us = cpu_us;
   counters_.samples += sampled;
   if (tel_.samples != nullptr) tel_.samples->Add(sampled);
 }

@@ -29,8 +29,17 @@ std::uint64_t BitRangeMask(std::size_t lo, std::size_t hi) {
   return (all >> (64 - (hi - lo))) << lo;
 }
 
+/// Set bits of `word`. Baseline x86-64 has no popcnt instruction, and
+/// std::popcount there is a call into libgcc; the SWAR count is inline.
 std::uint64_t Popcount(std::uint64_t word) {
+#ifdef __POPCNT__
   return static_cast<std::uint64_t>(std::popcount(word));
+#else
+  word -= (word >> 1) & 0x5555555555555555ULL;
+  word = (word & 0x3333333333333333ULL) + ((word >> 2) & 0x3333333333333333ULL);
+  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return (word * 0x0101010101010101ULL) >> 56;
+#endif
 }
 
 /// Mask selecting the pages of bitmap word `w` inside page indices
@@ -46,8 +55,16 @@ std::uint64_t WordMask(std::size_t plo, std::size_t phi, std::size_t w) {
 /// of that word inside the range.
 template <typename Fn>
 void ForEachWord(std::size_t plo, std::size_t phi, Fn&& fn) {
-  for (std::size_t w = plo >> 6; w <= (phi - 1) >> 6; ++w) {
-    fn(w, WordMask(plo, phi, w), w << 6);
+  // WordMask per word, with the edge masks computed once.
+  const std::size_t first = plo >> 6;
+  const std::size_t last = (phi - 1) >> 6;
+  const std::uint64_t head = ~std::uint64_t{0} << (plo & 63);
+  const std::uint64_t tail = ~std::uint64_t{0} >> (63 - ((phi - 1) & 63));
+  for (std::size_t w = first; w <= last; ++w) {
+    std::uint64_t m = ~std::uint64_t{0};
+    if (w == first) m &= head;
+    if (w == last) m &= tail;
+    fn(w, m, w << 6);
   }
 }
 
@@ -387,9 +404,9 @@ void AddressSpace::MakeNonResident(Vma& vma, std::size_t page_idx) {
   }
 }
 
-TouchStats AddressSpace::FaultIn(Vma& vma, std::size_t page_idx, bool write,
-                                 SimTimeUs now) {
-  TouchStats st;
+double AddressSpace::FaultIn(Vma& vma, std::size_t page_idx, bool write,
+                             SimTimeUs now, TouchStats& st) {
+  double stall_us = 0.0;
   const CostModel& costs = machine_->costs();
   if (fault::Fires(machine_->faults().alloc_frame_fail)) {
     // No free frame on first try: the allocating task enters direct
@@ -397,7 +414,7 @@ TouchStats AddressSpace::FaultIn(Vma& vma, std::size_t page_idx, bool write,
     // machine latches an OOM condition for the System to act on; the
     // retry itself is allowed to proceed (the kernel's last-ditch alloc).
     ++machine_->counters().alloc_stalls;
-    st.stall_us += kAllocStallUs;
+    stall_us += kAllocStallUs;
     if (machine_->DirectReclaim(/*target_pages=*/32, now) == 0) {
       machine_->RaiseOom();
     }
@@ -411,7 +428,7 @@ TouchStats AddressSpace::FaultIn(Vma& vma, std::size_t page_idx, bool write,
     MakeResident(vma, page_idx, /*via_thp=*/false);
     ++major_faults_;
     ++st.major_faults;
-    st.stall_us += static_cast<double>(machine_->swap().config().page_in_us);
+    stall_us += static_cast<double>(machine_->swap().config().page_in_us);
   } else {
     // Minor fault: first touch of an anonymous page. Under THP `always`,
     // a fault in an empty, fully-mapped 2 MiB block allocates a whole huge
@@ -420,21 +437,23 @@ TouchStats AddressSpace::FaultIn(Vma& vma, std::size_t page_idx, bool write,
     if (machine_->thp_mode() == ThpMode::kAlways && vma.BlockIsFull(block) &&
         !vma.block(block).huge && vma.block(block).resident == 0) {
       PromoteBlock(vma, block, now);
-      st.stall_us += costs.minor_fault_us + costs.huge_fault_extra_us;
+      stall_us += costs.minor_fault_us + costs.huge_fault_extra_us;
     } else {
       MakeResident(vma, page_idx, /*via_thp=*/false);
-      st.stall_us += costs.minor_fault_us;
+      stall_us += costs.minor_fault_us;
     }
     ++minor_faults_;
     ++st.minor_faults;
   }
   if (write) vma.SetBit(PageBit::kDirty, page_idx);
-  return st;
+  return stall_us;
 }
 
 void AddressSpace::TouchPageAt(Vma& vma, std::size_t idx, bool write,
-                               SimTimeUs now, TouchStats& st) {
-  if (!vma.TestBit(PageBit::kPresent, idx)) st += FaultIn(vma, idx, write, now);
+                               SimTimeUs now, TouchStats& st,
+                               double& stall_us) {
+  if (!vma.TestBit(PageBit::kPresent, idx))
+    stall_us += FaultIn(vma, idx, write, now, st);
   vma.SetBit(PageBit::kAccessed, idx);
   vma.SetBit(PageBit::kEverTouched, idx);
   vma.ClearBit(PageBit::kDeactivated, idx);
@@ -455,22 +474,18 @@ void AddressSpace::TouchPageAt(Vma& vma, std::size_t idx, bool write,
       // Slow-tier access: the workload absorbs the tier's extra latency,
       // and the touch counts into the hot-cold mismatch metric.
       ++machine_->counters().tier_slow_touches;
-      st.stall_us += machine_->TierExtraUs(tier);
+      stall_us += machine_->TierExtraUs(tier);
     }
   }
-}
-
-TouchStats AddressSpace::TouchPage(Addr addr, bool write, SimTimeUs now) {
-  TouchStats st;
-  const PageTouch page{addr, write};
-  TouchPages({&page, 1}, now, st);
-  return st;
 }
 
 void AddressSpace::TouchPages(std::span<const PageTouch> pages, SimTimeUs now,
                               TouchStats& st) {
   // No touch changes the layout (faults and direct reclaim only move
   // frames), so the last VMA found stays valid for the whole batch.
+  // The batch adds up in a local, written back once: `st` may live in
+  // memory that the page writes alias.
+  TouchStats acc = st;
   Vma* vma = nullptr;
   for (const PageTouch& p : pages) {
     if (tap_ != nullptr) tap_->OnTouchPage(p.addr, p.write, now);
@@ -478,23 +493,26 @@ void AddressSpace::TouchPages(std::span<const PageTouch> pages, SimTimeUs now,
       vma = FindVma(p.addr);
       if (vma == nullptr) continue;
     }
-    // Each page's stats go into `st` on their own, as a caller adding up
-    // TouchPage results would; summing the batch first rounds stall_us
+    // Each page's stall goes into the sum on its own, as a caller adding
+    // up TouchPage results would; summing the batch first rounds stall_us
     // differently.
-    TouchStats one;
-    TouchPageAt(*vma, vma->PageIndex(p.addr), p.write, now, one);
-    st += one;
+    double stall_us = 0.0;
+    TouchPageAt(*vma, vma->PageIndex(p.addr), p.write, now, acc, stall_us);
+    acc.stall_us += stall_us;
   }
+  st = acc;
 }
 
-TouchStats AddressSpace::TouchRange(Addr start, Addr end, bool write,
-                                    SimTimeUs now) {
-  TouchStats st;
-  if (end <= start) return st;
+void AddressSpace::TouchRange(Addr start, Addr end, bool write, SimTimeUs now,
+                              TouchStats& into) {
+  if (end <= start) return;
   start = AlignDown(start, kPageSize);
   end = AlignUp(end, kPageSize);
   if (tap_ != nullptr) tap_->OnTouchRange(start, end, write, now);
   const bool tiered = machine_->tiered();
+  // Counts go straight into `into`; the range's stall sums from 0 and
+  // reaches it once.
+  double stall_us = 0.0;
   ForEachVmaSpan(start, end, [&](Vma& vma, Addr lo, Addr hi) {
     vma.LogRangeTouch(lo, hi, now);
     const std::size_t range_lo = vma.PageIndex(lo);
@@ -520,8 +538,8 @@ TouchStats AddressSpace::TouchRange(Addr start, Addr end, bool write,
         // touch log carries the accessed information for IsYoung(). Blocks
         // with slow-tier pages take the per-page path so each page pays its
         // tier's latency (blk.slow is always 0 untiered).
-        st.pages += span;
-        if (blk.huge) st.huge_pages += span;
+        into.pages += span;
+        if (blk.huge) into.huge_pages += span;
         if (tiered) machine_->counters().tier_touches += span;
         continue;
       }
@@ -538,21 +556,24 @@ TouchStats AddressSpace::TouchRange(Addr start, Addr end, bool write,
           ever[w] |= m;
           deactivated[w] &= ~m;
           if (write) dirty[w] |= m;
-          bloat_pages_ -= Popcount(bloat[w] & m);
-          bloat[w] &= ~m;
-          st.pages += Popcount(m);
-          st.huge_pages += Popcount(huge[w] & m);
+          if ((bloat[w] & m) != 0) {
+            bloat_pages_ -= Popcount(bloat[w] & m);
+            bloat[w] &= ~m;
+          }
+          // m selects exactly the word's pages in [plo, phi).
+          into.pages += std::min(phi, base + 64) - std::max(plo, base);
+          if ((huge[w] & m) != 0) into.huge_pages += Popcount(huge[w] & m);
           return;
         }
         for (std::size_t i = std::max(plo, base); i < std::min(phi, base + 64);
              ++i) {
-          TouchPageAt(vma, i, write, now, st);
+          TouchPageAt(vma, i, write, now, into, stall_us);
         }
       });
     }
     return true;
   });
-  return st;
+  into.stall_us += stall_us;
 }
 
 bool AddressSpace::SpanHasBloat(const Vma& vma, std::size_t plo,

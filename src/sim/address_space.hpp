@@ -340,7 +340,16 @@ class AddressSpace {
 
   // --- workload side ----------------------------------------------------------
   /// Touches one page: TouchPages over a batch of one.
-  TouchStats TouchPage(Addr addr, bool write, SimTimeUs now);
+  void TouchPage(Addr addr, bool write, SimTimeUs now, TouchStats& into) {
+    const PageTouch page{addr, write};
+    TouchPages({&page, 1}, now, into);
+  }
+  /// The page's stats on their own.
+  TouchStats TouchPage(Addr addr, bool write, SimTimeUs now) {
+    TouchStats st;
+    TouchPage(addr, write, now, st);
+    return st;
+  }
   /// Touches `pages` in the given order, exactly as that many TouchPage
   /// calls would: the tap sees one OnTouchPage per page in order, pages
   /// outside every VMA are skipped after the tap saw them, and each page's
@@ -349,14 +358,23 @@ class AddressSpace {
   /// outside the last one.
   void TouchPages(std::span<const PageTouch> pages, SimTimeUs now,
                   TouchStats& st);
-  /// Touches every page of [start, end) widened to page bounds; the tap and
+  /// Touches every page of [start, end) widened to page bounds and adds the
+  /// range's stats into `into`, exactly as `into += TouchRange(...)` would:
+  /// the pages' stall_us sums from 0 and reaches `into` once. The tap and
   /// the touch log see those bounds, and an empty range is a no-op that
   /// reaches neither. Fully-resident blocks (no bloat, no slow-tier pages)
   /// cost O(1) via the touch log. Other blocks go one 64-page bitmap word at
   /// a time in address order: mask operations when every page of the word
   /// is present on an untiered machine, page by page (faults charged per
   /// missing page) otherwise.
-  TouchStats TouchRange(Addr start, Addr end, bool write, SimTimeUs now);
+  void TouchRange(Addr start, Addr end, bool write, SimTimeUs now,
+                  TouchStats& into);
+  /// The range's stats on their own.
+  TouchStats TouchRange(Addr start, Addr end, bool write, SimTimeUs now) {
+    TouchStats st;
+    TouchRange(start, end, write, now, st);
+    return st;
+  }
 
   // --- monitor primitives ----------------------------------------------------
   /// Clears the accessed state of the page at `addr` (PTE mkold).
@@ -458,13 +476,19 @@ class AddressSpace {
   std::uint64_t MaintainLogs(SimTimeUs now);
 
  private:
-  TouchStats FaultIn(Vma& vma, std::size_t page_idx, bool write, SimTimeUs now);
+  /// Faults the page in and counts the fault into `st`; returns its stall.
+  double FaultIn(Vma& vma, std::size_t page_idx, bool write, SimTimeUs now,
+                 TouchStats& st);
   void MakeResident(Vma& vma, std::size_t page_idx, bool via_thp);
   void MakeNonResident(Vma& vma, std::size_t page_idx);
   /// One page's share of a touch: faults it in if needed, then sets its
-  /// accessed/ever-touched/dirty state and accumulates into `st`.
-  void TouchPageAt(Vma& vma, std::size_t idx, bool write, SimTimeUs now,
-                   TouchStats& st);
+  /// accessed/ever-touched/dirty state. Its counts go into `st`, and its
+  /// stall into `stall_us`: the fault's total, then the tier's latency.
+  /// Always inlined, so each caller's sums can live in registers.
+  [[gnu::always_inline]] inline void TouchPageAt(Vma& vma, std::size_t idx,
+                                                 bool write, SimTimeUs now,
+                                                 TouchStats& st,
+                                                 double& stall_us);
   bool SpanHasBloat(const Vma& vma, std::size_t plo, std::size_t phi) const;
   /// Calls fn(vma, lo, hi) for each VMA overlapping [start, end), in address
   /// order through the interval index, with [lo, hi) the overlap clamped to

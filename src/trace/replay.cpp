@@ -32,10 +32,10 @@ sim::TouchStats TraceReplaySource::EmitQuantum(sim::AddressSpace& space,
         // differently than the recording (different config), catch-up
         // touches must not write timestamps into the touch log's past.
         // Under the recorded config ev.at == now for every event anyway.
-        st += space.TouchPage(addr, ev.write, now);
+        space.TouchPage(addr, ev.write, now, st);
         break;
       case TraceOp::kTouchRange:
-        st += space.TouchRange(addr, addr + (ev.pages << shift), ev.write, now);
+        space.TouchRange(addr, addr + (ev.pages << shift), ev.write, now, st);
         break;
     }
   }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -114,10 +115,33 @@ class Rng {
 /// evaluation of the same formula produces.
 class ZipfSampler {
  public:
-  ZipfSampler(std::uint64_t n, double s) noexcept;
+  ZipfSampler(std::uint64_t n, double s) noexcept : n_(n), log_cdf_(s == 1.0) {
+    if (log_cdf_) {
+      log1p_n_ = std::log1p(static_cast<double>(n));
+    } else {
+      const double oms = 1.0 - s;
+      top_ = std::pow(static_cast<double>(n) + 1.0, oms) - 1.0;
+      inv_oms_ = 1.0 / oms;
+    }
+  }
 
-  /// One rank. n <= 1 returns 0 without consuming a draw.
-  std::uint64_t Draw(Rng& rng) const noexcept;
+  /// One rank. n <= 1 returns 0 without consuming a draw. Inline, so a
+  /// caller's loop can keep its generator in registers.
+  std::uint64_t Draw(Rng& rng) const noexcept {
+    if (n_ <= 1) return 0;
+    const double u = rng.NextDouble();
+    if (log_cdf_) {
+      // CDF(x) ~ ln(1+x)/ln(1+n); invert.
+      const double x = std::exp(u * log1p_n_) - 1.0;
+      const auto r = static_cast<std::uint64_t>(x);
+      return r >= n_ ? n_ - 1 : r;
+    }
+    // CDF(x) ~ ((1+x)^(1-s) - 1) / ((1+n)^(1-s) - 1) for s != 1.
+    const double x = std::pow(u * top_ + 1.0, inv_oms_) - 1.0;
+    if (x <= 0.0) return 0;
+    const auto r = static_cast<std::uint64_t>(x);
+    return r >= n_ ? n_ - 1 : r;
+  }
 
  private:
   std::uint64_t n_;

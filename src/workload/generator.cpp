@@ -67,7 +67,7 @@ sim::TouchStats SyntheticSource::TouchUsedSpan(sim::AddressSpace& space,
     const std::uint64_t in_block = g.used_per_block - idx % g.used_per_block;
     const std::uint64_t run = std::min(count, in_block);
     const Addr start = UsedIndexToAddr(g, idx);
-    st += space.TouchRange(start, start + run * kPageSize, write, now);
+    space.TouchRange(start, start + run * kPageSize, write, now, st);
     idx += run;
     count -= run;
   }
@@ -80,8 +80,8 @@ sim::TouchStats SyntheticSource::PopulateAll(sim::AddressSpace& space,
   for (const GroupState& g : groups_) {
     st += TouchUsedSpan(space, g, 0, g.used_pages, /*write=*/true, now);
   }
-  st += space.TouchRange(kMmapBase, kMmapBase + kAuxBytes, false, now);
-  st += space.TouchRange(kStackBase, kStackBase + kStackBytes, true, now);
+  space.TouchRange(kMmapBase, kMmapBase + kAuxBytes, false, now, st);
+  space.TouchRange(kStackBase, kStackBase + kStackBytes, true, now, st);
   return st;
 }
 
@@ -134,18 +134,22 @@ sim::TouchStats SyntheticSource::TouchHot(sim::AddressSpace& space,
   const double n = profile_.zipf_touches_per_s *
                    (static_cast<double>(quantum) / kUsPerSec);
   const auto draws = static_cast<std::uint64_t>(n);
+  // The loop draws from a local copy of the generator, written back after
+  // it: the buffer's stores could alias rng_, which would pin it in memory.
   const ZipfSampler zipf(win_pages, profile_.zipf_exponent);
   touches_.clear();
+  Rng rng = rng_;
   for (std::uint64_t i = 0; i < draws; ++i) {
-    const std::uint64_t rank = zipf.Draw(rng_);
+    const std::uint64_t rank = zipf.Draw(rng);
     const Addr a = UsedIndexToAddr(
         hot, win_at + std::min(rank, win_pages - 1));
-    touches_.push_back({a, rng_.NextBool(hot.spec.write_frac)});
+    touches_.push_back({a, rng.NextBool(hot.spec.write_frac)});
   }
+  rng_ = rng;
   space.TouchPages(touches_, now, st);
   // Stack top is always hot.
-  st += space.TouchRange(kStackBase + kStackBytes - 128 * KiB,
-                         kStackBase + kStackBytes, true, now);
+  space.TouchRange(kStackBase + kStackBytes - 128 * KiB,
+                   kStackBase + kStackBytes, true, now, st);
   return st;
 }
 

@@ -70,15 +70,13 @@ sim::TouchStats ScenarioSource::EmitQuantum(sim::AddressSpace& space,
   if (!populated_) {
     // First quantum: fault the whole footprint in once (cold data past
     // this point is what prcl reclaims), plus aux + stack.
-    st += space.TouchRange(a_.start, c_.end(), true, now);
-    st += space.TouchRange(SyntheticSource::kMmapBase,
-                           SyntheticSource::kMmapBase +
-                               SyntheticSource::kAuxBytes,
-                           false, now);
-    st += space.TouchRange(SyntheticSource::kStackBase,
-                           SyntheticSource::kStackBase +
-                               SyntheticSource::kStackBytes,
-                           true, now);
+    space.TouchRange(a_.start, c_.end(), true, now, st);
+    space.TouchRange(SyntheticSource::kMmapBase,
+                     SyntheticSource::kMmapBase + SyntheticSource::kAuxBytes,
+                     false, now, st);
+    space.TouchRange(SyntheticSource::kStackBase,
+                     SyntheticSource::kStackBase + SyntheticSource::kStackBytes,
+                     true, now, st);
     populated_ = true;
   }
   switch (profile_.pattern) {
@@ -98,11 +96,11 @@ sim::TouchStats ScenarioSource::EmitQuantum(sim::AddressSpace& space,
       break;  // non-scenario patterns never reach this source
   }
   // Stack top stays hot, as in every other source.
-  st += space.TouchRange(SyntheticSource::kStackBase +
-                             SyntheticSource::kStackBytes - 128 * KiB,
-                         SyntheticSource::kStackBase +
-                             SyntheticSource::kStackBytes,
-                         true, now);
+  space.TouchRange(SyntheticSource::kStackBase +
+                       SyntheticSource::kStackBytes - 128 * KiB,
+                   SyntheticSource::kStackBase +
+                       SyntheticSource::kStackBytes,
+                   true, now, st);
   return st;
 }
 
@@ -110,19 +108,22 @@ sim::TouchStats ScenarioSource::EmitKvStore(sim::AddressSpace& space,
                                             SimTimeUs now, SimTimeUs quantum) {
   sim::TouchStats st;
   // a_ = index (always hot), b_ = value log, c_ = compaction scratch (cold).
-  st += space.TouchRange(a_.start, a_.end(), rng_.NextBool(0.2), now);
+  space.TouchRange(a_.start, a_.end(), rng_.NextBool(0.2), now, st);
   // Zipfian point gets/puts; keys are ordered by popularity, so low ranks
   // form a compact hot head of the log.
   const double per_s = profile_.zipf_touches_per_s;
   const auto draws = static_cast<std::uint64_t>(
       per_s * (static_cast<double>(quantum) / kUsPerSec));
+  // A local generator, as in SyntheticSource::TouchHot.
   const ZipfSampler zipf(b_.pages, profile_.zipf_exponent);
   touches_.clear();
+  Rng rng = rng_;
   for (std::uint64_t i = 0; i < draws; ++i) {
-    const std::uint64_t rank = zipf.Draw(rng_);
+    const std::uint64_t rank = zipf.Draw(rng);
     const Addr addr = b_.start + std::min(rank, b_.pages - 1) * kPageSize;
-    touches_.push_back({addr, rng_.NextBool(0.3)});
+    touches_.push_back({addr, rng.NextBool(0.3)});
   }
+  rng_ = rng;
   space.TouchPages(touches_, now, st);
   // Periodic range scan: one contiguous 1/32 slice of the log per period,
   // at a random position — the long sequential reads that pollute an
@@ -132,8 +133,8 @@ sim::TouchStats ScenarioSource::EmitKvStore(sim::AddressSpace& space,
                                                kUsPerSec);
     const std::uint64_t slice = std::max<std::uint64_t>(1, b_.pages / 32);
     const std::uint64_t at = rng_.NextBounded(b_.pages - slice + 1);
-    st += space.TouchRange(b_.start + at * kPageSize,
-                           b_.start + (at + slice) * kPageSize, false, now);
+    space.TouchRange(b_.start + at * kPageSize,
+                     b_.start + (at + slice) * kPageSize, false, now, st);
   }
   return st;
 }
@@ -157,12 +158,12 @@ sim::TouchStats ScenarioSource::EmitGraph(sim::AddressSpace& space,
   for (const std::uint64_t v : frontier_) {
     // Visit the vertex page, then its hash-derived neighbor edge pages —
     // the irregular, locality-poor stride real graph analytics shows.
-    st += space.TouchPage(a_.start + v * kPageSize, true, now);
+    space.TouchPage(a_.start + v * kPageSize, true, now, st);
     const std::uint64_t degree = kMinDegree + Mix(v, traversal_) % kDegreeSpread;
     for (std::uint64_t e = 0; e < degree; ++e) {
       const std::uint64_t edge = Mix(v * kDegreeSpread + e, traversal_) %
                                  b_.pages;
-      st += space.TouchPage(b_.start + edge * kPageSize, false, now);
+      space.TouchPage(b_.start + edge * kPageSize, false, now, st);
       if (next.size() < kFrontierSize) {
         next.push_back(Mix(edge, traversal_ + 1) % a_.pages);
       }
@@ -170,7 +171,7 @@ sim::TouchStats ScenarioSource::EmitGraph(sim::AddressSpace& space,
   }
   frontier_ = std::move(next);
   // The frontier queue itself lives in scratch.
-  st += space.TouchRange(c_.start, c_.start + 64 * kPageSize, true, now);
+  space.TouchRange(c_.start, c_.start + 64 * kPageSize, true, now, st);
   return st;
 }
 
@@ -178,8 +179,8 @@ sim::TouchStats ScenarioSource::EmitMlTrain(sim::AddressSpace& space,
                                             SimTimeUs now, SimTimeUs quantum) {
   sim::TouchStats st;
   // a_ = model weights + activations, b_ = optimizer state, c_ = dataset.
-  st += space.TouchRange(a_.start, a_.end(), true, now);
-  st += space.TouchRange(b_.start, b_.end(), true, now);
+  space.TouchRange(a_.start, a_.end(), true, now, st);
+  space.TouchRange(b_.start, b_.end(), true, now, st);
   // Sequential dataset sweep, one full pass per epoch; the cursor resets
   // at the epoch boundary so the sweep is epoch-periodic, not free-running.
   const double epoch_us = profile_.phase_period_s * kUsPerSec;
@@ -190,9 +191,9 @@ sim::TouchStats ScenarioSource::EmitMlTrain(sim::AddressSpace& space,
   sweep_carry_ -= static_cast<double>(count);
   while (count > 0) {
     const std::uint64_t run = std::min(count, c_.pages - sweep_cursor_);
-    st += space.TouchRange(c_.start + sweep_cursor_ * kPageSize,
-                           c_.start + (sweep_cursor_ + run) * kPageSize,
-                           false, now);
+    space.TouchRange(c_.start + sweep_cursor_ * kPageSize,
+                     c_.start + (sweep_cursor_ + run) * kPageSize,
+                     false, now, st);
     sweep_cursor_ = (sweep_cursor_ + run) % c_.pages;
     count -= run;
   }
@@ -215,8 +216,8 @@ sim::TouchStats ScenarioSource::EmitAntiMerge(sim::AddressSpace& space,
   const std::uint64_t stripes = total_pages / kStripePages;
   for (std::uint64_t s = parity; s < stripes; s += 2) {
     const Addr start = a_.start + s * kStripePages * kPageSize;
-    st += space.TouchRange(start, start + kStripePages * kPageSize,
-                           rng_.NextBool(0.3), now);
+    space.TouchRange(start, start + kStripePages * kPageSize,
+                     rng_.NextBool(0.3), now, st);
   }
   return st;
 }

@@ -16,7 +16,7 @@ sim::TouchStats ServerSource::EmitQuantum(sim::AddressSpace& space,
   if (!populated_) {
     // Startup: the server faults in its whole heap (caches, code-adjacent
     // data, arena slack) — the bloat §4.4 measures.
-    st += space.TouchRange(base_, end, /*write=*/true, now);
+    space.TouchRange(base_, end, /*write=*/true, now, st);
     populated_ = true;
     return st;
   }
@@ -26,7 +26,7 @@ sim::TouchStats ServerSource::EmitQuantum(sim::AddressSpace& space,
                                         static_cast<double>(
                                             config_.rss_per_process)),
                       kPageSize);
-  st += space.TouchRange(base_, ws_end, rng_.NextBool(0.4), now);
+  space.TouchRange(base_, ws_end, rng_.NextBool(0.4), now, st);
 
   // Rare stray request into the cold part. A non-positive period disables
   // strays entirely (the fleet determinism suite pins the cold half idle);
@@ -37,7 +37,7 @@ sim::TouchStats ServerSource::EmitQuantum(sim::AddressSpace& space,
     if (rng_.NextBool(p)) {
       const std::uint64_t cold_pages = (end - ws_end) / kPageSize;
       const Addr a = ws_end + rng_.NextBounded(cold_pages) * kPageSize;
-      st += space.TouchPage(a, false, now);
+      space.TouchPage(a, false, now, st);
     }
   }
   return st;

@@ -28,10 +28,14 @@
 // on tiered seeds too (the batch adds each page into the caller's total on
 // its own), and the access tap must see the same event stream. Batches
 // cluster in a 1 MiB window that often straddles VMA ends and gaps, and
-// one page in eight lands anywhere, past the last VMA included.
+// one page in eight lands anywhere, past the last VMA included. The same
+// walk's range touches check TouchRange's accumulate form: added into a
+// non-zero running total, it must equal `total += TouchRange(...)` with
+// `==` on stall_us.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <string>
@@ -374,6 +378,11 @@ TEST_P(TouchPagesTwinTest, MatchesOneTouchPageAtATime) {
   // Running totals: each batch adds into what the earlier steps left.
   TouchStats batch_total;
   TouchStats single_total;
+  // Range touches: the batch twin accumulates into its total, the single
+  // twin adds up by-value results; both totals start non-zero.
+  const TouchStats range_start{7, 3, 2, 5, 0.1};
+  TouchStats batch_range_total = range_start;
+  TouchStats single_range_total = range_start;
   std::vector<PageTouch> pages;
   std::uint64_t batches = 0;
   std::uint64_t crossing_batches = 0;
@@ -417,7 +426,11 @@ TEST_P(TouchPagesTwinTest, MatchesOneTouchPageAtATime) {
         switch (op) {
           case 5:
           case 6:
-            s->TouchRange(lo, hi, write, now);
+            if (s == &batch.space) {
+              s->TouchRange(lo, hi, write, now, batch_range_total);
+            } else {
+              single_range_total += s->TouchRange(lo, hi, write, now);
+            }
             break;
           case 7:
             s->PageOutRange(lo, hi, now);
@@ -436,6 +449,10 @@ TEST_P(TouchPagesTwinTest, MatchesOneTouchPageAtATime) {
             break;
         }
       }
+      ASSERT_EQ(DiffStats(batch_range_total, single_range_total,
+                          /*exact_stall=*/true),
+                "")
+          << "step " << step;
     }
     ASSERT_EQ(Diff(batch, single), "") << "step " << step << " op " << op;
     ASSERT_TRUE(batch_log.events == single_log.events) << "step " << step;
@@ -453,9 +470,48 @@ TEST_P(TouchPagesTwinTest, MatchesOneTouchPageAtATime) {
   if (cfg.tiered) {
     EXPECT_GT(batch.machine.counters().tier_slow_touches, 0u);
   }
+  // The range totals moved past their start, stalls included.
+  EXPECT_GT(batch_range_total.pages, range_start.pages);
+  EXPECT_GT(batch_range_total.stall_us, range_start.stall_us);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TouchPagesTwinTest, ::testing::Range(1, 25));
+
+// The word path counts a fully present word's touched pages from the
+// clamped span instead of a popcount of its mask. Ranges that start or end
+// mid-word, and ones over the VMA's partial tail word, must count exactly
+// the pages whose accessed bit they set.
+TEST(TouchRangeWordPath, SpanPageCountMatchesMaskPopcount) {
+  Twin t(Config{});
+  // 300 pages from 3 pages past a block boundary: one partial block whose
+  // tail word holds 44 pages. Page 0 stays absent, so the block is never
+  // fully resident and every touch below takes the word path.
+  constexpr std::size_t kPages = 300;
+  const Addr start = kBase + 3 * kPageSize;
+  Vma* vma = t.space.Map(start, kPages * kPageSize, "v");
+  ASSERT_NE(vma, nullptr);
+  ASSERT_EQ(vma->word_count(), 5u);
+  t.space.TouchRange(start + kPageSize, start + kPages * kPageSize, true, 0);
+  const std::pair<std::size_t, std::size_t> spans[] = {
+      {1, 300},   {5, 70},    {64, 128},  {70, 300},  {130, 299},
+      {200, 201}, {255, 257}, {256, 300}, {257, 300}, {63, 64},
+  };
+  const SimTimeUs now = 10 * kUsPerSec;
+  for (const auto& [lo, hi] : spans) {
+    for (std::size_t i = 0; i < kPages; ++i)
+      vma->ClearBit(PageBit::kAccessed, i);
+    const TouchStats st = t.space.TouchRange(vma->AddrOfIndex(lo),
+                                             vma->AddrOfIndex(hi), false, now);
+    std::uint64_t accessed = 0;
+    for (std::size_t w = 0; w < vma->word_count(); ++w)
+      accessed += static_cast<std::uint64_t>(
+          std::popcount(vma->plane(PageBit::kAccessed)[w]));
+    EXPECT_EQ(st.pages, hi - lo) << "[" << lo << ", " << hi << ")";
+    EXPECT_EQ(st.pages, accessed) << "[" << lo << ", " << hi << ")";
+    EXPECT_EQ(st.minor_faults, 0u) << "[" << lo << ", " << hi << ")";
+  }
+  EXPECT_EQ(vma->block(0).resident, kPages - 1);
+}
 
 }  // namespace
 }  // namespace daos::sim
