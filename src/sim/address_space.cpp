@@ -534,10 +534,18 @@ void AddressSpace::TouchRange(Addr start, Addr end, bool write, SimTimeUs now,
       Vma::Block& blk = vma.block(b);
       if (blk.resident == bhi - blo && !SpanHasBloat(vma, blo, bhi) &&
           blk.slow == 0) {
-        // Fast path: residency and accessed-state are already correct; the
-        // touch log carries the accessed information for IsYoung(). Blocks
-        // with slow-tier pages take the per-page path so each page pays its
+        // Fast path: residency is already correct, and the touch log
+        // carries the accessed information for IsYoung(). The dirty and
+        // deactivated bits change as on the word path. Blocks with
+        // slow-tier pages take the per-page path so each page pays its
         // tier's latency (blk.slow is always 0 untiered).
+        // Only words that change are written: these bits are usually
+        // right already, and a store would dirty the line for nothing.
+        ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t m,
+                                  std::size_t) {
+          if ((deactivated[w] & m) != 0) deactivated[w] &= ~m;
+          if (write && (dirty[w] & m) != m) dirty[w] |= m;
+        });
         into.pages += span;
         if (blk.huge) into.huge_pages += span;
         if (tiered) machine_->counters().tier_touches += span;

@@ -183,13 +183,13 @@ TEST(PageWalkGoldenTest, UntieredPressureRunsEveryRangeAction) {
             "min max min min 1s max migrate_cold\n",
             10);
   EXPECT_EQ(got,
-            "machine reclaimed=4134 scans=671 failed=0 collapses=0 "
-            "overcommit=478 used_frames=8726\n"
+            "machine reclaimed=3878 scans=671 failed=0 collapses=0 "
+            "overcommit=480 used_frames=8726\n"
             "tier promoted=0 demoted=0 blocked=0 touches=0 slow=0\n"
-            "swap slots=1099 bytes=1500501 ins=4656 outs=45407\n"
-            "space resident=8726 swapped=1099 bloat=2316 huge=16 major=3537 "
-            "minor=1461 dirty_ev=7050 clean_ev=38357\n"
-            "scheme0 tried=1409/1775595520 applied=1122/169054208\n"
+            "swap slots=1099 bytes=1500501 ins=4395 outs=45226\n"
+            "space resident=8726 swapped=1099 bloat=2316 huge=16 major=3276 "
+            "minor=1457 dirty_ev=7050 clean_ev=38176\n"
+            "scheme0 tried=1409/1775595520 applied=1121/169361408\n"
             "scheme1 tried=823/796954624 applied=23/4583424\n"
             "scheme2 tried=1880/2416152576 applied=112/20242432\n"
             "scheme3 tried=194/282800128 applied=2/2097152\n"

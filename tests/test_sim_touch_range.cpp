@@ -5,7 +5,9 @@
 // reference here is a twin AddressSpace that walks the same VMAs and blocks
 // itself: it applies the fully-resident fast-path test to its own state as
 // it reaches each block, and otherwise calls TouchPage page by page in
-// address order. On an untiered machine TouchPage runs the per-page touch
+// address order. The dirty and deactivated planes do not depend on that
+// test: on a fast-path block the reference still sets or clears each
+// page's bits in address order, as TouchPage would. On an untiered machine TouchPage runs the per-page touch
 // step unchanged, so the two must agree bit for bit: every bit plane, every
 // PageMeta and clear time, the block counters, the space and machine
 // counters, the touch log (through IsYoung on every page after every step;
@@ -75,14 +77,22 @@ TouchStats ReferenceTouchRange(Machine& machine, AddressSpace& space,
       for (std::size_t i = blo; i < bhi; ++i)
         bloat = bloat || vma.TestBit(PageBit::kHugeBloat, i);
       const Vma::Block& blk = vma.block(b);
-      if (blk.resident == bhi - blo && !bloat && blk.slow == 0) {
+      const bool fast = blk.resident == bhi - blo && !bloat && blk.slow == 0;
+      if (fast) {
         st.pages += phi - plo;
         if (blk.huge) st.huge_pages += phi - plo;
         if (machine.tiered()) machine.counters().tier_touches += phi - plo;
-        continue;
       }
-      for (std::size_t i = plo; i < phi; ++i)
-        st += space.TouchPage(vma.AddrOfIndex(i), write, now);
+      for (std::size_t i = plo; i < phi; ++i) {
+        if (!fast) {
+          st += space.TouchPage(vma.AddrOfIndex(i), write, now);
+          continue;
+        }
+        // Every touched page is dirtied by a write and loses its COLD
+        // mark, whichever path its block takes.
+        if (write) vma.SetBit(PageBit::kDirty, i);
+        vma.ClearBit(PageBit::kDeactivated, i);
+      }
     }
   }
   return st;
@@ -329,6 +339,29 @@ TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TouchRangeDifferentialTest,
                          ::testing::Range(1, 25));
+
+// A range touch over a fully resident block takes the O(1) fast path, and
+// must still dirty the pages it writes and clear their COLD mark, as the
+// same touch over a block with a missing page does.
+TEST(TouchRangeFastPath, WritesDirtyAndClearsDeactivated) {
+  Twin t(Config{});
+  Vma* vma = t.space.Map(kBase, kHugePageSize, "v");
+  ASSERT_NE(vma, nullptr);
+  t.space.TouchRange(kBase, kBase + kHugePageSize, false, 0);
+  t.space.DeactivateRange(kBase, kBase + kHugePageSize);
+  ASSERT_EQ(vma->block(0).resident, kPagesPerHuge);
+  constexpr std::size_t kLo = 5;
+  constexpr std::size_t kHi = 400;
+  const TouchStats st = t.space.TouchRange(vma->AddrOfIndex(kLo),
+                                           vma->AddrOfIndex(kHi), true, 1000);
+  EXPECT_EQ(st.pages, kHi - kLo);
+  EXPECT_EQ(st.minor_faults, 0u);
+  for (std::size_t i = 0; i < kPagesPerHuge; ++i) {
+    const bool in = i >= kLo && i < kHi;
+    EXPECT_EQ(vma->TestBit(PageBit::kDirty, i), in) << "page " << i;
+    EXPECT_EQ(vma->TestBit(PageBit::kDeactivated, i), !in) << "page " << i;
+  }
+}
 
 // The access tap's event stream, one entry per notification.
 class EventLog final : public AccessTap {
