@@ -28,6 +28,8 @@ namespace daos::dbgfs {
 //
 // Writes run synchronously on the writing thread — the engine is not
 // thread-safe, matching every other dbgfs-backed subsystem.
+// Only tests mount /chaos (daos_chaos drives the engine directly); it
+// stays so the engine has the string surface every other subsystem has.
 Mount MountChaos(PseudoFs* fs, chaos::ChaosEngine* engine);
 
 // The fault-injection control file in the pseudo-filesystem.

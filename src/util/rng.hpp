@@ -11,7 +11,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace daos {
 
@@ -76,21 +75,6 @@ class Rng {
 
   /// Bernoulli draw with probability p of returning true.
   bool NextBool(double p) noexcept { return NextDouble() < p; }
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(NextBounded(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
-  /// Fork a child generator with an independent stream. Used so that
-  /// per-subsystem randomness does not perturb other subsystems when one
-  /// of them changes its number of draws.
-  Rng Fork() noexcept { return Rng(NextU64() ^ 0xa5a5'5a5a'dead'beefULL); }
 
   /// Raw generator state, for checkpoint/restore: a restored generator
   /// continues the exact stream the captured one would have produced.

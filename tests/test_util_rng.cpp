@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <set>
-#include <vector>
 
 namespace daos {
 namespace {
@@ -170,24 +169,6 @@ TEST(ZipfSampler, MatchesPerDrawFormulaExactly) {
       }
     }
   }
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(23);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  auto sorted = v;
-  rng.Shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
-}
-
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(31);
-  Rng fork = a.Fork();
-  // Forked stream should differ from the parent's continuation.
-  bool any_diff = false;
-  for (int i = 0; i < 10; ++i) any_diff |= a.NextU64() != fork.NextU64();
-  EXPECT_TRUE(any_diff);
 }
 
 class RngBoundednessTest : public ::testing::TestWithParam<std::uint64_t> {};
