@@ -536,11 +536,10 @@ void AddressSpace::TouchRange(Addr start, Addr end, bool write, SimTimeUs now,
           blk.slow == 0) {
         // Fast path: residency is already correct, and the touch log
         // carries the accessed information for IsYoung(). The dirty and
-        // deactivated bits change as on the word path. Blocks with
-        // slow-tier pages take the per-page path so each page pays its
-        // tier's latency (blk.slow is always 0 untiered).
-        // Only words that change are written: these bits are usually
-        // right already, and a store would dirty the line for nothing.
+        // deactivated bits change as on the word path; only words that
+        // change are stored, as those bits are usually right already.
+        // Blocks with slow-tier pages take the per-page path so each page
+        // pays its tier's latency (blk.slow is always 0 untiered).
         ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t m,
                                   std::size_t) {
           if ((deactivated[w] & m) != 0) deactivated[w] &= ~m;
