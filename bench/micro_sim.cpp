@@ -130,14 +130,14 @@ double TouchPagesPerS() {
   ResidentHeap f;
   const std::uint64_t touches = Iters(2'000'000);
   Rng rng(1);
-  std::uint64_t touched = 0;
+  sim::TouchStats st;
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < touches; ++i) {
     const Addr a = kHeap + rng.NextBounded(kHeapBytes / kPageSize) * kPageSize;
-    touched += f.space.TouchPage(a, false, static_cast<SimTimeUs>(i)).pages;
+    f.space.TouchPage(a, false, static_cast<SimTimeUs>(i), st);
   }
   const auto t1 = Clock::now();
-  if (touched != touches) bench::Die(kBench, "TouchPage missed a page");
+  if (st.pages != touches) bench::Die(kBench, "TouchPage missed a page");
   return static_cast<double>(touches) / Seconds(t0, t1);
 }
 

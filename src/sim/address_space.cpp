@@ -29,17 +29,13 @@ std::uint64_t BitRangeMask(std::size_t lo, std::size_t hi) {
   return (all >> (64 - (hi - lo))) << lo;
 }
 
-/// Set bits of `word`. Baseline x86-64 has no popcnt instruction, and
-/// std::popcount there is a call into libgcc; the SWAR count is inline.
+/// Set bits of `word`, counted inline. On baseline x86-64 std::popcount is
+/// a call into libgcc (__popcountdi2); CI fails any binary importing it.
 std::uint64_t Popcount(std::uint64_t word) {
-#ifdef __POPCNT__
-  return static_cast<std::uint64_t>(std::popcount(word));
-#else
   word -= (word >> 1) & 0x5555555555555555ULL;
   word = (word & 0x3333333333333333ULL) + ((word >> 2) & 0x3333333333333333ULL);
   word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
   return (word * 0x0101010101010101ULL) >> 56;
-#endif
 }
 
 /// Mask selecting the pages of bitmap word `w` inside page indices

@@ -344,12 +344,6 @@ class AddressSpace {
     const PageTouch page{addr, write};
     TouchPages({&page, 1}, now, into);
   }
-  /// The page's stats on their own.
-  TouchStats TouchPage(Addr addr, bool write, SimTimeUs now) {
-    TouchStats st;
-    TouchPage(addr, write, now, st);
-    return st;
-  }
   /// Touches `pages` in the given order, exactly as that many TouchPage
   /// calls would: the tap sees one OnTouchPage per page in order, pages
   /// outside every VMA are skipped after the tap saw them, and each page's

@@ -59,6 +59,7 @@ TEST_P(MonitorInvariantTest, RegionsAlwaysTileTargetRanges) {
   ctx.AddTarget(std::make_unique<VaddrPrimitives>(&space));
 
   Rng rng(seed * 37 + 5);
+  sim::TouchStats touched;
   for (SimTimeUs now = 0; now < 4 * kUsPerSec;
        now += attrs.sampling_interval) {
     // Random workload: range sweeps and point touches (layout is stable,
@@ -71,7 +72,7 @@ TEST_P(MonitorInvariantTest, RegionsAlwaysTileTargetRanges) {
       }
       case 1:
         space.TouchPage(0x7f00000000 + rng.NextBounded(8192) * kPageSize,
-                        true, now);
+                        true, now, touched);
         break;
       default: {
         const Addr base = 0x10000000 + rng.NextBounded(224) * MiB;

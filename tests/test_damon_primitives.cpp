@@ -72,7 +72,8 @@ TEST(VaddrPrimitivesTest, MkOldIsYoungRoundTrip) {
   sim::Machine machine(Spec(), sim::SwapConfig::Zram());
   sim::AddressSpace space(1, &machine, 3.0);
   space.Map(0x10000000, 4 * MiB, "heap");
-  space.TouchPage(0x10000000, false, 0);
+  sim::TouchStats st;
+  space.TouchPage(0x10000000, false, 0, st);
   VaddrPrimitives prim(&space);
   EXPECT_TRUE(IsYoung(prim, 0x10000000));
   MkOld(prim, 0x10000000, 1000);
@@ -145,7 +146,8 @@ TEST_F(PaddrPrimitivesTest, RmapTranslationRoundTrip) {
   b.Map(0x20000000, 8 * MiB, "b-heap");
   // Touch only a page in the second space; its physical address is offset
   // by the first space's size.
-  b.TouchPage(0x20000000 + 5 * kPageSize, false, 0);
+  sim::TouchStats st;
+  b.TouchPage(0x20000000 + 5 * kPageSize, false, 0, st);
   PaddrPrimitives prim(&machine_);
   const Addr phys = 8 * MiB + 5 * kPageSize;
   EXPECT_TRUE(IsYoung(prim, phys));
@@ -175,7 +177,8 @@ TEST_F(PaddrPrimitivesTest, TranslationFollowsEveryLayoutChange) {
     // A new space's mapping sits after a's, and its touch is seen there.
     sim::AddressSpace b(2, &machine_, 3.0);
     b.Map(0x20000000, MiB, "heap");
-    b.TouchPage(0x20000000, false, 0);
+    sim::TouchStats st;
+    b.TouchPage(0x20000000, false, 0, st);
     EXPECT_EQ(prim.TargetRanges()[0].end, 3 * MiB);
     EXPECT_TRUE(IsYoung(prim, 2 * MiB));
   }
@@ -321,8 +324,9 @@ void TouchBoth(Rng& rng, const std::vector<sim::AddressSpace*>& batch,
       batch[k]->TouchRange(a, e, false, now);
       twin[k]->TouchRange(a, e, false, now);
     } else {
-      batch[k]->TouchPage(a, false, now);
-      twin[k]->TouchPage(a, false, now);
+      sim::TouchStats st;
+      batch[k]->TouchPage(a, false, now, st);
+      twin[k]->TouchPage(a, false, now, st);
     }
   }
 }
@@ -443,9 +447,10 @@ TEST(BatchPrimitivesTest, CursorReseeksBehindIt) {
   space.Map(0x10000000, 4 * kPageSize, "a");
   space.Map(0x20000000, 4 * kPageSize, "b");
   space.Map(0x30000000, 4 * kPageSize, "c");
+  sim::TouchStats st;
   for (const Addr a : {0x10000000, 0x20000000, 0x30000000})
-    space.TouchPage(a + kPageSize, false, 0);
-  space.TouchPage(0x20000000 + 2 * kPageSize, false, 0);
+    space.TouchPage(a + kPageSize, false, 0, st);
+  space.TouchPage(0x20000000 + 2 * kPageSize, false, 0, st);
   VaddrPrimitives prim(&space);
   // Descending, then back into the first VMA, then a gap, then the last
   // VMA again; a degenerate region keeps its (young) sampling address.

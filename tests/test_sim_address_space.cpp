@@ -21,6 +21,7 @@ class AddressSpaceTest : public ::testing::Test {
  protected:
   Machine machine_{SmallSpec(), SwapConfig::Zram(64 * MiB)};
   AddressSpace space_{1, &machine_, 3.0};
+  TouchStats touched_;  // stats of touches a test does not inspect
 };
 
 TEST_F(AddressSpaceTest, MapCreatesVma) {
@@ -59,7 +60,8 @@ TEST_F(AddressSpaceTest, FindVmaHitsAndMisses) {
 
 TEST_F(AddressSpaceTest, TouchFaultsInPage) {
   space_.Map(0x10000, 4 * kPageSize, "a");
-  const TouchStats st = space_.TouchPage(0x10000, false, 0);
+  TouchStats st;
+  space_.TouchPage(0x10000, false, 0, st);
   EXPECT_EQ(st.minor_faults, 1u);
   EXPECT_EQ(st.major_faults, 0u);
   EXPECT_EQ(space_.resident_pages(), 1u);
@@ -69,32 +71,34 @@ TEST_F(AddressSpaceTest, TouchFaultsInPage) {
 
 TEST_F(AddressSpaceTest, SecondTouchNoFault) {
   space_.Map(0x10000, 4 * kPageSize, "a");
-  space_.TouchPage(0x10000, false, 0);
-  const TouchStats st = space_.TouchPage(0x10000, false, 1000);
+  space_.TouchPage(0x10000, false, 0, touched_);
+  TouchStats st;
+  space_.TouchPage(0x10000, false, 1000, st);
   EXPECT_EQ(st.minor_faults, 0u);
   EXPECT_DOUBLE_EQ(st.stall_us, 0.0);
 }
 
 TEST_F(AddressSpaceTest, TouchOutsideMappingIsNoop) {
-  const TouchStats st = space_.TouchPage(0xdead000, false, 0);
+  TouchStats st;
+  space_.TouchPage(0xdead000, false, 0, st);
   EXPECT_EQ(st.pages, 0u);
   EXPECT_EQ(space_.resident_pages(), 0u);
 }
 
 TEST_F(AddressSpaceTest, TouchChargesMachineFrames) {
   space_.Map(0x10000, 4 * kPageSize, "a");
-  space_.TouchPage(0x10000, false, 0);
-  space_.TouchPage(0x10000 + kPageSize, false, 0);
+  space_.TouchPage(0x10000, false, 0, touched_);
+  space_.TouchPage(0x10000 + kPageSize, false, 0, touched_);
   EXPECT_EQ(machine_.used_frames(), 2u);
 }
 
 TEST_F(AddressSpaceTest, MkOldAndIsYoung) {
   space_.Map(0x10000, 4 * kPageSize, "a");
-  space_.TouchPage(0x10000, false, 0);
+  space_.TouchPage(0x10000, false, 0, touched_);
   EXPECT_TRUE(space_.IsYoung(0x10000));
   space_.MkOld(0x10000, 1000);
   EXPECT_FALSE(space_.IsYoung(0x10000));
-  space_.TouchPage(0x10000, false, 2000);
+  space_.TouchPage(0x10000, false, 2000, touched_);
   EXPECT_TRUE(space_.IsYoung(0x10000));
 }
 
@@ -160,9 +164,10 @@ TEST_F(AddressSpaceTest, PageOutRangeEvictsToSwap) {
 
 TEST_F(AddressSpaceTest, SwappedTouchIsMajorFault) {
   space_.Map(0x10000, 4 * kPageSize, "a");
-  space_.TouchPage(0x10000, true, 0);
+  space_.TouchPage(0x10000, true, 0, touched_);
   space_.PageOutRange(0x10000, 0x10000 + kPageSize, 0);
-  const TouchStats st = space_.TouchPage(0x10000, false, kUsPerSec);
+  TouchStats st;
+  space_.TouchPage(0x10000, false, kUsPerSec, st);
   EXPECT_EQ(st.major_faults, 1u);
   EXPECT_EQ(space_.major_faults(), 1u);
   EXPECT_GE(st.stall_us,
@@ -190,7 +195,7 @@ TEST_F(AddressSpaceTest, DeactivateMarksPages) {
   EXPECT_EQ(bytes, 8 * kPageSize);
   EXPECT_TRUE(space_.FindVma(0x10000)->PageAt(0x10000).Deactivated());
   // A touch reactivates.
-  space_.TouchPage(0x10000, false, kUsPerSec);
+  space_.TouchPage(0x10000, false, kUsPerSec, touched_);
   EXPECT_FALSE(space_.FindVma(0x10000)->PageAt(0x10000).Deactivated());
 }
 
@@ -247,9 +252,9 @@ TEST_F(AddressSpaceTest, FullBlockDetected) {
 
 TEST_F(AddressSpaceTest, DirtyBitOnWrite) {
   space_.Map(0x10000, 4 * kPageSize, "a");
-  space_.TouchPage(0x10000, false, 0);
+  space_.TouchPage(0x10000, false, 0, touched_);
   EXPECT_FALSE(space_.FindVma(0x10000)->PageAt(0x10000).Dirty());
-  space_.TouchPage(0x10000, true, 0);
+  space_.TouchPage(0x10000, true, 0, touched_);
   EXPECT_TRUE(space_.FindVma(0x10000)->PageAt(0x10000).Dirty());
 }
 
@@ -330,7 +335,8 @@ TEST_F(AddressSpaceTest, UnalignedRangeTouchReplaysIdentically) {
 
 TEST_F(AddressSpaceTest, VmaIndexRebuiltByUnmap) {
   space_.Map(0x10000, 4 * kPageSize, "a");
-  space_.TouchPage(0x10000, false, 0);  // resolves "a" through the index
+  // Resolves "a" through the index.
+  space_.TouchPage(0x10000, false, 0, touched_);
   ASSERT_NE(space_.FindVma(0x10000), nullptr);
   space_.UnmapVma(0x10000);
   EXPECT_EQ(space_.FindVma(0x10000), nullptr);
@@ -339,7 +345,8 @@ TEST_F(AddressSpaceTest, VmaIndexRebuiltByUnmap) {
 
 TEST_F(AddressSpaceTest, VmaIndexRebuiltByMapBetweenTouches) {
   space_.Map(0x100000, 4 * kPageSize, "b");
-  space_.TouchPage(0x100000, false, 0);  // resolves "b" through the index
+  // Resolves "b" through the index.
+  space_.TouchPage(0x100000, false, 0, touched_);
   // Mapping "a" below "b" shifts "b"'s position in the sorted arrays; a
   // stale index would now resolve to the wrong VMA.
   ASSERT_NE(space_.Map(0x10000, 4 * kPageSize, "a"), nullptr);
@@ -350,7 +357,7 @@ TEST_F(AddressSpaceTest, VmaIndexRebuiltByMapBetweenTouches) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->name(), "b");
   // Touch state must land in the right VMA after the re-resolve.
-  space_.TouchPage(0x10000, false, 1000);
+  space_.TouchPage(0x10000, false, 1000, touched_);
   space_.MkOld(0x100000, 1000);
   EXPECT_TRUE(space_.IsYoung(0x10000));
   EXPECT_FALSE(space_.IsYoung(0x100000));
@@ -379,6 +386,7 @@ TEST_P(AddressSpaceInvariantTest, CountersMatchPageState) {
   const std::uint64_t pages = 4 * kPagesPerHuge;
   space.Map(base, pages * kPageSize, "a");
   Rng rng(GetParam());
+  TouchStats touched;
   for (int step = 0; step < 500; ++step) {
     const Addr a = base + rng.NextBounded(pages) * kPageSize;
     const Addr b = base + rng.NextBounded(pages) * kPageSize;
@@ -386,7 +394,7 @@ TEST_P(AddressSpaceInvariantTest, CountersMatchPageState) {
     const Addr hi = std::max(a, b) + kPageSize;
     switch (rng.NextBounded(6)) {
       case 0:
-        space.TouchPage(a, rng.NextBool(0.5), step * 1000);
+        space.TouchPage(a, rng.NextBool(0.5), step * 1000, touched);
         break;
       case 1:
         space.TouchRange(lo, hi, false, step * 1000);

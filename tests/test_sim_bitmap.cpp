@@ -114,10 +114,11 @@ TEST(BitmapTest, MkOldIsYoungWordBoundaries) {
   AddressSpace space(1, &machine, 3.0);
   const std::uint64_t pages = 200;
   space.Map(kBase, pages * kPageSize, "mon");
+  TouchStats touched;
   // Per-page touches only: IsYoung must reflect the accessed bit alone
   // (TouchPage does not write the range log).
   for (std::uint64_t i = 0; i < pages; ++i)
-    space.TouchPage(kBase + i * kPageSize, false, 0);
+    space.TouchPage(kBase + i * kPageSize, false, 0, touched);
 
   for (const std::uint64_t i : {std::uint64_t{63}, std::uint64_t{64},
                                 std::uint64_t{65}, std::uint64_t{127},
@@ -129,7 +130,7 @@ TEST(BitmapTest, MkOldIsYoungWordBoundaries) {
     EXPECT_EQ(space.IsYoung(kBase + i * kPageSize), !cleared) << "page " << i;
   }
   // Re-touch exactly one cleared page; its neighbours must stay old.
-  space.TouchPage(kBase + 64 * kPageSize, false, 0);
+  space.TouchPage(kBase + 64 * kPageSize, false, 0, touched);
   EXPECT_TRUE(space.IsYoung(kBase + 64 * kPageSize));
   EXPECT_FALSE(space.IsYoung(kBase + 63 * kPageSize));
   EXPECT_FALSE(space.IsYoung(kBase + 65 * kPageSize));
@@ -142,10 +143,11 @@ TEST(BitmapTest, ThpCollapseSetsAndSplitClears512Bits) {
   AddressSpace space(1, &machine, 3.0);
   const std::uint64_t pages = 1024;  // two full 2 MiB blocks
   space.Map(kBase, pages * kPageSize, "thp");
+  TouchStats touched;
 
   // THP `always`: the first fault in an empty, fully-mapped block collapses
   // the whole thing — 512 present+huge bits set in one operation.
-  space.TouchPage(kBase, false, 0);
+  space.TouchPage(kBase, false, 0, touched);
   EXPECT_EQ(space.resident_pages(), 512u);
   EXPECT_EQ(space.huge_blocks(), 1u);
   EXPECT_EQ(space.bloat_pages(), 511u);
@@ -179,6 +181,7 @@ TEST(BitmapTest, UnalignedVmaBlockSpansCrossWordsMidway) {
   const Addr base = kBase + 12 * kPageSize;
   const std::uint64_t pages = 1536 - 12;  // through block 2's start
   space.Map(base, pages * kPageSize, "skew");
+  TouchStats touched;
   Vma* vma = space.FindVma(base);
   ASSERT_NE(vma, nullptr);
   // Block 1 is the first fully-covered 2 MiB block: VMA pages [500, 1012).
@@ -187,7 +190,8 @@ TEST(BitmapTest, UnalignedVmaBlockSpansCrossWordsMidway) {
   ASSERT_EQ(span.first, 500u);
   ASSERT_EQ(span.second, 1012u);
 
-  space.TouchPage(base + 600 * kPageSize, false, 0);  // faults block 1 huge
+  // Faults block 1 huge.
+  space.TouchPage(base + 600 * kPageSize, false, 0, touched);
   EXPECT_EQ(space.huge_blocks(), 1u);
   EXPECT_EQ(space.resident_pages(), 512u);
   vma = space.FindVma(base);

@@ -115,6 +115,7 @@ std::string Drive(sim::Machine& machine, std::unique_ptr<sim::AddressSpace> spac
   engine.Attach(ctx);
   EXPECT_TRUE(engine.InstallFromText(schemes));
   Rng rng(0x9a6e'3a1c'5eedULL);
+  sim::TouchStats st;
 
   space->Map(l.a, l.a_len, "a");
   space->Map(l.b, l.b_len, "b");
@@ -137,7 +138,7 @@ std::string Drive(sim::Machine& machine, std::unique_ptr<sim::AddressSpace> spac
       const Addr addr = off < l.a_len ? l.a + off
                         : off < l.a_len + l.b_len ? l.b + off - l.a_len
                                                   : l.c + off - l.a_len - l.b_len;
-      space->TouchPage(addr, k == 0, now);
+      space->TouchPage(addr, k == 0, now, st);
     }
     if (now == end / 2) {
       space->UnmapVma(l.a);

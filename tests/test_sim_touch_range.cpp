@@ -7,12 +7,12 @@
 // it reaches each block, and otherwise calls TouchPage page by page in
 // address order. The dirty and deactivated planes do not depend on that
 // test: on a fast-path block the reference still sets or clears each
-// page's bits in address order, as TouchPage would. On an untiered machine TouchPage runs the per-page touch
-// step unchanged, so the two must agree bit for bit: every bit plane, every
-// PageMeta and clear time, the block counters, the space and machine
-// counters, the touch log (through IsYoung on every page after every step;
-// each query is O(1) on the log's coverage stamps) and the returned
-// TouchStats, stall_us included.
+// page's bits in address order, as TouchPage would. On an untiered machine
+// TouchPage runs the per-page touch step unchanged, so the two must agree
+// bit for bit: every bit plane, every PageMeta and clear time, the block
+// counters, the space and machine counters, the touch log (through IsYoung
+// on every page after every step; each query is O(1) on the log's coverage
+// stamps) and the returned TouchStats, stall_us included.
 // Tiered machines take every partly-resident word page by page; their seeds
 // hold the same state to bit identity, but the reference sums a faulting
 // slow-tier page's fault and tier latency before adding them to the range
@@ -85,7 +85,7 @@ TouchStats ReferenceTouchRange(Machine& machine, AddressSpace& space,
       }
       for (std::size_t i = plo; i < phi; ++i) {
         if (!fast) {
-          st += space.TouchPage(vma.AddrOfIndex(i), write, now);
+          space.TouchPage(vma.AddrOfIndex(i), write, now, st);
           continue;
         }
         // Every touched page is dirtied by a write and loses its COLD
@@ -279,6 +279,7 @@ TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
   };
 
   std::uint64_t range_touches = 0;
+  TouchStats shaped;  // the shaping touches' stats, not compared
   constexpr int kSteps = 400;
   for (int step = 0; step < kSteps; ++step) {
     const SimTimeUs now = static_cast<SimTimeUs>(step) * 5 * kUsPerMs;
@@ -300,7 +301,7 @@ TEST_P(TouchRangeDifferentialTest, MatchesPageByPageReference) {
         switch (op) {
           case 5:
           case 6:
-            s->TouchPage(page, write, now);
+            s->TouchPage(page, write, now, shaped);
             break;
           case 7:
             s->PageOutRange(lo, hi, now);
@@ -449,7 +450,7 @@ TEST_P(TouchPagesTwinTest, MatchesOneTouchPageAtATime) {
       ++batches;
       batch.space.TouchPages(pages, now, batch_total);
       for (const PageTouch& p : pages)
-        single_total += single.space.TouchPage(p.addr, p.write, now);
+        single.space.TouchPage(p.addr, p.write, now, single_total);
       ASSERT_EQ(DiffStats(batch_total, single_total, /*exact_stall=*/true), "")
           << "step " << step;
     } else {

@@ -197,7 +197,8 @@ TEST(TraceWriterTest, TapOnRealSpaceCapturesTheStream) {
 
   space.Map(0x10000000, 4 * MiB, "heap");
   space.TouchRange(0x10000000, 0x10000000 + 2 * MiB, true, 0);
-  space.TouchPage(0x10000000 + 3 * MiB, false, 5000);
+  sim::TouchStats st;
+  space.TouchPage(0x10000000 + 3 * MiB, false, 5000, st);
   space.UnmapVma(0x10000000);
   space.SetAccessTap(nullptr);
 
@@ -232,6 +233,7 @@ struct TraceFsTest : ::testing::Test {
   sim::AddressSpace space;
   dbgfs::PseudoFs fs;
   dbgfs::TraceFs trace_fs;
+  sim::TouchStats touched;  // stats of touches a test does not inspect
 };
 
 TEST_F(TraceFsTest, RecordOnOffCapturesBetween) {
@@ -240,7 +242,8 @@ TEST_F(TraceFsTest, RecordOnOffCapturesBetween) {
   space.Map(0x10000000, 1 * MiB, "heap");
   space.TouchRange(0x10000000, 0x10000000 + 1 * MiB, false, 0);
   ASSERT_TRUE(fs.Write("/trace/record", "off", nullptr));
-  space.TouchPage(0x10000000, true, 5000);  // after disarm: not captured
+  // After disarm: not captured.
+  space.TouchPage(0x10000000, true, 5000, touched);
 
   const std::string status = fs.Read("/trace/status").value_or("");
   EXPECT_NE(status.find("recording off"), std::string::npos);
@@ -272,7 +275,7 @@ TEST_F(TraceFsTest, RearmRestartsCapture) {
   ASSERT_TRUE(fs.Write("/trace/record", "on", nullptr));
   space.Map(0x10000000, 1 * MiB, "heap");
   ASSERT_TRUE(fs.Write("/trace/record", "on", nullptr));  // restart
-  space.TouchPage(0x10000000, false, 0);
+  space.TouchPage(0x10000000, false, 0, touched);
   const std::optional<Trace> parsed =
       ParseTrace(fs.Read("/trace/data").value_or(""));
   ASSERT_TRUE(parsed.has_value());
