@@ -299,8 +299,4 @@ std::string SchemesEngine::StatsText() const {
   return out;
 }
 
-void SchemesEngine::ResetStats() {
-  for (Scheme& s : schemes_) s.stats() = SchemeStats{};
-}
-
 }  // namespace daos::damos

@@ -78,7 +78,6 @@ class SchemesEngine {
 
   /// Serialized stats for every scheme ("debugfs read").
   std::string StatsText() const;
-  void ResetStats();
 
   /// Publishes per-scheme DAMOS-stat counters
   /// ("<prefix>.scheme<i>.{nr_tried,sz_tried,nr_applied,sz_applied,errors,

@@ -64,6 +64,26 @@ void ForEachWord(std::size_t plo, std::size_t phi, Fn&& fn) {
   }
 }
 
+/// The bits of `plane` over page indices [plo, phi), OR-ed word by word:
+/// non-zero when any page of the span has the bit.
+std::uint64_t SpanBits(const std::uint64_t* plane, std::size_t plo,
+                       std::size_t phi) {
+  std::uint64_t any = 0;
+  ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t m, std::size_t) {
+    any |= plane[w] & m;
+  });
+  return any;
+}
+
+/// True if a page of [plo, phi) is outside tier 0.
+bool SpanHasSlowPages(const Vma& vma, std::size_t plo, std::size_t phi) {
+  std::uint64_t any = 0;
+  ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t m, std::size_t) {
+    any |= vma.SlowWord(w) & m;
+  });
+  return any != 0;
+}
+
 /// Calls fn(i) for each page index i in [plo, phi) whose bit is set in
 /// `plane`, in address order, until fn returns false; returns false then.
 /// A word is read only when its turn comes: fn may change later words, while
@@ -98,10 +118,9 @@ Vma::Vma(Addr start, Addr end, std::string name)
   words_ = (page_count_ + 63) / 64;
   bits_.assign(kPageBitPlanes * words_, 0);
   cleared_ms_.assign(page_count_, 0);
-  meta_.assign(page_count_, PageMeta{});
   const std::size_t nblocks = static_cast<std::size_t>(
       (AlignUp(end, kHugePageSize) - aligned_base_) >> kHugePageShift);
-  blocks_.resize(nblocks);
+  block_resident_.assign(nblocks, 0);
   full_.resize(words_);
   part_.resize(words_);
 }
@@ -110,11 +129,12 @@ PageView Vma::PageAt(Addr a) const {
   const std::size_t i = PageIndex(a);
   PageView v;
   for (std::size_t p = 0; p < kPageBitPlanes; ++p) {
-    v.flags |= static_cast<std::uint8_t>(
+    v.flags |= static_cast<std::uint16_t>(
         TestBit(static_cast<PageBit>(p), i) ? 1u << p : 0u);
   }
+  v.tier = TierAt(i);
   v.acc_cleared_ms = cleared_ms_[i];
-  v.meta = meta_[i];
+  if (!last_touch_ms_.empty()) v.last_touch_ms = last_touch_ms_[i];
   return v;
 }
 
@@ -280,7 +300,7 @@ void AddressSpace::ReleaseVma(const Vma& vma) {
     resident_pages_ -= count;
     if (machine_->tiered()) {
       ForEachSetBit(present, base, word_end, [&](std::size_t i) {
-        machine_->UnchargeTier(vma.Meta(i).tier);
+        machine_->UnchargeTier(vma.TierAt(i));
         return true;
       });
     }
@@ -292,7 +312,7 @@ void AddressSpace::ReleaseVma(const Vma& vma) {
     });
   });
   for (std::size_t b = 0; b < vma.block_count(); ++b) {
-    if (vma.block(b).huge) --huge_blocks_;
+    if (vma.BlockIsHuge(b)) --huge_blocks_;
   }
 }
 
@@ -312,6 +332,7 @@ Vma* AddressSpace::Map(Addr start, std::uint64_t len, std::string name) {
     return nullptr;
   }
   it = vmas_.emplace(it, aligned_start, aligned_end, std::move(name));
+  if (machine_->tiered()) it->TrackTouchTimes();
   mapped_bytes_ += it->size();
   ++layout_gen_;
   RebuildVmaIndex();
@@ -362,15 +383,9 @@ void AddressSpace::MakeResident(Vma& vma, std::size_t page_idx, bool via_thp) {
   vma.SetBit(PageBit::kPresent, page_idx);
   machine_->ChargeFrames(1);
   ++resident_pages_;
-  const Addr addr = vma.AddrOfIndex(page_idx);
-  Vma::Block& blk = vma.block(vma.BlockOfAddr(addr));
-  ++blk.resident;
-  if (machine_->tiered()) {
-    // First-fit placement: fast tier while it has room, then downward.
-    PageMeta& meta = vma.Meta(page_idx);
-    meta.tier = machine_->AllocTier();
-    if (meta.tier != 0) ++blk.slow;
-  }
+  ++vma.block_resident_[vma.BlockOfAddr(vma.AddrOfIndex(page_idx))];
+  // First-fit placement: fast tier while it has room, then downward.
+  if (machine_->tiered()) vma.SetTierAt(page_idx, machine_->AllocTier());
   if (via_thp && !vma.TestBit(PageBit::kEverTouched, page_idx)) {
     vma.SetBit(PageBit::kHugeBloat, page_idx);
     ++bloat_pages_;
@@ -389,14 +404,10 @@ void AddressSpace::MakeNonResident(Vma& vma, std::size_t page_idx) {
   }
   machine_->UnchargeFrames(1);
   --resident_pages_;
-  const Addr addr = vma.AddrOfIndex(page_idx);
-  Vma::Block& blk = vma.block(vma.BlockOfAddr(addr));
-  --blk.resident;
+  --vma.block_resident_[vma.BlockOfAddr(vma.AddrOfIndex(page_idx))];
   if (machine_->tiered()) {
-    PageMeta& meta = vma.Meta(page_idx);
-    machine_->UnchargeTier(meta.tier);
-    if (meta.tier != 0) --blk.slow;
-    meta.tier = 0;
+    machine_->UnchargeTier(vma.TierAt(page_idx));
+    vma.SetTierAt(page_idx, 0);
   }
 }
 
@@ -431,7 +442,7 @@ double AddressSpace::FaultIn(Vma& vma, std::size_t page_idx, bool write,
     // page (this is where the paper's "memory bloat" comes from).
     const std::size_t block = vma.BlockOfAddr(vma.AddrOfIndex(page_idx));
     if (machine_->thp_mode() == ThpMode::kAlways && vma.BlockIsFull(block) &&
-        !vma.block(block).huge && vma.block(block).resident == 0) {
+        !vma.BlockIsHuge(block) && vma.BlockResident(block) == 0) {
       PromoteBlock(vma, block, now);
       stall_us += costs.minor_fault_us + costs.huge_fault_extra_us;
     } else {
@@ -461,11 +472,12 @@ void AddressSpace::TouchPageAt(Vma& vma, std::size_t idx, bool write,
   ++st.pages;
   if (vma.TestBit(PageBit::kHuge, idx)) ++st.huge_pages;
   if (machine_->tiered()) {
-    // last_touch_ms feeds only the tier balancer's idle test; untiered
-    // machines skip the side-array write entirely.
-    vma.Meta(idx).last_touch_ms = ToMs(now);
+    // The tier is read before the stores below, which may alias the
+    // planes' base and length. The touch time feeds only the tier
+    // balancer's idle test; untiered machines have no touch-time array.
+    const std::uint16_t tier = vma.TierAt(idx);
+    vma.last_touch_ms_[idx] = ToMs(now);
     ++machine_->counters().tier_touches;
-    const std::uint16_t tier = vma.Meta(idx).tier;
     if (tier != 0) {
       // Slow-tier access: the workload absorbs the tier's extra latency,
       // and the touch counts into the hot-cold mismatch metric.
@@ -527,34 +539,34 @@ void AddressSpace::TouchRange(Addr start, Addr end, bool write, SimTimeUs now,
       const std::size_t plo = std::max(blo, range_lo);
       const std::size_t phi = std::min(bhi, range_hi);
       const std::size_t span = phi - plo;
-      Vma::Block& blk = vma.block(b);
-      if (blk.resident == bhi - blo && !SpanHasBloat(vma, blo, bhi) &&
-          blk.slow == 0) {
+      if (vma.BlockResident(b) == bhi - blo &&
+          (bloat_pages_ == 0 || SpanBits(bloat, blo, bhi) == 0) &&
+          (!tiered || !SpanHasSlowPages(vma, blo, bhi))) {
         // Fast path: residency is already correct, and the touch log
         // carries the accessed information for IsYoung(). The dirty and
         // deactivated bits change as on the word path; only words that
         // change are stored, as those bits are usually right already.
-        // Blocks with slow-tier pages take the per-page path so each page
-        // pays its tier's latency (blk.slow is always 0 untiered).
+        // Blocks with slow-tier pages take the word path so each slow page
+        // pays its tier's latency.
         ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t m,
                                   std::size_t) {
           if ((deactivated[w] & m) != 0) deactivated[w] &= ~m;
           if (write && (dirty[w] & m) != m) dirty[w] |= m;
         });
         into.pages += span;
-        if (blk.huge) into.huge_pages += span;
+        if (vma.TestBit(PageBit::kHuge, blo)) into.huge_pages += span;
         if (tiered) machine_->counters().tier_touches += span;
         continue;
       }
       // Word at a time, in address order. Each word reads its present bits
       // only when its turn comes: a fault earlier in the range may have
       // promoted this block or reclaimed pages in it. A word with every page
-      // present takes no fault, so on an untiered machine the per-page
-      // steps reduce to mask operations; any other word (a missing page,
-      // or per-page tier latency to charge in order) goes page by page.
+      // present takes no fault, so the per-page steps reduce to mask
+      // operations, and no page's tier can change within it. A word with a
+      // missing page goes page by page.
       ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t m,
                                 std::size_t base) {
-        if (!tiered && (present[w] & m) == m) {
+        if ((present[w] & m) == m) {
           accessed[w] |= m;
           ever[w] |= m;
           deactivated[w] &= ~m;
@@ -564,8 +576,24 @@ void AddressSpace::TouchRange(Addr start, Addr end, bool write, SimTimeUs now,
             bloat[w] &= ~m;
           }
           // m selects exactly the word's pages in [plo, phi).
-          into.pages += std::min(phi, base + 64) - std::max(plo, base);
+          const std::size_t lo = std::max(plo, base);
+          const std::size_t hi = std::min(phi, base + 64);
+          into.pages += hi - lo;
           if ((huge[w] & m) != 0) into.huge_pages += Popcount(huge[w] & m);
+          if (tiered) {
+            // As the per-page step: every page records its touch time, and
+            // each slow page adds its tier's latency, in page order.
+            std::uint32_t* last_touch = vma.last_touch_ms_.data();
+            std::fill(last_touch + lo, last_touch + hi, ToMs(now));
+            MachineCounters& mc = machine_->counters();
+            mc.tier_touches += hi - lo;
+            std::uint64_t slow = vma.SlowWord(w) & m;
+            mc.tier_slow_touches += Popcount(slow);
+            for (; slow != 0; slow &= slow - 1) {
+              stall_us += machine_->TierExtraUs(vma.TierAt(
+                  base + static_cast<std::size_t>(std::countr_zero(slow))));
+            }
+          }
           return;
         }
         for (std::size_t i = std::max(plo, base); i < std::min(phi, base + 64);
@@ -577,17 +605,6 @@ void AddressSpace::TouchRange(Addr start, Addr end, bool write, SimTimeUs now,
     return true;
   });
   into.stall_us += stall_us;
-}
-
-bool AddressSpace::SpanHasBloat(const Vma& vma, std::size_t plo,
-                                std::size_t phi) const {
-  if (bloat_pages_ == 0) return false;
-  const std::uint64_t* bloat = vma.plane(PageBit::kHugeBloat);
-  bool found = false;
-  ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t mask, std::size_t) {
-    found = found || (bloat[w] & mask) != 0;
-  });
-  return found;
 }
 
 void AddressSpace::MkOld(Addr addr, SimTimeUs now) {
@@ -613,7 +630,7 @@ std::uint64_t AddressSpace::PageOutRange(Addr start, Addr end, SimTimeUs now,
     // frees bloat sub-pages for free.
     for (std::size_t b = vma.BlockOfAddr(lo); b <= vma.BlockOfAddr(hi - 1);
          ++b) {
-      if (vma.block(b).huge) DemoteBlock(vma, b);
+      if (vma.BlockIsHuge(b)) DemoteBlock(vma, b);
     }
     // Word-at-a-time over the present plane: absent words cost one test.
     // Eviction only ever clears bits, so the per-word snapshot stays a
@@ -721,13 +738,8 @@ bool AddressSpace::MigratePage(Vma& vma, std::size_t page_idx,
     if (errors != nullptr) ++*errors;
     return false;
   }
-  PageMeta& meta = vma.Meta(page_idx);
-  const std::uint16_t from = meta.tier;
-  machine_->MoveTierPage(from, to_tier);
-  Vma::Block& blk = vma.block(vma.BlockOfAddr(vma.AddrOfIndex(page_idx)));
-  if (from == 0 && to_tier != 0) ++blk.slow;
-  if (from != 0 && to_tier == 0) --blk.slow;
-  meta.tier = to_tier;
+  machine_->MoveTierPage(vma.TierAt(page_idx), to_tier);
+  vma.SetTierAt(page_idx, to_tier);
   if (to_tier == 0) {
     ++machine_->counters().tier_promoted_pages;
   } else {
@@ -751,7 +763,7 @@ std::uint64_t AddressSpace::MigrateRange(Addr start, Addr end, SimTimeUs now,
         vma.PageIndex(hi - 1) + 1, [&](std::size_t i) {
           if (vma.TestBit(PageBit::kHuge, i)) return true;
           if (promote) {
-            if (vma.Meta(i).tier == 0) return true;
+            if (vma.TierAt(i) == 0) return true;
             if (!machine_->TierHasRoom(0)) {
               // Fast tier full: the rest of the range cannot promote
               // either. A paired MIGRATE_COLD scheme is what makes room.
@@ -764,7 +776,7 @@ std::uint64_t AddressSpace::MigrateRange(Addr start, Addr end, SimTimeUs now,
             // making room for promotions. Pages already below tier 0 age
             // out through the tiered kswapd instead; demoting them again
             // would just churn the elastic bottom tier into swap.
-            if (vma.Meta(i).tier != 0) return true;
+            if (vma.TierAt(i) != 0) return true;
             const std::uint16_t to = machine_->PickDemotionTier(0);
             if (!MigratePage(vma, i, to, errors)) return true;
           }
@@ -801,7 +813,7 @@ std::uint64_t AddressSpace::TierDemoteScan(std::uint16_t from_tier,
     }
     std::size_t idx = 0;
     if (!ClockStep(vma, page_cursor, *budget, idx)) continue;
-    if (vma.Meta(idx).tier != from_tier) continue;
+    if (vma.TierAt(idx) != from_tier) continue;
     // CLOCK second chance: an up accessed bit buys one round — the scan
     // clears it (kswapd-style page aging; nothing else ages PTEs when no
     // monitor is attached) and the page only demotes if still idle when the
@@ -811,7 +823,7 @@ std::uint64_t AddressSpace::TierDemoteScan(std::uint16_t from_tier,
       vma.MkOldAt(idx, now);
       continue;
     }
-    if (static_cast<SimTimeUs>(vma.Meta(idx).last_touch_ms) * 1000 >=
+    if (static_cast<SimTimeUs>(vma.last_touch_ms_[idx]) * 1000 >=
             idle_cutoff &&
         idle_cutoff > 0) {
       continue;
@@ -827,8 +839,7 @@ std::uint64_t AddressSpace::PromoteBlock(Vma& vma, std::size_t block,
                                          SimTimeUs now,
                                          std::uint64_t* errors) {
   if (block >= vma.block_count()) return 0;
-  Vma::Block& blk = vma.block(block);
-  if (blk.huge || !vma.BlockIsFull(block)) return 0;
+  if (vma.BlockIsHuge(block) || !vma.BlockIsFull(block)) return 0;
   if (fault::Fires(machine_->faults().thp_collapse_fail)) {
     // Collapse failed (allocation failure / raced with reclaim in a real
     // kernel): the block stays 4 KiB-mapped and will be retried by a later
@@ -850,8 +861,7 @@ std::uint64_t AddressSpace::PromoteBlock(Vma& vma, std::size_t block,
       newly_resident += kPageSize;
     }
     if (machine_->tiered()) {
-      PageMeta& meta = vma.Meta(i);
-      meta.last_touch_ms = std::max(meta.last_touch_ms, ToMs(now));
+      vma.last_touch_ms_[i] = std::max(vma.last_touch_ms_[i], ToMs(now));
     }
   }
   // The huge bits flip 64 at a time — a 2 MiB collapse is eight word-ORs.
@@ -859,15 +869,13 @@ std::uint64_t AddressSpace::PromoteBlock(Vma& vma, std::size_t block,
   ForEachWord(plo, phi, [&](std::size_t w, std::uint64_t mask, std::size_t) {
     huge[w] |= mask;
   });
-  blk.huge = true;
   ++huge_blocks_;
   return newly_resident;
 }
 
 std::uint64_t AddressSpace::DemoteBlock(Vma& vma, std::size_t block) {
   if (block >= vma.block_count()) return 0;
-  Vma::Block& blk = vma.block(block);
-  if (!blk.huge) return 0;
+  if (!vma.BlockIsHuge(block)) return 0;
   const auto [plo, phi] = vma.BlockPageSpan(block);
   std::uint64_t freed = 0;
   // Splitting clears up to 512 huge bits with word-ORs, then frees the
@@ -885,7 +893,6 @@ std::uint64_t AddressSpace::DemoteBlock(Vma& vma, std::size_t block) {
     }
     return true;
   });
-  blk.huge = false;
   --huge_blocks_;
   return freed;
 }

@@ -19,6 +19,11 @@
 // range-touch log section), so an accessed-bit query costs O(1) however
 // many sweeps the log holds; the log itself stays because its cap
 // eviction, coalescing and 10 s GC decide what a query sees.
+//
+// Per-page state (page.hpp) is bit planes and dense per-VMA arrays only:
+// twelve planes (the flags, the CLOCK probation bit, the tier index), the
+// accessed-bit clear times, the last-touch times on a tiered machine, and
+// one resident count per 2 MiB block.
 #pragma once
 
 #include <algorithm>
@@ -110,8 +115,9 @@ class Vma {
   std::size_t page_count() const noexcept { return page_count_; }
 
   // --- packed page-state bit planes ---------------------------------------
-  // Flags live plane-major: plane p occupies words [p*words_, (p+1)*words_)
-  // of bits_, with bit (i & 63) of word (i >> 6) covering page index i.
+  // The kPageBitPlanes planes live plane-major: plane p occupies words
+  // [p*words_, (p+1)*words_) of bits_, with bit (i & 63) of word (i >> 6)
+  // covering page index i.
   // Spare bits past page_count_ in a plane's tail word are always zero
   // (every range operation masks), so popcounts never overcount.
   std::size_t word_count() const noexcept { return words_; }
@@ -130,8 +136,39 @@ class Vma {
   void ClearBit(PageBit b, std::size_t i) noexcept {
     plane(b)[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
-  PageMeta& Meta(std::size_t i) noexcept { return meta_[i]; }
-  const PageMeta& Meta(std::size_t i) const noexcept { return meta_[i]; }
+  /// Tier index of page `i`. The tier planes are adjacent, so bit k of it
+  /// is in word k * words_ past the page's word of plane kTier0.
+  std::uint16_t TierAt(std::size_t i) const noexcept {
+    const std::uint64_t* w = plane(PageBit::kTier0) + (i >> 6);
+    std::uint64_t tier = 0;
+    for (std::size_t k = 0; k < kTierPlanes; ++k)
+      tier |= ((w[k * words_] >> (i & 63)) & 1u) << k;
+    return static_cast<std::uint16_t>(tier);
+  }
+  /// The pages of bitmap word `w` outside tier 0 (only present pages can
+  /// be): an OR of the word in each tier plane.
+  std::uint64_t SlowWord(std::size_t w) const noexcept {
+    const std::uint64_t* t = plane(PageBit::kTier0) + w;
+    std::uint64_t slow = 0;
+    for (std::size_t k = 0; k < kTierPlanes; ++k) slow |= t[k * words_];
+    return slow;
+  }
+  void SetTierAt(std::size_t i, std::uint16_t tier) noexcept {
+    std::uint64_t* w = plane(PageBit::kTier0) + (i >> 6);
+    const std::size_t words = words_;  // the stores below may alias words_
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    for (std::size_t k = 0; k < kTierPlanes; ++k) {
+      std::uint64_t& word = w[k * words];
+      word = (tier >> k) & 1u ? word | bit : word & ~bit;
+    }
+  }
+  /// Allocates the per-page last-touch times if they are not there yet.
+  /// AddressSpace::Map calls it on a tiered machine, and so does
+  /// Machine::SetTierGeometry for VMAs mapped before the machine became
+  /// tiered; untiered machines never read or write them.
+  void TrackTouchTimes() {
+    if (last_touch_ms_.empty()) last_touch_ms_.assign(page_count_, 0);
+  }
 
   // --- monitor primitives on page index `idx` (inline: the batched access
   // checks run them once per region per sampling interval, so they read
@@ -153,7 +190,7 @@ class Vma {
   // Blocks are indexed over [start, end) in 2 MiB strides relative to the
   // absolutely aligned base, so block boundaries match real huge-page
   // alignment.
-  std::size_t block_count() const noexcept { return blocks_.size(); }
+  std::size_t block_count() const noexcept { return block_resident_.size(); }
   std::size_t BlockOfAddr(Addr a) const noexcept {
     return static_cast<std::size_t>((a - aligned_base_) >> kHugePageShift);
   }
@@ -161,14 +198,19 @@ class Vma {
   std::pair<std::size_t, std::size_t> BlockPageSpan(std::size_t block) const;
   /// Whether the block covers a full 2 MiB inside the VMA (promotable).
   bool BlockIsFull(std::size_t block) const;
-
-  struct Block {
-    std::uint16_t resident = 0;  // resident pages in this block
-    std::uint16_t slow = 0;      // ... of them living outside the fast tier
-    bool huge = false;           // currently mapped as a 2 MiB page
-  };
-  Block& block(std::size_t i) { return blocks_[i]; }
-  const Block& block(std::size_t i) const { return blocks_[i]; }
+  /// Resident pages in the block. A dense count, not a popcount of the
+  /// present plane, because TouchRange's fast-path gate reads it per block.
+  std::uint16_t BlockResident(std::size_t block) const noexcept {
+    return block_resident_[block];
+  }
+  /// Whether the block is mapped as a 2 MiB page: PromoteBlock and
+  /// DemoteBlock flip the kHuge bits of a whole block at once, so its first
+  /// page answers for it.
+  bool BlockIsHuge(std::size_t block) const noexcept {
+    const Addr bstart =
+        aligned_base_ + (static_cast<Addr>(block) << kHugePageShift);
+    return TestBit(PageBit::kHuge, PageIndex(std::max(bstart, start_)));
+  }
 
   // --- range-touch log -----------------------------------------------------
   // Entries are kept ordered by non-decreasing `at` (callers log with a
@@ -224,8 +266,9 @@ class Vma {
   std::size_t words_ = 0;              // per-plane words: ceil(pages / 64)
   std::vector<std::uint64_t> bits_;    // kPageBitPlanes planes, plane-major
   std::vector<std::uint32_t> cleared_ms_;  // per page: last MkOldAt, in ms
-  std::vector<PageMeta> meta_;         // cold per-page fields (slow paths)
-  std::vector<Block> blocks_;
+  // Per page: last direct touch, in ms; empty until TrackTouchTimes.
+  std::vector<std::uint32_t> last_touch_ms_;
+  std::vector<std::uint16_t> block_resident_;  // per 2 MiB block
 
   // Per-word coverage stamps: sequence numbers of log entries, 0 (never
   // given out) for none. full_[w] names the newest entry covering every
@@ -273,6 +316,8 @@ class Vma {
 };
 
 static_assert(std::is_nothrow_move_constructible_v<Vma>);
+static_assert(kMaxTiers == std::size_t{1} << kTierPlanes,
+              "the tier planes hold every tier index");
 
 /// One step of a CLOCK hand over `vma`, shared by the reclaimer and the tier
 /// balancer. Candidates are present, non-huge pages. From `cursor` (inside
@@ -359,8 +404,9 @@ class AddressSpace {
   /// reaches neither. Fully-resident blocks (no bloat, no slow-tier pages)
   /// cost O(1) via the touch log. Other blocks go one 64-page bitmap word at
   /// a time in address order: mask operations when every page of the word
-  /// is present on an untiered machine, page by page (faults charged per
-  /// missing page) otherwise.
+  /// is present (on a tiered machine its slow pages then add their tier
+  /// latency in page order), page by page (faults charged per missing page)
+  /// otherwise.
   void TouchRange(Addr start, Addr end, bool write, SimTimeUs now,
                   TouchStats& into);
   /// The range's stats on their own.
@@ -483,7 +529,6 @@ class AddressSpace {
                                                  bool write, SimTimeUs now,
                                                  TouchStats& st,
                                                  double& stall_us);
-  bool SpanHasBloat(const Vma& vma, std::size_t plo, std::size_t phi) const;
   /// Calls fn(vma, lo, hi) for each VMA overlapping [start, end), in address
   /// order through the interval index, with [lo, hi) the overlap clamped to
   /// the VMA, until fn returns false.
@@ -492,7 +537,7 @@ class AddressSpace {
   /// Returns every frame, tier charge and swap slot of `vma` to the machine
   /// and drops its pages from this space's counters.
   void ReleaseVma(const Vma& vma);
-  /// Moves one resident page to `to_tier`, keeping tier/block accounting.
+  /// Moves one resident page to `to_tier`, keeping the tier accounting.
   /// Returns false when the injected migration fault fires (page untouched).
   bool MigratePage(Vma& vma, std::size_t page_idx, std::uint16_t to_tier,
                    std::uint64_t* errors);

@@ -97,6 +97,12 @@ bool Machine::SetTierGeometry(const TierGeometry& geometry,
   tiers_ = geometry;
   tier_used_pages_.assign(tiers_.size(), 0);
   tier_alloc_skips_.assign(tiers_.size(), 0);
+  // VMAs mapped while the machine was untiered have no touch times yet.
+  if (tiers_.tiered()) {
+    for (AddressSpace* space : spaces_) {
+      for (Vma& vma : space->vmas()) vma.TrackTouchTimes();
+    }
+  }
   // Fold the slowest configured migration bandwidth into the per-page
   // migration cost, starting from the base CostModel value each time so
   // re-configuration stays idempotent.

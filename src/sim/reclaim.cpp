@@ -42,7 +42,7 @@ std::uint64_t Reclaimer::Reclaim(std::uint64_t target_pages,
     if (!ClockStep(vma, page_cursor_, budget, idx)) continue;
     // Tiered kswapd evicts only from the (bottom) tier it was pointed at;
     // pages in upper tiers leave via demotion instead.
-    if (victim_tier >= 0 && vma.Meta(idx).tier != victim_tier) continue;
+    if (victim_tier >= 0 && vma.TierAt(idx) != victim_tier) continue;
     if (vma.TestBit(PageBit::kDeactivated, idx)) {
       // DAMOS COLD regions go first, no second chance.
       if (space->EvictPage(vma, idx)) ++evicted;
@@ -51,13 +51,13 @@ std::uint64_t Reclaimer::Reclaim(std::uint64_t target_pages,
     if (vma.IsYoungAt(idx)) {
       // Second chance: clear the accessed state and move on (CLOCK).
       vma.MkOldAt(idx, now);
-      vma.Meta(idx).reclaim_gen = 0;
+      vma.ClearBit(PageBit::kProbation, idx);
       continue;
     }
-    if (vma.Meta(idx).reclaim_gen < 1) {
+    if (!vma.TestBit(PageBit::kProbation, idx)) {
       // Inactive-list probation: evict only on the next encounter if still
       // untouched (two-list behaviour).
-      ++vma.Meta(idx).reclaim_gen;
+      vma.SetBit(PageBit::kProbation, idx);
       continue;
     }
     if (space->EvictPage(vma, idx)) ++evicted;

@@ -4,20 +4,6 @@
 
 namespace daos::sim {
 
-std::string_view SwapKindName(SwapKind kind) {
-  switch (kind) {
-    case SwapKind::kNone:
-      return "none";
-    case SwapKind::kZram:
-      return "zram";
-    case SwapKind::kFile:
-      return "file";
-    case SwapKind::kNvm:
-      return "nvm";
-  }
-  return "?";
-}
-
 SwapConfig SwapConfig::Zram(std::uint64_t capacity) {
   // Compressed-RAM swap. The whole major-fault path costs well more than
   // the decompression alone: fault entry, swap-cache lookup, page

@@ -17,8 +17,6 @@ namespace daos::sim {
 
 enum class SwapKind : std::uint8_t { kNone, kZram, kFile, kNvm };
 
-std::string_view SwapKindName(SwapKind kind);
-
 struct SwapConfig {
   SwapKind kind = SwapKind::kNone;
   std::uint64_t capacity_bytes = 0;

@@ -12,9 +12,10 @@ std::uint64_t RunKhugepagedScan(Machine& machine, std::uint64_t block_budget,
     for (Vma& vma : space->vmas()) {
       for (std::size_t b = 0; b < vma.block_count(); ++b) {
         if (collapses >= block_budget) return collapses;
-        const Vma::Block& blk = vma.block(b);
-        if (blk.huge || blk.resident == 0 || !vma.BlockIsFull(b)) continue;
-        if (space->PromoteBlock(vma, b, now) > 0 || vma.block(b).huge)
+        if (vma.BlockIsHuge(b) || vma.BlockResident(b) == 0 ||
+            !vma.BlockIsFull(b))
+          continue;
+        if (space->PromoteBlock(vma, b, now) > 0 || vma.BlockIsHuge(b))
           ++collapses;
       }
     }

@@ -69,12 +69,6 @@ std::string TierSpec::ToText() const {
   return out;
 }
 
-std::uint64_t TierGeometry::TotalCapacityBytes() const noexcept {
-  std::uint64_t total = 0;
-  for (const TierSpec& t : tiers) total += t.capacity_bytes;
-  return total;
-}
-
 std::string TierGeometry::ToText() const {
   std::string out;
   for (const TierSpec& t : tiers) {

@@ -60,7 +60,6 @@ struct TierGeometry {
 
   bool tiered() const noexcept { return tiers.size() > 1; }
   std::size_t size() const noexcept { return tiers.size(); }
-  std::uint64_t TotalCapacityBytes() const noexcept;
   std::string ToText() const;
 };
 

@@ -107,15 +107,6 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name,
   return *GetOrCreate(name, InstrumentKind::kHistogram, &bounds).histogram;
 }
 
-bool MetricsRegistry::Lookup(std::string_view name,
-                             InstrumentKind* kind) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = instruments_.find(name);
-  if (it == instruments_.end()) return false;
-  if (kind != nullptr) *kind = it->second->kind;
-  return true;
-}
-
 std::size_t MetricsRegistry::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return instruments_.size();

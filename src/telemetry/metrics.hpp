@@ -141,9 +141,6 @@ class MetricsRegistry {
   Histogram& GetHistogram(std::string_view name,
                           std::vector<double> bounds = DefaultLatencyBoundsUs());
 
-  /// Kind of a registered name; nullptr-like result: returns false and
-  /// leaves `kind` untouched when the name is unknown.
-  bool Lookup(std::string_view name, InstrumentKind* kind = nullptr) const;
   std::vector<std::string> Names() const;
   std::size_t size() const;
 

@@ -74,10 +74,4 @@ std::vector<TraceEvent> TraceBuffer::Events() const {
   return out;
 }
 
-std::vector<TraceEvent> TraceBuffer::Drain() {
-  std::vector<TraceEvent> out = Events();
-  count_ = 0;
-  return out;
-}
-
 }  // namespace daos::telemetry

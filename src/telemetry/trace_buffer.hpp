@@ -73,8 +73,6 @@ class TraceBuffer {
 
   /// Copies the held events oldest-first.
   std::vector<TraceEvent> Events() const;
-  /// Events() + empties the buffer (drop counters are kept).
-  std::vector<TraceEvent> Drain();
 
  private:
   std::vector<TraceEvent> ring_;

@@ -106,17 +106,6 @@ TEST_F(EngineTest, StatsTextMentionsEveryScheme) {
   EXPECT_NE(text.find("stat"), std::string::npos);
 }
 
-TEST_F(EngineTest, ResetStatsZeroes) {
-  engine_.Install({Scheme::WssStat()});
-  engine_.Attach(ctx_);
-  space_.TouchRange(kBase, kBase + 64 * MiB, true, 0);
-  Drive(0, kUsPerSec, 8);
-  ASSERT_GT(engine_.schemes()[0].stats().nr_tried, 0u);
-  engine_.ResetStats();
-  EXPECT_EQ(engine_.schemes()[0].stats().nr_tried, 0u);
-  EXPECT_EQ(engine_.schemes()[0].stats().sz_applied, 0u);
-}
-
 TEST_F(EngineTest, MultipleSchemesApplyInOrder) {
   // WILLNEED on everything idle brings pages back that PAGEOUT evicted —
   // ordering matters and both should record applications.

@@ -25,13 +25,6 @@ TEST(SwapConfigTest, LatencyOrdering) {
   EXPECT_LT(SwapConfig::Nvm().page_in_us, SwapConfig::Nvm().page_out_us);
 }
 
-TEST(SwapKindNameTest, AllNamed) {
-  EXPECT_EQ(SwapKindName(SwapKind::kZram), "zram");
-  EXPECT_EQ(SwapKindName(SwapKind::kFile), "file");
-  EXPECT_EQ(SwapKindName(SwapKind::kNvm), "nvm");
-  EXPECT_EQ(SwapKindName(SwapKind::kNone), "none");
-}
-
 TEST(SwapDeviceTest, DisabledRejectsStores) {
   SwapDevice dev(SwapConfig::None());
   EXPECT_FALSE(dev.Enabled());

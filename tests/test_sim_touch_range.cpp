@@ -3,20 +3,21 @@
 // TouchRange takes partly-resident blocks one 64-page bitmap word at a
 // time, with mask operations for words whose pages are all present. The
 // reference here is a twin AddressSpace that walks the same VMAs and blocks
-// itself: it applies the fully-resident fast-path test to its own state as
-// it reaches each block, and otherwise calls TouchPage page by page in
-// address order. The dirty and deactivated planes do not depend on that
-// test: on a fast-path block the reference still sets or clears each
-// page's bits in address order, as TouchPage would. On an untiered machine
-// TouchPage runs the per-page touch step unchanged, so the two must agree
-// bit for bit: every bit plane, every PageMeta and clear time, the block
-// counters, the space and machine counters, the touch log (through IsYoung
-// on every page after every step; each query is O(1) on the log's coverage
+// itself: it applies the fully-resident fast-path test (no bloat page and,
+// on a tiered machine, no page outside tier 0, each read page by page) to
+// its own state as it reaches each block, and otherwise calls TouchPage
+// page by page in address order. The dirty and deactivated planes do not
+// depend on that test: on a fast-path block the reference still sets or
+// clears each page's bits in address order, as TouchPage would. On an
+// untiered machine TouchPage runs the per-page touch step unchanged, so the
+// two must agree bit for bit: every bit plane (the tier and probation planes
+// included), every clear time and last-touch time, the per-block resident
+// counts, the space and machine counters, the touch log (through IsYoung on
+// every page after every step; each query is O(1) on the log's coverage
 // stamps) and the returned TouchStats, stall_us included.
-// Tiered machines take every partly-resident word page by page; their seeds
-// hold the same state to bit identity, but the reference sums a faulting
-// slow-tier page's fault and tier latency before adding them to the range
-// total, so stall_us is compared to a relative 1e-12 there.
+// Tiered seeds hold the same state to bit identity, but the reference sums
+// a faulting slow-tier page's fault and tier latency before adding them to
+// the range total, so stall_us is compared to a relative 1e-12 there.
 //
 // Seeded random layouts put VMA starts off 2 MiB alignment and range edges
 // mid-word and mid-page, over partly-resident, huge, bloat, deactivated and
@@ -74,13 +75,15 @@ TouchStats ReferenceTouchRange(Machine& machine, AddressSpace& space,
       const std::size_t plo = std::max(blo, vma.PageIndex(lo));
       const std::size_t phi = std::min(bhi, vma.PageIndex(hi));
       bool bloat = false;
-      for (std::size_t i = blo; i < bhi; ++i)
+      bool slow = false;
+      for (std::size_t i = blo; i < bhi; ++i) {
         bloat = bloat || vma.TestBit(PageBit::kHugeBloat, i);
-      const Vma::Block& blk = vma.block(b);
-      const bool fast = blk.resident == bhi - blo && !bloat && blk.slow == 0;
+        slow = slow || vma.TierAt(i) != 0;
+      }
+      const bool fast = vma.BlockResident(b) == bhi - blo && !bloat && !slow;
       if (fast) {
         st.pages += phi - plo;
-        if (blk.huge) st.huge_pages += phi - plo;
+        if (vma.BlockIsHuge(b)) st.huge_pages += phi - plo;
         if (machine.tiered()) machine.counters().tier_touches += phi - plo;
       }
       for (std::size_t i = plo; i < phi; ++i) {
@@ -152,22 +155,18 @@ std::string DiffVma(const Vma& a, const Vma& b, const AddressSpace& sa,
       return "bit plane " + std::to_string(p);
   }
   for (std::size_t i = 0; i < a.page_count(); ++i) {
-    const PageMeta& ma = a.Meta(i);
-    const PageMeta& mb = b.Meta(i);
-    if (ma.tier != mb.tier || ma.reclaim_gen != mb.reclaim_gen ||
-        ma.last_touch_ms != mb.last_touch_ms)
-      return "PageMeta of page " + std::to_string(i);
-    if (a.PageAt(a.AddrOfIndex(i)).acc_cleared_ms !=
-        b.PageAt(b.AddrOfIndex(i)).acc_cleared_ms)
+    const PageView pa = a.PageAt(a.AddrOfIndex(i));
+    const PageView pb = b.PageAt(b.AddrOfIndex(i));
+    if (pa.acc_cleared_ms != pb.acc_cleared_ms)
       return "clear time of page " + std::to_string(i);
+    if (pa.last_touch_ms != pb.last_touch_ms)
+      return "last-touch time of page " + std::to_string(i);
     if (sa.IsYoung(a.AddrOfIndex(i)) != sb.IsYoung(b.AddrOfIndex(i)))
       return "IsYoung of page " + std::to_string(i);
   }
   for (std::size_t k = 0; k < a.block_count(); ++k) {
-    const Vma::Block& ba = a.block(k);
-    const Vma::Block& bb = b.block(k);
-    if (ba.resident != bb.resident || ba.slow != bb.slow || ba.huge != bb.huge)
-      return "block " + std::to_string(k);
+    if (a.BlockResident(k) != b.BlockResident(k))
+      return "resident count of block " + std::to_string(k);
   }
   if (a.log_size() != b.log_size()) return "log size";
   return "";
@@ -350,7 +349,7 @@ TEST(TouchRangeFastPath, WritesDirtyAndClearsDeactivated) {
   ASSERT_NE(vma, nullptr);
   t.space.TouchRange(kBase, kBase + kHugePageSize, false, 0);
   t.space.DeactivateRange(kBase, kBase + kHugePageSize);
-  ASSERT_EQ(vma->block(0).resident, kPagesPerHuge);
+  ASSERT_EQ(vma->BlockResident(0), kPagesPerHuge);
   constexpr std::size_t kLo = 5;
   constexpr std::size_t kHi = 400;
   const TouchStats st = t.space.TouchRange(vma->AddrOfIndex(kLo),
@@ -544,7 +543,7 @@ TEST(TouchRangeWordPath, SpanPageCountMatchesMaskPopcount) {
     EXPECT_EQ(st.pages, accessed) << "[" << lo << ", " << hi << ")";
     EXPECT_EQ(st.minor_faults, 0u) << "[" << lo << ", " << hi << ")";
   }
-  EXPECT_EQ(vma->block(0).resident, kPages - 1);
+  EXPECT_EQ(vma->BlockResident(0), kPages - 1);
 }
 
 }  // namespace

@@ -44,16 +44,10 @@ TEST(MetricsRegistryTest, HistogramReboundWithDifferentBoundsThrows) {
   EXPECT_THROW(reg.GetHistogram("h", {1.0, 3.0}), std::logic_error);
 }
 
-TEST(MetricsRegistryTest, LookupAndNames) {
+TEST(MetricsRegistryTest, Names) {
   MetricsRegistry reg;
   reg.GetCounter("b.counter");
   reg.GetGauge("a.gauge");
-  InstrumentKind kind;
-  EXPECT_TRUE(reg.Lookup("b.counter", &kind));
-  EXPECT_EQ(kind, InstrumentKind::kCounter);
-  EXPECT_TRUE(reg.Lookup("a.gauge", &kind));
-  EXPECT_EQ(kind, InstrumentKind::kGauge);
-  EXPECT_FALSE(reg.Lookup("nope", &kind));
   // Names come back sorted (map order).
   EXPECT_EQ(reg.Names(), (std::vector<std::string>{"a.gauge", "b.counter"}));
 }

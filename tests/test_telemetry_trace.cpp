@@ -56,25 +56,6 @@ TEST(TraceBufferTest, OverflowStressStaysBounded) {
   EXPECT_EQ(events.back().time, kPushes - 1);
 }
 
-TEST(TraceBufferTest, DrainEmptiesButKeepsLossCounters) {
-  TraceBuffer buf(2);
-  buf.Push(Ev(1));
-  buf.Push(Ev(2));
-  buf.Push(Ev(3));
-  const auto drained = buf.Drain();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].time, 2u);
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_TRUE(buf.Events().empty());
-  EXPECT_EQ(buf.pushed(), 3u);
-  EXPECT_EQ(buf.dropped(), 1u);
-  // Refilling after a drain works and drops nothing until full again.
-  buf.Push(Ev(4));
-  EXPECT_EQ(buf.size(), 1u);
-  EXPECT_EQ(buf.dropped(), 1u);
-  EXPECT_EQ(buf.Events().front().time, 4u);
-}
-
 TEST(TraceBufferTest, ZeroCapacityClampsToOne) {
   TraceBuffer buf(0);
   EXPECT_EQ(buf.capacity(), 1u);

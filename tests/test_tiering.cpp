@@ -72,7 +72,6 @@ TEST(TierGeometryTest, ToTextParseRoundTrip) {
       "cxl 1G lat=0.6 bw=8G\n"
       "file 4G lat=2.0 bw=1G\n");
   ASSERT_EQ(geo.size(), 3u);
-  EXPECT_EQ(geo.TotalCapacityBytes(), 96 * MiB + 1 * GiB + 4 * GiB);
   // Values that already read back keep their compact text.
   EXPECT_EQ(geo.ToText(), "dram 96.0M\ncxl 1.0G lat=0.6 bw=8.0G\n"
                           "file 4.0G lat=2 bw=1.0G\n");
@@ -134,6 +133,97 @@ TEST(TierGeometryTest, GeometryRefusedWhileFramesInUse) {
       GeometryOrDie("dram 16M\ncxl 64M lat=0.6\n"), &error));
   EXPECT_NE(error.find("no frame is in use"), std::string::npos) << error;
   EXPECT_FALSE(machine.tiered());
+}
+
+// --- tier planes ------------------------------------------------------------
+
+// A page's tier index lives in three bit planes. Every index round-trips,
+// and rewriting one page's tier leaves its neighbours' bits alone.
+TEST(TierPlanes, EveryTierRoundTrips) {
+  sim::Vma vma(kBase, kBase + 130 * kPageSize, "v");
+  for (std::size_t i = 0; i < vma.page_count(); ++i)
+    vma.SetTierAt(i, static_cast<std::uint16_t>(i % sim::kMaxTiers));
+  for (std::size_t i = 0; i < vma.page_count(); ++i)
+    EXPECT_EQ(vma.TierAt(i), i % sim::kMaxTiers) << "page " << i;
+  for (std::uint16_t t = 0; t < sim::kMaxTiers; ++t) {
+    vma.SetTierAt(64, t);
+    EXPECT_EQ(vma.TierAt(64), t);
+    EXPECT_EQ(vma.TierAt(63), 63 % sim::kMaxTiers);
+    EXPECT_EQ(vma.TierAt(65), 65 % sim::kMaxTiers);
+  }
+}
+
+// The machine's per-tier charges are the tier planes of the present pages,
+// counted: through placement, migration both ways, eviction and unmap.
+TEST(TierPlanes, TierChargesMatchPresentPagesThroughEveryMove) {
+  sim::Machine machine(sim::MachineSpec{"t", 4, 3.0, 4 * GiB},
+                       sim::SwapConfig::Zram());
+  std::string error;
+  ASSERT_TRUE(machine.SetTierGeometry(
+      GeometryOrDie("dram 4M\ncxl 8M lat=0.6\nfile 64M lat=2.0 bw=1G\n"),
+      &error))
+      << error;
+  constexpr std::size_t kTiers = 3;
+  sim::AddressSpace space(1, &machine, 3.0);
+  ASSERT_NE(space.Map(kBase, 32 * MiB, "heap"), nullptr);
+
+  const auto check = [&](const char* when) {
+    std::vector<std::uint64_t> counted(kTiers, 0);
+    for (const sim::Vma& vma : space.vmas()) {
+      for (std::size_t i = 0; i < vma.page_count(); ++i) {
+        if (vma.TestBit(sim::PageBit::kPresent, i)) {
+          ASSERT_LT(vma.TierAt(i), kTiers) << when << ", page " << i;
+          ++counted[vma.TierAt(i)];
+        } else {
+          ASSERT_EQ(vma.TierAt(i), 0u) << when << ", absent page " << i;
+        }
+      }
+    }
+    for (std::uint16_t t = 0; t < kTiers; ++t)
+      EXPECT_EQ(machine.TierUsedPages(t), counted[t]) << when << ", tier " << t;
+  };
+
+  // First-fit placement fills dram, then cxl, then spills into file.
+  space.TouchRange(kBase, kBase + 32 * MiB, true, 0);
+  check("after placement");
+  for (std::uint16_t t = 0; t < kTiers; ++t)
+    EXPECT_GT(machine.TierUsedPages(t), 0u) << "tier " << t;
+
+  space.MigrateRange(kBase, kBase + 2 * MiB, kUsPerSec, /*promote=*/false);
+  check("after demotion");
+  space.MigrateRange(kBase + 24 * MiB, kBase + 32 * MiB, kUsPerSec,
+                     /*promote=*/true);
+  check("after promotion");
+  EXPECT_GT(machine.counters().tier_demoted_pages, 0u);
+  EXPECT_GT(machine.counters().tier_promoted_pages, 0u);
+
+  EXPECT_GT(space.PageOutRange(kBase, kBase + 16 * MiB, 2 * kUsPerSec), 0u);
+  check("after eviction");
+
+  space.UnmapVma(kBase);
+  for (std::uint16_t t = 0; t < kTiers; ++t)
+    EXPECT_EQ(machine.TierUsedPages(t), 0u) << "after unmap, tier " << t;
+}
+
+// A VMA mapped while the machine was untiered gets its last-touch times
+// when the machine becomes tiered, so its touches can record them.
+TEST(TierPlanes, VmaMappedBeforeTieringRecordsTouchTimes) {
+  sim::Machine machine(sim::MachineSpec{"t", 4, 3.0, 4 * GiB},
+                       sim::SwapConfig::Zram());
+  sim::AddressSpace space(1, &machine, 3.0);
+  ASSERT_NE(space.Map(kBase, 4 * MiB, "heap"), nullptr);
+  std::string error;
+  ASSERT_TRUE(machine.SetTierGeometry(
+      GeometryOrDie("dram 1M\ncxl 8M lat=0.6\n"), &error))
+      << error;
+  sim::TouchStats st;
+  space.TouchPage(kBase + 5 * kPageSize, true, 7 * kUsPerMs, st);
+  space.TouchRange(kBase + 2 * MiB, kBase + 4 * MiB, false, 9 * kUsPerMs);
+  const sim::Vma& vma = space.vmas()[0];
+  EXPECT_EQ(vma.PageAt(kBase + 5 * kPageSize).last_touch_ms, 7u);
+  EXPECT_EQ(vma.PageAt(kBase + 5 * kPageSize).tier, 0u);
+  EXPECT_EQ(vma.PageAt(kBase + 4 * MiB - kPageSize).last_touch_ms, 9u);
+  EXPECT_EQ(vma.PageAt(kBase + 4 * MiB - kPageSize).tier, 1u);
 }
 
 // --- disarmed bit-identity --------------------------------------------------

@@ -70,7 +70,7 @@ TEST_F(GeneratorTest, ColdDensityShapesBlocks) {
   // resident.
   const sim::Vma& heap = space_.vmas()[0];
   const std::size_t last_block = heap.block_count() - 2;
-  EXPECT_NEAR(static_cast<double>(heap.block(last_block).resident),
+  EXPECT_NEAR(static_cast<double>(heap.BlockResident(last_block)),
               kPagesPerHuge * 0.5, kPagesPerHuge * 0.1);
 }
 
