@@ -403,27 +403,14 @@ ScenarioResult RunFleetScenario(const Campaign& campaign) {
   config.supervisor = FastSupervisorConfig();
   fleet::FleetController fleet(config);
 
-  // Window transitions broadcast a full reconfiguration ("reset" + the
-  // active entries, windows stripped) to every shard plane. Per-shard
-  // streams stay decorrelated — ConfigureFaults preserves plane seeds.
-  std::string last_config = "\x01";  // never equal to a real config
-  const auto apply_windows = [&](SimTimeUs now) {
-    std::ostringstream text;
-    text << "reset\n";
-    for (const CampaignEntry& e : campaign.entries) {
-      if (!e.ActiveAt(now)) continue;
-      CampaignEntry stripped = e;
-      stripped.from = 0;
-      stripped.until = 0;
-      text << FormatEntry(stripped) << '\n';
-    }
-    std::string next = text.str();
-    if (next == last_config) return;
-    std::string error;
-    oracles.Check("scenario.setup", fleet.ConfigureFaults(next, &error),
-                  "fault broadcast: " + error);
-    last_config = std::move(next);
-  };
+  // Each shard plane realizes the campaign windows on its own, so a point
+  // is re-armed (and its stream rewound) only when its own window opens or
+  // closes. Per-shard streams stay decorrelated by the plane seeds.
+  std::vector<WindowArming> arming;
+  arming.reserve(fleet.nr_shards());
+  for (std::size_t i = 0; i < fleet.nr_shards(); ++i) {
+    arming.emplace_back(campaign, fleet.plane(i));
+  }
 
   bool synthetic_fired = false;
   const auto probe_synthetic = [&] {
@@ -453,7 +440,7 @@ ScenarioResult RunFleetScenario(const Campaign& campaign) {
   std::uint32_t start_epoch = 0;
   bool terminal = false;
   for (std::uint32_t epoch = 0; epoch < kMaxEpochs; ++epoch) {
-    apply_windows(fleet.Now());
+    for (WindowArming& shard : arming) shard.Apply(fleet.Now());
     probe_synthetic();
     if (!rollout_started && epoch >= kWarmupEpochs) {
       std::string error;

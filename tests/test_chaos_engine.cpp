@@ -297,6 +297,21 @@ TEST(ChaosEngine, UnknownScenarioFailsItsOwnOracle) {
   EXPECT_FALSE(result.ok());
 }
 
+// Each shard plane arms only the points whose own window opens or closes:
+// a windowless once=3 entry fires once per shard for the whole run, however
+// often another entry's window opens and closes (fault.hpp Arm rewinds a
+// point's schedule, so a spurious re-arm would make it fire again).
+TEST(ChaosEngine, FleetWindowsLeaveOtherPointsArmed) {
+  const Campaign campaign = ParseOrDie(
+      "seed 7\n"
+      "scenario fleet\n"
+      "fleet.telemetry_loss once=3\n"
+      "trial.hang p=1 from=1s until=2s\n");
+  const chaos::ScenarioResult result = chaos::RunScenario(campaign);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.faults_fired, 4u);  // one per shard plane
+}
+
 TEST(ChaosFsTest, StatusAndLastReproFiles) {
   dbgfs::PseudoFs fs;
   ChaosEngine engine(ChaosConfig{});
