@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "analysis/experiment.hpp"
 #include "analysis/runner.hpp"
 #include "autotune/tuner.hpp"
 #include "bench/common.hpp"
@@ -16,19 +17,6 @@ int main() {
       bench::CapSize(*workload::FindProfile("parsec3/raytrace"));
   analysis::ExperimentOptions opt = bench::DefaultOptions();
   opt.apply_runtime_noise = true;  // the figure's point is fitting noise
-
-  auto trial = [&](const damos::Scheme* scheme)
-      -> autotune::TrialMeasurement {
-    if (scheme == nullptr) {
-      const auto r =
-          analysis::RunWorkload(profile, analysis::Config::kBaseline, opt);
-      return {r.runtime_s, r.avg_rss_bytes};
-    }
-    const std::vector<damos::Scheme> schemes{*scheme};
-    const auto r = analysis::RunWorkload(profile, analysis::Config::kSchemes,
-                                         opt, &schemes);
-    return {r.runtime_s, r.avg_rss_bytes};
-  };
 
   // Measured line: second-granularity in full mode, 5 s steps otherwise.
   // Every point is an independent run — submit baseline + all points as
@@ -78,8 +66,8 @@ int main() {
   cfg.seed = 77;
   opt.seed = 42;
   autotune::AutoTuner tuner(cfg);
-  const autotune::TunerResult result =
-      tuner.Tune(damos::Scheme::Prcl(), trial);
+  const autotune::TunerResult result = tuner.Tune(
+      damos::Scheme::Prcl(), analysis::WorkloadTrial(profile, opt));
 
   std::printf("\nsamples (60%% global exploration, 40%% local refinement):\n");
   for (const autotune::TunerSample& s : result.samples) {

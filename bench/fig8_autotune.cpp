@@ -9,17 +9,64 @@
 // The headline claim is a check: the program exits 1, naming the machine on
 // stderr, when a machine's average auto-tuned score or performance is not
 // above the manual scheme's.
+//
+// On each machine the first workload is also tuned through the paper's
+// §3.6 deployment shape, dbgfs::DbgfsRuntime (a fresh guest per trial,
+// the scheme written through debugfs, RSS polled from procfs), and checked
+// against the direct trials: its tuned min_age must land within one sample
+// step of theirs, or its scheme must score at least the manual scheme on
+// the direct trial. A miss exits 1 and names the cell on stderr; stdout
+// does not change.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
+#include "analysis/experiment.hpp"
 #include "analysis/report.hpp"
 #include "analysis/runner.hpp"
 #include "autotune/tuner.hpp"
 #include "bench/common.hpp"
+#include "dbgfs/runtime.hpp"
 #include "util/stats.hpp"
+#include "workload/generator.hpp"
+
+namespace {
+
+using namespace daos;
+
+/// Auto: tune min_age over 0..60 s with 10 samples.
+autotune::TunerConfig TunerConfigFor(std::size_t host_idx) {
+  autotune::TunerConfig cfg;
+  cfg.nr_samples = 10;
+  cfg.min_age_lo = 0;
+  cfg.min_age_hi = 60 * kUsPerSec;
+  cfg.seed = 13 + host_idx;
+  return cfg;
+}
+
+/// Boots the guest RunWorkload would build for `profile` under `opt`, with
+/// the debugfs and procfs views mounted.
+dbgfs::EnvFactory GuestFactory(const workload::WorkloadProfile& profile,
+                               const analysis::ExperimentOptions& opt) {
+  return [profile, opt] {
+    auto env = std::make_unique<dbgfs::TrialEnv>();
+    env->system = std::make_unique<sim::System>(
+        opt.host.GuestOf(), opt.swap, sim::ThpMode::kNever, opt.quantum);
+    env->workload_pid =
+        env->system
+            ->AddProcess(workload::ToProcessParams(profile),
+                         workload::MakeSource(profile, opt.seed))
+            .pid();
+    env->damon =
+        std::make_unique<dbgfs::DamonDbgfs>(env->system.get(), &env->fs);
+    env->proc = std::make_unique<dbgfs::ProcFs>(env->system.get(), &env->fs);
+    return env;
+  };
+}
+
+}  // namespace
 
 int main() {
-  using namespace daos;
   bench::PrintHeader("Figure 8", "manual vs auto-tuned prcl per machine");
 
   const auto hosts = bench::Hosts();
@@ -32,7 +79,8 @@ int main() {
   std::vector<Agg> agg(hosts.size());
 
   // Each (workload, machine) cell — baseline, manual run, tuner loop,
-  // tuned run — is self-contained; the tuner's trials inside a cell are
+  // tuned run, and on the first workload the runtime's tuner loop — is
+  // self-contained; the tuner's trials inside a cell are
   // inherently sequential (each sample depends on the previous score) but
   // the cells themselves fan out over DAOS_JOBS workers. Results land in
   // per-cell slots; aggregation and printing stay in submission order.
@@ -40,7 +88,10 @@ int main() {
     std::size_t name_idx, host_idx;
     double man_perf = 0, aut_perf = 0, man_mem = 0, aut_mem = 0;
     double man_score = 0, aut_score = 0;
-    double tuned_min_age_s = 0;
+    SimTimeUs tuned_min_age = 0;
+    // The first workload's cells are tuned through the runtime as well.
+    SimTimeUs runtime_min_age = 0;
+    double runtime_score = 0;
   };
   std::vector<Cell> cells;
   for (std::size_t n = 0; n < names.size(); ++n)
@@ -55,33 +106,18 @@ int main() {
     analysis::ExperimentOptions opt = bench::DefaultOptions();
     opt.host = hosts[h];
 
-    const auto base =
-        analysis::RunWorkload(profile, analysis::Config::kBaseline, opt);
-    auto trial = [&](const damos::Scheme* scheme)
-        -> autotune::TrialMeasurement {
-      if (scheme == nullptr) return {base.runtime_s, base.avg_rss_bytes};
-      const std::vector<damos::Scheme> schemes{*scheme};
-      const auto r = analysis::RunWorkload(
-          profile, analysis::Config::kSchemes, opt, &schemes);
-      return {r.runtime_s, r.avg_rss_bytes};
-    };
+    const autotune::TrialRunner trial = analysis::WorkloadTrial(profile, opt);
 
     // Manual: Listing-3 prcl, 5 s.
     damos::Scheme manual = damos::Scheme::Prcl(5 * kUsPerSec);
     const autotune::TrialMeasurement man = trial(&manual);
 
-    // Auto: tune min_age over 0..60 s with 10 samples.
-    autotune::TunerConfig cfg;
-    cfg.nr_samples = 10;
-    cfg.min_age_lo = 0;
-    cfg.min_age_hi = 60 * kUsPerSec;
-    cfg.seed = 13 + h;
-    autotune::AutoTuner tuner(cfg);
+    const autotune::TunerConfig cfg = TunerConfigFor(h);
     const autotune::TunerResult tuned =
-        tuner.Tune(damos::Scheme::Prcl(), trial);
+        autotune::AutoTuner(cfg).Tune(damos::Scheme::Prcl(), trial);
     const autotune::TrialMeasurement aut = trial(&tuned.tuned);
 
-    const autotune::TrialMeasurement bl{base.runtime_s, base.avg_rss_bytes};
+    const autotune::TrialMeasurement& bl = tuned.baseline;
     cell.man_perf = bl.runtime_s / man.runtime_s;
     cell.aut_perf = bl.runtime_s / aut.runtime_s;
     cell.man_mem = bl.rss_bytes / man.rss_bytes;
@@ -92,8 +128,16 @@ int main() {
     autotune::ScoreFunction man_fn, aut_fn;
     cell.man_score = man_fn.Score(man, bl);
     cell.aut_score = aut_fn.Score(aut, bl);
-    cell.tuned_min_age_s =
-        static_cast<double>(tuned.best_min_age) / kUsPerSec;
+    cell.tuned_min_age = tuned.best_min_age;
+
+    if (cell.name_idx != 0) return;
+    dbgfs::DbgfsRuntime runtime(GuestFactory(profile, opt));
+    const autotune::TunerResult via = autotune::AutoTuner(cfg).Tune(
+        damos::Scheme::Prcl(),
+        [&](const damos::Scheme* s) { return runtime.RunOnce(s); });
+    autotune::ScoreFunction via_fn;
+    cell.runtime_min_age = via.best_min_age;
+    cell.runtime_score = via_fn.Score(trial(&via.tuned), bl);
   });
 
   std::printf("%-26s %-10s %10s %10s %10s %10s %10s %10s\n", "workload",
@@ -112,7 +156,8 @@ int main() {
                 "   (tuned min_age %.0fs)\n",
                 names[cell.name_idx].c_str(), hosts[h].name.c_str(),
                 cell.man_perf, cell.aut_perf, cell.man_mem, cell.aut_mem,
-                cell.man_score, cell.aut_score, cell.tuned_min_age_s);
+                cell.man_score, cell.aut_score,
+                static_cast<double>(cell.tuned_min_age) / kUsPerSec);
   }
 
   std::printf("\naverages per machine:\n");
@@ -145,6 +190,26 @@ int main() {
     };
     check(agg[h].auto_score, agg[h].man_score, "score");
     check(agg[h].auto_perf, agg[h].man_perf, "perf");
+  }
+  const autotune::TunerConfig cfg = TunerConfigFor(0);
+  const SimTimeUs step = (cfg.min_age_hi - cfg.min_age_lo) / cfg.nr_samples;
+  for (const Cell& cell : cells) {
+    if (cell.name_idx != 0) continue;
+    const SimTimeUs apart = cell.runtime_min_age > cell.tuned_min_age
+                                ? cell.runtime_min_age - cell.tuned_min_age
+                                : cell.tuned_min_age - cell.runtime_min_age;
+    if (apart <= step || cell.runtime_score >= cell.man_score) continue;
+    ++misses;
+    std::fprintf(stderr,
+                 "claim failed: %s on %s: the runtime tuned min_age %.2fs, "
+                 "the direct trials %.2fs (more than %.0fs apart), and its "
+                 "score %.2f is below the manual %.2f\n",
+                 names[cell.name_idx].c_str(),
+                 hosts[cell.host_idx].name.c_str(),
+                 static_cast<double>(cell.runtime_min_age) / kUsPerSec,
+                 static_cast<double>(cell.tuned_min_age) / kUsPerSec,
+                 static_cast<double>(step) / kUsPerSec, cell.runtime_score,
+                 cell.man_score);
   }
   return misses == 0 ? 0 : 1;
 }

@@ -27,18 +27,7 @@ int main() {
   std::printf("workload: %s, tuning the prcl scheme's min_age in [0, 20s]\n\n",
               profile.name.c_str());
 
-  auto trial = [&](const damos::Scheme* scheme)
-      -> autotune::TrialMeasurement {
-    if (scheme == nullptr) {
-      const auto r =
-          analysis::RunWorkload(profile, analysis::Config::kBaseline, opt);
-      return {r.runtime_s, r.avg_rss_bytes};
-    }
-    const std::vector<damos::Scheme> schemes{*scheme};
-    const auto r = analysis::RunWorkload(profile, analysis::Config::kSchemes,
-                                         opt, &schemes);
-    return {r.runtime_s, r.avg_rss_bytes};
-  };
+  const autotune::TrialRunner trial = analysis::WorkloadTrial(profile, opt);
 
   autotune::TunerConfig cfg;
   cfg.nr_samples = 10;          // the paper's evaluation budget

@@ -174,4 +174,18 @@ ExperimentResult RunWorkload(const workload::WorkloadProfile& profile,
   return result;
 }
 
+autotune::TrialRunner WorkloadTrial(const workload::WorkloadProfile& profile,
+                                    const ExperimentOptions& options) {
+  return [profile, options](const damos::Scheme* scheme) {
+    ExperimentResult r;
+    if (scheme == nullptr) {
+      r = RunWorkload(profile, Config::kBaseline, options);
+    } else {
+      const std::vector<damos::Scheme> schemes{*scheme};
+      r = RunWorkload(profile, Config::kSchemes, options, &schemes);
+    }
+    return autotune::TrialMeasurement{r.runtime_s, r.avg_rss_bytes};
+  };
+}
+
 }  // namespace daos::analysis

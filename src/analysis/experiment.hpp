@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "autotune/tuner.hpp"
 #include "damon/attrs.hpp"
 #include "damon/recorder.hpp"
 #include "damos/scheme.hpp"
@@ -88,6 +89,12 @@ ExperimentResult RunWorkload(
     const ExperimentOptions& options,
     const std::vector<damos::Scheme>* custom_schemes = nullptr,
     damon::Recorder* recorder = nullptr);
+
+/// The auto-tuner's trial on `profile`, run with copies of `profile` and
+/// `options`: a null scheme runs the baseline configuration, any other
+/// scheme runs kSchemes with that one scheme.
+autotune::TrialRunner WorkloadTrial(const workload::WorkloadProfile& profile,
+                                    const ExperimentOptions& options);
 
 /// The Listing 3 scheme sets.
 std::vector<damos::Scheme> EthpSchemes();

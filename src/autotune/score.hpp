@@ -16,9 +16,6 @@ struct TrialMeasurement {
   /// The trial never produced a usable measurement (e.g. the workload hung
   /// past the runtime's watchdog deadline, even after retries).
   bool failed = false;
-  /// How many extra runs the runtime spent retrying before settling on
-  /// this measurement.
-  int retries = 0;
 };
 
 // Listing 2's constants: equal weights, and an SLA of at most a 10 %

@@ -33,7 +33,6 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
 
   // Baseline: the workload without any scheme.
   result.baseline = runner(nullptr);
-  result.retried_trials += result.baseline.retries;
   if (result.baseline.failed) ++result.failed_trials;
 
   const std::size_t total = std::max<std::size_t>(2, config_.nr_samples);
@@ -46,7 +45,6 @@ TunerResult AutoTuner::Tune(const damos::Scheme& base,
     damos::Scheme candidate = base;
     candidate.bounds().min_age = min_age;
     const TrialMeasurement m = runner(&candidate);
-    result.retried_trials += m.retries;
     if (m.failed) {
       // The trial never produced a measurement. Record it (so the sample
       // budget accounting stays honest) but keep it out of the score

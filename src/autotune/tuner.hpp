@@ -62,11 +62,8 @@ struct TunerResult {
   std::vector<TunerSample> samples;
   Polynomial estimate;             // the fitted curve (Figure 5's line)
   TrialMeasurement baseline;
-  /// Robustness accounting: trials (baseline included) whose measurement
-  /// came back failed even after the runner's retries, and the total
-  /// retries the runner spent across all trials.
+  /// Trials (baseline included) whose measurement came back failed.
   int failed_trials = 0;
-  int retried_trials = 0;
 };
 
 class AutoTuner {

@@ -32,6 +32,9 @@ class PseudoFs {
   void RegisterFile(std::string path, FileReader reader, FileWriter writer);
   void RemoveFile(const std::string& path);
 
+  /// Exists and List are the filesystem's stat and ls. Only tests call
+  /// them, to check which paths a view's Mount registers and removes; a
+  /// write-only file cannot be probed through Read.
   bool Exists(const std::string& path) const;
   /// Lists registered paths under a prefix (lexicographic order).
   std::vector<std::string> List(std::string_view prefix = "") const;

@@ -1,21 +1,24 @@
-#include "autotune/runtime.hpp"
+#include "dbgfs/runtime.hpp"
 
-namespace daos::autotune {
+namespace daos::dbgfs {
 
-DbgfsRuntime::DbgfsRuntime(EnvFactory factory, TunerConfig config,
-                           SimTimeUs max_trial_time,
-                           SimTimeUs rss_poll_interval, int max_trial_retries)
-    : factory_(std::move(factory)),
-      config_(config),
-      max_trial_time_(max_trial_time),
-      rss_poll_interval_(rss_poll_interval),
-      max_trial_retries_(max_trial_retries < 0 ? 0 : max_trial_retries) {}
+namespace {
+
+/// The per-trial watchdog deadline.
+constexpr SimTimeUs kMaxTrialTime = 1200 * kUsPerSec;
+/// How often the runtime reads procfs while the workload runs.
+constexpr SimTimeUs kRssPollInterval = kUsPerSec;
+/// Fresh environments booted to retry a failed trial before giving up.
+constexpr int kMaxTrialRetries = 1;
+
+}  // namespace
 
 void DbgfsRuntime::SetFaultPlane(fault::FaultPlane* plane) {
   trial_hang_ = plane != nullptr ? &plane->Point(fault::kTrialHang) : nullptr;
 }
 
-TrialMeasurement DbgfsRuntime::RunTrial(const damos::Scheme* scheme) {
+autotune::TrialMeasurement DbgfsRuntime::RunTrial(
+    const damos::Scheme* scheme) {
   ++trials_;
   std::unique_ptr<TrialEnv> env = factory_();
 
@@ -33,15 +36,15 @@ TrialMeasurement DbgfsRuntime::RunTrial(const damos::Scheme* scheme) {
   }
 
   // An armed trial.hang makes this run behave like a wedged workload: the
-  // poll loop ignores the finished flag and rides out the whole deadline,
-  // exactly what the watchdog exists to catch.
+  // poll loop ignores the finished flag and runs until the deadline or a
+  // frozen clock, exactly what the watchdog exists to catch.
   const bool hung = fault::Fires(trial_hang_);
 
   // Run to completion, polling procfs for the RSS like the runtime's
   // scripts poll /proc/<pid>/status.
   double rss_sum = 0.0;
   std::uint64_t polls = 0;
-  const SimTimeUs deadline = env->system->Now() + max_trial_time_;
+  const SimTimeUs deadline = env->system->Now() + kMaxTrialTime;
   sim::Process* workload = nullptr;
   for (auto& proc : env->system->processes()) {
     if (proc->pid() == env->workload_pid) workload = proc.get();
@@ -49,7 +52,7 @@ TrialMeasurement DbgfsRuntime::RunTrial(const damos::Scheme* scheme) {
   while (env->system->Now() < deadline &&
          (hung || workload == nullptr || !workload->finished())) {
     const SimTimeUs before = env->system->Now();
-    env->system->Run(rss_poll_interval_);
+    env->system->Run(kRssPollInterval);
     rss_sum += static_cast<double>(env->proc->ReadRssBytes(env->workload_pid));
     ++polls;
     // System::Run returns without advancing once every finite process has
@@ -58,38 +61,24 @@ TrialMeasurement DbgfsRuntime::RunTrial(const damos::Scheme* scheme) {
     if (env->system->Now() == before) break;
   }
 
-  TrialMeasurement m;
+  autotune::TrialMeasurement m;
   m.runtime_s = workload != nullptr
                     ? workload->Metrics(env->system->Now()).runtime_s
                     : static_cast<double>(env->system->Now()) / kUsPerSec;
   m.rss_bytes = polls > 0 ? rss_sum / static_cast<double>(polls) : 0.0;
-  // Watchdog: the workload did not finish inside max_trial_time (or the
+  // Watchdog: the workload did not finish inside kMaxTrialTime (or the
   // run was wedged by trial.hang). The env is abandoned — the simulated
   // equivalent of kill -9 — and the measurement is unusable.
   m.failed = hung || (workload != nullptr && !workload->finished());
   return m;
 }
 
-TrialMeasurement DbgfsRuntime::RunOnce(const damos::Scheme* scheme) {
-  TrialMeasurement m;
-  for (int attempt = 0;; ++attempt) {
+autotune::TrialMeasurement DbgfsRuntime::RunOnce(
+    const damos::Scheme* scheme) {
+  autotune::TrialMeasurement m = RunTrial(scheme);
+  for (int retry = 0; m.failed && retry < kMaxTrialRetries; ++retry)
     m = RunTrial(scheme);
-    m.retries = attempt;
-    if (!m.failed) break;
-    if (registry_ != nullptr)
-      registry_->GetCounter("autotune.trial_failures").Add(1);
-    if (attempt >= max_trial_retries_) break;  // retry budget exhausted
-    if (registry_ != nullptr)
-      registry_->GetCounter("autotune.trial_retries").Add(1);
-  }
   return m;
 }
 
-TunerResult DbgfsRuntime::Tune(const damos::Scheme& base) {
-  AutoTuner tuner(config_);
-  if (registry_ != nullptr) tuner.BindTelemetry(*registry_, trace_);
-  return tuner.Tune(base,
-                    [this](const damos::Scheme* s) { return RunOnce(s); });
-}
-
-}  // namespace daos::autotune
+}  // namespace daos::dbgfs

@@ -26,6 +26,13 @@ constexpr std::uint32_t kRollbackRetryMax = 3;
 /// Fraction of non-quarantined shards that must deliver a valid health
 /// sample for a gate decision; below it the epoch is a quorum miss.
 constexpr double kHealthQuorumFrac = 0.5;
+/// Crash-storm quarantine: this many crashes within one window of
+/// kQuarantineWindowEpochs quarantine a shard (a supervisor entering
+/// degraded mode quarantines at once), and a quarantined shard rejoins
+/// after kQuarantineProbationEpochs quiet (crash-free, alive) epochs.
+constexpr std::uint32_t kQuarantineCrashThreshold = 3;
+constexpr std::uint32_t kQuarantineWindowEpochs = 8;
+constexpr std::uint32_t kQuarantineProbationEpochs = 4;
 
 std::string Fmt(double v) {
   char buf[32];
@@ -483,13 +490,11 @@ void FleetController::CollectHealth() {
 }
 
 void FleetController::PoliceQuarantine() {
-  const bool window_rolls =
-      config_.quarantine_window_epochs > 0 &&
-      counters_.epochs % config_.quarantine_window_epochs == 0;
+  const bool window_rolls = counters_.epochs % kQuarantineWindowEpochs == 0;
   for (auto& sp : shards_) {
     Shard& s = *sp;
     if (!s.quarantined) {
-      if (s.crashes_in_window >= config_.quarantine_crash_threshold ||
+      if (s.crashes_in_window >= kQuarantineCrashThreshold ||
           s.supervisor.state() == lifecycle::SupervisorState::kDegraded)
         Quarantine(s);
     } else {
@@ -500,7 +505,7 @@ void FleetController::PoliceQuarantine() {
         ++s.quiet_epochs;
       else
         s.quiet_epochs = 0;
-      if (s.quiet_epochs >= config_.quarantine_probation_epochs &&
+      if (s.quiet_epochs >= kQuarantineProbationEpochs &&
           s.supervisor.state() != lifecycle::SupervisorState::kDegraded)
         Release(s);
     }

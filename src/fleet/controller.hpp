@@ -83,14 +83,6 @@ struct FleetConfig {
   /// Arm every shard plane from DAOS_FAULTS (reseeded per shard so storm
   /// schedules decorrelate). Tests pinning fault-free goldens set false.
   bool use_env_faults = true;
-
-  // Fleet robustness policy.
-  /// Crashes within one `quarantine_window_epochs` span that quarantine a
-  /// shard; a supervisor entering degraded mode quarantines immediately.
-  std::uint32_t quarantine_crash_threshold = 3;
-  std::uint32_t quarantine_window_epochs = 8;
-  /// Quiet (crash-free, alive) epochs before a quarantined shard rejoins.
-  std::uint32_t quarantine_probation_epochs = 4;
 };
 
 /// One staged rollout: the commit bundle plus wave shape and gate

@@ -424,7 +424,9 @@ class AddressSpace {
   /// so a logged range touch earlier in the same simulated millisecond as
   /// the MkOld still reads young.
   bool IsYoung(Addr addr) const;
-  /// True if addr is backed by a resident page.
+  /// True if addr is backed by a resident page. Only tests call it: it is
+  /// the one-page residency oracle (pagemap's present bit) that the
+  /// address-space, bitmap, reclaim, DAMOS and generator tests read.
   bool IsResident(Addr addr) const;
 
   // --- DAMOS action side ------------------------------------------------------

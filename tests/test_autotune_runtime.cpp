@@ -1,11 +1,12 @@
-#include "autotune/runtime.hpp"
+#include "dbgfs/runtime.hpp"
 
 #include <gtest/gtest.h>
 
+#include "autotune/tuner.hpp"
 #include "workload/generator.hpp"
 #include "workload/profile.hpp"
 
-namespace daos::autotune {
+namespace daos::dbgfs {
 namespace {
 
 workload::WorkloadProfile FastProfile() {
@@ -30,17 +31,15 @@ EnvFactory MakeFactory(int* boots = nullptr) {
     sim::Process& proc = env->system->AddProcess(
         workload::ToProcessParams(p), workload::MakeSource(p, 31));
     env->workload_pid = proc.pid();
-    env->damon =
-        std::make_unique<dbgfs::DamonDbgfs>(env->system.get(), &env->fs);
-    env->proc =
-        std::make_unique<dbgfs::ProcFs>(env->system.get(), &env->fs);
+    env->damon = std::make_unique<DamonDbgfs>(env->system.get(), &env->fs);
+    env->proc = std::make_unique<ProcFs>(env->system.get(), &env->fs);
     if (boots != nullptr) ++*boots;
     return env;
   };
 }
 
-TunerConfig Config() {
-  TunerConfig cfg;
+autotune::TunerConfig Config() {
+  autotune::TunerConfig cfg;
   cfg.nr_samples = 5;
   cfg.min_age_lo = 0;
   cfg.min_age_hi = 8 * kUsPerSec;
@@ -48,9 +47,16 @@ TunerConfig Config() {
   return cfg;
 }
 
+/// The full §3.5 flow: tune prcl's min_age with a fresh run per sample.
+autotune::TunerResult Tune(DbgfsRuntime& runtime) {
+  return autotune::AutoTuner(Config()).Tune(
+      damos::Scheme::Prcl(),
+      [&](const damos::Scheme* s) { return runtime.RunOnce(s); });
+}
+
 TEST(DbgfsRuntimeTest, BaselineTrialMeasuresWorkload) {
-  DbgfsRuntime runtime(MakeFactory(), Config());
-  const TrialMeasurement m = runtime.RunOnce(nullptr);
+  DbgfsRuntime runtime(MakeFactory());
+  const autotune::TrialMeasurement m = runtime.RunOnce(nullptr);
   EXPECT_NEAR(m.runtime_s, 12.0, 1.5);
   // RSS ~ 25% hot + 75% cold of 96 MiB + aux/stack.
   EXPECT_GT(m.rss_bytes, 80.0 * MiB);
@@ -58,10 +64,10 @@ TEST(DbgfsRuntimeTest, BaselineTrialMeasuresWorkload) {
 }
 
 TEST(DbgfsRuntimeTest, SchemeTrialTrimsMemory) {
-  DbgfsRuntime runtime(MakeFactory(), Config());
-  const TrialMeasurement base = runtime.RunOnce(nullptr);
+  DbgfsRuntime runtime(MakeFactory());
+  const autotune::TrialMeasurement base = runtime.RunOnce(nullptr);
   const damos::Scheme prcl = damos::Scheme::Prcl(2 * kUsPerSec);
-  const TrialMeasurement trimmed = runtime.RunOnce(&prcl);
+  const autotune::TrialMeasurement trimmed = runtime.RunOnce(&prcl);
   // The cold 75 % gets paged out through the debugfs-installed scheme.
   EXPECT_LT(trimmed.rss_bytes, 0.6 * base.rss_bytes);
   EXPECT_LT(trimmed.runtime_s, base.runtime_s * 1.1);
@@ -69,7 +75,7 @@ TEST(DbgfsRuntimeTest, SchemeTrialTrimsMemory) {
 
 TEST(DbgfsRuntimeTest, EveryTrialBootsFreshEnvironment) {
   int boots = 0;
-  DbgfsRuntime runtime(MakeFactory(&boots), Config());
+  DbgfsRuntime runtime(MakeFactory(&boots));
   runtime.RunOnce(nullptr);
   const damos::Scheme prcl = damos::Scheme::Prcl(2 * kUsPerSec);
   runtime.RunOnce(&prcl);
@@ -80,8 +86,8 @@ TEST(DbgfsRuntimeTest, EveryTrialBootsFreshEnvironment) {
 
 TEST(DbgfsRuntimeTest, TuneRunsBudgetPlusBaseline) {
   int boots = 0;
-  DbgfsRuntime runtime(MakeFactory(&boots), Config());
-  const TunerResult result = runtime.Tune(damos::Scheme::Prcl());
+  DbgfsRuntime runtime(MakeFactory(&boots));
+  const autotune::TunerResult result = Tune(runtime);
   EXPECT_EQ(boots, 6);  // 1 baseline + 5 samples
   EXPECT_EQ(result.samples.size(), 5u);
   // The tuned scheme keeps the prcl shape.
@@ -92,53 +98,46 @@ TEST(DbgfsRuntimeTest, TuneRunsBudgetPlusBaseline) {
 }
 
 TEST(DbgfsRuntimeTest, TunedSchemeVerifiesEndToEnd) {
-  DbgfsRuntime runtime(MakeFactory(), Config());
-  const TunerResult result = runtime.Tune(damos::Scheme::Prcl());
-  const TrialMeasurement verify = runtime.RunOnce(&result.tuned);
+  DbgfsRuntime runtime(MakeFactory());
+  const autotune::TunerResult result = Tune(runtime);
+  const autotune::TrialMeasurement verify = runtime.RunOnce(&result.tuned);
   EXPECT_LT(verify.rss_bytes, 0.8 * result.baseline.rss_bytes);
 }
 
 TEST(DbgfsRuntimeTest, WatchdogKillsHungTrialAndRetrySucceeds) {
   int boots = 0;
-  DbgfsRuntime runtime(MakeFactory(&boots), Config(),
-                       /*max_trial_time=*/20 * kUsPerSec,
-                       /*rss_poll_interval=*/kUsPerSec,
-                       /*max_trial_retries=*/1);
+  DbgfsRuntime runtime(MakeFactory(&boots));
   fault::FaultPlane plane(7);
   plane.Point(fault::kTrialHang).Arm(fault::FaultSpec{0.0, 0, 1});
   runtime.SetFaultPlane(&plane);
 
-  const TrialMeasurement m = runtime.RunOnce(nullptr);
-  // First attempt hangs, rides out the deadline and is discarded; the
-  // retry on a fresh environment measures normally.
+  const autotune::TrialMeasurement m = runtime.RunOnce(nullptr);
+  // First attempt hangs until the workload's clock stops and is discarded;
+  // the retry on a fresh environment measures normally.
   EXPECT_FALSE(m.failed);
-  EXPECT_EQ(m.retries, 1);
   EXPECT_EQ(runtime.trials(), 2);
   EXPECT_EQ(boots, 2);
   EXPECT_NEAR(m.runtime_s, 12.0, 1.5);
 }
 
 TEST(DbgfsRuntimeTest, TuneTerminatesWhenEveryTrialHangs) {
-  DbgfsRuntime runtime(MakeFactory(), Config(),
-                       /*max_trial_time=*/15 * kUsPerSec,
-                       /*rss_poll_interval=*/kUsPerSec,
-                       /*max_trial_retries=*/1);
+  DbgfsRuntime runtime(MakeFactory());
   fault::FaultPlane plane(7);
   plane.Point(fault::kTrialHang).Arm(fault::FaultSpec{0.0, 1, 0});
   runtime.SetFaultPlane(&plane);
 
-  // Tune() must come back even though no trial ever measures: every trial
+  // Tuning must come back even though no trial ever measures: every trial
   // is watchdog-killed, retried its bounded once, and reported failed.
-  const TunerResult result = runtime.Tune(damos::Scheme::Prcl());
-  EXPECT_EQ(result.failed_trials, 6);   // baseline + 5 samples
-  EXPECT_EQ(result.retried_trials, 6);  // one bounded retry each
+  const autotune::TunerResult result = Tune(runtime);
+  EXPECT_EQ(result.failed_trials, 6);  // baseline + 5 samples
+  EXPECT_EQ(runtime.trials(), 12);     // one bounded retry each
   ASSERT_EQ(result.samples.size(), 5u);
-  for (const TunerSample& s : result.samples) EXPECT_TRUE(s.failed);
+  for (const autotune::TunerSample& s : result.samples) EXPECT_TRUE(s.failed);
   EXPECT_DOUBLE_EQ(result.predicted_score, 0.0);
-  const TunerConfig cfg = Config();
+  const autotune::TunerConfig cfg = Config();
   EXPECT_EQ(result.tuned.bounds().min_age,
             (cfg.min_age_lo + cfg.min_age_hi) / 2);
 }
 
 }  // namespace
-}  // namespace daos::autotune
+}  // namespace daos::dbgfs

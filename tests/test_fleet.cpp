@@ -322,9 +322,6 @@ fleet::FleetConfig StormFleet() {
   config.supervisor.max_backoff_exp = 2;
   config.supervisor.restart_budget = 2;
   config.supervisor.restart_budget_window = 4 * kUsPerSec;
-  config.quarantine_crash_threshold = 2;
-  config.quarantine_window_epochs = 8;
-  config.quarantine_probation_epochs = 2;
   return config;
 }
 

@@ -165,16 +165,7 @@ TEST(PaperShape, AutotuneBeatsBadManualScheme) {
   // sweet spot the tuner must find.
   opt.swap = sim::SwapConfig::File();
 
-  auto trial = [&](const damos::Scheme* s) {
-    if (s == nullptr) {
-      const auto r = analysis::RunWorkload(p, analysis::Config::kBaseline, opt);
-      return autotune::TrialMeasurement{r.runtime_s, r.avg_rss_bytes};
-    }
-    const std::vector<damos::Scheme> schemes{*s};
-    const auto r =
-        analysis::RunWorkload(p, analysis::Config::kSchemes, opt, &schemes);
-    return autotune::TrialMeasurement{r.runtime_s, r.avg_rss_bytes};
-  };
+  const autotune::TrialRunner trial = analysis::WorkloadTrial(p, opt);
 
   autotune::TunerConfig cfg;
   cfg.nr_samples = 10;
@@ -188,7 +179,7 @@ TEST(PaperShape, AutotuneBeatsBadManualScheme) {
   // Compare an over-aggressive manual scheme (min_age=0) with the tuned
   // one, under the paper's own SLA-aware score function (Listing 2).
   damos::Scheme manual = damos::Scheme::Prcl(0);
-  const autotune::TrialMeasurement baseline = trial(nullptr);
+  const autotune::TrialMeasurement& baseline = result.baseline;
   const autotune::TrialMeasurement manual_m = trial(&manual);
   const autotune::TrialMeasurement tuned_m = trial(&result.tuned);
   autotune::ScoreFunction manual_fn, tuned_fn;
