@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace daos {
 
@@ -93,27 +94,49 @@ class Rng {
 
 /// Approximately Zipf-distributed ranks in [0, n) with exponent s, by
 /// inverse CDF on the continuous approximation: accurate enough for
-/// workload shaping and O(1) per draw. Everything that depends only on
-/// (n, s) is computed once at construction, so a draw costs one NextDouble
-/// and one pow (exp when s == 1); the doubles are the ones a per-draw
-/// evaluation of the same formula produces.
+/// workload shaping. A draw's rank depends only on the 53-bit integer
+/// m = NextU64() >> 11 that NextDouble scales to u = m * 2^-53, so the
+/// sampler is a map from m to a rank. The formula, with every term that
+/// depends only on (n, s) computed once, is the reference for that map.
+///
+/// Where the formula's rank is provably non-decreasing in m (DESIGN §15.1
+/// *Hot-loop rules*), the constructor tabulates the head of the
+/// distribution: for each rank k whose m-interval is at least one guide
+/// bucket wide, the smallest m of rank >= k, found by evaluating the
+/// formula itself, and a u16 guide with the rank at each bucket's first m.
+/// A draw below the head's end then costs a guide lookup and one compare;
+/// every other draw evaluates the formula (one pow, or one exp when
+/// s == 1). Both give the formula's own rank.
 class ZipfSampler {
  public:
-  ZipfSampler(std::uint64_t n, double s) noexcept : n_(n), log_cdf_(s == 1.0) {
-    if (log_cdf_) {
-      log1p_n_ = std::log1p(static_cast<double>(n));
-    } else {
-      const double oms = 1.0 - s;
-      top_ = std::pow(static_cast<double>(n) + 1.0, oms) - 1.0;
-      inv_oms_ = 1.0 / oms;
-    }
-  }
+  ZipfSampler(std::uint64_t n, double s);
 
   /// One rank. n <= 1 returns 0 without consuming a draw. Inline, so a
   /// caller's loop can keep its generator in registers.
   std::uint64_t Draw(Rng& rng) const noexcept {
     if (n_ <= 1) return 0;
-    const double u = rng.NextDouble();
+    return RankOf(rng.NextU64() >> 11);
+  }
+
+  /// The rank Draw returns for the 53-bit integer m (m < 2^53; n >= 2).
+  std::uint64_t RankOf(std::uint64_t m) const noexcept {
+    if (m < head_end_) {
+      const std::uint64_t r = guide_[m >> bucket_shift_];
+      return m >= starts_[r + 1] ? r + 1 : r;
+    }
+    return FormulaRank(m);
+  }
+
+  /// The head's rank starts, smallest m of each rank 0..K-1, then the
+  /// head's end; empty when there is no table. Only tests read it: they
+  /// probe RankOf on both sides of every start against the formula.
+  const std::vector<std::uint64_t>& HeadStarts() const noexcept {
+    return starts_;
+  }
+
+ private:
+  std::uint64_t FormulaRank(std::uint64_t m) const noexcept {
+    const double u = static_cast<double>(m) * (1.0 / 9007199254740992.0);
     if (log_cdf_) {
       // CDF(x) ~ ln(1+x)/ln(1+n); invert.
       const double x = std::exp(u * log1p_n_) - 1.0;
@@ -126,13 +149,22 @@ class ZipfSampler {
     const auto r = static_cast<std::uint64_t>(x);
     return r >= n_ ? n_ - 1 : r;
   }
+  std::uint64_t FirstOfRank(std::uint64_t k, std::uint64_t below,
+                            double oms) const noexcept;
+  void BuildHead(double oms);
 
- private:
   std::uint64_t n_;
   bool log_cdf_;          // s == 1: CDF(x) ~ ln(1+x) / ln(1+n)
   double log1p_n_ = 0.0;  // ln(1+n), s == 1 only
   double top_ = 0.0;      // (n+1)^(1-s) - 1, s != 1 only
   double inv_oms_ = 0.0;  // 1 / (1-s), s != 1 only
+  // The head table: m < head_end_ takes guide_[m >> bucket_shift_], the
+  // rank of the bucket's first m, and starts_ (K + 1 entries, the last
+  // head_end_) decides whether m is in that rank or the next.
+  std::uint64_t head_end_ = 0;
+  unsigned bucket_shift_ = 0;
+  std::vector<std::uint64_t> starts_;
+  std::vector<std::uint16_t> guide_;
 };
 
 }  // namespace daos

@@ -48,4 +48,27 @@ constexpr Addr AlignUp(Addr a, std::uint64_t align) noexcept {
   return AlignDown(a + align - 1, align);
 }
 
+/// A fixed divisor d >= 1 that divides by one multiply: x / d is the high
+/// half of x * c with c = ceil(2^64 / d), which 64-bit operations compute
+/// as (2^64 - 1) / d + 1. Exact for every x < 2^32 while d < 2^32: the
+/// product overshoots x / d by x * (c - 2^64 / d) / 2^64 < 2^-32 < 1 / d,
+/// too little to reach the next integer. d == 1 has no 64-bit c and
+/// returns x.
+class Divisor {
+ public:
+  explicit constexpr Divisor(std::uint64_t d = 1) noexcept
+      : d_(d), c_(d == 1 ? 0 : kMaxU64 / d + 1) {}
+
+  constexpr std::uint64_t value() const noexcept { return d_; }
+  std::uint64_t Quotient(std::uint64_t x) const noexcept {
+    if (c_ == 0) return x;
+    return static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(x) * c_) >> 64);
+  }
+
+ private:
+  std::uint64_t d_;
+  std::uint64_t c_;  // ceil(2^64 / d); 0 when d == 1
+};
+
 }  // namespace daos

@@ -10,9 +10,7 @@
 namespace daos::workload {
 
 SyntheticSource::SyntheticSource(WorkloadProfile profile, std::uint64_t seed)
-    : profile_(std::move(profile)), rng_(seed) {
-  if (profile_.pattern == PatternKind::kPhased) hot_window_frac_ = 0.4;
-}
+    : profile_(std::move(profile)), rng_(seed) {}
 
 void SyntheticSource::BuildLayout(sim::AddressSpace& space) {
   space.Map(kHeapBase, profile_.data_bytes, "heap");
@@ -32,20 +30,39 @@ void SyntheticSource::BuildLayout(sim::AddressSpace& space) {
                                    static_cast<double>(profile_.data_bytes)),
         kHugePageSize);
     const std::uint64_t blocks = std::max<std::uint64_t>(1, bytes / kHugePageSize);
-    g.used_per_block = std::max<std::uint64_t>(
+    g.used_per_block = Divisor(std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(spec.density *
-                                      static_cast<double>(kPagesPerHuge)));
-    g.used_pages = blocks * g.used_per_block;
+                                      static_cast<double>(kPagesPerHuge))));
+    g.used_pages = blocks * g.used_per_block.value();
     groups_.push_back(g);
     at += blocks * kHugePageSize;
     assert(at <= kHeapBase + profile_.data_bytes);
   }
+
+  zipf_.reset();
+  if (groups_.empty() || groups_.front().spec.period_s != 0.0) return;
+  const std::uint64_t hot_pages = groups_.front().used_pages;
+  switch (profile_.pattern) {
+    case PatternKind::kScan:  // the window slides across the group
+      win_pages_ = std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(hot_pages * 0.25));
+      break;
+    case PatternKind::kPhased:  // the window jumps every phase period
+      win_pages_ = std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(hot_pages * 0.4));
+      break;
+    default:
+      win_pages_ = hot_pages;
+      break;
+  }
+  zipf_.emplace(win_pages_, profile_.zipf_exponent);
 }
 
 Addr SyntheticSource::UsedIndexToAddr(const GroupState& g,
                                       std::uint64_t used_idx) const {
-  const std::uint64_t block = used_idx / g.used_per_block;
-  const std::uint64_t offset = used_idx % g.used_per_block;
+  assert(used_idx < std::uint64_t{1} << 32);  // Divisor's exact range
+  const std::uint64_t block = g.used_per_block.Quotient(used_idx);
+  const std::uint64_t offset = used_idx - block * g.used_per_block.value();
   return g.start + block * kHugePageSize + offset * kPageSize;
 }
 
@@ -55,7 +72,8 @@ sim::TouchStats SyntheticSource::TouchUsedSpan(sim::AddressSpace& space,
                                                std::uint64_t count, bool write,
                                                SimTimeUs now) {
   sim::TouchStats st;
-  if (g.used_per_block == kPagesPerHuge) {
+  const std::uint64_t per_block = g.used_per_block.value();
+  if (per_block == kPagesPerHuge) {
     // Dense group: the used-index space maps linearly onto addresses, so
     // the whole span is one contiguous range touch.
     const std::uint64_t run = std::min(count, g.used_pages - from);
@@ -64,7 +82,7 @@ sim::TouchStats SyntheticSource::TouchUsedSpan(sim::AddressSpace& space,
   }
   std::uint64_t idx = from;
   while (count > 0 && idx < g.used_pages) {
-    const std::uint64_t in_block = g.used_per_block - idx % g.used_per_block;
+    const std::uint64_t in_block = per_block - idx % per_block;
     const std::uint64_t run = std::min(count, in_block);
     const Addr start = UsedIndexToAddr(g, idx);
     space.TouchRange(start, start + run * kPageSize, write, now, st);
@@ -88,19 +106,13 @@ sim::TouchStats SyntheticSource::PopulateAll(sim::AddressSpace& space,
 sim::TouchStats SyntheticSource::TouchHot(sim::AddressSpace& space,
                                           SimTimeUs now, SimTimeUs quantum) {
   sim::TouchStats st;
-  if (groups_.empty()) return st;
-  GroupState& hot = groups_.front();
-  if (hot.spec.period_s != 0.0) return st;  // profile has no hot group
-
-  std::uint64_t win_pages = hot.used_pages;
+  if (!zipf_) return st;  // profile has no hot group
+  const GroupState& hot = groups_.front();
+  const std::uint64_t win_pages = win_pages_;
   std::uint64_t win_at = 0;
   switch (profile_.pattern) {
-    case PatternKind::kStatic:
-      break;
     case PatternKind::kScan: {
       // The hot window slides across the group once per phase period.
-      win_pages = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(hot.used_pages * 0.25));
       const double period_us = profile_.phase_period_s * kUsPerSec;
       const double pos = std::fmod(static_cast<double>(now), period_us) / period_us;
       win_at = static_cast<std::uint64_t>(pos * static_cast<double>(
@@ -108,9 +120,6 @@ sim::TouchStats SyntheticSource::TouchHot(sim::AddressSpace& space,
       break;
     }
     case PatternKind::kPhased: {
-      win_pages = std::max<std::uint64_t>(
-          1,
-          static_cast<std::uint64_t>(hot.used_pages * hot_window_frac_));
       if (now >= next_phase_) {
         next_phase_ = now + static_cast<SimTimeUs>(profile_.phase_period_s *
                                                    kUsPerSec);
@@ -123,7 +132,7 @@ sim::TouchStats SyntheticSource::TouchHot(sim::AddressSpace& space,
       break;
     }
     default:
-      break;  // scenario patterns are served by ScenarioSource
+      break;  // kStatic; scenario patterns are served by ScenarioSource
   }
   st += TouchUsedSpan(space, hot, win_at, win_pages,
                       rng_.NextBool(hot.spec.write_frac), now);
@@ -136,7 +145,7 @@ sim::TouchStats SyntheticSource::TouchHot(sim::AddressSpace& space,
   const auto draws = static_cast<std::uint64_t>(n);
   // The loop draws from a local copy of the generator, written back after
   // it: the buffer's stores could alias rng_, which would pin it in memory.
-  const ZipfSampler zipf(win_pages, profile_.zipf_exponent);
+  const ZipfSampler& zipf = *zipf_;
   touches_.clear();
   Rng rng = rng_;
   for (std::uint64_t i = 0; i < draws; ++i) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "sim/process.hpp"
 #include "util/rng.hpp"
@@ -36,7 +37,7 @@ class SyntheticSource final : public sim::AccessSource {
     GroupSpec spec;
     Addr start = 0;                 // within the heap area
     std::uint64_t used_pages = 0;   // density-adjusted page count
-    std::uint64_t used_per_block = 0;
+    Divisor used_per_block;         // used pages at the head of a block
     std::uint64_t cursor = 0;       // warm-walk position in used-page space
     double carry = 0.0;             // fractional pages carried across quanta
   };
@@ -60,9 +61,11 @@ class SyntheticSource final : public sim::AccessSource {
   std::vector<GroupState> groups_;
   bool populated_ = false;
   std::vector<sim::PageTouch> touches_;  // one quantum's Zipf draws
-  // kPhased hot-window state.
-  double hot_window_frac_ = 1.0;
-  std::uint64_t hot_window_at_ = 0;  // used-page offset of the window
+  // The hot window: its size is fixed at layout, so its sampler is built
+  // once; kScan and kPhased move only its position.
+  std::uint64_t win_pages_ = 0;
+  std::optional<ZipfSampler> zipf_;  // none when there is no hot group
+  std::uint64_t hot_window_at_ = 0;  // kPhased: used-page offset of the window
   SimTimeUs next_phase_ = 0;
 };
 

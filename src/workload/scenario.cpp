@@ -62,6 +62,10 @@ void ScenarioSource::BuildLayout(sim::AddressSpace& space) {
   c_.start = b_.end();
   c_.pages = (total_blocks - std::min(total_blocks, a_blocks + b_blocks)) *
              kPagesPerHuge;
+  zipf_.reset();
+  if (profile_.pattern == PatternKind::kKvStore) {
+    zipf_.emplace(b_.pages, profile_.zipf_exponent);
+  }
 }
 
 sim::TouchStats ScenarioSource::EmitQuantum(sim::AddressSpace& space,
@@ -115,7 +119,7 @@ sim::TouchStats ScenarioSource::EmitKvStore(sim::AddressSpace& space,
   const auto draws = static_cast<std::uint64_t>(
       per_s * (static_cast<double>(quantum) / kUsPerSec));
   // A local generator, as in SyntheticSource::TouchHot.
-  const ZipfSampler zipf(b_.pages, profile_.zipf_exponent);
+  const ZipfSampler& zipf = *zipf_;
   touches_.clear();
   Rng rng = rng_;
   for (std::uint64_t i = 0; i < draws; ++i) {

@@ -24,6 +24,8 @@
 // runner) and are deterministic in (profile, seed).
 #pragma once
 
+#include <optional>
+
 #include "sim/process.hpp"
 #include "util/rng.hpp"
 #include "workload/profile.hpp"
@@ -71,6 +73,7 @@ class ScenarioSource final : public sim::AccessSource {
   std::uint64_t sweep_cursor_ = 0;       // mltrain: dataset page cursor
   double sweep_carry_ = 0.0;
   std::vector<sim::PageTouch> touches_;  // kvstore: one quantum's Zipf draws
+  std::optional<ZipfSampler> zipf_;      // kvstore: ranks over the value log
 };
 
 /// True if `pattern` is one of the scenario kinds served by this source.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+#include "util/types.hpp"
+
 namespace daos {
 namespace {
 
@@ -148,6 +151,34 @@ TEST_P(DurationRoundTrip, FormatParse) {
 INSTANTIATE_TEST_SUITE_P(Durations, DurationRoundTrip,
                          ::testing::Values(1, 500, 5 * kUsPerMs, kUsPerSec,
                                            90 * kUsPerSec, 2 * kUsPerMin));
+
+// Divisor's multiply against the divide it replaces: every divisor a
+// group's used-pages-per-block takes, over every index below 2^16, then
+// random indices up to the 2^32 bound.
+TEST(Divisor, MatchesDivideAndRemainder) {
+  for (std::uint64_t d = 1; d <= kPagesPerHuge; ++d) {
+    const Divisor div(d);
+    ASSERT_EQ(div.value(), d);
+    for (std::uint64_t x = 0; x < (1u << 16); ++x) {
+      const std::uint64_t q = div.Quotient(x);
+      ASSERT_EQ(q, x / d) << "x " << x << " d " << d;
+      ASSERT_EQ(x - q * d, x % d) << "x " << x << " d " << d;
+    }
+  }
+  Rng rng(31);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t d = rng.NextInRange(1, kPagesPerHuge);
+    const std::uint64_t x = rng.NextBounded(std::uint64_t{1} << 32);
+    const std::uint64_t q = Divisor(d).Quotient(x);
+    ASSERT_EQ(q, x / d) << "x " << x << " d " << d;
+    ASSERT_EQ(x - q * d, x % d) << "x " << x << " d " << d;
+  }
+  // The bound's edge, where the reciprocal's overshoot is largest.
+  for (std::uint64_t d = 1; d <= kPagesPerHuge; ++d) {
+    const std::uint64_t x = (std::uint64_t{1} << 32) - 1;
+    ASSERT_EQ(Divisor(d).Quotient(x), x / d) << "d " << d;
+  }
+}
 
 }  // namespace
 }  // namespace daos
